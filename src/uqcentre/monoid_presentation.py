@@ -235,11 +235,37 @@ def presentation(rsys: RootSystem) -> Presentation:
 
 
 def verify_relations(rsys: RootSystem, pres: Presentation | None = None) -> Report:
-    """Check phi(lhs) == phi(rhs) for every relation (and the conjugate rel2)."""
+    """Check phi(lhs) == phi(rhs) for every relation (and the conjugate rel2).
+
+    For the type I algebras M+ = P+ is free, so the kernel of phi is zero:
+    the report checks that every fundamental weight lies in M+, that the
+    generators are exactly the fundamental weights, and that the
+    presentation has no relations.
+    """
     if pres is None:
         pres = presentation(rsys)
     basis = hilbert_basis(rsys)
     rep = Report(title=f"kernel membership {rsys.family}{rsys.rank}")
+    if classify_type(rsys) == TYPE_I:
+        fundamentals = [rsys.fundamental_weight(i) for i in range(rsys.rank)]
+        outside = [w for w in fundamentals if not in_monoid(rsys, w)]
+        rep.add(
+            "every fundamental weight lies in M+",
+            not outside,
+            f"outside: {outside}" if outside else "",
+        )
+        gens = sorted(pres.generators)
+        same = gens == sorted(fundamentals)
+        rep.add(
+            "generators are the fundamental weights",
+            same,
+            "" if same else f"generators {gens}",
+        )
+        rep.add(
+            "no relations: C[M+] is a polynomial algebra",
+            not pres.relations,
+            f"{len(pres.relations)} relations" if pres.relations else "",
+        )
     for rel in pres.relations:
         left = phi(pres.generators, dict(rel.lhs))
         right = phi(pres.generators, dict(rel.rhs))

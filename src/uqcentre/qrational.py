@@ -7,6 +7,13 @@ and ``den`` is trivial, the integer contents of ``num`` and ``den`` are
 coprime, and ``den`` has positive leading coefficient.  The canonical form is
 unique, so equality is structural.
 
+Laurent polynomials (``den == (1,)``) take a fast path through the
+constructor, addition and multiplication: the q-valuation is stripped into
+``k`` and nothing else is done, since ``q^k * num`` with ``num(0) != 0`` and
+``den = 1`` already is the canonical form.  Content and gcd reduction run
+only when a true denominator is involved, so arithmetic that stays in
+Z[q, q^-1] never reaches ``_pgcd``.
+
 Polynomials are little-endian integer tuples; the zero polynomial is ``()``.
 """
 
@@ -122,6 +129,19 @@ def _pgcd(a, b):
     return g
 
 
+def _laurent_add(k1, a, k2, b):
+    """q^k1 a + q^k2 b for polynomials a, b with nonzero constant terms."""
+    if k1 > k2:
+        k1, a, k2, b = k2, b, k1, a
+    out = list(a)
+    shift = k2 - k1
+    if len(out) < shift + len(b):
+        out.extend([0] * (shift + len(b) - len(out)))
+    for i, y in enumerate(b, shift):
+        out[i] += y
+    return QRat(k1, out, (1,))
+
+
 class QRat:
     """An exact element of the field of rational functions in q."""
 
@@ -129,6 +149,18 @@ class QRat:
 
     def __init__(self, qpow, num, den, _canonical=False):
         if _canonical:
+            self.qpow, self.num, self.den = qpow, num, den
+            return
+        if den == (1,):
+            # Laurent fast path: only the q-valuation needs stripping
+            num = _trim(num)
+            if not num:
+                self.qpow, self.num, self.den = 0, (), (1,)
+                return
+            if not num[0]:
+                vn = next(i for i, x in enumerate(num) if x)
+                qpow += vn
+                num = num[vn:]
             self.qpow, self.num, self.den = qpow, num, den
             return
         num = _trim(num)
@@ -208,6 +240,8 @@ class QRat:
             return other
         if other.is_zero():
             return self
+        if self.den == (1,) and other.den == (1,):
+            return _laurent_add(self.qpow, self.num, other.qpow, other.num)
         k = min(self.qpow, other.qpow)
         shift1 = (0,) * (self.qpow - k) + (1,)
         shift2 = (0,) * (other.qpow - k) + (1,)
@@ -234,6 +268,10 @@ class QRat:
         other = QRat.coerce(other)
         if self.is_zero() or other.is_zero():
             return Q_ZERO
+        if self.den == (1,) and other.den == (1,):
+            # a product of polynomials with nonzero constant terms has one too
+            return QRat(self.qpow + other.qpow, _pmul(self.num, other.num), (1,),
+                        _canonical=True)
         return QRat(
             self.qpow + other.qpow,
             _pmul(self.num, other.num),
@@ -328,6 +366,21 @@ def _poly_str(p) -> str:
 
 Q_ZERO = QRat(0, (), (1,), _canonical=True)
 Q_ONE = QRat(0, (1,), (1,), _canonical=True)
+
+
+def laurent_quotient(x: QRat, y: QRat) -> QRat:
+    """x / y for Laurent polynomials x, y where y divides x in Z[q, q^-1].
+
+    Exact long division of the coefficient polynomials, with no gcd; raises
+    ArithmeticError when the quotient is not a Laurent polynomial.
+    """
+    if not (x.is_laurent() and y.is_laurent()):
+        raise ArithmeticError("laurent_quotient needs Laurent polynomials")
+    if y.is_zero():
+        raise ZeroDivisionError
+    if x.is_zero():
+        return Q_ZERO
+    return QRat(x.qpow - y.qpow, _pdiv_exact(x.num, y.num), (1,), _canonical=True)
 
 
 def q_power(k: int) -> QRat:

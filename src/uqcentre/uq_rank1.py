@@ -3,10 +3,21 @@
 Elements are finite sums of normally ordered monomials ``F^a K^b E^c`` with
 exact rational-function coefficients.  The defining relations are
 
-    K E = q^2 E K,   K F = q^-2 F K,   E F - F E = (K - K^-1)/(q - q^-1),
+    K E = q^2 E K,   K F = q^-2 F K,   E F - F E = (K - K^-1)/(q - q^-1).
 
-and products are straightened into normal order by an induction on the
-commutation ``E^c F^a``, memoized in a module-level table.
+Internally an element is stored in the basis ``F^a K^b E'^c`` of the
+rescaled generator E' = (q - q^-1) E (the integral form of De Concini, Kac
+and Procesi), where the straightening rule
+
+    E' F^a = F^a E' + [a] (q^(1-a) F^(a-1) K - q^(a-1) F^(a-1) K^-1)
+
+has Laurent-polynomial coefficients; products are straightened into normal
+order by an induction on ``E'^c F^a``, memoized in a module-level table.
+The coefficient of ``F^a K^b E^c`` is ``(q - q^-1)^c`` times the stored
+coefficient of ``F^a K^b E'^c``.  Conversion happens only at the public
+boundary: the constructor and ``monomial`` take E-basis coefficients, and
+``terms``, ``coefficient``, ``sorted_terms``, ``render`` and ``to_json``
+give them back, so callers never see the E' basis.
 
 From the (m+1)-dimensional simple module V the three operators
 
@@ -20,7 +31,11 @@ Gamma_V = K_V Rt_V R_V, whose weighted partial traces
     C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k)
 
 are central.  The truncation of the quasi R-matrix at n = dim V is exact
-(zeta(F)^dim V = 0), not an approximation.
+(zeta(F)^dim V = 0), not an approximation.  Since c_n E^n =
+q^(n(n-1)/2) E'^n / [n]! and [n]! divides every entry of zeta(F)^n and
+zeta(E)^n, every entry of R_V, Rt_V, K_V and Gamma_V^k has stored
+coefficients in Z[q, q^-1], so the whole Casimir pipeline runs on Laurent
+polynomials and never needs a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -28,25 +43,53 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError
-from .qrational import Q_ONE, Q_ZERO, QRat, q_factorial, q_int, q_power
+from .qrational import (
+    Q_ONE,
+    Q_ZERO,
+    QRat,
+    laurent_quotient,
+    q_factorial,
+    q_int,
+    q_power,
+)
 from .report import Report
 
 Mon = tuple[int, int, int]  # exponents (a, b, c) of F^a K^b E^c
 
+_QMQ = q_power(1) - q_power(-1)  # q - q^-1
+
+
+@lru_cache(maxsize=None)
+def _qmq_power(c: int) -> QRat:
+    """(q - q^-1)^c: the factor from E'-basis to E-basis coefficients."""
+    return _QMQ ** c
+
 
 class UqElement:
-    """A normally ordered element of U_q(sl2); immutable."""
+    """A normally ordered element of U_q(sl2); immutable.
 
-    __slots__ = ("terms",)
+    ``_terms`` maps (a, b, c) to the coefficient of ``F^a K^b E'^c``; the
+    public ``terms`` are those of ``F^a K^b E^c``.
+    """
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
+        """The element sum coeff * F^a K^b E^c over ``{(a, b, c): coeff}``."""
         clean = {}
         if terms:
             for mon, coeff in terms.items():
                 coeff = QRat.coerce(coeff)
                 if not coeff.is_zero():
-                    clean[mon] = coeff
-        self.terms = clean
+                    clean[mon] = coeff * _qmq_power(-mon[2]) if mon[2] else coeff
+        self._terms = clean
+
+    @classmethod
+    def _stored(cls, terms: dict) -> "UqElement":
+        """The element with nonzero E'-basis coefficients ``terms`` (not copied)."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def monomial(cls, a: int, b: int, c: int, coeff=1) -> "UqElement":
@@ -54,36 +97,44 @@ class UqElement:
             raise DomainError("F and E exponents must be nonnegative")
         return cls({(a, b, c): coeff})
 
+    @property
+    def terms(self) -> dict[Mon, QRat]:
+        """Coefficients in the F^a K^b E^c basis."""
+        return {
+            mon: coeff * _qmq_power(mon[2]) if mon[2] else coeff
+            for mon, coeff in self._terms.items()
+        }
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = UqElement({(0, 0, 0): other})
-        return isinstance(other, UqElement) and self.terms == other.terms
+        return isinstance(other, UqElement) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
         if isinstance(other, (int, QRat)):
             other = UqElement({(0, 0, 0): other})
-        out = dict(self.terms)
-        for mon, c in other.terms.items():
+        out = dict(self._terms)
+        for mon, c in other._terms.items():
             v = out.get(mon, Q_ZERO) + c
             if v.is_zero():
                 out.pop(mon, None)
             else:
                 out[mon] = v
-        return UqElement(out)
+        return UqElement._stored(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UqElement({m: -c for m, c in self.terms.items()})
+        return UqElement._stored({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, QRat)):
@@ -97,16 +148,16 @@ class UqElement:
         coeff = QRat.coerce(coeff)
         if coeff.is_zero():
             return UQ_ZERO
-        return UqElement({m: c * coeff for m, c in self.terms.items()})
+        return UqElement._stored({m: c * coeff for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, QRat)):
             return self.scale(other)
         out: dict[Mon, QRat] = {}
-        for (a1, b1, c1), r1 in self.terms.items():
-            for (a2, b2, c2), r2 in other.terms.items():
+        for (a1, b1, c1), r1 in self._terms.items():
+            for (a2, b2, c2), r2 in other._terms.items():
                 base = r1 * r2
-                for (x, y, z), s in _straighten(c1, a2).terms.items():
+                for (x, y, z), s in _straighten(c1, a2)._terms.items():
                     mon = (a1 + x, b1 + y + b2, z + c2)
                     coeff = base * s * q_power(-2 * (b1 * x + z * b2))
                     v = out.get(mon, Q_ZERO) + coeff
@@ -114,7 +165,7 @@ class UqElement:
                         out.pop(mon, None)
                     else:
                         out[mon] = v
-        return UqElement(out)
+        return UqElement._stored(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, QRat)):
@@ -134,16 +185,17 @@ class UqElement:
 
     def in_zero_grade(self) -> bool:
         """Whether every monomial has equal E and F exponents."""
-        return all(a == c for (a, _, c) in self.terms)
+        return all(a == c for (a, _, c) in self._terms)
 
     def coefficient(self, mon: Mon) -> QRat:
-        return self.terms.get(mon, Q_ZERO)
+        coeff = self._terms.get(mon, Q_ZERO)
+        return coeff * _qmq_power(mon[2]) if mon[2] else coeff
 
     def sorted_terms(self):
         return sorted(self.terms.items())
 
     def render(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for (a, b, c), coeff in self.sorted_terms():
@@ -179,35 +231,35 @@ GEN_E = UqElement({(0, 0, 1): 1})
 GEN_F = UqElement({(1, 0, 0): 1})
 GEN_K = UqElement({(0, 1, 0): 1})
 GEN_KINV = UqElement({(0, -1, 0): 1})
-
-_QMQ = q_power(1) - q_power(-1)  # q - q^-1
+GEN_EP = UqElement._stored({(0, 0, 1): Q_ONE})  # E' = (q - q^-1) E
+_QMQ_ONE = UqElement({(0, 0, 0): _QMQ})  # (q - q^-1) * 1
 
 
 def _rmul_gen(el: UqElement, which: str) -> UqElement:
-    """Right-multiply a normal form by E, K or K^-1 (all trivial shifts)."""
+    """Right-multiply a normal form by E', K or K^-1 (all trivial shifts)."""
     out = {}
-    for (x, y, z), c in el.terms.items():
-        if which == "E":
+    for (x, y, z), c in el._terms.items():
+        if which == "E'":
             out[(x, y, z + 1)] = c
         elif which == "K":
             out[(x, y + 1, z)] = c * q_power(-2 * z)
         else:
             out[(x, y - 1, z)] = c * q_power(2 * z)
-    return UqElement(out)
+    return UqElement._stored(out)
 
 
 @lru_cache(maxsize=None)
 def _straighten(c: int, a: int) -> UqElement:
-    """Normal form of E^c F^a.
+    """Normal form of E'^c F^a.
 
-    E F^a = F^a E + [a]/(q-q^-1) (q^(1-a) F^(a-1) K - q^(a-1) F^(a-1) K^-1),
+    E' F^a = F^a E' + [a] (q^(1-a) F^(a-1) K - q^(a-1) F^(a-1) K^-1),
     applied inductively in c.
     """
     if c == 0 or a == 0:
-        return UqElement({(a, 0, c): 1})
-    head = _rmul_gen(_straighten(c - 1, a), "E")
+        return UqElement._stored({(a, 0, c): Q_ONE})
+    head = _rmul_gen(_straighten(c - 1, a), "E'")
     tail = _straighten(c - 1, a - 1)
-    coef = q_int(a) / _QMQ
+    coef = q_int(a)
     head = head + _rmul_gen(tail, "K").scale(coef * q_power(1 - a))
     head = head - _rmul_gen(tail, "KINV").scale(coef * q_power(a - 1))
     return head
@@ -219,8 +271,8 @@ def multiply(x: UqElement, y: UqElement) -> UqElement:
 
 
 def is_central(x: UqElement) -> bool:
-    """Whether x commutes with E, F and K."""
-    return all(x.commutator(g).is_zero() for g in (GEN_E, GEN_F, GEN_K))
+    """Whether x commutes with E, F and K (E enters as E' = (q - q^-1) E)."""
+    return all(x.commutator(g).is_zero() for g in (GEN_EP, GEN_F, GEN_K))
 
 
 # -- matrices over QRat (module actions) and over UqElement -----------------
@@ -247,6 +299,14 @@ def _qmat_pow(A, n):
     for _ in range(n):
         out = _qmat_mul(out, A)
     return out
+
+
+def _qmat_divided_power(A, n):
+    """A^n / [n]!, entrywise; [n]! divides every entry for A = zeta(E), zeta(F)."""
+    fact = q_factorial(n)
+    return tuple(
+        tuple(laurent_quotient(x, fact) for x in row) for row in _qmat_pow(A, n)
+    )
 
 
 class UqMatrix:
@@ -368,34 +428,29 @@ def simple_module(m: int) -> SimpleModule:
     return SimpleModule(m)
 
 
-def _series_coefficient(n: int) -> QRat:
-    # q^(n(n+1)/2) (1 - q^-2)^n / [n]!
-    return (
-        q_power(n * (n + 1) // 2)
-        * (Q_ONE - q_power(-2)) ** n
-        / q_factorial(n)
-    )
-
-
 def quasi_R(V: SimpleModule) -> UqMatrix:
-    """(zeta (x) id) of the quasi R-matrix, truncated exactly at n = dim V."""
+    """(zeta (x) id) of the quasi R-matrix, truncated exactly at n = dim V.
+
+    The n-th term c_n zeta(F^n) (x) E^n is (zeta(F^n)/[n]!) (x) q^(n(n-1)/2) E'^n.
+    """
     out = UqMatrix.tensor(_qmat_id(V.dim), UQ_ZERO)
     for n in range(V.dim):
-        term = UqMatrix.tensor(
-            _qmat_pow(V.F, n), UqElement.monomial(0, 0, n, _series_coefficient(n))
-        )
-        out = out + term
+        e_n = UqElement._stored({(0, 0, n): q_power(n * (n - 1) // 2)})
+        out = out + UqMatrix.tensor(_qmat_divided_power(V.F, n), e_n)
     return out
 
 
 def quasi_R_tilde_T(V: SimpleModule) -> UqMatrix:
-    """(zeta (x) id) phi(R^T): sum_n c_n zeta(E^n K^n) (x) K^-n F^n."""
+    """(zeta (x) id) phi(R^T): sum_n c_n zeta(E^n K^n) (x) K^-n F^n.
+
+    Here c_n = q^(n(n-1)/2) (q - q^-1)^n / [n]!, and the [n]! divides zeta(E^n).
+    """
     out = UqMatrix.tensor(_qmat_id(V.dim), UQ_ZERO)
     for n in range(V.dim):
-        first = _qmat_mul(_qmat_pow(V.E, n), _qmat_pow(V.K, n))
+        first = _qmat_mul(_qmat_divided_power(V.E, n), _qmat_pow(V.K, n))
         # K^-n F^n normal-ordered is q^(2n^2) F^n K^-n
         second = UqElement.monomial(
-            n, -n, 0, _series_coefficient(n) * q_power(2 * n * n)
+            n, -n, 0, q_power(n * (n - 1) // 2 + 2 * n * n) * _qmq_power(n)
         )
         out = out + UqMatrix.tensor(first, second)
     return out
@@ -421,7 +476,9 @@ def gamma(V: SimpleModule) -> UqMatrix:
 def _gamma_power(V: SimpleModule, k: int) -> UqMatrix:
     key = (V.m, k)
     if key not in _gamma_powers:
-        if k == 1:
+        if k == 0:
+            _gamma_powers[key] = UqMatrix.identity(V.dim)
+        elif k == 1:
             _gamma_powers[key] = K_operator(V) * quasi_R_tilde_T(V) * quasi_R(V)
         else:
             _gamma_powers[key] = _gamma_power(V, k - 1) * _gamma_power(V, 1)
@@ -431,23 +488,34 @@ def _gamma_power(V: SimpleModule, k: int) -> UqMatrix:
 def casimir(V: SimpleModule, k: int) -> UqElement:
     """C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k); central for every k >= 1.
 
-    K_2rho acts as zeta(K) in rank 1.  The coefficients of the result are
-    asserted to clear to Laurent polynomials.
+    K_2rho acts as zeta(K) in rank 1.  Only the diagonal of Gamma_V^k is
+    formed, as that of Gamma_V^(k-1) Gamma_V.  The coefficients of the result
+    are Laurent polynomials; ArithmeticError is raised if one is not.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    weighted = UqMatrix.tensor(V.K, UQ_ONE) * _gamma_power(V, k)
+    head, G = _gamma_power(V, k - 1).rows, _gamma_power(V, 1).rows
     out = UQ_ZERO
     for j in range(V.dim):
-        out = out + weighted.rows[j][j]
-    assert all(c.is_laurent() for c in out.terms.values()), "non-Laurent Casimir"
+        diag = sum((head[j][l] * G[l][j] for l in range(V.dim)), UQ_ZERO)
+        out = out + diag.scale(V.K[j][j])
+    for mon, coeff in out.terms.items():
+        if not coeff.is_laurent():
+            raise ArithmeticError(
+                f"non-Laurent Casimir coefficient {coeff.render()} at {mon}"
+            )
     return out
 
 
 def _delta_matrix(V: SimpleModule, gen: str) -> UqMatrix:
-    """(zeta (x) id) of the coproduct of a generator."""
+    """(zeta (x) id) of the coproduct of a generator.
+
+    Here and in the two functions below, "E" stands for E' = (q - q^-1) E:
+    every identity they enter is linear in E, and the rescaling keeps the
+    coefficients in Z[q, q^-1].
+    """
     if gen == "E":
-        return UqMatrix.tensor(V.K, GEN_E) + UqMatrix.tensor(V.E, UQ_ONE)
+        return UqMatrix.tensor(V.K, GEN_EP) + UqMatrix.tensor(V.E, _QMQ_ONE)
     if gen == "F":
         return UqMatrix.tensor(V.F, GEN_KINV) + UqMatrix.tensor(_qmat_id(V.dim), GEN_F)
     if gen == "K":
@@ -460,7 +528,7 @@ def _delta_matrix(V: SimpleModule, gen: str) -> UqMatrix:
 def _phi_delta_prime_matrix(V: SimpleModule, gen: str) -> UqMatrix:
     """(zeta (x) id) of phi applied to the opposite coproduct of a generator."""
     if gen == "E":
-        return UqMatrix.tensor(V.E, UQ_ONE) + UqMatrix.tensor(V.Kinv, GEN_E)
+        return UqMatrix.tensor(V.E, _QMQ_ONE) + UqMatrix.tensor(V.Kinv, GEN_EP)
     if gen == "F":
         return UqMatrix.tensor(_qmat_id(V.dim), GEN_F) + UqMatrix.tensor(V.F, GEN_K)
     if gen == "K":
@@ -474,8 +542,8 @@ def _phi2_delta_matrix(V: SimpleModule, gen: str) -> UqMatrix:
     """(zeta (x) id) of phi^2 applied to the coproduct of a generator."""
     if gen == "E":
         # phi^2(Delta(E)) = K^-1 (x) E + E (x) K^-2
-        return UqMatrix.tensor(V.Kinv, GEN_E) + UqMatrix.tensor(
-            V.E, UqElement.monomial(0, -2, 0)
+        return UqMatrix.tensor(V.Kinv, GEN_EP) + UqMatrix.tensor(
+            V.E, UqElement.monomial(0, -2, 0, _QMQ)
         )
     if gen == "F":
         # phi^2(Delta(F)) = F (x) K + K^2 (x) F
@@ -498,7 +566,10 @@ def check_gamma_intertwines(V: SimpleModule) -> Report:
 
 
 def check_K_intertwining(V: SimpleModule) -> Report:
-    """The five diagonal-operator identities and the phi^2 intertwining law."""
+    """The five diagonal-operator identities and the phi^2 intertwining law.
+
+    The identities are linear in E, which enters as E' = (q - q^-1) E.
+    """
     rep = Report(title=f"K_V intertwining, m={V.m}")
     KV = K_operator(V)
     ident = _qmat_id(V.dim)
@@ -511,8 +582,8 @@ def check_K_intertwining(V: SimpleModule) -> Report:
     checks = [
         ("zeta(E) (x) 1", UqMatrix.tensor(V.E, UQ_ONE),
          UqMatrix.tensor(V.E, UqElement.monomial(0, 2, 0))),
-        ("1 (x) E", UqMatrix.tensor(ident, GEN_E),
-         UqMatrix.tensor(_qmat_pow(V.K, 2), GEN_E)),
+        ("1 (x) E", UqMatrix.tensor(ident, GEN_EP),
+         UqMatrix.tensor(_qmat_pow(V.K, 2), GEN_EP)),
         ("zeta(F) (x) 1", UqMatrix.tensor(V.F, UQ_ONE),
          UqMatrix.tensor(V.F, UqElement.monomial(0, -2, 0))),
         ("1 (x) F", UqMatrix.tensor(ident, GEN_F),
@@ -527,49 +598,63 @@ def check_K_intertwining(V: SimpleModule) -> Report:
     return rep
 
 
+def _laurent_row(row: list[QRat]) -> list[QRat]:
+    """The row times the denominators of its entries, so that it lies in Z[q, q^-1]."""
+    for i in range(len(row)):
+        if not row[i].is_laurent():
+            den = QRat(0, row[i].den, (1,))
+            row = [x * den for x in row]
+    return row
+
+
 def express_in_powers(
     target: UqElement, base: UqElement, max_degree: int
 ) -> list[QRat] | None:
     """Coefficients c_j with ``target = sum c_j base^j``, or None.
 
-    Solved exactly over the rational-function field by Gaussian elimination
-    on the monomial coefficients; used to express higher Casimirs as
+    One linear equation per monomial, on the stored E'-basis coefficients:
+    the equation of F^a K^b E^c is the E-basis one divided by (q - q^-1)^c,
+    and rescaling an equation does not change the solution.  Each equation
+    is scaled into Z[q, q^-1] (a no-op for Casimirs) and the system is solved
+    by fraction-free Gauss-Jordan elimination, whose exact divisions stay in
+    Z[q, q^-1]; each solution entry is one quotient of Laurent polynomials.
+    Free unknowns are set to 0.  Used to express higher Casimirs as
     polynomials in the degree-one Casimir.
     """
     powers = [UQ_ONE]
     for _ in range(max_degree):
         powers.append(powers[-1] * base)
-    mons = sorted(set(target.terms).union(*[set(p.terms) for p in powers]))
-    rows = [
-        [p.coefficient(mon) for p in powers] + [target.coefficient(mon)]
-        for mon in mons
-    ]
+    columns = [p._terms for p in powers] + [target._terms]
+    mons = sorted(set().union(*columns))
+    rows = [_laurent_row([col.get(mon, Q_ZERO) for col in columns]) for mon in mons]
     ncols = len(powers)
-    pivot_rows = []
-    piv = 0
+    pivots = []  # (column, row) pairs
+    prev = Q_ONE
     for col in range(ncols):
+        piv = len(pivots)
         r = next(
             (i for i in range(piv, len(rows)) if not rows[i][col].is_zero()), None
         )
         if r is None:
-            pivot_rows.append(None)
             continue
         rows[piv], rows[r] = rows[r], rows[piv]
-        pv = rows[piv][col]
-        rows[piv] = [x / pv for x in rows[piv]]
-        for i in range(len(rows)):
-            if i != piv and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv])]
-        pivot_rows.append(piv)
-        piv += 1
+        prow = rows[piv]
+        pv = prow[col]
+        for i, row in enumerate(rows):
+            if i != piv:
+                f = row[col]
+                rows[i] = [laurent_quotient(pv * x - f * y, prev) for x, y in zip(row, prow)]
+        pivots.append((col, piv))
+        prev = pv
     for row in rows:
         if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
             return None
+    # every pivot row now reads prev * x_col = rhs
     sol = [Q_ZERO] * ncols
-    for col, prow in enumerate(pivot_rows):
-        if prow is not None:
-            sol[col] = rows[prow][-1]
+    for col, r in pivots:
+        rhs = rows[r][-1]
+        if not rhs.is_zero():
+            sol[col] = QRat(rhs.qpow - prev.qpow, rhs.num, prev.num)
     return sol
 
 
@@ -583,7 +668,7 @@ def hc_project(x: UqElement) -> dict[int, int]:
     elements this is applied to.
     """
     out: dict[int, int] = {}
-    for (a, b, c), coeff in x.terms.items():
+    for (a, b, c), coeff in x._terms.items():  # with a = c = 0 stored = public
         if a != c:
             raise DomainError(
                 f"monomial F^{a} K^{b} E^{c} is outside the zero-grade subalgebra"

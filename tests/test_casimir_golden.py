@@ -1,0 +1,59 @@
+"""Golden output of ``uqcentre casimir``: the sha256 of every output byte.
+
+The digests pin ``casimir --m M --k K`` for M <= 4 and K <= 3, in both
+output formats, as standard output (the rendered text and a trailing
+newline).  Any drift in a coefficient, its canonical form, the term order or
+the rendering changes a digest.
+"""
+
+import hashlib
+
+import pytest
+
+from uqcentre.cli import main
+
+JSON_SHA256 = {
+    (0, 1): "4e08503a427363c73311261422202b82cc4a2ed23ea298f7583f7492be75dfd1",
+    (0, 2): "e3bd7b05bb51318b59254ce24c0627136b1c3a6fe57252cf8585a3d3a83a0fd3",
+    (0, 3): "14ca42fd85bc7c1512df3cb089c6aaefe7b4e57d326b471bd1a9bf27f4fac785",
+    (1, 1): "18a71682fcea9d5e29b77ddba00d582f999e07253839974dd47a2ce9a7ef3ee1",
+    (1, 2): "bd022da873c441aba83dafcb01a06ddc5ba13a25d609d10d6128b50e6914821a",
+    (1, 3): "dafe465bd7b87a2d40d81399266790464e41aeb7a19f71887f12c5d3e101a9ab",
+    (2, 1): "9b027e8ba7082788651521ff4bf074b308495f7a27fc0bb9d6f7bab0fdd0ae31",
+    (2, 2): "19eb230940d4da446e8f15d2e2135d0329188e0a5906610eb6539ef4ec4ba03d",
+    (2, 3): "123d32c4ea10bfe08e178ed27555c2e95815a447c08e1eb0752a7f1d1e45a2b3",
+    (3, 1): "36c2bd402ffb3853b0c89041164652567ffd7be434a0ef093da6df8e22eb1ea5",
+    (3, 2): "1a3aa7a892650fdf76d68c5ee90b7414c06b502655f72f528d66dd83538ef63f",
+    (3, 3): "e9a622261d6bfde4f09353928d6a0e9dfa55092146a72bb3e94c696adcef028f",
+    (4, 1): "f366f2ee9b0e0d92daae6cbb90d9d00bb52eabfcdd08a630677ba52cef9df6d7",
+    (4, 2): "9b6799d7469ac84dcb1a57d474ffced0986d708ceb5a10eb60aec97061bbbc47",
+    (4, 3): "d032277a762ab34adf97f1cfd0aa220a767a3fc25d5ccc3f10f440ef6366122a",
+}
+TEXT_SHA256 = {
+    (0, 1): "1f540dd2beb13a36d42a0b3eb5c3968390cdb37d0654ad806159894dc8564e7c",
+    (0, 2): "f183bcb076283e2a5e5962a8172ef29e08097b6806cacdf96c5eca2a4a2b2235",
+    (0, 3): "2da4d4dfc32c6583e5d4bdc34d4d5302319d336b60d57db53bd2422ab03dda5b",
+    (1, 1): "daea247dc0ea75e4e0b20ba68692b0705301b22a57f2044e05e0c005dabba4f1",
+    (1, 2): "91612b8117b1617928869f71d70872362932895428fdb64c2a96b688a0684a35",
+    (1, 3): "2cd44cbc6827f82affae7ad48ceedcac78cfa11c8cf1569f9037407c5ddfd92d",
+    (2, 1): "28a28b099795da613e06174fff9000f86cff71d147457ce2efb3d0dc49607b76",
+    (2, 2): "e2a1578eb20b334fea5689de5b2cb488d7fb21957e2a441d14a675a608892a17",
+    (2, 3): "335ba6703167f1b1daabe69852c6df844f143321cc6dfc8f87d5be8c2dbf7bd9",
+    (3, 1): "67912910e2616657fb49108020d36624e140506376148b5118cf69502700717a",
+    (3, 2): "ee810958ffef49655af71233edae657ac688e1c60f1fc2fb5f59c6a38339f332",
+    (3, 3): "80b9252ae31316c6ca47a5760e63889e286f2939a22610838c033dc29a9ed535",
+    (4, 1): "646e2c0070c722d7d49a37c905da8dfdded4f55b17b0334f1661763650436614",
+    (4, 2): "63c79026e9f41936f61bb84e5a65677f18b7ba9e44236b6386c21e0a74e8e0ef",
+    (4, 3): "561ae2174d5c76b3313b33fa2ee055f9dcf19d8d866cc6e4c8dd797bed94a19e",
+}
+
+DIGESTS = {"json": JSON_SHA256, "text": TEXT_SHA256}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("m,k", sorted(JSON_SHA256))
+def test_casimir_output_digest(capsys, m, k, fmt):
+    code = main(["casimir", "--m", str(m), "--k", str(k), "--format", fmt])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[fmt][(m, k)]

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from uqcentre import (
+    BinomialRelation,
     DomainError,
     MonoidAlgebraElement,
     build_root_system,
@@ -128,9 +130,32 @@ def test_verify_relations_all_type_ii():
         assert rep.ok, (fam, n, rep.lines())
 
 
-def test_verify_relations_vacuous_for_type_i():
-    rep = verify_relations(build_root_system("B", 2))
-    assert rep.ok and rep.items == []
+def test_verify_relations_type_i_checks_freeness():
+    for fam, n in [("A", 1), ("B", 2), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]:
+        rep = verify_relations(build_root_system(fam, n))
+        assert rep.ok, (fam, n, rep.lines())
+        assert [i.name for i in rep.items] == [
+            "every fundamental weight lies in M+",
+            "generators are the fundamental weights",
+            "no relations: C[M+] is a polynomial algebra",
+        ]
+
+
+def test_verify_relations_type_i_rejects_wrong_generators():
+    b2 = build_root_system("B", 2)
+    pres = presentation(b2)
+    # 2*w1 in place of w1: a generating set of a proper submonoid
+    wrong = dataclasses.replace(pres, generators=((2, 0), (0, 1)))
+    rep = verify_relations(b2, wrong)
+    assert not rep.ok
+    assert [i.passed for i in rep.items] == [True, False, True]
+    # a dropped generator fails too
+    rep = verify_relations(b2, dataclasses.replace(pres, generators=((0, 1),)))
+    assert not rep.ok
+    # and so does a relation between free generators
+    bogus = BinomialRelation("rel1", (1, 0), ((0, 2),), ((1, 1),))
+    rep = verify_relations(b2, dataclasses.replace(pres, relations=(bogus,)))
+    assert not rep.ok
 
 
 def test_generation_check():

@@ -1,0 +1,138 @@
+"""Property tests of QRat arithmetic, with sympy as an independent oracle.
+
+Laurent operands (``den == (1,)``) take the fast path of the constructor,
+``+`` and ``*``; the results must agree with sympy and be structurally
+equal to the canonical form the general (gcd) path gives for the same value.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from uqcentre.qrational import QRat, _pmul, laurent_quotient  # noqa: E402
+
+# the field Q(q) of sympy's sparse rational functions over ZZ
+_K, Q = sympy.field("q", sympy.ZZ)
+# a fixed cofactor with a true denominator: QRat(k, p * D, D) must take the
+# general path and reduce to the canonical form of q^k p
+D = (3, 1, 2)
+
+coefficients = st.lists(st.integers(-4, 4), max_size=14)
+exponents = st.integers(-8, 8)
+
+
+@st.composite
+def laurents(draw):
+    return QRat(draw(exponents), tuple(draw(coefficients)), (1,))
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(x, y) where y = -x on the lowest terms, so that x + y loses them."""
+    k = draw(exponents)
+    low = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8))
+    tail_x = draw(coefficients)
+    tail_y = draw(coefficients)
+    x = QRat(k, tuple(low + tail_x), (1,))
+    y = QRat(k, tuple([-c for c in low] + tail_y), (1,))
+    return x, y
+
+
+@st.composite
+def non_laurents(draw):
+    num = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    den = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4))
+    if not any(num):
+        num[0] = 1
+    if not any(den[1:]):
+        den[-1] = 1
+    return QRat(draw(exponents), tuple(num), tuple(den))
+
+
+def to_sympy(x: QRat):
+    num = sum((c * Q**i for i, c in enumerate(x.num)), _K(0))
+    den = sum((c * Q**i for i, c in enumerate(x.den)), _K(0))
+    return Q**x.qpow * num / den
+
+
+def same_value(x: QRat, expr) -> bool:
+    return to_sympy(x) == expr
+
+
+def fields(x: QRat):
+    return (x.qpow, x.num, x.den)
+
+
+def general_form(x: QRat) -> QRat:
+    """x rebuilt through the general constructor path from an unreduced form."""
+    return QRat(x.qpow - 2, (0, 0) + _pmul(x.num, D), _pmul(x.den, D))
+
+
+def is_canonical_laurent(x: QRat) -> bool:
+    if x.is_zero():
+        return fields(x) == (0, (), (1,))
+    return x.den == (1,) and x.num[0] != 0 and x.num[-1] != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponents, coefficients)
+def test_fast_constructor_matches_general_path(k, coeffs):
+    x = QRat(k, tuple(coeffs), (1,))
+    assert is_canonical_laurent(x)
+    assert fields(x) == fields(QRat(k, _pmul(tuple(coeffs), D), D))
+    assert same_value(x, Q**k * sum((c * Q**i for i, c in enumerate(coeffs)), _K(0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents(), laurents())
+def test_laurent_add_sub_mul_agree_with_sympy(x, y):
+    sx, sy = to_sympy(x), to_sympy(y)
+    for result, expr in ((x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy)):
+        assert is_canonical_laurent(result)
+        assert same_value(result, expr)
+        assert fields(result) == fields(general_form(result))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cancelling_pairs())
+def test_laurent_add_with_cancelling_low_terms(pair):
+    x, y = pair
+    total = x + y
+    assert is_canonical_laurent(total)
+    assert same_value(total, to_sympy(x) + to_sympy(y))
+    assert fields(total) == fields(general_form(total))
+    assert (x - x).is_zero() and fields(x - x) == (0, (), (1,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents(), non_laurents())
+def test_mixed_operands_agree_with_sympy(x, y):
+    sx, sy = to_sympy(x), to_sympy(y)
+    for result, expr in (
+        (x + y, sx + sy),
+        (y + x, sy + sx),
+        (x - y, sx - sy),
+        (x * y, sx * sy),
+        (y * x, sy * sx),
+    ):
+        assert same_value(result, expr)
+        assert fields(result) == fields(general_form(result))
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents(), laurents())
+def test_laurent_quotient_inverts_multiplication(x, y):
+    if y.is_zero():
+        return
+    assert laurent_quotient(x * y, y) == x
+
+
+def test_laurent_quotient_rejects_inexact_division():
+    q_plus_one = QRat(0, (1, 1), (1,))
+    with pytest.raises(ArithmeticError):
+        laurent_quotient(QRat(0, (1, 0, 1), (1,)), q_plus_one)
+    with pytest.raises(ArithmeticError):
+        laurent_quotient(QRat(0, (1,), (1, 1)), q_plus_one)

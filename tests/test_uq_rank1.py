@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,8 @@ from uqcentre import (
     simple_module,
     xi_simple,
 )
-from uqcentre.qrational import Q_ONE, QRat, q_factorial, q_int, q_power
+from uqcentre import uq_rank1
+from uqcentre.qrational import Q_ONE, Q_ZERO, QRat, q_factorial, q_int, q_power
 from uqcentre.uq_rank1 import (
     GEN_E,
     GEN_F,
@@ -230,6 +232,44 @@ def test_casimir_trivial_module():
         casimir(SimpleModule(1), 0)
 
 
+def test_casimir_raises_on_non_laurent_coefficient(monkeypatch):
+    # a Gamma_V whose entries are 1/[2]: the trace has non-Laurent coefficients
+    half = UQ_ONE.scale(Q_ONE / q_int(2))
+    monkeypatch.setattr(
+        uq_rank1, "_gamma_power",
+        lambda V, k: UqMatrix.tensor(_qmat_id(V.dim), half),
+    )
+    with pytest.raises(ArithmeticError, match="non-Laurent Casimir"):
+        casimir(SimpleModule(1), 1)
+
+
+def test_internal_basis_round_trip():
+    # E-basis coefficients in, E-basis coefficients out; E' = (q - q^-1) E
+    x = UqElement({(1, -1, 2): q_power(3), (0, 2, 0): 5, (0, 0, 1): Q_ONE / q_int(2)})
+    assert x.terms == {
+        (1, -1, 2): q_power(3), (0, 2, 0): QRat.integer(5), (0, 0, 1): Q_ONE / q_int(2)
+    }
+    assert x.coefficient((1, -1, 2)) == q_power(3)
+    assert x.coefficient((2, 0, 2)).is_zero()
+    assert x.sorted_terms() == sorted(x.terms.items())
+    ep = UqElement.monomial(0, 0, 1, QMQ)
+    assert ep * GEN_F == (GEN_E * GEN_F).scale(QMQ)
+    # E' F = F E' + K - K^-1 has integer coefficients
+    assert ep.commutator(GEN_F) == GEN_K - GEN_KINV
+    assert all(c.is_laurent() for c in (ep * GEN_F).terms.values())
+
+
+def test_casimir_pipeline_stays_laurent():
+    # every entry of R_V, Rt_V, K_V and Gamma_V^k has stored coefficients in Z[q, q^-1]
+    for m in range(5):
+        V = SimpleModule(m)
+        mats = [quasi_R(V), quasi_R_tilde_T(V), K_operator(V), gamma(V), gamma(V) ** 2]
+        for M in mats:
+            for row in M.rows:
+                for e in row:
+                    assert all(c.is_laurent() for c in e._terms.values()), m
+
+
 def test_higher_casimir_identities():
     V = SimpleModule(1)
     C = casimir(V, 1)
@@ -277,6 +317,25 @@ def test_quasi_R_module_level_intertwining():
             assert lhs == rhs, (m, gen)
 
 
+def test_centrality_and_intertwining_beyond_m4():
+    # wider than acceptance criterion 7: m = 5..8 at k = 1 with the
+    # Harish-Chandra image, m = 5, 6 at k = 2, and Gamma_V / K_V for m <= 8
+    t0 = time.perf_counter()
+    a1 = build_root_system("A", 1)
+    for m in range(5, 9):
+        C = casimir(SimpleModule(m), 1)
+        assert is_central(C), m
+        assert hc_project(C) == {w[0]: c for w, c in xi_simple(a1, (m,)).terms.items()}
+    for m in (5, 6):
+        assert is_central(casimir(SimpleModule(m), 2)), m
+    for m in range(9):
+        V = SimpleModule(m)
+        assert check_gamma_intertwines(V).ok, m
+        assert check_K_intertwining(V).ok, m
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 15.0, f"{elapsed:.1f}s over the 15 s budget"
+
+
 def test_hc_project():
     assert hc_project(casimir(SimpleModule(1), 1)) == {1: 1, -1: 1}
     assert hc_project(casimir(SimpleModule(2), 1)) == {2: 1, 0: 1, -2: 1}
@@ -314,6 +373,68 @@ def test_casimirs_lie_in_subring_of_first():
     sol = express_in_powers(casimir(SimpleModule(1), 2), C1, 2)
     assert [c.render() for c in sol] == ["-q^-1 - q^-3", "0", "q^-1"]
     assert express_in_powers(GEN_E, C1, 3) is None
+
+
+def _field_solve(target, base, max_degree):
+    """Reference for express_in_powers: Gauss-Jordan over Q(q) on E-basis coefficients."""
+    powers = [UQ_ONE]
+    for _ in range(max_degree):
+        powers.append(powers[-1] * base)
+    mons = sorted(set(target.terms).union(*[set(p.terms) for p in powers]))
+    rows = [[p.coefficient(mon) for p in powers] + [target.coefficient(mon)] for mon in mons]
+    pivots, piv = [], 0
+    for col in range(len(powers)):
+        r = next((i for i in range(piv, len(rows)) if not rows[i][col].is_zero()), None)
+        if r is None:
+            continue
+        rows[piv], rows[r] = rows[r], rows[piv]
+        rows[piv] = [x / rows[piv][col] for x in rows[piv]]
+        for i in range(len(rows)):
+            if i != piv and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv])]
+        pivots.append((col, piv))
+        piv += 1
+    if any(all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero() for row in rows):
+        return None
+    sol = [Q_ZERO] * len(powers)
+    for col, r in pivots:
+        sol[col] = rows[r][-1]
+    return sol
+
+
+def test_express_in_powers_matches_field_elimination():
+    from uqcentre.uq_rank1 import express_in_powers
+
+    rng = random.Random(41)
+
+    def rand_coeff():
+        num = tuple(rng.randint(-2, 2) for _ in range(3))
+        den = rng.choice([(1,), (1, 1), (2, 0, 1), (-1, 3)])
+        return QRat(rng.randint(-2, 2), num, den)
+
+    bases = [casimir(SimpleModule(1), 1), casimir(SimpleModule(2), 1),
+             GEN_F * GEN_E + GEN_K.scale(q_power(2))]
+    for base in bases:
+        for degree in (1, 2, 3):
+            coeffs = [rand_coeff() for _ in range(degree + 1)]
+            target, p = UQ_ZERO, UQ_ONE
+            for c in coeffs:
+                target = target + p.scale(c)
+                p = p * base
+            assert express_in_powers(target, base, degree) == coeffs
+            assert _field_solve(target, base, degree) == coeffs
+            # an extra power leaves a free unknown, set to 0 by both
+            sol = express_in_powers(target, base, degree + 1)
+            assert sol == coeffs + [Q_ZERO] == _field_solve(target, base, degree + 1)
+    # rank-deficient: all powers of a scalar are proportional
+    scalar = UQ_ONE.scale(q_power(1) + 2)
+    for target in (UQ_ONE.scale(q_power(-3)), GEN_E, GEN_K + 1):
+        assert express_in_powers(target, scalar, 3) == _field_solve(target, scalar, 3)
+    for m in range(5):
+        Cm = casimir(SimpleModule(m), 1)
+        C1 = casimir(SimpleModule(1), 1)
+        assert express_in_powers(Cm, C1, m) == _field_solve(Cm, C1, m)
 
 
 def test_render_and_json():
