@@ -46,7 +46,6 @@ from .character_ring import (
     expand_in_av,
     expand_in_simples,
     independence_check,
-    set_cache_dir,
     unitriangularity_check,
     verify_centre_relations,
     weight_multiplicities,

@@ -12,14 +12,11 @@ oracle and is never used as the source of multiplicities.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .half_lattice_monoid import TYPE_I, classify_type, in_monoid
 from .monoid_presentation import presentation
 from .report import Report
@@ -31,22 +28,8 @@ from .root_system import (
     sub_weights,
 )
 
-_table_lock = threading.Lock()
 _table_cache: dict[tuple, "CharacterTable"] = {}
 _full_cache: dict[tuple, dict[Weight, int]] = {}
-_cache_dir: str | None = None
-
-CACHE_DIR_ENV = "UQCENTRE_CACHE_DIR"
-
-
-def set_cache_dir(path: str | None) -> None:
-    """Enable (or disable with None) the on-disk character-table cache."""
-    global _cache_dir
-    _cache_dir = path
-
-
-def _effective_cache_dir() -> str | None:
-    return _cache_dir if _cache_dir is not None else os.environ.get(CACHE_DIR_ENV)
 
 
 @dataclass(frozen=True)
@@ -118,6 +101,13 @@ class TorusInvariant:
             return TorusInvariant({w: c * other for w, c in self.terms.items()})
         if not self.terms or not other.terms:
             return TorusInvariant({})
+        # |x + y| <= max|x| + max|y| bounds every coordinate of the product
+        reach = _max_abs_coord(self.terms) + _max_abs_coord(other.terms)
+        if reach >= _PACK_HALF:
+            raise ResourceLimitError(
+                f"product coordinates may reach {reach}; packed weights "
+                f"hold |x| < {_PACK_HALF}"
+            )
         rank = len(next(iter(self.terms)))
         packed = _convolve(_pack_map(self.terms), _pack_map(other.terms))
         return TorusInvariant(_unpack_map(packed, rank))
@@ -166,11 +156,15 @@ class TorusInvariant:
 
 # Weight vectors are packed into single integers (balanced digits, base
 # 2^16) so that weight addition becomes integer addition; convolutions then
-# run over int-keyed dicts.  Digit magnitudes stay far below 2^15 for every
-# computation in scope.
+# run over int-keyed dicts.  A digit must satisfy |x| < 2^15, which
+# TorusInvariant.__mul__ checks before it packs.
 _PACK_BITS = 16
 _PACK_BASE = 1 << _PACK_BITS
 _PACK_HALF = _PACK_BASE >> 1
+
+
+def _max_abs_coord(terms) -> int:
+    return max(abs(x) for w in terms for x in w)
 
 
 def _pack_weight(w: Weight) -> int:
@@ -222,30 +216,23 @@ def _assert_keys_in_M(rsys: RootSystem, terms) -> None:
 
 
 def _dominant_weights_below(rsys: RootSystem, lam: Weight) -> list[Weight]:
-    """All dominant mu with lam - mu a nonnegative integer root combination."""
-    n = rsys.rank
-    bounds = []
-    for i in range(n):
-        # c_i = (lam - mu, w_i)/d_i <= (lam, w_i)/d_i since (mu, w_i) >= 0
-        val = rsys.bilinear_form(lam, rsys.fundamental_weight(i)) / rsys.sym[i]
-        bounds.append(int(val))
-    A = rsys.cartan
-    out = []
-    for c in product(*(range(b + 1) for b in bounds)):
-        mu = tuple(
-            lam[k] - sum(A[k][j] * c[j] for j in range(n)) for k in range(n)
-        )
-        if all(x >= 0 for x in mu):
-            out.append(mu)
-    return out
+    """All dominant mu with lam - mu a nonnegative integer root combination.
 
-
-def _disk_cache_path(rsys: RootSystem, lam: Weight) -> str | None:
-    base = _effective_cache_dir()
-    if not base:
-        return None
-    name = f"{rsys.family}{rsys.rank}_" + "_".join(map(str, lam)) + ".json"
-    return os.path.join(base, name)
+    Searches down from lam, subtracting one positive root at a time and
+    keeping the dominant results.  This reaches every such mu: two dominant
+    weights mu < lam are joined by a chain of dominant weights, each a
+    positive root below the previous one (Stembridge, "The partial order of
+    dominant weights", 1998).
+    """
+    found = [lam]
+    seen = {lam}
+    for mu in found:  # grows while it is walked: breadth-first
+        for alpha in rsys.positive_roots():
+            nu = sub_weights(mu, alpha)
+            if nu not in seen and rsys.is_dominant(nu):
+                seen.add(nu)
+                found.append(nu)
+    return found
 
 
 def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
@@ -263,22 +250,8 @@ def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
         raise DomainError(f"{lam} is not dominant")
     lam = tuple(lam)
     key = (rsys.family, rsys.rank, lam)
-    with _table_lock:
-        if key in _table_cache:
-            return _table_cache[key]
-
-    path = _disk_cache_path(rsys, lam)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        table = CharacterTable(
-            highest=tuple(data["highest"]),
-            mult={tuple(k): v for k, v in data["mult"]},
-            dim=data["dim"],
-        )
-        with _table_lock:
-            _table_cache[key] = table
-        return table
+    if key in _table_cache:
+        return _table_cache[key]
 
     n = rsys.rank
     d = rsys.sym
@@ -319,22 +292,7 @@ def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
 
     dim = sum(m * rsys.orbit_size(mu) for mu, m in mult.items())
     table = CharacterTable(highest=lam, mult=mult, dim=dim)
-
-    if path:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "highest": list(lam),
-                    "mult": sorted([list(k), v] for k, v in mult.items()),
-                    "dim": dim,
-                },
-                fh,
-                sort_keys=True,
-            )
-
-    with _table_lock:
-        _table_cache[key] = table
+    _table_cache[key] = table
     return table
 
 
@@ -357,17 +315,15 @@ def weyl_dim(rsys: RootSystem, lam: Weight) -> int:
 def full_character(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
     """The complete weight-multiplicity map of L(lam), keyed by every weight."""
     key = (rsys.family, rsys.rank, tuple(lam))
-    with _table_lock:
-        if key in _full_cache:
-            return _full_cache[key]
+    if key in _full_cache:
+        return _full_cache[key]
     table = weight_multiplicities(rsys, lam)
     out: dict[Weight, int] = {}
     for mu, m in table.mult.items():
         for v in rsys.weyl_orbit(mu):
             out[v] = m
     assert sum(out.values()) == table.dim
-    with _table_lock:
-        _full_cache[key] = out
+    _full_cache[key] = out
     return out
 
 
@@ -391,14 +347,13 @@ def xi_tensor(rsys: RootSystem, lam: Weight) -> TorusInvariant:
     """
     if not in_monoid(rsys, lam):
         raise DomainError(f"{lam} is not in M+")
-    acc: dict[int, int] = {0: 1}
+    out = TorusInvariant.one(rsys.rank)
     for i, a in enumerate(lam):
         if not a:
             continue
-        fund = _pack_map(full_character(rsys, rsys.fundamental_weight(i)))
+        fund = TorusInvariant(full_character(rsys, rsys.fundamental_weight(i)))
         for _ in range(a):
-            acc = _convolve(acc, fund)
-    out = TorusInvariant(_unpack_map(acc, rsys.rank))
+            out = out * fund
     _assert_keys_in_M(rsys, out.terms)
     return out
 
@@ -511,22 +466,18 @@ def unitriangularity_check(rsys: RootSystem, bound: int):
     return rep, mults
 
 
-def verify_centre_relations(
-    rsys: RootSystem,
-    full_characters: bool | None = None,
-    jobs: int = 1,
-) -> Report:
+def verify_centre_relations(rsys: RootSystem) -> Report:
     """Check every presentation relation in the Harish-Chandra image model.
 
-    Both sides of a relation are computed as products of xi([T(.)]) and
-    compared as exact maps.  For E6 the default is the exponent-level weight
-    identity (the full character products take minutes); pass
-    ``full_characters=True`` to force them.
+    A generator x_g maps to xi([T(g)]), and xi o T is multiplicative:
+    xi([T(lam)]) = prod_i xi([L(w_i)])^(lam_i).  A monomial prod x_g^(e_g)
+    therefore maps to prod_i xi([L(w_i)])^(lam_i) with lam = sum e_g g, the
+    weight of the monomial.  The fundamental characters are algebraically
+    independent, so the two sides of a binomial have the same image exactly
+    when they have the same weight; that exponent identity is what is checked.
     """
     if classify_type(rsys) == TYPE_I:
         raise DomainError(f"{rsys} is of type I; its centre has no relations")
-    if full_characters is None:
-        full_characters = not (rsys.family == "E" and rsys.rank == 6)
     pres = presentation(rsys)
     rep = Report(title=f"centre relations {rsys.family}{rsys.rank}")
 
@@ -536,42 +487,13 @@ def verify_centre_relations(
             total = add_weights(total, scale_weight(e, pres.generators[i]))
         return total
 
-    packed_fund = [
-        _pack_map(full_character(rsys, rsys.fundamental_weight(i)))
-        for i in range(rsys.rank)
-    ]
-
-    def char_side(side) -> TorusInvariant:
-        # the product of the xi([T(gen)])^e, accumulated factor by factor in
-        # the side's own order (each xi tensor value expands into its
-        # fundamental-character factors)
-        acc: dict[int, int] = {0: 1}
-        for i, e in side:
-            gen = pres.generators[i]
-            for _ in range(e):
-                for node, a in enumerate(gen):
-                    for _ in range(a):
-                        acc = _convolve(acc, packed_fund[node])
-        return TorusInvariant(_unpack_map(acc, rsys.rank))
-
-    def run_one(rel):
+    for rel in pres.relations:
         lw, rw = weight_of(rel.lhs), weight_of(rel.rhs)
-        if lw != rw:
-            return (f"{rel.kind}[{rel.source}] exponent identity", False, f"{lw} != {rw}")
-        if not full_characters:
-            return (f"{rel.kind}[{rel.source}] exponent identity", True, "")
-        same = char_side(rel.lhs) == char_side(rel.rhs)
-        return (f"{rel.kind}[{rel.source}] character identity", same, "")
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, pres.relations))
-    else:
-        results = [run_one(rel) for rel in pres.relations]
-    for name, ok, detail in results:
-        rep.add(name, ok, detail)
+        rep.add(
+            f"{rel.kind}[{rel.source}] exponent identity",
+            lw == rw,
+            "" if lw == rw else f"{lw} != {rw}",
+        )
     return rep
 
 
@@ -598,20 +520,29 @@ def independence_check(rsys: RootSystem, degree_bound: int) -> Report:
     rec(0, degree_bound, [])
 
     fund = [xi_simple(rsys, rsys.fundamental_weight(i)) for i in range(n)]
+    # Rows are keyed by the order key of each weight, computed once per weight
+    # and shared between rows; elimination only uses keys already in a row.
+    order_key = _order_key(rsys)
+    keys: dict[Weight, tuple] = {}
     rows = []
     for e in exps:
         acc = TorusInvariant.one(n)
         for i, ei in enumerate(e):
             if ei:
                 acc = acc * (fund[i] ** ei)
-        rows.append({w: Fraction(c) for w, c in acc.terms.items()})
+        row = {}
+        for w, c in acc.terms.items():
+            k = keys.get(w)
+            if k is None:
+                k = keys[w] = order_key(w)
+            row[k] = Fraction(c)
+        rows.append(row)
 
-    key = _order_key(rsys)
     rank = 0
     live = [r for r in rows if r]
     while live:
-        piv_row = max(live, key=lambda r: key(max(r, key=key)))
-        piv_key = max(piv_row, key=key)
+        piv_row = max(live, key=max)
+        piv_key = max(piv_row)
         piv_val = piv_row[piv_key]
         rank += 1
         nxt = []

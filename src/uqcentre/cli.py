@@ -18,13 +18,7 @@ import argparse
 import json
 import sys
 
-from . import character_ring
-from .character_ring import (
-    independence_check,
-    set_cache_dir,
-    verify_centre_relations,
-    xi_simple,
-)
+from .character_ring import independence_check, verify_centre_relations
 from .errors import DomainError, ResourceLimitError
 from .half_lattice_monoid import TYPE_I, classify_type, hilbert_basis
 from .monoid_presentation import generation_check, presentation, verify_relations
@@ -58,9 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--cache-dir", help="directory for character-table caching")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="bound on internal parallelism")
 
     p = sub.add_parser("hilb", help="Hilbert basis of the monoid M+")
     add_type_rank(p)
@@ -74,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_type_rank(p)
     p.add_argument("--bound", type=int, default=3,
                    help="coordinate bound for the generation check")
-    p.add_argument("--e6-full-characters", action="store_true",
-                   help="verify E6 relations at full character level (minutes)")
     add_common(p)
 
     p = sub.add_parser("casimir", help="rank-1 Casimir element C^(k) of L(m)")
@@ -145,10 +134,7 @@ def cmd_verify(args) -> int:
     if classify_type(rsys) == TYPE_I:
         reports.append(independence_check(rsys, min(args.bound, 3)))
     else:
-        full = True if args.e6_full_characters else None
-        reports.append(
-            verify_centre_relations(rsys, full_characters=full, jobs=args.jobs)
-        )
+        reports.append(verify_centre_relations(rsys))
     ok = all(r.ok for r in reports)
     if args.format == "json":
         _emit(args, _json_dump({"ok": ok, "reports": [r.to_json() for r in reports]}))
@@ -222,8 +208,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "cache_dir", None):
-        set_cache_dir(args.cache_dir)
     try:
         if args.command == "hilb":
             return cmd_hilb(args)

@@ -138,7 +138,8 @@ class RootSystem:
 
     Instances are immutable values; two instances with the same
     ``(family, rank)`` compare equal.  Internal lookup tables are cached on
-    first use, which is safe to share across threads.
+    first use; these caches, like the module-level caches of the library,
+    assume single-threaded use.
     """
 
     def __init__(self, family: str, rank: int):

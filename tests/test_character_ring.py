@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from uqcentre import (
     DomainError,
+    ResourceLimitError,
     TorusInvariant,
     av_basis_element,
     build_root_system,
@@ -17,7 +19,10 @@ from uqcentre import (
     xi_simple,
     xi_tensor,
 )
-from uqcentre.character_ring import full_character
+import uqcentre.character_ring as character_ring
+from uqcentre.character_ring import _dominant_weights_below, full_character
+from uqcentre.cli import main
+from uqcentre.monoid_presentation import presentation
 
 F = Fraction
 
@@ -229,6 +234,25 @@ def test_verify_centre_relations():
         verify_centre_relations(build_root_system("B", 2))
 
 
+def test_verify_centre_relations_reports_unbalanced_binomial(monkeypatch, capsys):
+    a3 = build_root_system("A", 3)
+    pres = presentation(a3)
+    bad = pres.relations[0]
+    (i, e), *rest = bad.rhs
+    bad = replace(bad, rhs=((i, e + 1), *rest))
+
+    monkeypatch.setattr(
+        character_ring, "presentation",
+        lambda rsys: replace(pres, relations=(bad,) + pres.relations[1:]),
+    )
+    rep = verify_centre_relations(a3)
+    assert not rep.ok
+    assert [item.passed for item in rep.items] == [False] + [True] * (len(rep.items) - 1)
+    assert " != " in rep.items[0].detail
+    assert main(["verify", "--type", "A", "--rank", "3"]) == 1
+    assert "FAILURES" in capsys.readouterr().out
+
+
 def test_verify_centre_relations_e6_exponent_level_default():
     rep = verify_centre_relations(build_root_system("E", 6))
     assert rep.ok
@@ -281,3 +305,49 @@ def test_torus_invariant_json_sorted():
     a1 = build_root_system("A", 1)
     js = xi_simple(a1, (2,)).to_json()
     assert js == [[[-2], 1], [[0], 1], [[2], 1]]
+
+
+def test_torus_invariant_product_overflow_raises():
+    # packed digits hold |x| < 2^15; 20000 + 20000 would wrap to -25536
+    with pytest.raises(ResourceLimitError):
+        TorusInvariant({(20000,): 1}) ** 2
+    with pytest.raises(ResourceLimitError):
+        TorusInvariant({(0, 16384): 1}) ** 2
+    assert (TorusInvariant({(16383,): 1}) ** 2).terms == {(32766,): 1}
+
+
+def _box_dominant_weights_below(rsys, lam):
+    """Oracle: every mu = lam - sum c_j alpha_j with 0 <= c_j <= (root
+    coordinate j of lam), the bound a dominant mu cannot exceed, kept when
+    dominant."""
+    D = rsys.root_coord_scale
+    caps = [x // D for x in rsys.scaled_root_coords(lam)]
+    level = [tuple(lam)]
+    for j, cap in enumerate(caps):
+        alpha = rsys.simple_root(j)
+        level = [
+            tuple(x - c * a for x, a in zip(mu, alpha))
+            for mu in level
+            for c in range(cap + 1)
+        ]
+    return {mu for mu in level if min(mu) >= 0}
+
+
+RANK_UP_TO_6 = (
+    [("A", n) for n in range(1, 7)]
+    + [("B", n) for n in range(2, 7)]
+    + [("C", n) for n in range(3, 7)]
+    + [("D", n) for n in range(4, 7)]
+    + [("E", 6), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("fam,n", RANK_UP_TO_6)
+def test_dominant_weights_below_matches_box(fam, n):
+    rsys = build_root_system(fam, n)
+    for i in range(n):
+        for k in (1, 2):
+            lam = tuple(k * x for x in rsys.fundamental_weight(i))
+            found = _dominant_weights_below(rsys, lam)
+            assert len(found) == len(set(found)), lam
+            assert set(found) == _box_dominant_weights_below(rsys, lam), lam

@@ -58,13 +58,15 @@ def test_verify_a3(capsys):
     assert "all checks passed" in out
 
 
-def test_verify_d5_character_level(capsys):
+def test_verify_d5_exponent_identity(capsys):
     code, out, _ = run(capsys, "verify", "--type", "D", "--rank", "5", "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True
-    names = [c["name"] for r in data["reports"] for c in r["checks"]]
-    assert any("character identity" in n for n in names)
+    (rels,) = [r for r in data["reports"] if r["title"] == "centre relations D5"]
+    assert rels["checks"] and all(
+        c["name"].endswith("exponent identity") for c in rels["checks"]
+    )
 
 
 def test_verify_type_i(capsys):
@@ -154,31 +156,12 @@ def test_out_file(tmp_path, capsys):
     assert data["rank"] == 2
 
 
-def test_verify_jobs_flag(capsys):
-    code, out, _ = run(capsys, "verify", "--type", "A", "--rank", "2", "--jobs", "2")
-    assert code == 0
-
-
-def test_cache_dir(tmp_path, capsys):
-    import uqcentre.character_ring as cr
-
-    cache = tmp_path / "chartables"
-    cache.mkdir()
-    try:
-        code, _, _ = run(
-            capsys, "verify", "--type", "A", "--rank", "2",
-            "--cache-dir", str(cache),
-        )
-        assert code == 0
-        # character tables were computed, so files should appear
-        cr._table_cache.clear()
-        cr._full_cache.clear()
-        from uqcentre import build_root_system, weight_multiplicities
-
-        t = weight_multiplicities(build_root_system("A", 2), (1, 1))
-        assert t.dim == 8
-        assert any(cache.iterdir())
-    finally:
-        cr.set_cache_dir(None)
-        cr._table_cache.clear()
-        cr._full_cache.clear()
+@pytest.mark.parametrize("flags", [
+    ("--jobs", "2"),
+    ("--cache-dir", "chartables"),
+    ("--e6-full-characters",),
+])
+def test_removed_options_exit_2(capsys, flags):
+    code, out, err = run(capsys, "verify", "--type", "A", "--rank", "2", *flags)
+    assert code == 2
+    assert out == "" and "unrecognized arguments" in err

@@ -1,0 +1,47 @@
+"""Golden output of ``uqcentre verify``: the sha256 of every output byte.
+
+The digests pin ``verify --type T --rank N`` at the default bound for type II
+algebras (A2, A3, A5, D5, E6) and type I algebras (B2, G2), in both output
+formats, as standard output (the rendered report and a trailing newline).
+Any drift in a report title, a check name, a count, a detail or the verdict
+changes a digest.  The type II digests were taken from the output of the
+earlier character-level relation check with its check names reworded from
+"character identity" to "exponent identity", so they pin that nothing else
+changed when the check became the exponent identity alone.
+"""
+
+import hashlib
+
+import pytest
+
+from uqcentre.cli import main
+
+JSON_SHA256 = {
+    ("A", 2): "7422b7b8f4ab1126911f6650ab0329636ca59d7157c58bdab0fae4930f601c54",
+    ("A", 3): "f9c1d6eb433e62288095e343b8fbbb92abbff56b12090c43fde35af6f99b3aa2",
+    ("A", 5): "b8d6a8fbce5aa55f727f314dbccfe054959ca8f2664fbe715746476f0fe56fd9",
+    ("D", 5): "0d31f4425c087bc99c7a5a8a50b5905ab19894598c5b32293932405308634010",
+    ("E", 6): "faa5052c110faae7c78de775f906bbe027be6aaa3c0bac600348d7b1dbe6f195",
+    ("B", 2): "c390d851342ebbd289cae87edb9becba0533fdd4884313b46737f722b6846d4d",
+    ("G", 2): "edce5dfddf38b1155b84350814eb385d663fc5fa1e6ddaf0470b70618a2ffdc3",
+}
+TEXT_SHA256 = {
+    ("A", 2): "fd065f9c499a895e9ab94093da56e1ce0c15aea6b38d1ce2edddb8a55a6d33af",
+    ("A", 3): "cb2ef785c74a134a713dc6f0b4122ff6d295d3a967690f185b6bc64586b088fb",
+    ("A", 5): "5eea879eba1b86a3791d808c0a13b8255acdbaadc23049c6fb99ebfb12af235f",
+    ("D", 5): "3e7166c4735bc91dcbd7787a8537ee30e79801e8720012de2ee6356226bdf8bb",
+    ("E", 6): "96860d847d328489ca8dc4446d711f340e092c2bae5b870cd4ace1eed223150a",
+    ("B", 2): "cabc08ea9ee5de5705b13dacb20e2a2de69f6feb546482d08ab49640fa5efc1c",
+    ("G", 2): "1a96cf7f6a25f73a0a13189aba41734004bea27e9e1e7f0b0073521c069e2888",
+}
+
+DIGESTS = {"json": JSON_SHA256, "text": TEXT_SHA256}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("family,rank", list(JSON_SHA256))
+def test_verify_output_digest(capsys, family, rank, fmt):
+    code = main(["verify", "--type", family, "--rank", str(rank), "--format", fmt])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[fmt][(family, rank)]
