@@ -32,8 +32,8 @@ from .half_lattice_monoid import (
 )
 from .monoid_presentation import (
     BinomialRelation,
-    MonoidAlgebraElement,
     Presentation,
+    TorusInvariant,
     generation_check,
     phi,
     presentation,
@@ -41,7 +41,6 @@ from .monoid_presentation import (
 )
 from .character_ring import (
     CharacterTable,
-    TorusInvariant,
     av_basis_element,
     expand_in_av,
     expand_in_simples,

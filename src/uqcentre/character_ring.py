@@ -1,13 +1,15 @@
-"""Characters, Harish-Chandra images and the torus-invariant algebra.
+"""Characters, Harish-Chandra images and products in the character ring.
 
-A :class:`TorusInvariant` is a finite integer combination of the even torus
-elements ``K_2mu`` with ``mu`` in M, multiplied by ``K_2mu K_2nu =
-K_2(mu+nu)``.  The image of the central element attached to a module is its
-character written in this basis: ``xi([V]) = sum m_V(mu) K_2mu``.
+The image of the central element attached to a module is its character
+written as a :class:`TorusInvariant`, a combination of the even torus
+elements ``K_2mu``: ``xi([V]) = sum m_V(mu) K_2mu``.
 
 Weight multiplicities come from Freudenthal's recursion, run entirely in
 integer arithmetic; the Weyl dimension formula is kept as an independent
-oracle and is never used as the source of multiplicities.
+oracle and is never used as the source of multiplicities.  The verification
+reports multiply characters in the basis of simple modules by the
+Brauer-Klimyk rule; the full-support product ``TorusInvariant.__mul__`` is
+its independent oracle.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .half_lattice_monoid import TYPE_I, classify_type, in_monoid
-from .monoid_presentation import presentation
+from .monoid_presentation import TorusInvariant, presentation
 from .report import Report
 from .root_system import (
     RootSystem,
@@ -47,162 +49,6 @@ class CharacterTable:
 
     def multiplicity(self, rsys: RootSystem, w: Weight) -> int:
         return self.mult.get(rsys.dominant_representative(w), 0)
-
-
-class TorusInvariant:
-    """An integer combination sum m(mu) K_2mu with all keys in M."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                c = int(c)
-                if c:
-                    clean[tuple(w)] = c
-        self.terms = clean
-
-    @classmethod
-    def one(cls, rank: int) -> "TorusInvariant":
-        return cls({(0,) * rank: 1})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TorusInvariant) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return TorusInvariant(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, 0) - c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return TorusInvariant(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TorusInvariant({w: c * other for w, c in self.terms.items()})
-        if not self.terms or not other.terms:
-            return TorusInvariant({})
-        # |x + y| <= max|x| + max|y| bounds every coordinate of the product
-        reach = _max_abs_coord(self.terms) + _max_abs_coord(other.terms)
-        if reach >= _PACK_HALF:
-            raise ResourceLimitError(
-                f"product coordinates may reach {reach}; packed weights "
-                f"hold |x| < {_PACK_HALF}"
-            )
-        rank = len(next(iter(self.terms)))
-        packed = _convolve(_pack_map(self.terms), _pack_map(other.terms))
-        return TorusInvariant(_unpack_map(packed, rank))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative powers are not defined")
-        if not self.terms:
-            raise DomainError("0^n")
-        rank = len(next(iter(self.terms)))
-        out = TorusInvariant.one(rank)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def total(self) -> int:
-        """Sum of all coefficients (the dimension, for a character image)."""
-        return sum(self.terms.values())
-
-    def is_w_invariant(self, rsys: RootSystem) -> bool:
-        for w, c in self.terms.items():
-            for i in range(rsys.rank):
-                if self.terms.get(rsys.simple_reflection(i, w), 0) != c:
-                    return False
-        return True
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def to_json(self) -> list:
-        return [[list(w), c] for w, c in self.sorted_terms()]
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            mu = ",".join(map(str, w))
-            parts.append(f"{c}·K_2({mu})")
-        return " + ".join(parts)
-
-    __repr__ = render
-
-
-# Weight vectors are packed into single integers (balanced digits, base
-# 2^16) so that weight addition becomes integer addition; convolutions then
-# run over int-keyed dicts.  A digit must satisfy |x| < 2^15, which
-# TorusInvariant.__mul__ checks before it packs.
-_PACK_BITS = 16
-_PACK_BASE = 1 << _PACK_BITS
-_PACK_HALF = _PACK_BASE >> 1
-
-
-def _max_abs_coord(terms) -> int:
-    return max(abs(x) for w in terms for x in w)
-
-
-def _pack_weight(w: Weight) -> int:
-    acc = 0
-    for x in reversed(w):
-        acc = (acc << _PACK_BITS) + x
-    return acc
-
-
-def _unpack_weight(v: int, rank: int) -> Weight:
-    out = []
-    for _ in range(rank):
-        r = v & (_PACK_BASE - 1)
-        if r >= _PACK_HALF:
-            r -= _PACK_BASE
-        out.append(r)
-        v = (v - r) >> _PACK_BITS
-    return tuple(out)
-
-
-def _pack_map(terms) -> dict[int, int]:
-    return {_pack_weight(w): c for w, c in terms.items()}
-
-
-def _unpack_map(packed: dict[int, int], rank: int) -> dict[Weight, int]:
-    return {_unpack_weight(k, rank): c for k, c in packed.items() if c}
-
-
-def _convolve(d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
-    if len(d1) > len(d2):
-        d1, d2 = d2, d1
-    out: dict[int, int] = {}
-    get = out.get
-    for k1, c1 in d1.items():
-        for k2, c2 in d2.items():
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return out
 
 
 def _assert_keys_in_M(rsys: RootSystem, terms) -> None:
@@ -287,7 +133,11 @@ def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
         cdiff = tuple(x // D for x in rsys.scaled_root_coords(diff))
         den = form_with_root(add_weights(lam_rho, add_weights(mu, rho)), cdiff)
         q, r = divmod(2 * num, den)
-        assert r == 0 and q > 0, (rsys, lam, mu)
+        if r or q <= 0:
+            raise ArithmeticError(
+                f"Freudenthal step for {rsys} at {mu} below {lam} gives "
+                f"{2 * num}/{den}, not a positive integer"
+            )
         mult[mu] = q
 
     dim = sum(m * rsys.orbit_size(mu) for mu, m in mult.items())
@@ -308,7 +158,8 @@ def weyl_dim(rsys: RootSystem, lam: Weight) -> int:
         top = sum(lam_rho[j] * rsys.sym[j] * calpha[j] for j in range(n))
         bot = sum(rho[j] * rsys.sym[j] * calpha[j] for j in range(n))
         out *= Fraction(top, bot)
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise ArithmeticError(f"Weyl dimension of {lam} for {rsys} is {out}")
     return int(out)
 
 
@@ -322,7 +173,11 @@ def full_character(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
     for mu, m in table.mult.items():
         for v in rsys.weyl_orbit(mu):
             out[v] = m
-    assert sum(out.values()) == table.dim
+    if sum(out.values()) != table.dim:
+        raise ArithmeticError(
+            f"character of {lam} for {rsys} sums to {sum(out.values())}, "
+            f"not the dimension {table.dim}"
+        )
     _full_cache[key] = out
     return out
 
@@ -406,24 +261,22 @@ def expand_in_av(rsys: RootSystem, t: TorusInvariant) -> dict[Weight, Fraction]:
 def expand_in_simples(rsys: RootSystem, t: TorusInvariant) -> dict[Weight, Fraction]:
     """Triangular expansion of a W-invariant element over the xi([L(mu)]).
 
-    Repeatedly strips the maximal key (necessarily dominant for genuine
-    character combinations) with its coefficient.
+    Both sides are W-invariant, so they agree exactly when they agree on the
+    dominant keys: repeatedly strips the maximal dominant key with its
+    coefficient, subtracting the dominant part of that simple character.
     """
+    if not t.is_w_invariant(rsys):
+        raise DomainError("element is not Weyl-invariant")
     key = _order_key(rsys)
     work: dict[Weight, Fraction] = {
-        w: Fraction(c) for w, c in t.terms.items()
+        w: Fraction(c) for w, c in t.terms.items() if rsys.is_dominant(w)
     }
     out: dict[Weight, Fraction] = {}
     while work:
         top = max(work, key=key)
-        if not rsys.is_dominant(top):
-            raise DomainError(
-                f"maximal remaining key {top} is not dominant; "
-                "the element is not a character combination"
-            )
         coeff = work[top]
         out[top] = coeff
-        for w, m in full_character(rsys, top).items():
+        for w, m in weight_multiplicities(rsys, top).mult.items():
             v = work.get(w, Fraction(0)) - coeff * m
             if v:
                 work[w] = v
@@ -432,11 +285,57 @@ def expand_in_simples(rsys: RootSystem, t: TorusInvariant) -> dict[Weight, Fract
     return out
 
 
+# -- products in the basis of simple modules -----------------------------------
+
+
+def _times_fundamental(
+    rsys: RootSystem, decomp: dict[Weight, int], i: int
+) -> dict[Weight, int]:
+    """The Brauer-Klimyk rule: sum c [L(lam)] times [L(w_i)], in the same basis.
+
+    [L(lam)][L(w_i)] = sum over the weights nu of L(w_i), with multiplicity
+    m(nu), of sign(w) [L(w(lam+nu+rho) - rho)], where w reflects lam+nu+rho
+    into the dominant chamber; a term whose lam+nu+rho lies on a wall is
+    fixed by a reflection and cancels.
+    """
+    roots = [rsys.simple_root(j) for j in range(rsys.rank)]
+    shifted = [
+        (add_weights(nu, rsys.rho()), m)
+        for nu, m in full_character(rsys, rsys.fundamental_weight(i)).items()
+    ]
+    out: dict[Weight, int] = {}
+    for lam, c in decomp.items():
+        for nu_rho, m in shifted:
+            v = add_weights(lam, nu_rho)
+            term = c * m
+            while min(v) < 0:
+                j = v.index(min(v))
+                vj = v[j]
+                v = tuple(x - vj * a for x, a in zip(v, roots[j]))
+                term = -term
+            if 0 not in v:
+                mu = tuple(x - 1 for x in v)
+                out[mu] = out.get(mu, 0) + term
+    return {mu: c for mu, c in out.items() if c}
+
+
+def _tensor_decomposition(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
+    """[T(lam)] = prod_i [L(w_i)]^(lam_i) in the basis of simple modules."""
+    decomp = {rsys.zero(): 1}
+    for i, a in enumerate(lam):
+        for _ in range(a):
+            decomp = _times_fundamental(rsys, decomp, i)
+    return decomp
+
+
 # -- verification reports ------------------------------------------------------
 
 
 def unitriangularity_check(rsys: RootSystem, bound: int):
     """Expand [T(lam)] over the [L(mu)] for all lam in M+ with coords <= bound.
+
+    The expansion multiplies by one fundamental character at a time with the
+    Brauer-Klimyk rule.
 
     Asserts the diagonal coefficient 1 and nonnegative integer multiplicities
     supported strictly below lam.  Returns ``(report, multiplicities)``.
@@ -446,14 +345,14 @@ def unitriangularity_check(rsys: RootSystem, bound: int):
     for w in sorted(product(range(bound + 1), repeat=rsys.rank)):
         if not in_monoid(rsys, w):
             continue
-        decomp = expand_in_simples(rsys, xi_tensor(rsys, w))
+        decomp = _tensor_decomposition(rsys, w)
         ok = decomp.get(w) == 1
         entry: dict[Weight, int] = {}
         for mu, c in decomp.items():
-            if c.denominator != 1 or c < 0:
+            if c < 0:
                 ok = False
                 break
-            entry[mu] = int(c)
+            entry[mu] = c
             if mu != w and not rsys.dominates(w, mu):
                 ok = False
                 break
@@ -500,44 +399,34 @@ def verify_centre_relations(rsys: RootSystem) -> Report:
 def independence_check(rsys: RootSystem, degree_bound: int) -> Report:
     """Exact-rank test that the fundamental xi images are algebraically independent.
 
-    Collects every monomial in xi([L(w_i)]) of total degree <= degree_bound
-    and computes the rank of the coefficient matrix over Q.
+    Expands every monomial in the xi([L(w_i)]) of total degree <= degree_bound
+    in the basis of simple characters, each from a monomial of one degree
+    less times one fundamental character, and computes the rank of the
+    coefficient matrix over Q.  The simple characters are linearly
+    independent, so this is the rank of the monomials themselves.
     """
     if classify_type(rsys) != TYPE_I:
         raise DomainError(f"{rsys} is of type II; use verify_centre_relations")
     if degree_bound < 0:
         raise DomainError("degree bound must be >= 0")
     n = rsys.rank
-    exps = []
-
-    def rec(pos, remaining, cur):
-        if pos == n:
-            exps.append(tuple(cur))
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, cur + [e])
-
-    rec(0, degree_bound, [])
-
-    fund = [xi_simple(rsys, rsys.fundamental_weight(i)) for i in range(n)]
-    # Rows are keyed by the order key of each weight, computed once per weight
-    # and shared between rows; elimination only uses keys already in a row.
-    order_key = _order_key(rsys)
-    keys: dict[Weight, tuple] = {}
-    rows = []
+    # lexicographic, so e minus a unit at its first nonzero entry comes earlier
+    exps = [e for e in product(range(degree_bound + 1), repeat=n)
+            if sum(e) <= degree_bound]
+    decomps: dict[tuple, dict[Weight, int]] = {}
     for e in exps:
-        acc = TorusInvariant.one(n)
-        for i, ei in enumerate(e):
-            if ei:
-                acc = acc * (fund[i] ** ei)
-        row = {}
-        for w, c in acc.terms.items():
-            k = keys.get(w)
-            if k is None:
-                k = keys[w] = order_key(w)
-            row[k] = Fraction(c)
-        rows.append(row)
+        i = next((j for j, x in enumerate(e) if x), None)
+        if i is None:
+            decomps[e] = {rsys.zero(): 1}
+        else:
+            lower = e[:i] + (e[i] - 1,) + e[i + 1:]
+            decomps[e] = _times_fundamental(rsys, decomps[lower], i)
 
+    order_key = _order_key(rsys)
+    rows = [
+        {order_key(lam): Fraction(c) for lam, c in decomps[e].items()}
+        for e in exps
+    ]
     rank = 0
     live = [r for r in rows if r]
     while live:

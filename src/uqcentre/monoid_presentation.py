@@ -5,6 +5,7 @@ X^(lam+mu)``.  Mapping the abstract polynomial generator ``x_lam`` to
 ``X^lam`` for each Hilbert basis element exhibits C[M+] as a quotient of a
 polynomial algebra: free for the type I algebras, and cut out by one
 ``rel1`` and one ``rel2`` binomial per conjugate pair for type II.
+Elements are :class:`TorusInvariant` combinations, ``X^lam`` being ``K_2lam``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .errors import DomainError
 from .half_lattice_monoid import (
@@ -27,12 +29,14 @@ from .report import Report
 from .root_system import RootSystem, Weight, add_weights, scale_weight, sub_weights
 
 
-class MonoidAlgebraElement:
-    """A finite rational combination of basis symbols X^lam.
+class TorusInvariant:
+    """A finite exact combination sum c(mu) K_2mu of weights mu.
 
-    Terms map weights to nonzero exact rationals; the zero element has no
-    terms.  Multiplication is the bilinear extension of X^lam X^mu =
-    X^(lam+mu).
+    This is the group algebra of the weight lattice, multiplied by
+    ``K_2mu K_2nu = K_2(mu+nu)``; the monoid algebra C[M+] is the part with
+    keys in M+ (``X^lam`` is ``K_2lam``), and Harish-Chandra images are its
+    Weyl-invariant elements.  Coefficients are ``int`` or ``Fraction`` values
+    kept as given; the zero element has no terms.
     """
 
     __slots__ = ("terms",)
@@ -41,24 +45,23 @@ class MonoidAlgebraElement:
         clean = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(
+                        f"coefficient {c!r} is not an int or a Fraction"
+                    )
                 if c:
                     clean[tuple(w)] = c
         self.terms = clean
 
     @classmethod
-    def x(cls, w: Weight, coeff=1) -> "MonoidAlgebraElement":
-        return cls({tuple(w): coeff})
-
-    @classmethod
-    def one(cls, rank: int) -> "MonoidAlgebraElement":
+    def one(cls, rank: int) -> "TorusInvariant":
         return cls({(0,) * rank: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MonoidAlgebraElement) and self.terms == other.terms
+        return isinstance(other, TorusInvariant) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -66,39 +69,63 @@ class MonoidAlgebraElement:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return MonoidAlgebraElement(out)
+            out[w] = out.get(w, 0) + c
+        return TorusInvariant(out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, other):
-        if isinstance(other, MonoidAlgebraElement):
-            out: dict[Weight, Fraction] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = add_weights(w1, w2)
-                    v = out.get(w, 0) + c1 * c2
-                    if v:
-                        out[w] = v
-                    else:
-                        out.pop(w, None)
-            return MonoidAlgebraElement(out)
-        return MonoidAlgebraElement({w: c * other for w, c in self.terms.items()})
+        if not isinstance(other, TorusInvariant):
+            return TorusInvariant({w: c * other for w, c in self.terms.items()})
+        out: dict[Weight, int | Fraction] = {}
+        get = out.get
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = tuple(map(add, w1, w2))
+                out[w] = get(w, 0) + c1 * c2
+        return TorusInvariant(out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise DomainError("negative powers are not defined")
+        if not self.terms:
+            raise DomainError("0^n")
+        rank = len(next(iter(self.terms)))
+        out = TorusInvariant.one(rank)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def total(self):
+        """Sum of all coefficients (the dimension, for a character image)."""
+        return sum(self.terms.values())
+
+    def is_w_invariant(self, rsys: RootSystem) -> bool:
+        for w, c in self.terms.items():
+            for i in range(rsys.rank):
+                if self.terms.get(rsys.simple_reflection(i, w), 0) != c:
+                    return False
+        return True
 
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def __repr__(self):
+    def to_json(self) -> list:
+        return [[list(w), c] for w, c in self.sorted_terms()]
+
+    def render(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*X^{w}" for w, c in self.sorted_terms())
+        parts = []
+        for w, c in self.sorted_terms():
+            mu = ",".join(map(str, w))
+            parts.append(f"{c}·K_2({mu})")
+        return " + ".join(parts)
+
+    __repr__ = render
 
 
 @dataclass(frozen=True)
@@ -154,7 +181,7 @@ class Presentation:
         return [f"{side(r.lhs)} = {side(r.rhs)}" for r in self.relations]
 
 
-def phi(generators, monomial) -> MonoidAlgebraElement:
+def phi(generators, monomial) -> TorusInvariant:
     """Evaluate a generator monomial {index: exponent} to a single X^lam term."""
     gens = list(generators)
     if not gens:
@@ -166,7 +193,7 @@ def phi(generators, monomial) -> MonoidAlgebraElement:
         if e < 0:
             raise DomainError(f"negative exponent {e}")
         total = add_weights(total, scale_weight(e, gens[i]))
-    return MonoidAlgebraElement.x(total)
+    return TorusInvariant({total: 1})
 
 
 def _weight_label(w: Weight) -> str:
@@ -274,7 +301,9 @@ def verify_relations(rsys: RootSystem, pres: Presentation | None = None) -> Repo
             left == right,
             f"{left!r} vs {right!r}" if left != right else "",
         )
-    # the partner's rel2 binomial is implied but must also lie in the kernel
+    # The partner's rel2 binomial is one more kernel-membership check.  It is
+    # not implied by the emitted binomials as ideal membership: it follows
+    # from them only after saturation.
     scaled = set(basis.scaled_fundamentals)
     idx = {w: i for i, w in enumerate(pres.generators)}
     for lam, bar in basis.pairs:

@@ -1,16 +1,17 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from uqcentre import (
     DomainError,
-    ResourceLimitError,
     TorusInvariant,
     av_basis_element,
     build_root_system,
     expand_in_av,
     expand_in_simples,
+    in_monoid,
     independence_check,
     unitriangularity_check,
     verify_centre_relations,
@@ -182,6 +183,8 @@ def test_expand_in_simples_round_trip():
     a2 = build_root_system("A", 2)
     for lam in [(0, 0), (1, 1), (3, 0)]:
         assert expand_in_simples(a2, xi_simple(a2, lam)) == {lam: F(1)}
+    with pytest.raises(DomainError):
+        expand_in_simples(a2, TorusInvariant({(1, 1): 1}))  # not W-invariant
 
 
 def test_xi_multiplicative_against_tensor_decomposition():
@@ -307,13 +310,68 @@ def test_torus_invariant_json_sorted():
     assert js == [[[-2], 1], [[0], 1], [[2], 1]]
 
 
-def test_torus_invariant_product_overflow_raises():
-    # packed digits hold |x| < 2^15; 20000 + 20000 would wrap to -25536
-    with pytest.raises(ResourceLimitError):
-        TorusInvariant({(20000,): 1}) ** 2
-    with pytest.raises(ResourceLimitError):
-        TorusInvariant({(0, 16384): 1}) ** 2
-    assert (TorusInvariant({(16383,): 1}) ** 2).terms == {(32766,): 1}
+def test_torus_invariant_product_exact_past_2_15():
+    # weights are tuples of Python ints, so no coordinate can wrap
+    assert TorusInvariant({(20000,): 1}) ** 2 == TorusInvariant({(40000,): 1})
+    assert (TorusInvariant({(0, 16384): 1}) ** 2).terms == {(0, 32768): 1}
+    assert (TorusInvariant({(-20000, 3): 2}) ** 3).terms == {(-60000, 9): 8}
+
+
+def test_inexact_character_arithmetic_raises(monkeypatch):
+    # Without one positive root the Freudenthal step at (0, 0) below (1, 1)
+    # is 8/6 and the Weyl dimension of (0, 1) is 3/2.  The errors are raised,
+    # not asserted, so they survive python -O.
+    a2 = build_root_system("A", 2)
+    data = a2.positive_root_data()
+    monkeypatch.setattr(a2, "positive_root_data", lambda: data[1:])
+    monkeypatch.setattr(character_ring, "_table_cache", {})
+    with pytest.raises(ArithmeticError):
+        weight_multiplicities(a2, (1, 1))
+    with pytest.raises(ArithmeticError):
+        weyl_dim(a2, (0, 1))
+
+
+# D5 stops at coordinates <= 1: at (2,2,2,2,2) the oracle alone convolves to
+# 326k weights and needs Freudenthal tables for 497 dominant weights.
+BRAUER_KLIMYK_CASES = [
+    ("A", 2, 2), ("A", 3, 2), ("B", 2, 2), ("G", 2, 2), ("C", 3, 2), ("D", 5, 1)
+]
+
+
+@pytest.mark.parametrize("fam,n,bound", BRAUER_KLIMYK_CASES)
+def test_brauer_klimyk_matches_full_support_product(fam, n, bound):
+    rsys = build_root_system(fam, n)
+    for lam in product(range(bound + 1), repeat=n):
+        if in_monoid(rsys, lam):
+            oracle = expand_in_simples(rsys, xi_tensor(rsys, lam))
+            assert character_ring._tensor_decomposition(rsys, lam) == oracle, lam
+
+
+def test_independence_check_fails_for_equal_fundamental_characters(monkeypatch):
+    b2 = build_root_system("B", 2)
+    w1, w2 = b2.fundamental_weight(0), b2.fundamental_weight(1)
+    real = character_ring.full_character
+    monkeypatch.setattr(
+        character_ring, "full_character",
+        lambda rsys, lam: real(rsys, w1 if tuple(lam) == w2 else lam),
+    )
+    rep = independence_check(b2, 2)
+    assert not rep.ok
+    assert rep.items[0].detail == "rank 3 of 6"
+
+
+def test_reports_multiply_without_full_support_products(monkeypatch, capsys):
+    def refuse(self, other):
+        raise AssertionError("full-support product")
+
+    monkeypatch.setattr(TorusInvariant, "__mul__", refuse)
+    monkeypatch.setattr(TorusInvariant, "__rmul__", refuse)
+    with pytest.raises(AssertionError):
+        TorusInvariant.one(1) ** 2
+    assert main(["verify", "--type", "F", "--rank", "4"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    rep, _ = unitriangularity_check(build_root_system("A", 2), 3)
+    assert rep.ok
 
 
 def _box_dominant_weights_below(rsys, lam):

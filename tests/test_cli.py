@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import uqcentre
 from uqcentre.cli import main
 
 
@@ -73,6 +77,21 @@ def test_verify_type_i(capsys):
     code, out, _ = run(capsys, "verify", "--type", "G", "--rank", "2")
     assert code == 0
     assert "independent" in out
+
+
+def test_verify_under_python_O_matches(capsys):
+    # python -O strips assert statements; no check of the run may rely on one
+    argv = ["verify", "--type", "B", "--rank", "2"]
+    src = os.path.dirname(os.path.dirname(uqcentre.__file__))
+    optimised = subprocess.run(
+        [sys.executable, "-O", "-m", "uqcentre.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert optimised.returncode == code == 0
+    assert optimised.stdout == out
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from uqcentre import (
     BinomialRelation,
     DomainError,
-    MonoidAlgebraElement,
+    TorusInvariant,
     build_root_system,
     generation_check,
     hilbert_basis,
@@ -16,7 +16,10 @@ from uqcentre import (
     verify_relations,
 )
 
-X = MonoidAlgebraElement.x
+
+
+def X(w):
+    return TorusInvariant({w: 1})
 
 
 def test_phi_examples():
@@ -33,20 +36,34 @@ def test_monoid_algebra_laws():
     rng = random.Random(23)
 
     def rand_elem():
-        return MonoidAlgebraElement(
+        return TorusInvariant(
             {
                 tuple(rng.randint(0, 3) for _ in range(2)): rng.randint(-3, 3)
                 for _ in range(3)
             }
         )
 
-    one = MonoidAlgebraElement.one(2)
+    one = TorusInvariant.one(2)
     for _ in range(20):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * one == a
         assert a * (b + c) == a * b + a * c
+
+
+def test_torus_invariant_keeps_exact_coefficients():
+    half = TorusInvariant({(1,): Fraction(1, 2)})
+    assert half.terms == {(1,): Fraction(1, 2)}
+    assert (half + half).terms == {(1,): 1}
+    assert (half * half).terms == {(2,): Fraction(1, 4)}
+    assert (half * Fraction(2, 3)).terms == {(1,): Fraction(1, 3)}
+    assert not half - half
+    for bad in (2.7, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            TorusInvariant({(0,): bad})
+    with pytest.raises(TypeError):
+        half * 0.5
 
 
 def test_presentation_a2():

@@ -1,13 +1,17 @@
 """Golden output of ``uqcentre verify``: the sha256 of every output byte.
 
 The digests pin ``verify --type T --rank N`` at the default bound for type II
-algebras (A2, A3, A5, D5, E6) and type I algebras (B2, G2), in both output
-formats, as standard output (the rendered report and a trailing newline).
+algebras (A2, A3, A5, D5, E6) and type I algebras (B2, G2, F4, D4, B3, C3),
+in both output formats, as standard output (the rendered report and a
+trailing newline).
 Any drift in a report title, a check name, a count, a detail or the verdict
 changes a digest.  The type II digests were taken from the output of the
 earlier character-level relation check with its check names reworded from
 "character identity" to "exponent identity", so they pin that nothing else
-changed when the check became the exponent identity alone.
+changed when the check became the exponent identity alone.  The F4, D4, B3
+and C3 digests were taken while the independence check still multiplied full
+weight supports, so they pin that the Brauer-Klimyk products left its
+report unchanged.
 """
 
 import hashlib
@@ -24,6 +28,10 @@ JSON_SHA256 = {
     ("E", 6): "faa5052c110faae7c78de775f906bbe027be6aaa3c0bac600348d7b1dbe6f195",
     ("B", 2): "c390d851342ebbd289cae87edb9becba0533fdd4884313b46737f722b6846d4d",
     ("G", 2): "edce5dfddf38b1155b84350814eb385d663fc5fa1e6ddaf0470b70618a2ffdc3",
+    ("F", 4): "2942046e917e2c54b003b7edb4df6f2825ecb5754361a9368bf62fcadab5232e",
+    ("D", 4): "2c221efa870ac9f327aaeb9f35d70dc1107e259cd4b252492e5a1d3438ee8b2c",
+    ("B", 3): "4163a0cb9fed37f93db0a937b04898a9f1d95998292660a6baf1ba1869302d3c",
+    ("C", 3): "a3f5609eb98c3a6eb3062df0f2c7524e7ba7b5bbe65f234800c3a60f4b4e22b7",
 }
 TEXT_SHA256 = {
     ("A", 2): "fd065f9c499a895e9ab94093da56e1ce0c15aea6b38d1ce2edddb8a55a6d33af",
@@ -33,6 +41,10 @@ TEXT_SHA256 = {
     ("E", 6): "96860d847d328489ca8dc4446d711f340e092c2bae5b870cd4ace1eed223150a",
     ("B", 2): "cabc08ea9ee5de5705b13dacb20e2a2de69f6feb546482d08ab49640fa5efc1c",
     ("G", 2): "1a96cf7f6a25f73a0a13189aba41734004bea27e9e1e7f0b0073521c069e2888",
+    ("F", 4): "5070545c079f2004625ab3941528919d8b3b205f3524e575495d6b9518bdf5e1",
+    ("D", 4): "0dc5e66ca119f0ec8b583ca4807e7edca0fe7d1107fb3417272d1256587158d4",
+    ("B", 3): "57a92e1f34e359756217bd92febec5f0a7da240aff0c4b5227f41050223acca7",
+    ("C", 3): "bc7d1e1a08d9acd83e50edb7a220331343767a9c791b77032dd4b86bd524a363",
 }
 
 DIGESTS = {"json": JSON_SHA256, "text": TEXT_SHA256}
