@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import DomainError
-from .half_lattice_monoid import TYPE_I, classify_type, in_monoid
+from .half_lattice_monoid import TYPE_I, _bounded_vectors, classify_type, in_monoid
 from .monoid_presentation import TorusInvariant, presentation
 from .report import Report
 from .root_system import (
@@ -114,7 +113,8 @@ def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
         return sum(rsys.scaled_root_coords(w))
 
     doms.sort(key=height_scaled, reverse=True)
-    assert doms and doms[0] == lam
+    if doms[0] != lam:
+        raise ArithmeticError(f"{doms[0]} sorts above the highest weight {lam}")
 
     mult: dict[Weight, int] = {lam: 1}
     lam_rho = add_weights(lam, rho)
@@ -342,7 +342,7 @@ def unitriangularity_check(rsys: RootSystem, bound: int):
     """
     rep = Report(title=f"unitriangularity {rsys.family}{rsys.rank} bound {bound}")
     mults: dict[Weight, dict[Weight, int]] = {}
-    for w in sorted(product(range(bound + 1), repeat=rsys.rank)):
+    for w in _bounded_vectors([bound] * rsys.rank):
         if not in_monoid(rsys, w):
             continue
         decomp = _tensor_decomposition(rsys, w)
@@ -411,8 +411,7 @@ def independence_check(rsys: RootSystem, degree_bound: int) -> Report:
         raise DomainError("degree bound must be >= 0")
     n = rsys.rank
     # lexicographic, so e minus a unit at its first nonzero entry comes earlier
-    exps = [e for e in product(range(degree_bound + 1), repeat=n)
-            if sum(e) <= degree_bound]
+    exps = _bounded_vectors([degree_bound] * n, degree_bound)
     decomps: dict[tuple, dict[Weight, int]] = {}
     for e in exps:
         i = next((j for j, x in enumerate(e) if x), None)

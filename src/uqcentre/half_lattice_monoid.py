@@ -18,7 +18,6 @@ The simple types split in two classes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, lcm
 
 from .errors import DomainError
@@ -102,9 +101,11 @@ def min_multipliers(rsys: RootSystem) -> tuple[int, ...]:
         while not in_monoid(rsys, scale_weight(s, e)):
             s += 1
             if s > cap:
-                raise AssertionError(f"multiplier search runaway for {rsys}, i={i}")
-        if rsys.family == "A":
-            assert s == _type_A_multiplier(rsys.rank, i + 1)
+                raise ArithmeticError(f"multiplier search runaway for {rsys}, i={i}")
+        if rsys.family == "A" and s != _type_A_multiplier(rsys.rank, i + 1):
+            raise ArithmeticError(
+                f"multiplier {s} at node {i + 1} of {rsys} is not the closed form"
+            )
         out.append(s)
     return tuple(out)
 
@@ -148,8 +149,14 @@ class HilbertBasis:
         }
 
 
-def _bounded_vectors(limits, total_cap):
-    """All integer vectors with 0 <= v_i <= limits[i] and sum(v) <= total_cap."""
+def _bounded_vectors(limits, total_cap=None):
+    """All integer vectors with 0 <= v_i <= limits[i] and sum(v) <= total_cap.
+
+    The vectors come in ascending lexicographic order, so every vector comes
+    after all the other vectors that lie componentwise below it.
+    """
+    if total_cap is None:
+        total_cap = sum(limits)
     n = len(limits)
     out = []
     vec = [0] * n
@@ -168,12 +175,15 @@ def _bounded_vectors(limits, total_cap):
 
 
 def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
-    """Compute the Hilbert basis of M+ by bounded search.
+    """Compute the Hilbert basis of M+ by a sieve over a bounded search.
 
     Every irreducible element satisfies a_i <= s_i; in type A additionally
-    sum(a_i) <= r_{n+1}.  Within those bounds an element is kept iff it has
-    no decomposition into two nonzero monoid elements, and any decomposition
-    has both summands componentwise below the element (both are dominant).
+    sum(a_i) <= r_{n+1}.  The monoid elements within those bounds are walked
+    in lexicographic order, so each comes after every element componentwise
+    below it.  An element lam is kept iff lam - g is not a monoid element for
+    every element g kept so far: if lam = mu + nu with mu, nu nonzero in M+,
+    some irreducible g <= mu was kept earlier and lam - g = (mu - g) + nu is
+    a nonzero monoid element.
     """
     key = (rsys.family, rsys.rank)
     if key in _basis_cache:
@@ -185,19 +195,16 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
         total_cap = (n + 1) // gcd(n + 1, 2)
     else:
         total_cap = sum(s)
-    candidates = _bounded_vectors(list(s), total_cap)
 
-    members = [w for w in candidates if any(w) and in_monoid(rsys, w)]
-    member_set = set(members)
-
-    def reducible(lam):
-        for mu in members:
-            if mu != lam and all(x <= y for x, y in zip(mu, lam)):
-                # lam - mu is then automatically dominant and in (1/2)Q
-                return True
-        return False
-
-    elements = tuple(sorted(w for w in members if not reducible(w)))
+    members: set[Weight] = set()
+    irreducible: list[Weight] = []
+    for w in _bounded_vectors(s, total_cap):
+        if not any(w) or not in_monoid(rsys, w):
+            continue
+        if all(sub_weights(w, g) not in members for g in irreducible):
+            irreducible.append(w)
+        members.add(w)
+    elements = tuple(irreducible)
 
     sigma = involution(rsys)
     self_conj: dict[int, Weight] = {}
@@ -208,11 +215,15 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
         mu = rsys.fundamental_weight(i)
         if i < j:
             mu = add_weights(mu, rsys.fundamental_weight(j))
-        assert mu in elements, (rsys, i, mu)
+        if mu not in elements:
+            raise ArithmeticError(
+                f"self-conjugate {mu} of node {i + 1} is reducible in {rsys}"
+            )
         self_conj[i + 1] = mu
 
     scaled = tuple(scale_weight(s[i], rsys.fundamental_weight(i)) for i in range(n))
-    assert all(w in elements for w in scaled)
+    if not all(w in elements for w in scaled):
+        raise ArithmeticError(f"a scaled fundamental weight is reducible in {rsys}")
 
     pairs = []
     seen = set()
@@ -220,14 +231,18 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
         bar = tuple(lam[sigma[i]] for i in range(n))
         if bar == lam or lam in seen:
             continue
-        assert bar in elements, (rsys, lam)
+        if bar not in elements:
+            raise ArithmeticError(f"the conjugate of {lam} is reducible in {rsys}")
         big, small = (lam, bar) if lam > bar else (bar, lam)
         pairs.append((big, small))
         seen.add(lam)
         seen.add(bar)
 
     covered = set(self_conj.values()) | seen | set(scaled)
-    assert covered == set(elements), (rsys, covered ^ set(elements))
+    if covered != set(elements):
+        raise ArithmeticError(
+            f"unclassified basis elements of {rsys}: {covered ^ set(elements)}"
+        )
 
     basis = HilbertBasis(
         family=rsys.family,
@@ -258,7 +273,10 @@ def rel1(rsys: RootSystem, lam: Weight) -> dict[int, int]:
     for i in range(rsys.rank):
         j = sigma[i]
         if i == j:
-            assert lam[i] == 0  # non-self-conjugate elements vanish on fixed nodes
+            if lam[i]:
+                raise ArithmeticError(
+                    f"non-self-conjugate {lam} is nonzero on fixed node {i + 1}"
+                )
             continue
         if i > j:
             continue
@@ -268,7 +286,8 @@ def rel1(rsys: RootSystem, lam: Weight) -> dict[int, int]:
     total = rsys.zero()
     for i, e in exps.items():
         total = add_weights(total, scale_weight(e, basis.self_conjugate[i]))
-    assert total == add_weights(lam, bar), (lam, exps)
+    if total != add_weights(lam, bar):
+        raise ArithmeticError(f"rel1 exponents {exps} do not give {lam} + {bar}")
     return exps
 
 
@@ -293,10 +312,11 @@ def rel2(rsys: RootSystem, lam: Weight) -> dict[int, int]:
             continue
         e, r = divmod(l * a, s[i])
         if r:
-            raise AssertionError(f"non-integral exponent for {lam} at node {i + 1}")
+            raise ArithmeticError(f"non-integral exponent for {lam} at node {i + 1}")
         exps[i + 1] = e
     total = rsys.zero()
     for i, e in exps.items():
         total = add_weights(total, scale_weight(e, basis.scaled_fundamentals[i - 1]))
-    assert total == scale_weight(l, lam)
+    if total != scale_weight(l, lam):
+        raise ArithmeticError(f"rel2 exponents {exps} do not give {l} * {lam}")
     return exps

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import add
 
 from .errors import DomainError
 from .half_lattice_monoid import (
     TYPE_I,
+    _bounded_vectors,
     classify_type,
     ell,
     hilbert_basis,
@@ -324,34 +324,20 @@ def generation_check(rsys: RootSystem, bound: int):
     """Count Hilbert-basis factorizations of every monoid element with coords <= bound.
 
     Returns ``(report, counts)``; an element with no factorization is a
-    failure.  Factorizations are counted as multisets via a depth-first
-    search over the ordered generator list, memoized on the remaining weight.
+    failure.  Factorizations are counted as multisets, one generator g at a
+    time: a pass over the elements in lexicographic order, which puts lam - g
+    before lam, adds the count of lam - g to that of lam.
     """
     if bound < 0:
         raise DomainError("bound must be >= 0")
-    basis = hilbert_basis(rsys)
-    gens = basis.elements
-    memo: dict[tuple[Weight, int], int] = {}
-
-    def count(rem: Weight, start: int) -> int:
-        if not any(rem):
-            return 1
-        if start == len(gens):
-            return 0
-        key = (rem, start)
-        if key in memo:
-            return memo[key]
-        total = count(rem, start + 1)
-        g = gens[start]
-        if all(x >= y for x, y in zip(rem, g)):
-            total += count(sub_weights(rem, g), start)
-        memo[key] = total
-        return total
-
-    counts: dict[Weight, int] = {}
-    for w in product(range(bound + 1), repeat=rsys.rank):
-        if in_monoid(rsys, w):
-            counts[w] = count(w, 0)
+    points = [w for w in _bounded_vectors([bound] * rsys.rank) if in_monoid(rsys, w)]
+    counts = dict.fromkeys(points, 0)
+    counts[rsys.zero()] = 1
+    for g in hilbert_basis(rsys).elements:
+        for w in points:
+            c = counts.get(sub_weights(w, g))
+            if c:
+                counts[w] += c
 
     rep = Report(title=f"generation {rsys.family}{rsys.rank} bound {bound}")
     bad = [w for w, c in counts.items() if c == 0]

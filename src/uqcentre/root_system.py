@@ -160,19 +160,22 @@ class RootSystem:
         self._inv_num, self._inv_den = _invert_integer_matrix(self.cartan)
         self._check_invariants()
         self._positive = None
-        self._weyl_order = None
 
     def _check_invariants(self) -> None:
         A, d, n = self.cartan, self.sym, self.rank
-        assert all(A[i][i] == 2 for i in range(n))
-        assert all(A[i][j] <= 0 for i in range(n) for j in range(n) if i != j)
-        assert all(
-            (A[i][j] == 0) == (A[j][i] == 0) for i in range(n) for j in range(n)
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        ok = (
+            all(A[i][i] == 2 for i in range(n))
+            and all(A[i][j] <= 0 for i, j in pairs if i != j)
+            and all((A[i][j] == 0) == (A[j][i] == 0) for i, j in pairs)
+            and all(d[i] * A[i][j] == d[j] * A[j][i] for i, j in pairs)
+            and min(d) == 1
         )
-        assert all(
-            d[i] * A[i][j] == d[j] * A[j][i] for i in range(n) for j in range(n)
-        )
-        assert min(d) == 1
+        if not ok:
+            raise ArithmeticError(
+                f"{self.family}{self.rank}: {A} with {d} is not a "
+                "symmetrisable Cartan matrix"
+            )
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}{self.rank})"
@@ -255,12 +258,10 @@ class RootSystem:
         A = self.cartan
         return tuple(w[k] - wi * A[k][i] for k in range(self.rank))
 
-    def weyl_orbit(self, w: Weight, cap: int = ORBIT_CAP_DEFAULT) -> set[Weight]:
+    def _closure(self, w: Weight) -> set[Weight]:
         """Closure of ``{w}`` under simple reflections (breadth-first)."""
-        self._check_weight(w)
-        start = tuple(w)
-        seen = {start}
-        frontier = [start]
+        seen = {w}
+        frontier = [w]
         while frontier:
             nxt = []
             for u in frontier:
@@ -270,22 +271,49 @@ class RootSystem:
                     v = self.simple_reflection(i, u)
                     if v not in seen:
                         seen.add(v)
-                        if len(seen) > cap:
-                            raise ResourceLimitError(
-                                f"Weyl orbit of {w} in {self} exceeds cap {cap}"
-                            )
                         nxt.append(v)
             frontier = nxt
         return seen
 
-    def orbit_size(self, w: Weight, cap: int = ORBIT_CAP_DEFAULT) -> int:
-        return len(self.weyl_orbit(w, cap))
+    def weyl_orbit(self, w: Weight, cap: int = ORBIT_CAP_DEFAULT) -> set[Weight]:
+        """The Weyl orbit of ``w``, as a set of weights.
 
-    def weyl_group_order(self, cap: int = ORBIT_CAP_DEFAULT) -> int:
-        """|W|, computed as the orbit size of the regular weight rho."""
-        if self._weyl_order is None:
-            self._weyl_order = len(self.weyl_orbit(self.rho(), cap))
-        return self._weyl_order
+        Raises :class:`ResourceLimitError` before it builds an orbit of more
+        than ``cap`` points, the size being known from :meth:`orbit_size`.
+        """
+        self._check_weight(w)
+        size = self.orbit_size(w)
+        if size > cap:
+            raise ResourceLimitError(
+                f"Weyl orbit of {w} in {self} has {size} points, over the cap {cap}"
+            )
+        return self._closure(tuple(w))
+
+    def orbit_size(self, w: Weight) -> int:
+        """|W w| = |W| / |W_mu| for the dominant mu in the orbit of ``w``.
+
+        This is the product of (ht alpha + 1) / ht alpha over the positive
+        roots alpha with (mu, alpha) != 0: the product over all positive roots
+        is |W|, and the roots with (mu, alpha) = 0 form the root system of the
+        stabiliser W_mu, with the same heights.
+        """
+        self._check_weight(w)
+        mu = self.dominant_representative(w)
+        num = den = 1
+        for _, calpha in self.positive_root_data():
+            # (mu, alpha) = sum_j calpha_j mu_j (alpha_j, alpha_j) / 2, all terms >= 0
+            if any(c and m for c, m in zip(calpha, mu)):
+                height = sum(calpha)
+                num *= height + 1
+                den *= height
+        size, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"orbit size of {w} in {self} is {num}/{den}")
+        return size
+
+    def weyl_group_order(self) -> int:
+        """|W|, the orbit size of the regular weight rho."""
+        return self.orbit_size(self.rho())
 
     def dominant_representative(self, w: Weight) -> Weight:
         """The unique dominant weight in the Weyl orbit of ``w``."""
@@ -322,18 +350,19 @@ class RootSystem:
         """All positive roots, as fundamental-weight coordinate tuples."""
         if self._positive is None:
             roots = set()
+            # not weyl_orbit: its size check needs the positive roots
             for i in range(self.rank):
-                roots |= self.weyl_orbit(self.simple_root(i))
+                roots |= self._closure(self.simple_root(i))
             D = self._inv_den
             pos = [
                 r
                 for r in roots
                 if all(x >= 0 for x in self.scaled_root_coords(r))
             ]
-            assert 2 * len(pos) == len(roots)
-            assert all(
-                all(x % D == 0 for x in self.scaled_root_coords(r)) for r in pos
-            )
+            if 2 * len(pos) != len(roots) or any(
+                x % D for r in pos for x in self.scaled_root_coords(r)
+            ):
+                raise ArithmeticError(f"the roots of {self} are not integral and signed")
             self._positive = tuple(sorted(pos))
         return self._positive
 

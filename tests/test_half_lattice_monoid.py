@@ -1,7 +1,13 @@
-from itertools import product
+import os
+import subprocess
+import sys
+from itertools import combinations_with_replacement, product
+from math import gcd
 
 import pytest
 
+import uqcentre
+from uqcentre import half_lattice_monoid
 from uqcentre import (
     DomainError,
     TYPE_I,
@@ -165,6 +171,75 @@ def test_hilbert_basis_brute_force_oracle():
             if not decomposable:
                 brute.add(lam)
         assert brute == set(basis.elements), (fam, n)
+
+
+def _search_box(rsys, s):
+    """The box a_i <= s_i of the Hilbert-basis search, with the type A sum cap."""
+    n = rsys.rank
+    if rsys.family != "A":
+        return list(product(*(range(b + 1) for b in s)))
+    cap = (n + 1) // gcd(n + 1, 2)
+    # a multiset of cap symbols from {0..n} is a vector with sum <= cap
+    vectors = {
+        tuple(c.count(i) for i in range(n))
+        for c in combinations_with_replacement(range(n + 1), cap)
+    }
+    return [v for v in vectors if all(x <= b for x, b in zip(v, s))]
+
+
+@pytest.mark.parametrize(
+    "fam,n",
+    [("A", k) for k in range(2, 10)]
+    + [("D", 5), ("D", 7), ("D", 9), ("E", 6), ("E", 7), ("E", 8)],
+)
+def test_hilbert_basis_sieve_matches_pairwise_definition(fam, n):
+    # a member is irreducible iff no other member lies componentwise below it
+    rsys = build_root_system(fam, n)
+    basis = hilbert_basis(rsys)
+    members = sorted(
+        (v for v in _search_box(rsys, basis.s) if any(v) and in_monoid(rsys, v)),
+        key=sum,
+    )
+    pairwise = [
+        lam
+        for k, lam in enumerate(members)
+        if not any(
+            mu != lam and all(x <= y for x, y in zip(mu, lam))
+            for mu in members[:k]  # a member below lam has a smaller sum
+        )
+    ]
+    assert basis.elements == tuple(sorted(pairwise))
+
+
+def test_safety_checks_raise_under_python_O(monkeypatch):
+    # a wrong multiplier fails the closed form in min_multipliers, and a too
+    # small search box misses nu_1 = 3 w_1, which hilbert_basis checks
+    monkeypatch.setattr(half_lattice_monoid, "_type_A_multiplier", lambda n, i: 2)
+    with pytest.raises(ArithmeticError):
+        min_multipliers(build_root_system("A", 2))
+    monkeypatch.undo()
+
+    monkeypatch.setattr(half_lattice_monoid, "_basis_cache", {})
+    monkeypatch.setattr(half_lattice_monoid, "min_multipliers", lambda rsys: (1, 3))
+    with pytest.raises(ArithmeticError):
+        hilbert_basis(build_root_system("A", 2))
+
+    script = (
+        "from uqcentre import build_root_system, half_lattice_monoid as h\n"
+        "h.min_multipliers = lambda rsys: (1, 3)\n"
+        "try:\n"
+        "    h.hilbert_basis(build_root_system('A', 2))\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(uqcentre.__file__))
+    optimised = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert optimised.stdout == "raised\n", optimised.stderr
 
 
 def test_hilbert_basis_irreducibility_and_generation():

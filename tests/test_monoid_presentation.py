@@ -1,9 +1,13 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import uqcentre.cli as cli
+from uqcentre import monoid_presentation
 from uqcentre import (
     BinomialRelation,
     DomainError,
@@ -11,6 +15,7 @@ from uqcentre import (
     build_root_system,
     generation_check,
     hilbert_basis,
+    in_monoid,
     phi,
     presentation,
     verify_relations,
@@ -187,6 +192,68 @@ def test_generation_check():
     d5 = build_root_system("D", 5)
     rep, counts = generation_check(d5, 2)
     assert rep.ok and all(c >= 1 for c in counts.values())
+
+
+def _exponent_vector_counts(gens, bound, rank):
+    """For each weight, the number of exponent vectors e with sum e_g g = it."""
+    counts = Counter()
+
+    def rec(i, acc):
+        if i == len(gens):
+            counts[acc] += 1
+            return
+        while max(acc, default=0) <= bound:
+            rec(i + 1, acc)
+            acc = tuple(x + y for x, y in zip(acc, gens[i]))
+
+    rec(0, (0,) * rank)
+    return counts
+
+
+@pytest.mark.parametrize("fam,n,bound", [("A", 2, 4), ("A", 3, 3), ("D", 5, 2), ("E", 6, 2)])
+def test_generation_counts_match_exponent_vectors(fam, n, bound):
+    rsys = build_root_system(fam, n)
+    rep, counts = generation_check(rsys, bound)
+    box = [v for v in product(range(bound + 1), repeat=n) if in_monoid(rsys, v)]
+    assert list(counts) == box
+    direct = _exponent_vector_counts(hilbert_basis(rsys).elements, bound, n)
+    assert {w: c for w, c in counts.items() if c} == dict(direct)
+    assert rep.ok == all(counts.values())
+
+
+def _dropping_first_generator_within(bound):
+    def patched(rsys):
+        basis = hilbert_basis(rsys)
+        g = next(g for g in basis.elements if max(g) <= bound)
+        return dataclasses.replace(
+            basis, elements=tuple(e for e in basis.elements if e != g)
+        )
+
+    return patched
+
+
+@pytest.mark.parametrize("fam,n", [("A", 2), ("D", 5)])
+def test_generation_check_fails_without_a_generator(monkeypatch, capsys, fam, n):
+    rsys = build_root_system(fam, n)
+    patched = _dropping_first_generator_within(3)
+    real_check = generation_check
+    with monkeypatch.context() as m:
+        m.setattr(monoid_presentation, "hilbert_basis", patched)
+        rep, counts = real_check(rsys, 3)
+    dropped = (set(hilbert_basis(rsys).elements) - set(patched(rsys).elements)).pop()
+    assert not rep.ok and counts[dropped] == 0
+    assert str(dropped) in rep.to_json()["checks"][0]["detail"]
+
+    def check_without_generator(rsys, bound):
+        # only the generation check sees the smaller basis; the presentation
+        # and its relations are built from the real one
+        with monkeypatch.context() as m:
+            m.setattr(monoid_presentation, "hilbert_basis", patched)
+            return real_check(rsys, bound)
+
+    monkeypatch.setattr(cli, "generation_check", check_without_generator)
+    assert cli.main(["verify", "--type", fam, "--rank", str(n)]) == 1
+    assert "unfactorable" in capsys.readouterr().out
 
 
 def test_freeness_type_i_monomials_injective():

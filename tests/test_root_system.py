@@ -1,9 +1,12 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from uqcentre import DomainError, ResourceLimitError, build_root_system
+from uqcentre import root_system
 
 F = Fraction
 
@@ -173,12 +176,47 @@ def test_weyl_group_order():
     assert build_root_system("G", 2).weyl_group_order() == 12
     assert build_root_system("B", 3).weyl_group_order() == 48
     assert build_root_system("F", 4).weyl_group_order() == 1152
+    assert build_root_system("E", 7).weyl_group_order() == 2903040
+    assert build_root_system("E", 8).weyl_group_order() == 696729600
+
+
+@pytest.mark.parametrize(
+    "fam,n",
+    [("A", 1), ("A", 4), ("B", 3), ("C", 3), ("D", 4), ("D", 5), ("G", 2),
+     ("F", 4), ("E", 6)],
+)
+def test_orbit_size_formula_matches_breadth_first_orbit(fam, n):
+    rsys = build_root_system(fam, n)
+    for w in product((0, 1), repeat=n):
+        assert rsys.orbit_size(w) == len(rsys.weyl_orbit(w)), w
+    # a non-dominant weight has the size of its dominant representative's orbit
+    w = rsys.simple_reflection(0, rsys.rho())
+    assert rsys.orbit_size(w) == len(rsys.weyl_orbit(w)) == rsys.weyl_group_order()
 
 
 def test_orbit_cap():
     d4 = build_root_system("D", 4)
     with pytest.raises(ResourceLimitError):
         d4.weyl_orbit(d4.rho(), cap=10)
+    assert len(d4.weyl_orbit(d4.rho(), cap=192)) == 192
+
+
+def test_orbit_cap_fails_before_building_the_orbit():
+    # |W(E8)| = 696729600 points would need tens of GB; the cap check comes first
+    e8 = build_root_system("E", 8)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="696729600"):
+        e8.weyl_orbit(e8.rho())
+    assert time.perf_counter() - start < 1.0
+
+
+def test_broken_cartan_data_raises_arithmetic_error(monkeypatch):
+    def broken(family, rank):
+        return ((2, -1), (0, 2)), (1, 1)  # a zero opposite a nonzero entry
+
+    monkeypatch.setattr(root_system, "_cartan_and_sym", broken)
+    with pytest.raises(ArithmeticError):
+        build_root_system("A", 2)
 
 
 def test_dominates():
