@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .half_lattice_monoid import TYPE_I, _bounded_vectors, classify_type, in_monoid
+from .half_lattice_monoid import (
+    TYPE_I,
+    _bounded_vectors,
+    classify_type,
+    in_monoid,
+    residue_classes,
+)
 from .monoid_presentation import TorusInvariant, presentation
 from .report import Report
 from .root_system import (
@@ -51,9 +57,9 @@ class CharacterTable:
 
 
 def _assert_keys_in_M(rsys: RootSystem, terms) -> None:
-    D = rsys.root_coord_scale
+    r, c = residue_classes(rsys)
     for w in terms:
-        if any((2 * x) % D != 0 for x in rsys.scaled_root_coords(w)):
+        if sum(ci * x for ci, x in zip(c, w)) % r:
             raise AssertionError(f"key {w} is outside M for {rsys}")
 
 
@@ -342,9 +348,7 @@ def unitriangularity_check(rsys: RootSystem, bound: int):
     """
     rep = Report(title=f"unitriangularity {rsys.family}{rsys.rank} bound {bound}")
     mults: dict[Weight, dict[Weight, int]] = {}
-    for w in _bounded_vectors([bound] * rsys.rank):
-        if not in_monoid(rsys, w):
-            continue
+    for w in _bounded_vectors([bound] * rsys.rank, classes=residue_classes(rsys)):
         decomp = _tensor_decomposition(rsys, w)
         ok = decomp.get(w) == 1
         entry: dict[Weight, int] = {}
@@ -411,7 +415,7 @@ def independence_check(rsys: RootSystem, degree_bound: int) -> Report:
         raise DomainError("degree bound must be >= 0")
     n = rsys.rank
     # lexicographic, so e minus a unit at its first nonzero entry comes earlier
-    exps = _bounded_vectors([degree_bound] * n, degree_bound)
+    exps = list(_bounded_vectors([degree_bound] * n, degree_bound))
     decomps: dict[tuple, dict[Weight, int]] = {}
     for e in exps:
         i = next((j for j, x in enumerate(e) if x), None)

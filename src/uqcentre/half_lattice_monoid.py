@@ -18,9 +18,10 @@ The simple types split in two classes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import accumulate
+from math import gcd, lcm, prod
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .root_system import (
     RootSystem,
     Weight,
@@ -32,7 +33,11 @@ from .root_system import (
 TYPE_I = "I"
 TYPE_II = "II"
 
+# enumerations over more points than this raise ResourceLimitError
+BOX_CAP = 10_000_000
+
 _basis_cache: dict[tuple[str, int], "HilbertBasis"] = {}
+_class_cache: dict[tuple[str, int], tuple[int, tuple[int, ...]]] = {}
 
 
 def classify_type(rsys: RootSystem) -> str:
@@ -66,16 +71,58 @@ def involution(rsys: RootSystem) -> tuple[int, ...]:
     return tuple(sigma)
 
 
+def residue_classes(rsys: RootSystem) -> tuple[int, tuple[int, ...]]:
+    """``(r, c)`` with P/(P cap (1/2)Q) cyclic of order r and w_i of class c_i.
+
+    The class of w_i is column i of the inverse Cartan matrix, doubled, mod
+    its common denominator: a weight lies in (1/2)Q iff its doubled root
+    coordinates are integers.  The classes form a cyclic group; the column
+    of largest additive order generates it, and c_i is the discrete log of
+    column i to that base.  So M+ = {a >= 0 : sum c_i a_i = 0 mod r}.  A_n:
+    r = (n+1)/gcd(n+1, 2), c_i = i mod r; D_odd: r = 2; E_6: r = 3; type I:
+    r = 1.
+    """
+    key = (rsys.family, rsys.rank)
+    if key in _class_cache:
+        return _class_cache[key]
+    n, D = rsys.rank, rsys.root_coord_scale
+    cols = [tuple(2 * rsys._inv_num[j][i] % D for j in range(n)) for i in range(n)]
+
+    def order(col):
+        return D // gcd(D, *col)
+
+    base = max(cols, key=order)
+    r = order(base)
+    c = []
+    for i, col in enumerate(cols):
+        k = next(
+            (k for k in range(r) if all(k * x % D == y for x, y in zip(base, col))),
+            None,
+        )
+        if k is None:
+            raise ArithmeticError(
+                f"the class of w_{i + 1} in {rsys} is not a multiple of {base}"
+            )
+        c.append(k)
+    _class_cache[key] = (r, tuple(c))
+    return _class_cache[key]
+
+
 def in_monoid(rsys: RootSystem, w: Weight) -> bool:
-    """True iff ``w`` is dominant and all its root coordinates are half-integers."""
+    """True iff ``w`` is dominant and sum c_i w_i = 0 mod r (see :func:`residue_classes`)."""
     if any(x < 0 for x in w):
         return False
-    D = rsys.root_coord_scale
-    return all((2 * x) % D == 0 for x in rsys.scaled_root_coords(w))
+    rsys._check_weight(w)
+    r, c = residue_classes(rsys)
+    return sum(ci * x for ci, x in zip(c, w)) % r == 0
 
 
 def type_A_membership(rsys: RootSystem, w: Weight) -> bool:
-    """Fast-path membership for type A: sum(i * a_i) must fall in r_{n+1} Z."""
+    """Membership for type A by the same congruence with the closed-form classes.
+
+    r = (n+1)/gcd(n+1, 2) and c_i = i, written out rather than read from the
+    inverse Cartan matrix, so the two derivations cross-check each other.
+    """
     if rsys.family != "A":
         raise DomainError(f"type-A membership test called for {rsys}")
     if any(x < 0 for x in w):
@@ -91,23 +138,16 @@ def _type_A_multiplier(n: int, i: int) -> int:
 
 
 def min_multipliers(rsys: RootSystem) -> tuple[int, ...]:
-    """Minimal s_i >= 1 with ``s_i w_i`` in M+, found by direct search."""
-    out = []
-    for i in range(rsys.rank):
-        e = rsys.fundamental_weight(i)
-        s = 1
-        # |P/Q| * w_i lies in Q, so the search terminates well before this cap
-        cap = 2 * rsys.root_coord_scale + 1
-        while not in_monoid(rsys, scale_weight(s, e)):
-            s += 1
-            if s > cap:
-                raise ArithmeticError(f"multiplier search runaway for {rsys}, i={i}")
-        if rsys.family == "A" and s != _type_A_multiplier(rsys.rank, i + 1):
-            raise ArithmeticError(
-                f"multiplier {s} at node {i + 1} of {rsys} is not the closed form"
-            )
-        out.append(s)
-    return tuple(out)
+    """Minimal s_i >= 1 with ``s_i w_i`` in M+: the order r / gcd(r, c_i) of c_i mod r."""
+    r, c = residue_classes(rsys)
+    out = tuple(r // gcd(r, ci) for ci in c)
+    if rsys.family == "A":
+        for i, s in enumerate(out):
+            if s != _type_A_multiplier(rsys.rank, i + 1):
+                raise ArithmeticError(
+                    f"multiplier {s} at node {i + 1} of {rsys} is not the closed form"
+                )
+    return out
 
 
 def conjugate(rsys: RootSystem, w: Weight) -> Weight:
@@ -149,41 +189,78 @@ class HilbertBasis:
         }
 
 
-def _bounded_vectors(limits, total_cap=None):
-    """All integer vectors with 0 <= v_i <= limits[i] and sum(v) <= total_cap.
+def _box_size(limits, total_cap: int) -> int:
+    """The number of integer vectors with 0 <= v_i <= limits[i] and sum(v) <= total_cap."""
+    if total_cap >= sum(limits):
+        return prod(lim + 1 for lim in limits)
+    ways = [1] + [0] * total_cap  # ways[t]: vectors so far with sum t
+    for lim in limits:
+        prefix = list(accumulate(ways))
+        ways = [
+            prefix[t] - (prefix[t - lim - 1] if t > lim else 0)
+            for t in range(total_cap + 1)
+        ]
+    return sum(ways)
 
-    The vectors come in ascending lexicographic order, so every vector comes
-    after all the other vectors that lie componentwise below it.
+
+def _bounded_vectors(limits, total_cap=None, classes=None):
+    """The vectors with 0 <= v_i <= limits[i], sum(v) <= total_cap, sum c_i v_i = 0 mod r.
+
+    ``classes`` is ``(r, c)`` as from :func:`residue_classes`; without it,
+    or with r = 1, every vector of the box is yielded.  The residue is
+    carried down the recursion, and the last coordinate runs only over the
+    values that close it.  The vectors come in ascending lexicographic order,
+    so every vector comes after all the other vectors that lie componentwise
+    below it.  Raises :class:`ResourceLimitError` at once, before the first
+    vector, when the box has more than ``BOX_CAP`` points.
     """
+    n = len(limits)
     if total_cap is None:
         total_cap = sum(limits)
-    n = len(limits)
-    out = []
+    size = _box_size(limits, total_cap)
+    if size > BOX_CAP:
+        raise ResourceLimitError(
+            f"the box {list(limits)} with sum <= {total_cap} has {size} points, "
+            f"over the cap {BOX_CAP}"
+        )
+    r, c = classes or (1, (0,) * n)
+    # closing[res]: the last coordinates v with res + c[-1] * v = 0 mod r
+    closing = [
+        [v for v in range(limits[-1] + 1) if (res + c[-1] * v) % r == 0]
+        for res in range(r)
+    ]
     vec = [0] * n
 
-    def rec(pos, remaining):
-        if pos == n:
-            out.append(tuple(vec))
+    def rec(pos, remaining, res):
+        if pos == n - 1:
+            for v in closing[res]:
+                if v > remaining:
+                    break
+                vec[pos] = v
+                yield tuple(vec)
             return
         for v in range(min(limits[pos], remaining) + 1):
             vec[pos] = v
-            rec(pos + 1, remaining - v)
-        vec[pos] = 0
+            yield from rec(pos + 1, remaining - v, (res + c[pos] * v) % r)
 
-    rec(0, total_cap)
-    return out
+    return rec(0, total_cap, 0)
 
 
 def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
-    """Compute the Hilbert basis of M+ by a sieve over a bounded search.
+    """Compute the Hilbert basis of M+ by a sieve over the Davenport box.
 
-    Every irreducible element satisfies a_i <= s_i; in type A additionally
-    sum(a_i) <= r_{n+1}.  The monoid elements within those bounds are walked
-    in lexicographic order, so each comes after every element componentwise
-    below it.  An element lam is kept iff lam - g is not a monoid element for
-    every element g kept so far: if lam = mu + nu with mu, nu nonzero in M+,
-    some irreducible g <= mu was kept earlier and lam - g = (mu - g) + nu is
-    a nonzero monoid element.
+    With (r, c) from :func:`residue_classes`, lam is in M+ iff the sequence
+    that holds lam_i copies of c_i in Z/r sums to zero, and lam is
+    irreducible iff that zero-sum sequence has no proper nonempty zero-sum
+    subsequence.  Any sequence over Z/r of length > r has one: two of its
+    r + 1 partial sums agree mod r.  So every irreducible element has
+    sum(a_i) <= r, and also a_i <= s_i, since s_i w_i is in M+.  The monoid
+    elements within those bounds are walked in lexicographic order, so each
+    comes after every element componentwise below it.  An element lam is
+    kept iff lam - g is not a monoid element for every element g kept so
+    far: if lam = mu + nu with mu, nu nonzero in M+, some irreducible
+    g <= mu was kept earlier and lam - g = (mu - g) + nu is a nonzero
+    monoid element.
     """
     key = (rsys.family, rsys.rank)
     if key in _basis_cache:
@@ -191,15 +268,12 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
 
     n = rsys.rank
     s = min_multipliers(rsys)
-    if rsys.family == "A":
-        total_cap = (n + 1) // gcd(n + 1, 2)
-    else:
-        total_cap = sum(s)
+    classes = residue_classes(rsys)
 
     members: set[Weight] = set()
     irreducible: list[Weight] = []
-    for w in _bounded_vectors(s, total_cap):
-        if not any(w) or not in_monoid(rsys, w):
+    for w in _bounded_vectors(s, classes[0], classes):  # sum(a) <= r
+        if not any(w):
             continue
         if all(sub_weights(w, g) not in members for g in irreducible):
             irreducible.append(w)

@@ -24,6 +24,7 @@ from .half_lattice_monoid import (
     in_monoid,
     rel1,
     rel2,
+    residue_classes,
 )
 from .report import Report
 from .root_system import RootSystem, Weight, add_weights, scale_weight, sub_weights
@@ -330,7 +331,7 @@ def generation_check(rsys: RootSystem, bound: int):
     """
     if bound < 0:
         raise DomainError("bound must be >= 0")
-    points = [w for w in _bounded_vectors([bound] * rsys.rank) if in_monoid(rsys, w)]
+    points = list(_bounded_vectors([bound] * rsys.rank, classes=residue_classes(rsys)))
     counts = dict.fromkeys(points, 0)
     counts[rsys.zero()] = 1
     for g in hilbert_basis(rsys).elements:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -157,6 +158,18 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "hilb", "--type", "E", "--rank", "8")
     assert code == 3
     assert "resource cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilb", "--type", "A", "--rank", "14"),  # 6.6e7 points under sum(a) <= 15
+    ("verify", "--type", "E", "--rank", "8", "--bound", "10"),  # 11^8 points
+])
+def test_box_cap_exits_3_before_enumerating(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "over the cap" in err
 
 
 def test_usage_error_exit_2(capsys):

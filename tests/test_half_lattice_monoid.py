@@ -10,6 +10,7 @@ import uqcentre
 from uqcentre import half_lattice_monoid
 from uqcentre import (
     DomainError,
+    ResourceLimitError,
     TYPE_I,
     TYPE_II,
     build_root_system,
@@ -24,7 +25,8 @@ from uqcentre import (
     rel2,
     type_A_membership,
 )
-from uqcentre.root_system import add_weights, scale_weight
+from uqcentre.root_system import RootSystem, add_weights, scale_weight
+from oracles import in_half_lattice, min_multiplier_search
 
 
 def w(*coords):
@@ -61,6 +63,91 @@ def test_min_multipliers():
     assert min_multipliers(build_root_system("E", 6)) == (3, 1, 3, 1, 3, 3)
     assert min_multipliers(build_root_system("B", 4)) == (1, 1, 1, 1)
     assert min_multipliers(build_root_system("A", 7)) == (4, 2, 4, 1, 4, 2, 4)
+
+
+ALL_TYPES = (
+    [("A", n) for n in range(1, 13)]
+    + [("B", n) for n in range(2, 8)]
+    + [("C", n) for n in range(3, 8)]
+    + [("D", n) for n in range(4, 22)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def _small_points(n, coord_cap=2, sum_cap=4):
+    """Every v in N^n with v_i <= coord_cap and sum(v) <= sum_cap."""
+    out = set()
+    for c in combinations_with_replacement(range(n + 1), sum_cap):
+        v = tuple(c.count(i) for i in range(n))  # symbol n is padding
+        if max(v) <= coord_cap:
+            out.add(v)
+    return out
+
+
+@pytest.mark.parametrize("fam,n", ALL_TYPES)
+def test_congruence_matches_root_coordinates(fam, n):
+    rsys = build_root_system(fam, n)
+    mismatches = [
+        v for v in _small_points(n) if in_monoid(rsys, v) != in_half_lattice(rsys, v)
+    ]
+    assert not mismatches
+
+
+@pytest.mark.parametrize("fam,n", ALL_TYPES)
+def test_min_multipliers_match_search(fam, n):
+    rsys = build_root_system(fam, n)
+    assert min_multipliers(rsys) == tuple(
+        min_multiplier_search(rsys, i) for i in range(n)
+    )
+
+
+def test_residue_classes():
+    classes = half_lattice_monoid.residue_classes
+    assert classes(build_root_system("E", 6)) == (3, (1, 0, 2, 0, 1, 2))
+    assert classes(build_root_system("D", 5)) == (2, (0, 0, 0, 1, 1))
+    assert classes(build_root_system("D", 7)) == (2, (0, 0, 0, 0, 0, 1, 1))
+    assert classes(build_root_system("A", 2)) == (3, (1, 2))
+    assert classes(build_root_system("A", 5)) == (3, (1, 2, 0, 1, 2))
+    assert classes(build_root_system("A", 8)) == (9, (1, 2, 3, 4, 5, 6, 7, 8))
+    for fam, n in [("A", 1), ("B", 3), ("C", 4), ("D", 4), ("D", 6), ("E", 7),
+                   ("E", 8), ("F", 4), ("G", 2)]:
+        assert classes(build_root_system(fam, n)) == (1, (0,) * n)
+
+
+def test_residue_classes_reject_a_non_cyclic_class_group(monkeypatch):
+    # doubled columns (2, 0) and (0, 2) mod 4 span Z/2 x Z/2, which is not cyclic
+    rsys = RootSystem("A", 2)
+    rsys._inv_num, rsys._inv_den = [[1, 0], [0, 1]], 4
+    monkeypatch.setattr(half_lattice_monoid, "_class_cache", {})
+    with pytest.raises(ArithmeticError):
+        half_lattice_monoid.residue_classes(rsys)
+
+
+def test_in_monoid_wrong_length():
+    a2 = build_root_system("A", 2)
+    with pytest.raises(DomainError, match="has length 3, expected rank 2"):
+        in_monoid(a2, (1, 1, 1))
+    with pytest.raises(DomainError, match="has length 1, expected rank 2"):
+        in_monoid(a2, (3,))
+    # the sign test comes first, as it did for root-coordinate membership
+    assert not in_monoid(a2, (1, -1, 0))
+
+
+def test_bounded_vectors_cap_and_count():
+    box = half_lattice_monoid._bounded_vectors
+    size = half_lattice_monoid._box_size
+    for limits, total in [([2, 3], 4), ([3, 0, 2], 9), ([1] * 5, 2), ([4, 4, 4], 6)]:
+        brute = [
+            v for v in product(*(range(b + 1) for b in limits)) if sum(v) <= total
+        ]
+        assert list(box(limits, total)) == brute
+        assert size(limits, total) == len(brute)
+    # members only, still in lexicographic order
+    assert list(box([3, 3], None, (3, (1, 2)))) == [
+        (0, 0), (0, 3), (1, 1), (2, 2), (3, 0), (3, 3),
+    ]
+    with pytest.raises(ResourceLimitError):
+        box([10] * 8)  # 11^8 points: raises before the first one is made
 
 
 def test_classify_type():
@@ -159,7 +246,7 @@ def test_hilbert_basis_brute_force_oracle():
         cap = max(basis.s) + 2
         members = [
             v for v in product(range(cap + 1), repeat=n)
-            if any(v) and in_monoid(rsys, v)
+            if any(v) and in_half_lattice(rsys, v)
         ]
         member_set = set(members)
         brute = set()
@@ -174,7 +261,11 @@ def test_hilbert_basis_brute_force_oracle():
 
 
 def _search_box(rsys, s):
-    """The box a_i <= s_i of the Hilbert-basis search, with the type A sum cap."""
+    """The box a_i <= s_i, with the type A sum cap r but no sum cap for D and E.
+
+    The library searches only sum(a) <= r for every type, so the pairwise
+    test over this larger box also checks that cap for D and E.
+    """
     n = rsys.rank
     if rsys.family != "A":
         return list(product(*(range(b + 1) for b in s)))
@@ -197,7 +288,7 @@ def test_hilbert_basis_sieve_matches_pairwise_definition(fam, n):
     rsys = build_root_system(fam, n)
     basis = hilbert_basis(rsys)
     members = sorted(
-        (v for v in _search_box(rsys, basis.s) if any(v) and in_monoid(rsys, v)),
+        (v for v in _search_box(rsys, basis.s) if any(v) and in_half_lattice(rsys, v)),
         key=sum,
     )
     pairwise = [
@@ -247,7 +338,7 @@ def test_hilbert_basis_irreducibility_and_generation():
         rsys = build_root_system(fam, n)
         basis = hilbert_basis(rsys)
         members4 = [
-            v for v in product(range(5), repeat=n) if in_monoid(rsys, v)
+            v for v in product(range(5), repeat=n) if in_half_lattice(rsys, v)
         ]
         member_set = set(members4)
         # irreducibility within the coordinate box
@@ -255,7 +346,7 @@ def test_hilbert_basis_irreducibility_and_generation():
             for mu in members4:
                 if any(mu) and mu != lam and all(x <= y for x, y in zip(mu, lam)):
                     diff = tuple(y - x for x, y in zip(mu, lam))
-                    assert not in_monoid(rsys, diff) or not any(diff), (lam, mu)
+                    assert not in_half_lattice(rsys, diff) or not any(diff), (lam, mu)
         # generation: every member with coords <= 4 factors over the basis
         def factors(rem, start):
             if not any(rem):

@@ -1,0 +1,94 @@
+"""Property tests of the monoid M+, each checked by root-coordinate membership.
+
+The library decides membership in M+ by a congruence mod r; the oracle here
+reads the root coordinates off the inverse Cartan matrix instead.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from oracles import in_half_lattice  # noqa: E402
+from uqcentre import (  # noqa: E402
+    build_root_system,
+    conjugate,
+    ell,
+    hilbert_basis,
+    in_monoid,
+    rel1,
+    rel2,
+)
+from uqcentre.half_lattice_monoid import residue_classes  # noqa: E402
+from uqcentre.root_system import add_weights, scale_weight  # noqa: E402
+
+NAMES = (
+    [f"A{n}" for n in range(2, 12)]
+    + [f"D{n}" for n in range(5, 14, 2)]
+    + ["E6"]
+)
+SYSTEMS = {name: build_root_system(name[0], int(name[1:])) for name in NAMES}
+
+
+@st.composite
+def members(draw, rsys):
+    """A random element of M+: a vector with coordinates <= 4, moved into M+ on one node."""
+    r, c = residue_classes(rsys)
+    v = list(draw(st.lists(st.integers(0, 4), min_size=rsys.rank, max_size=rsys.rank)))
+    res = sum(ci * x for ci, x in zip(c, v)) % r
+    node = c.index(1) if r > 1 else 0  # class 1 generates Z/r
+    v[node] += -res % r
+    return tuple(v)
+
+
+@st.composite
+def systems_with_two_members(draw):
+    rsys = SYSTEMS[draw(st.sampled_from(NAMES))]
+    return rsys, draw(members(rsys)), draw(members(rsys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_with_two_members())
+def test_closed_under_addition(case):
+    rsys, a, b = case
+    assert in_half_lattice(rsys, a) and in_half_lattice(rsys, b)
+    total = add_weights(a, b)
+    assert in_half_lattice(rsys, total) and in_monoid(rsys, total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_with_two_members())
+def test_involution_preserves_the_monoid(case):
+    rsys, a, _ = case
+    bar = conjugate(rsys, a)
+    assert in_half_lattice(rsys, bar) and in_monoid(rsys, bar)
+    assert conjugate(rsys, bar) == a
+
+
+@st.composite
+def basis_elements(draw):
+    rsys = SYSTEMS[draw(st.sampled_from(NAMES))]
+    return rsys, draw(st.sampled_from(hilbert_basis(rsys).elements))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_elements())
+def test_relation_exponent_identities(case):
+    rsys, lam = case
+    basis = hilbert_basis(rsys)
+    assert in_half_lattice(rsys, lam)
+    bar = conjugate(rsys, lam)
+    if bar != lam:
+        total = rsys.zero()
+        for i, e in rel1(rsys, lam).items():
+            mu = basis.self_conjugate[i]
+            assert in_half_lattice(rsys, mu)
+            total = add_weights(total, scale_weight(e, mu))
+        assert total == add_weights(lam, bar)
+    total = rsys.zero()
+    for i, e in rel2(rsys, lam).items():
+        nu = basis.scaled_fundamentals[i - 1]
+        assert in_half_lattice(rsys, nu)
+        total = add_weights(total, scale_weight(e, nu))
+    assert total == scale_weight(ell(rsys, lam), lam)
