@@ -23,9 +23,10 @@ from .half_lattice_monoid import (
     _bounded_vectors,
     classify_type,
     in_monoid,
+    residue,
     residue_classes,
 )
-from .monoid_presentation import TorusInvariant, presentation
+from .monoid_presentation import TorusInvariant, monomial_weight, presentation
 from .report import Report
 from .root_system import (
     RootSystem,
@@ -52,15 +53,11 @@ class CharacterTable:
     mult: dict[Weight, int]
     dim: int
 
-    def multiplicity(self, rsys: RootSystem, w: Weight) -> int:
-        return self.mult.get(rsys.dominant_representative(w), 0)
-
 
 def _assert_keys_in_M(rsys: RootSystem, terms) -> None:
-    r, c = residue_classes(rsys)
     for w in terms:
-        if sum(ci * x for ci, x in zip(c, w)) % r:
-            raise AssertionError(f"key {w} is outside M for {rsys}")
+        if residue(rsys, w):
+            raise ArithmeticError(f"key {w} is outside M for {rsys}")
 
 
 # -- weight multiplicities ---------------------------------------------------
@@ -204,7 +201,7 @@ def xi_tensor(rsys: RootSystem, lam: Weight) -> TorusInvariant:
     """xi([T(lam)]) for the tensor product of fundamental modules.
 
     The factors' characters may individually have keys outside M; the full
-    product lands in M again, which is asserted.
+    product lands in M again, which is checked.
     """
     if not in_monoid(rsys, lam):
         raise DomainError(f"{lam} is not in M+")
@@ -384,14 +381,9 @@ def verify_centre_relations(rsys: RootSystem) -> Report:
     pres = presentation(rsys)
     rep = Report(title=f"centre relations {rsys.family}{rsys.rank}")
 
-    def weight_of(side) -> Weight:
-        total = rsys.zero()
-        for i, e in side:
-            total = add_weights(total, scale_weight(e, pres.generators[i]))
-        return total
-
     for rel in pres.relations:
-        lw, rw = weight_of(rel.lhs), weight_of(rel.rhs)
+        lw = monomial_weight(pres.generators, rel.lhs)
+        rw = monomial_weight(pres.generators, rel.rhs)
         rep.add(
             f"{rel.kind}[{rel.source}] exponent identity",
             lw == rw,

@@ -1,23 +1,24 @@
-"""The monoid M+ of dominant weights in the half root lattice.
+"""The monoid M+ of dominant weights in the half root lattice, read off the root datum.
 
 ``M+`` consists of the dominant weights lambda with all root coordinates in
-(1/2)Z.  This module computes membership, the finite Hilbert basis (the
-irreducible elements), the diagram involution and conjugation, the minimal
-multipliers s_i with ``s_i w_i`` in M+, and the two relation families that the
-non-self-conjugate basis elements satisfy.
+(1/2)Z.  P/(P cap (1/2)Q) is cyclic of order r, with w_i in class c_i
+(:func:`residue_classes`), so lambda is in M+ iff the sequence holding
+lambda_i copies of c_i sums to zero mod r, and the Hilbert basis of M+ is
+the set of minimal zero-sum sequences among those.  The simple types split
+in two classes:
 
-The simple types split in two classes:
-
-* type I  (A_1, B_n, C_n, D_even, E_7, E_8, F_4, G_2): M+ is all of P+ and
-  the Hilbert basis is the set of fundamental weights;
-* type II (A_n with n >= 2, D_odd with rank >= 5, E_6): the Dynkin diagram
-  has a nontrivial involution and the basis splits into self-conjugate
-  elements mu_i, scaled fundamentals nu_i = s_i w_i, and conjugate pairs.
+* type I, r = 1 (A_1, B_n, C_n, D_even, E_7, E_8, F_4, G_2): M+ is all of
+  P+ and the Hilbert basis is the set of fundamental weights;
+* type II, r > 1 (A_n with n >= 2, D_odd, E_6): the involution -w_0 of the
+  diagram is nontrivial and the basis splits into self-conjugate elements
+  mu_i, scaled fundamentals nu_i = s_i w_i, and conjugate pairs, which
+  satisfy the relation families rel1 and rel2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from math import gcd, lcm, prod
 
@@ -27,7 +28,6 @@ from .root_system import (
     Weight,
     add_weights,
     scale_weight,
-    sub_weights,
 )
 
 TYPE_I = "I"
@@ -36,41 +36,31 @@ TYPE_II = "II"
 # enumerations over more points than this raise ResourceLimitError
 BOX_CAP = 10_000_000
 
-_basis_cache: dict[tuple[str, int], "HilbertBasis"] = {}
-_class_cache: dict[tuple[str, int], tuple[int, tuple[int, ...]]] = {}
-
 
 def classify_type(rsys: RootSystem) -> str:
-    """Whether the Hilbert basis is the fundamental weights (I) or not (II)."""
-    fam, n = rsys.family, rsys.rank
-    if fam == "A" and n >= 2:
-        return TYPE_II
-    if fam == "D" and n % 2 == 1:
-        return TYPE_II
-    if fam == "E" and n == 6:
-        return TYPE_II
-    return TYPE_I
+    """Type II iff the class group P/(P cap (1/2)Q) is nontrivial (r > 1), else type I."""
+    return TYPE_II if residue_classes(rsys)[0] > 1 else TYPE_I
 
 
+@cache
 def involution(rsys: RootSystem) -> tuple[int, ...]:
-    """The diagram involution as a 0-indexed permutation (identity for type I).
+    """The diagram involution -w_0 as a 0-indexed permutation of the nodes.
 
-    A_n: i <-> n+1-i;  D_odd: swaps the two fork nodes;  E_6: (1 6)(3 5).
+    -w_0 permutes the fundamental weights: sigma(i) is the node of the
+    dominant weight in the Weyl orbit of -w_i.  Raises ``ArithmeticError``
+    if that weight is not fundamental or sigma is not an involution.
     """
-    n = rsys.rank
-    sigma = list(range(n))
-    if classify_type(rsys) == TYPE_I:
-        return tuple(sigma)
-    if rsys.family == "A":
-        sigma = [n - 1 - i for i in range(n)]
-    elif rsys.family == "D":
-        sigma[n - 2], sigma[n - 1] = n - 1, n - 2
-    elif rsys.family == "E":
-        sigma[0], sigma[5] = 5, 0
-        sigma[2], sigma[4] = 4, 2
-    return tuple(sigma)
+    fund = [rsys.fundamental_weight(i) for i in range(rsys.rank)]
+    dom = [rsys.dominant_representative(scale_weight(-1, w)) for w in fund]
+    if not all(d in fund for d in dom):
+        raise ArithmeticError(f"-w_0 of {rsys} maps the fundamental weights to {dom}")
+    sigma = tuple(fund.index(d) for d in dom)
+    if any(sigma[j] != i for i, j in enumerate(sigma)):
+        raise ArithmeticError(f"-w_0 of {rsys} gives {sigma}, not an involution")
+    return sigma
 
 
+@cache
 def residue_classes(rsys: RootSystem) -> tuple[int, tuple[int, ...]]:
     """``(r, c)`` with P/(P cap (1/2)Q) cyclic of order r and w_i of class c_i.
 
@@ -82,9 +72,6 @@ def residue_classes(rsys: RootSystem) -> tuple[int, tuple[int, ...]]:
     r = (n+1)/gcd(n+1, 2), c_i = i mod r; D_odd: r = 2; E_6: r = 3; type I:
     r = 1.
     """
-    key = (rsys.family, rsys.rank)
-    if key in _class_cache:
-        return _class_cache[key]
     n, D = rsys.rank, rsys.root_coord_scale
     cols = [tuple(2 * rsys._inv_num[j][i] % D for j in range(n)) for i in range(n)]
 
@@ -104,17 +91,21 @@ def residue_classes(rsys: RootSystem) -> tuple[int, tuple[int, ...]]:
                 f"the class of w_{i + 1} in {rsys} is not a multiple of {base}"
             )
         c.append(k)
-    _class_cache[key] = (r, tuple(c))
-    return _class_cache[key]
+    return r, tuple(c)
+
+
+def residue(rsys: RootSystem, w: Weight) -> int:
+    """The class sum c_i w_i mod r of ``w`` in P/(P cap (1/2)Q); 0 iff w is in P cap (1/2)Q."""
+    r, c = residue_classes(rsys)
+    return sum(ci * x for ci, x in zip(c, w)) % r
 
 
 def in_monoid(rsys: RootSystem, w: Weight) -> bool:
-    """True iff ``w`` is dominant and sum c_i w_i = 0 mod r (see :func:`residue_classes`)."""
+    """True iff ``w`` is dominant and its :func:`residue` is 0."""
     if any(x < 0 for x in w):
         return False
     rsys._check_weight(w)
-    r, c = residue_classes(rsys)
-    return sum(ci * x for ci, x in zip(c, w)) % r == 0
+    return residue(rsys, w) == 0
 
 
 def type_A_membership(rsys: RootSystem, w: Weight) -> bool:
@@ -246,39 +237,47 @@ def _bounded_vectors(limits, total_cap=None, classes=None):
     return rec(0, total_cap, 0)
 
 
+def _is_atom(r: int, c: tuple[int, ...], w: Weight) -> bool:
+    """True iff the zero-sum sequence with w_i copies of c_i in Z/r is minimal.
+
+    It is minimal iff it is nonempty and zero-sum free after one unit is
+    taken off its first nonzero node (see :func:`hilbert_basis`).  ``reach``
+    is the bitmask of the sums of the nonempty subsequences of the terms so
+    far, so each term costs one cyclic shift of r bits.
+    """
+    first = next((i for i, a in enumerate(w) if a), None)
+    if first is None:
+        return False
+    full = (1 << r) - 1
+    reach = 0
+    for i, (ci, a) in enumerate(zip(c, w)):
+        for _ in range(a - (i == first)):
+            reach |= (reach << ci | reach >> (r - ci)) & full | 1 << ci
+            if reach & 1:
+                return False
+    return True
+
+
+@cache
 def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
-    """Compute the Hilbert basis of M+ by a sieve over the Davenport box.
+    """The Hilbert basis of M+: the members that are minimal zero-sum sequences.
 
     With (r, c) from :func:`residue_classes`, lam is in M+ iff the sequence
-    that holds lam_i copies of c_i in Z/r sums to zero, and lam is
-    irreducible iff that zero-sum sequence has no proper nonempty zero-sum
-    subsequence.  Any sequence over Z/r of length > r has one: two of its
-    r + 1 partial sums agree mod r.  So every irreducible element has
-    sum(a_i) <= r, and also a_i <= s_i, since s_i w_i is in M+.  The monoid
-    elements within those bounds are walked in lexicographic order, so each
-    comes after every element componentwise below it.  An element lam is
-    kept iff lam - g is not a monoid element for every element g kept so
-    far: if lam = mu + nu with mu, nu nonzero in M+, some irreducible
-    g <= mu was kept earlier and lam - g = (mu - g) + nu is a nonzero
-    monoid element.
+    S holding lam_i copies of c_i sums to zero in Z/r, and lam is
+    irreducible iff S is minimal: no proper nonempty subsequence sums to
+    zero.  For any term g of S, S is minimal iff S minus g is zero-sum free:
+    if S = TU with T, U nonempty zero-sum, the one without g lies in S minus
+    g; if T in S minus g sums to zero, so does the rest of S, which holds g.
+    A sequence of length > r has a proper nonempty zero-sum subsequence
+    (two of its r + 1 partial sums agree), so every irreducible element has
+    sum(a_i) <= r (the Davenport bound) and a_i <= s_i.  Each member in
+    that box is tested on its own by :func:`_is_atom`; the elements come in
+    the lexicographic order of :func:`_bounded_vectors`.
     """
-    key = (rsys.family, rsys.rank)
-    if key in _basis_cache:
-        return _basis_cache[key]
-
     n = rsys.rank
     s = min_multipliers(rsys)
-    classes = residue_classes(rsys)
-
-    members: set[Weight] = set()
-    irreducible: list[Weight] = []
-    for w in _bounded_vectors(s, classes[0], classes):  # sum(a) <= r
-        if not any(w):
-            continue
-        if all(sub_weights(w, g) not in members for g in irreducible):
-            irreducible.append(w)
-        members.add(w)
-    elements = tuple(irreducible)
+    r, c = classes = residue_classes(rsys)
+    elements = tuple(w for w in _bounded_vectors(s, r, classes) if _is_atom(r, c, w))
 
     sigma = involution(rsys)
     self_conj: dict[int, Weight] = {}
@@ -318,7 +317,7 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
             f"unclassified basis elements of {rsys}: {covered ^ set(elements)}"
         )
 
-    basis = HilbertBasis(
+    return HilbertBasis(
         family=rsys.family,
         rank=n,
         elements=elements,
@@ -327,8 +326,6 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
         s=s,
         pairs=tuple(sorted(pairs)),
     )
-    _basis_cache[key] = basis
-    return basis
 
 
 def rel1(rsys: RootSystem, lam: Weight) -> dict[int, int]:

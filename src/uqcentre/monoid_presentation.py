@@ -147,9 +147,6 @@ class Presentation:
     labels: tuple[str, ...]
     relations: tuple[BinomialRelation, ...]
 
-    def index(self, w: Weight) -> int:
-        return self.generators.index(tuple(w))
-
     def to_json(self) -> dict:
         def side(mono):
             return {self.labels[i]: e for i, e in mono}
@@ -182,8 +179,8 @@ class Presentation:
         return [f"{side(r.lhs)} = {side(r.rhs)}" for r in self.relations]
 
 
-def phi(generators, monomial) -> TorusInvariant:
-    """Evaluate a generator monomial {index: exponent} to a single X^lam term."""
+def monomial_weight(generators, monomial) -> Weight:
+    """The weight sum e * g of a generator monomial {index: exponent} (or its items)."""
     gens = list(generators)
     if not gens:
         raise DomainError("empty generator list")
@@ -194,7 +191,12 @@ def phi(generators, monomial) -> TorusInvariant:
         if e < 0:
             raise DomainError(f"negative exponent {e}")
         total = add_weights(total, scale_weight(e, gens[i]))
-    return TorusInvariant({total: 1})
+    return total
+
+
+def phi(generators, monomial) -> TorusInvariant:
+    """Evaluate a generator monomial {index: exponent} to a single X^lam term."""
+    return TorusInvariant({monomial_weight(generators, monomial): 1})
 
 
 def _weight_label(w: Weight) -> str:

@@ -29,7 +29,8 @@ from .errors import DomainError, ResourceLimitError
 Weight = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
 
-ORBIT_CAP_DEFAULT = 10_000_000
+# Weyl orbits of more points than this raise ResourceLimitError
+ORBIT_CAP = 10_000_000
 
 _RANK_CONSTRAINTS = {
     "A": "rank >= 1",
@@ -275,17 +276,17 @@ class RootSystem:
             frontier = nxt
         return seen
 
-    def weyl_orbit(self, w: Weight, cap: int = ORBIT_CAP_DEFAULT) -> set[Weight]:
+    def weyl_orbit(self, w: Weight) -> set[Weight]:
         """The Weyl orbit of ``w``, as a set of weights.
 
         Raises :class:`ResourceLimitError` before it builds an orbit of more
-        than ``cap`` points, the size being known from :meth:`orbit_size`.
+        than ``ORBIT_CAP`` points, the size being known from :meth:`orbit_size`.
         """
         self._check_weight(w)
         size = self.orbit_size(w)
-        if size > cap:
+        if size > ORBIT_CAP:
             raise ResourceLimitError(
-                f"Weyl orbit of {w} in {self} has {size} points, over the cap {cap}"
+                f"Weyl orbit of {w} in {self} has {size} points, over the cap {ORBIT_CAP}"
             )
         return self._closure(tuple(w))
 

@@ -183,10 +183,6 @@ class UqElement:
     def commutator(self, other) -> "UqElement":
         return self * other - other * self
 
-    def in_zero_grade(self) -> bool:
-        """Whether every monomial has equal E and F exponents."""
-        return all(a == c for (a, _, c) in self._terms)
-
     def coefficient(self, mon: Mon) -> QRat:
         coeff = self._terms.get(mon, Q_ZERO)
         return coeff * _qmq_power(mon[2]) if mon[2] else coeff

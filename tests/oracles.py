@@ -20,3 +20,27 @@ def min_multiplier_search(rsys, i):
     while not in_half_lattice(rsys, tuple(s * x for x in e)):
         s += 1
     return s
+
+
+def diagram_involution(family, n):
+    """The diagram involution -w_0 from the tables, as a 0-indexed permutation.
+
+    A_n: i <-> n+1-i;  D_odd: swaps the two fork nodes;  E_6: (1 6)(3 5);
+    every other type: the identity.
+    """
+    sigma = list(range(n))
+    if family == "A":
+        sigma.reverse()
+    elif family == "D" and n % 2 == 1:
+        sigma[n - 2], sigma[n - 1] = n - 1, n - 2
+    elif family == "E" and n == 6:
+        sigma[0], sigma[5] = 5, 0
+        sigma[2], sigma[4] = 4, 2
+    return tuple(sigma)
+
+
+def centre_type(family, n):
+    """The centre type from the table: II for A_n (n >= 2), D_odd and E_6, else I."""
+    if (family == "A" and n >= 2) or (family == "D" and n % 2 == 1) or (family, n) == ("E", 6):
+        return "II"
+    return "I"

@@ -360,6 +360,13 @@ def test_independence_check_fails_for_equal_fundamental_characters(monkeypatch):
     assert rep.items[0].detail == "rank 3 of 6"
 
 
+def test_xi_simple_rejects_a_key_outside_M(monkeypatch):
+    a2 = build_root_system("A", 2)
+    monkeypatch.setattr(character_ring, "full_character", lambda rsys, lam: {(1, 0): 1})
+    with pytest.raises(ArithmeticError, match="outside M"):
+        xi_simple(a2, (1, 1))
+
+
 def test_reports_multiply_without_full_support_products(monkeypatch, capsys):
     def refuse(self, other):
         raise AssertionError("full-support product")

@@ -26,7 +26,12 @@ from uqcentre import (
     type_A_membership,
 )
 from uqcentre.root_system import RootSystem, add_weights, scale_weight
-from oracles import in_half_lattice, min_multiplier_search
+from oracles import (
+    centre_type,
+    diagram_involution,
+    in_half_lattice,
+    min_multiplier_search,
+)
 
 
 def w(*coords):
@@ -118,7 +123,7 @@ def test_residue_classes_reject_a_non_cyclic_class_group(monkeypatch):
     # doubled columns (2, 0) and (0, 2) mod 4 span Z/2 x Z/2, which is not cyclic
     rsys = RootSystem("A", 2)
     rsys._inv_num, rsys._inv_den = [[1, 0], [0, 1]], 4
-    monkeypatch.setattr(half_lattice_monoid, "_class_cache", {})
+    half_lattice_monoid.residue_classes.cache_clear()
     with pytest.raises(ArithmeticError):
         half_lattice_monoid.residue_classes(rsys)
 
@@ -165,6 +170,49 @@ def test_involution():
     assert involution(build_root_system("D", 5)) == (0, 1, 2, 4, 3)
     assert involution(build_root_system("E", 6)) == (5, 1, 4, 3, 2, 0)
     assert involution(build_root_system("B", 3)) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("fam,n", ALL_TYPES)
+def test_involution_and_type_match_the_tables(fam, n):
+    rsys = build_root_system(fam, n)
+    sigma = involution(rsys)
+    assert sigma == diagram_involution(fam, n)
+    assert classify_type(rsys) == centre_type(fam, n)
+    # one source for the dichotomy: r > 1 iff -w_0 is not the identity
+    r, _ = half_lattice_monoid.residue_classes(rsys)
+    assert (r > 1) == (sigma != tuple(range(n))) == (classify_type(rsys) == TYPE_II)
+
+
+def test_involution_guard_raises_under_python_O(monkeypatch):
+    # -w_i left as it is (not a fundamental weight), then sent to w_(i+1),
+    # which makes sigma the 3-cycle (1 2 3) of the nodes of A3
+    a3 = build_root_system("A", 3)
+    for fake in (lambda self, w: w, lambda self, w: tuple(-x for x in w[-1:] + w[:-1])):
+        involution.cache_clear()
+        monkeypatch.setattr(RootSystem, "dominant_representative", fake)
+        with pytest.raises(ArithmeticError):
+            involution(a3)
+    monkeypatch.undo()
+    involution.cache_clear()
+
+    script = (
+        "from uqcentre import build_root_system, involution\n"
+        "from uqcentre.root_system import RootSystem\n"
+        "RootSystem.dominant_representative = (\n"
+        "    lambda self, w: tuple(-x for x in w[-1:] + w[:-1]))\n"
+        "try:\n"
+        "    involution(build_root_system('A', 3))\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(uqcentre.__file__))
+    optimised = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert optimised.stdout == "raised\n", optimised.stderr
 
 
 def test_involution_is_cartan_automorphism():
@@ -310,7 +358,7 @@ def test_safety_checks_raise_under_python_O(monkeypatch):
         min_multipliers(build_root_system("A", 2))
     monkeypatch.undo()
 
-    monkeypatch.setattr(half_lattice_monoid, "_basis_cache", {})
+    hilbert_basis.cache_clear()
     monkeypatch.setattr(half_lattice_monoid, "min_multipliers", lambda rsys: (1, 3))
     with pytest.raises(ArithmeticError):
         hilbert_basis(build_root_system("A", 2))

@@ -4,6 +4,8 @@ The library decides membership in M+ by a congruence mod r; the oracle here
 reads the root coordinates off the inverse Cartan matrix instead.
 """
 
+from itertools import product
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -20,7 +22,7 @@ from uqcentre import (  # noqa: E402
     rel1,
     rel2,
 )
-from uqcentre.half_lattice_monoid import residue_classes  # noqa: E402
+from uqcentre.half_lattice_monoid import _is_atom, residue_classes  # noqa: E402
 from uqcentre.root_system import add_weights, scale_weight  # noqa: E402
 
 NAMES = (
@@ -92,3 +94,32 @@ def test_relation_exponent_identities(case):
         assert in_half_lattice(rsys, nu)
         total = add_weights(total, scale_weight(e, nu))
     assert total == scale_weight(ell(rsys, lam), lam)
+
+
+ATOM_TYPES = [("A", n) for n in range(2, 13)] + [("D", n) for n in range(5, 22, 2)] + [("E", 6)]
+
+
+@st.composite
+def zero_sum_vectors(draw):
+    """A random element of M+ with sum <= r + 1: up to r random nodes, then one that closes the residue."""
+    rsys = build_root_system(*draw(st.sampled_from(ATOM_TYPES)))
+    r, c = residue_classes(rsys)
+    v = [0] * rsys.rank
+    for i in draw(st.lists(st.integers(0, rsys.rank - 1), min_size=1, max_size=r)):
+        v[i] += 1
+    res = sum(ci * x for ci, x in zip(c, v)) % r
+    if res:
+        closing = [j for j, cj in enumerate(c) if (res + cj) % r == 0]
+        v[draw(st.sampled_from(closing))] += 1
+    return rsys, tuple(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_sum_vectors())
+def test_atom_test_matches_pairwise_definition(case):
+    # v is irreducible iff no nonzero member of M+ lies strictly below it
+    rsys, v = case
+    assert in_half_lattice(rsys, v)
+    below = (mu for mu in product(*(range(a + 1) for a in v)) if any(mu) and mu != v)
+    pairwise = not any(in_half_lattice(rsys, mu) for mu in below)
+    assert _is_atom(*residue_classes(rsys), v) == pairwise

@@ -194,11 +194,13 @@ def test_orbit_size_formula_matches_breadth_first_orbit(fam, n):
     assert rsys.orbit_size(w) == len(rsys.weyl_orbit(w)) == rsys.weyl_group_order()
 
 
-def test_orbit_cap():
+def test_orbit_cap(monkeypatch):
     d4 = build_root_system("D", 4)
+    monkeypatch.setattr(root_system, "ORBIT_CAP", 10)
     with pytest.raises(ResourceLimitError):
-        d4.weyl_orbit(d4.rho(), cap=10)
-    assert len(d4.weyl_orbit(d4.rho(), cap=192)) == 192
+        d4.weyl_orbit(d4.rho())
+    monkeypatch.setattr(root_system, "ORBIT_CAP", 192)
+    assert len(d4.weyl_orbit(d4.rho())) == 192
 
 
 def test_orbit_cap_fails_before_building_the_orbit():
