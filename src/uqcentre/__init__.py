@@ -34,6 +34,7 @@ from .monoid_presentation import (
     BinomialRelation,
     Presentation,
     TorusInvariant,
+    factorisation_counts,
     generation_check,
     phi,
     presentation,

@@ -129,8 +129,7 @@ def cmd_verify(args) -> int:
     if args.bound < 1:
         raise DomainError("--bound must be >= 1")
     reports = [verify_relations(rsys)]
-    gen_rep, _counts = generation_check(rsys, args.bound)
-    reports.append(gen_rep)
+    reports.append(generation_check(rsys, args.bound))
     if classify_type(rsys) == TYPE_I:
         reports.append(independence_check(rsys, min(args.bound, 3)))
     else:

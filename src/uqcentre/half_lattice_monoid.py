@@ -194,6 +194,16 @@ def _box_size(limits, total_cap: int) -> int:
     return sum(ways)
 
 
+def _check_box(limits, total_cap: int) -> None:
+    """Raise :class:`ResourceLimitError` if the box of :func:`_box_size` has over ``BOX_CAP`` points."""
+    size = _box_size(limits, total_cap)
+    if size > BOX_CAP:
+        raise ResourceLimitError(
+            f"the box {list(limits)} with sum <= {total_cap} has {size} points, "
+            f"over the cap {BOX_CAP}"
+        )
+
+
 def _bounded_vectors(limits, total_cap=None, classes=None):
     """The vectors with 0 <= v_i <= limits[i], sum(v) <= total_cap, sum c_i v_i = 0 mod r.
 
@@ -208,12 +218,7 @@ def _bounded_vectors(limits, total_cap=None, classes=None):
     n = len(limits)
     if total_cap is None:
         total_cap = sum(limits)
-    size = _box_size(limits, total_cap)
-    if size > BOX_CAP:
-        raise ResourceLimitError(
-            f"the box {list(limits)} with sum <= {total_cap} has {size} points, "
-            f"over the cap {BOX_CAP}"
-        )
+    _check_box(limits, total_cap)
     r, c = classes or (1, (0,) * n)
     # closing[res]: the last coordinates v with res + c[-1] * v = 0 mod r
     closing = [

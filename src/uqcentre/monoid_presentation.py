@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 from .errors import DomainError
 from .half_lattice_monoid import (
     TYPE_I,
-    _bounded_vectors,
+    _check_box,
     classify_type,
     ell,
     hilbert_basis,
@@ -27,7 +28,7 @@ from .half_lattice_monoid import (
     residue_classes,
 )
 from .report import Report
-from .root_system import RootSystem, Weight, add_weights, scale_weight, sub_weights
+from .root_system import RootSystem, Weight, add_weights, scale_weight
 
 
 class TorusInvariant:
@@ -323,30 +324,84 @@ def verify_relations(rsys: RootSystem, pres: Presentation | None = None) -> Repo
     return rep
 
 
-def generation_check(rsys: RootSystem, bound: int):
-    """Count Hilbert-basis factorizations of every monoid element with coords <= bound.
+def _factorisation_table(rsys: RootSystem, bound: int):
+    """``(residues, counts)`` over the box [0, bound]^rank, as two flat lists.
 
-    Returns ``(report, counts)``; an element with no factorization is a
-    failure.  Factorizations are counted as multisets, one generator g at a
-    time: a pass over the elements in lexicographic order, which puts lam - g
-    before lam, adds the count of lam - g to that of lam.
+    Cell ``j`` is the weight whose digits in radix ``bound + 1`` are ``j``,
+    most significant first, so the cells run in lexicographic order.
+    ``residues[j]`` is the class sum c_i w_i mod r of :func:`residue_classes`
+    (0 iff w is in M+) and ``counts[j]`` is the number of factorisations of w
+    over Hilb(M+) as a multiset.  They are counted one generator g at a
+    time, in ascending j, by ``counts[j + off] += counts[j]`` over the cells
+    u <= bound - g, ``off`` being the index of g: for w >= g the digits of
+    w - g need no borrow, so the index of w - g is ``index(w) - off``.  The
+    first rank - 1 digits of u are walked as prefixes and the last one is a
+    contiguous range; the sub-box is empty when g leaves the box.
+    Non-members keep the count 0, since the generators are members.  Raises :class:`ResourceLimitError`, before any list is
+    allocated, when the box has more than ``BOX_CAP`` points.
     """
     if bound < 0:
         raise DomainError("bound must be >= 0")
-    points = list(_bounded_vectors([bound] * rsys.rank, classes=residue_classes(rsys)))
-    counts = dict.fromkeys(points, 0)
-    counts[rsys.zero()] = 1
+    _check_box([bound] * rsys.rank, bound * rsys.rank)
+    radix = bound + 1
+    r, c = residue_classes(rsys)
+    residues = [0]
+    for ci in c:
+        residues = [(x + ci * v) % r for x in residues for v in range(radix)]
+    counts = [0] * len(residues)
+    counts[0] = 1
     for g in hilbert_basis(rsys).elements:
-        for w in points:
-            c = counts.get(sub_weights(w, g))
-            if c:
-                counts[w] += c
+        off = 0
+        for gi in g:
+            off = off * radix + gi
+        prefixes = [0]
+        for gi in g[:-1]:
+            prefixes = [p * radix + u for p in prefixes for u in range(radix - gi)]
+        width = radix - g[-1]
+        for p in prefixes:
+            start = p * radix
+            for j in range(start, start + width):
+                k = counts[j]
+                if k:
+                    counts[j + off] += k
+    return residues, counts
 
+
+def _cell_weight(j: int, radix: int, rank: int) -> Weight:
+    """The weight of cell ``j`` of :func:`_factorisation_table`."""
+    digits = []
+    for _ in range(rank):
+        j, d = divmod(j, radix)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def factorisation_counts(rsys: RootSystem, bound: int) -> dict[Weight, int]:
+    """The number of Hilbert-basis factorisations of every member of M+ with coords <= bound.
+
+    Keys are the members of the box [0, bound]^rank in lexicographic order;
+    factorisations are counted as multisets of generators.
+    """
+    residues, counts = _factorisation_table(rsys, bound)
+    box = product(range(bound + 1), repeat=rsys.rank)
+    return {w: k for w, res, k in zip(box, residues, counts) if not res}
+
+
+def generation_check(rsys: RootSystem, bound: int) -> Report:
+    """Check that every member of M+ with coords <= bound factors over Hilb(M+).
+
+    Reads the table of :func:`_factorisation_table`: the members are the
+    cells of residue 0, and a member of count 0 is a failure.  Only those
+    cells are decoded into weights; :func:`factorisation_counts` gives the
+    counts themselves.
+    """
+    residues, counts = _factorisation_table(rsys, bound)
+    bad = [j for j, (res, k) in enumerate(zip(residues, counts)) if not (res or k)]
     rep = Report(title=f"generation {rsys.family}{rsys.rank} bound {bound}")
-    bad = [w for w, c in counts.items() if c == 0]
+    unfactorable = [_cell_weight(j, bound + 1, rsys.rank) for j in bad[:5]]
     rep.add(
-        f"all {len(counts)} monoid elements factor over Hilb(M+)",
+        f"all {residues.count(0)} monoid elements factor over Hilb(M+)",
         not bad,
-        f"unfactorable: {sorted(bad)[:5]}" if bad else "",
+        f"unfactorable: {unfactorable}" if bad else "",
     )
-    return rep, counts
+    return rep

@@ -314,6 +314,9 @@ class QRat:
         )
 
     def __hash__(self):
+        # an integer constant equals that int, so it must hash like it
+        if self.qpow == 0 and self.den == (1,) and len(self.num) <= 1:
+            return hash(self.num[0] if self.num else 0)
         return hash((self.qpow, self.num, self.den))
 
     # -- rendering -----------------------------------------------------------

@@ -117,6 +117,9 @@ class UqElement:
         return isinstance(other, UqElement) and self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its coefficient's int value, so it hashes like it
+        if self._terms.keys() <= {(0, 0, 0)}:
+            return hash(self._terms.get((0, 0, 0), Q_ZERO))
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):

@@ -1,5 +1,7 @@
 """Test oracles that share no code with the library routines they check."""
 
+from itertools import product
+
 
 def in_half_lattice(rsys, w):
     """``w`` is dominant and all its root coordinates lie in (1/2)Z.
@@ -44,3 +46,24 @@ def centre_type(family, n):
     if (family == "A" and n >= 2) or (family == "D" and n % 2 == 1) or (family, n) == ("E", 6):
         return "II"
     return "I"
+
+
+def factorisation_counts_by_dict(rsys, generators, bound):
+    """Multiset factorisations over ``generators`` of every member of the box [0, bound]^rank.
+
+    The coin-change counter over a dict keyed by weight tuples: one pass per
+    generator g over the members in lexicographic order, adding the count of
+    w - g to that of w.  Members are found by root coordinates, and the keys
+    come in lexicographic order.
+    """
+    members = [
+        w for w in product(range(bound + 1), repeat=rsys.rank) if in_half_lattice(rsys, w)
+    ]
+    counts = dict.fromkeys(members, 0)
+    counts[(0,) * rsys.rank] = 1
+    for g in generators:
+        for w in members:
+            c = counts.get(tuple(x - y for x, y in zip(w, g)))
+            if c:
+                counts[w] += c
+    return counts

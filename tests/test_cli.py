@@ -95,6 +95,20 @@ def test_verify_under_python_O_matches(capsys):
     assert optimised.stdout == out
 
 
+def test_python_m_uqcentre_runs_the_cli(capsys):
+    argv = ["hilb", "--type", "A", "--rank", "2"]
+    src = os.path.dirname(os.path.dirname(uqcentre.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "uqcentre", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert child.returncode == code == 0
+    assert child.stdout == out
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import uqcentre.cli as cli
     from uqcentre.report import Report

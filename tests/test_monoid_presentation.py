@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -11,15 +12,17 @@ from uqcentre import monoid_presentation
 from uqcentre import (
     BinomialRelation,
     DomainError,
+    ResourceLimitError,
     TorusInvariant,
     build_root_system,
+    factorisation_counts,
     generation_check,
     hilbert_basis,
     phi,
     presentation,
     verify_relations,
 )
-from oracles import in_half_lattice
+from oracles import factorisation_counts_by_dict, in_half_lattice
 
 
 
@@ -182,15 +185,15 @@ def test_verify_relations_type_i_rejects_wrong_generators():
 
 def test_generation_check():
     a2 = build_root_system("A", 2)
-    rep, counts = generation_check(a2, 4)
+    rep, counts = generation_check(a2, 4), factorisation_counts(a2, 4)
     assert rep.ok
     assert counts[(3, 3)] >= 2  # witnesses the relation
     assert counts[(0, 0)] == 1
-    rep0, counts0 = generation_check(a2, 0)
+    rep0, counts0 = generation_check(a2, 0), factorisation_counts(a2, 0)
     assert rep0.ok and counts0 == {(0, 0): 1}
 
     d5 = build_root_system("D", 5)
-    rep, counts = generation_check(d5, 2)
+    rep, counts = generation_check(d5, 2), factorisation_counts(d5, 2)
     assert rep.ok and all(c >= 1 for c in counts.values())
 
 
@@ -213,12 +216,47 @@ def _exponent_vector_counts(gens, bound, rank):
 @pytest.mark.parametrize("fam,n,bound", [("A", 2, 4), ("A", 3, 3), ("D", 5, 2), ("E", 6, 2)])
 def test_generation_counts_match_exponent_vectors(fam, n, bound):
     rsys = build_root_system(fam, n)
-    rep, counts = generation_check(rsys, bound)
+    rep, counts = generation_check(rsys, bound), factorisation_counts(rsys, bound)
     box = [v for v in product(range(bound + 1), repeat=n) if in_half_lattice(rsys, v)]
     assert list(counts) == box
     direct = _exponent_vector_counts(hilbert_basis(rsys).elements, bound, n)
     assert {w: c for w, c in counts.items() if c} == dict(direct)
     assert rep.ok == all(counts.values())
+
+
+# at bounds <= 2 some generators lie outside the box, e.g. (0, 0, 0, 5) of A4
+# and (0, 0, 0, 0, 0, 3) of E6
+_ORACLE_CASES = [
+    (fam, n, bound)
+    for fam, n in [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("D", 5), ("D", 7),
+                   ("E", 6), ("B", 3), ("F", 4), ("G", 2)]
+    for bound in range(4)
+] + [("E", 6, 5)]
+
+
+@pytest.mark.parametrize("fam,n,bound", _ORACLE_CASES)
+def test_factorisation_counts_match_the_dict_counter(fam, n, bound):
+    rsys = build_root_system(fam, n)
+    gens = hilbert_basis(rsys).elements
+    counts = factorisation_counts(rsys, bound)
+    oracle = factorisation_counts_by_dict(rsys, gens, bound)
+    assert list(counts.items()) == list(oracle.items())
+    assert generation_check(rsys, bound).ok == all(oracle.values())
+
+
+def test_generation_check_fails_fast_at_the_box_cap(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was allocated")
+
+    e8 = build_root_system("E", 8)
+    monkeypatch.setattr(monoid_presentation, "residue_classes", no_table)
+    monkeypatch.setattr(monoid_presentation, "hilbert_basis", no_table)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="over the cap"):
+        generation_check(e8, 10)
+    with pytest.raises(ResourceLimitError, match="over the cap"):
+        factorisation_counts(e8, 10)
+    assert time.perf_counter() - start < 1.0
 
 
 def _dropping_first_generator_within(bound):
@@ -239,7 +277,7 @@ def test_generation_check_fails_without_a_generator(monkeypatch, capsys, fam, n)
     real_check = generation_check
     with monkeypatch.context() as m:
         m.setattr(monoid_presentation, "hilbert_basis", patched)
-        rep, counts = real_check(rsys, 3)
+        rep, counts = real_check(rsys, 3), factorisation_counts(rsys, 3)
     dropped = (set(hilbert_basis(rsys).elements) - set(patched(rsys).elements)).pop()
     assert not rep.ok and counts[dropped] == 0
     assert str(dropped) in rep.to_json()["checks"][0]["detail"]

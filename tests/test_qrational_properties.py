@@ -136,3 +136,17 @@ def test_laurent_quotient_rejects_inexact_division():
         laurent_quotient(QRat(0, (1, 0, 1), (1,)), q_plus_one)
     with pytest.raises(ArithmeticError):
         laurent_quotient(QRat(0, (1,), (1, 1)), q_plus_one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30))
+def test_integer_constants_hash_like_the_int(n):
+    from uqcentre.uq_rank1 import UqElement
+
+    # the constructor, its Laurent path and its general path, and a constant element
+    for x in (QRat.integer(n), QRat(-3, (0, 0, 0, n), (1,)), QRat(0, (2 * n,), (2,)),
+              UqElement({(0, 0, 0): n})):
+        assert x == n and n == x
+        assert hash(x) == hash(n)
+        assert {n: "int"}.get(x) == "int"
+        assert {x: "x"}.get(n) == "x"
