@@ -13,7 +13,6 @@ from .root_system import (
     RootSystem,
     Weight,
     build_root_system,
-    weight_to_json,
 )
 from .half_lattice_monoid import (
     TYPE_I,
@@ -28,7 +27,6 @@ from .half_lattice_monoid import (
     min_multipliers,
     rel1,
     rel2,
-    type_A_membership,
 )
 from .monoid_presentation import (
     BinomialRelation,
@@ -42,16 +40,11 @@ from .monoid_presentation import (
 )
 from .character_ring import (
     CharacterTable,
-    av_basis_element,
-    expand_in_av,
-    expand_in_simples,
     independence_check,
     unitriangularity_check,
     verify_centre_relations,
     weight_multiplicities,
-    weyl_dim,
     xi_simple,
-    xi_tensor,
 )
 from .qrational import QRat, q_factorial, q_int, q_power
 from .uq_rank1 import (
@@ -66,10 +59,8 @@ from .uq_rank1 import (
     hc_project,
     is_central,
     K_operator,
-    multiply,
     quasi_R,
     quasi_R_tilde_T,
-    simple_module,
 )
 
 __version__ = "0.1.0"

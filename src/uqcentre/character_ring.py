@@ -5,17 +5,20 @@ written as a :class:`TorusInvariant`, a combination of the even torus
 elements ``K_2mu``: ``xi([V]) = sum m_V(mu) K_2mu``.
 
 Weight multiplicities come from Freudenthal's recursion, run entirely in
-integer arithmetic; the Weyl dimension formula is kept as an independent
-oracle and is never used as the source of multiplicities.  The verification
-reports multiply characters in the basis of simple modules by the
-Brauer-Klimyk rule; the full-support product ``TorusInvariant.__mul__`` is
-its independent oracle.
+integer arithmetic.  Characters are multiplied in one way only: in the basis
+of simple modules, one fundamental character at a time, by the
+Brauer-Klimyk rule.  That product serves both the unitriangularity and the
+algebraic-independence reports.  The second implementations that the tests
+check these against (the full-support product of ``TorusInvariant``
+combinations, the av basis, triangular expansions and the Weyl dimension
+formula) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import DomainError
 from .half_lattice_monoid import (
@@ -36,9 +39,6 @@ from .root_system import (
     sub_weights,
 )
 
-_table_cache: dict[tuple, "CharacterTable"] = {}
-_full_cache: dict[tuple, dict[Weight, int]] = {}
-
 
 @dataclass(frozen=True)
 class CharacterTable:
@@ -52,12 +52,6 @@ class CharacterTable:
     highest: Weight
     mult: dict[Weight, int]
     dim: int
-
-
-def _assert_keys_in_M(rsys: RootSystem, terms) -> None:
-    for w in terms:
-        if residue(rsys, w):
-            raise ArithmeticError(f"key {w} is outside M for {rsys}")
 
 
 # -- weight multiplicities ---------------------------------------------------
@@ -96,11 +90,11 @@ def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
     """
     if not rsys.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant")
-    lam = tuple(lam)
-    key = (rsys.family, rsys.rank, lam)
-    if key in _table_cache:
-        return _table_cache[key]
+    return _freudenthal_table(rsys, tuple(lam))
 
+
+@cache
+def _freudenthal_table(rsys: RootSystem, lam: Weight) -> CharacterTable:
     n = rsys.rank
     d = rsys.sym
     D = rsys.root_coord_scale
@@ -144,33 +138,16 @@ def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
         mult[mu] = q
 
     dim = sum(m * rsys.orbit_size(mu) for mu, m in mult.items())
-    table = CharacterTable(highest=lam, mult=mult, dim=dim)
-    _table_cache[key] = table
-    return table
-
-
-def weyl_dim(rsys: RootSystem, lam: Weight) -> int:
-    """dim L(lam) by the Weyl dimension formula (independent of Freudenthal)."""
-    if not rsys.is_dominant(lam):
-        raise DomainError(f"{lam} is not dominant")
-    rho = rsys.rho()
-    lam_rho = add_weights(lam, rho)
-    out = Fraction(1)
-    for alpha, calpha in rsys.positive_root_data():
-        n = rsys.rank
-        top = sum(lam_rho[j] * rsys.sym[j] * calpha[j] for j in range(n))
-        bot = sum(rho[j] * rsys.sym[j] * calpha[j] for j in range(n))
-        out *= Fraction(top, bot)
-    if out.denominator != 1:
-        raise ArithmeticError(f"Weyl dimension of {lam} for {rsys} is {out}")
-    return int(out)
+    return CharacterTable(highest=lam, mult=mult, dim=dim)
 
 
 def full_character(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
     """The complete weight-multiplicity map of L(lam), keyed by every weight."""
-    key = (rsys.family, rsys.rank, tuple(lam))
-    if key in _full_cache:
-        return _full_cache[key]
+    return _full_character(rsys, tuple(lam))
+
+
+@cache
+def _full_character(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
     table = weight_multiplicities(rsys, lam)
     out: dict[Weight, int] = {}
     for mu, m in table.mult.items():
@@ -181,7 +158,6 @@ def full_character(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
             f"character of {lam} for {rsys} sums to {sum(out.values())}, "
             f"not the dimension {table.dim}"
         )
-    _full_cache[key] = out
     return out
 
 
@@ -193,36 +169,10 @@ def xi_simple(rsys: RootSystem, lam: Weight) -> TorusInvariant:
     if not in_monoid(rsys, lam):
         raise DomainError(f"{lam} is not in M+; 2mu would leave the root lattice")
     out = TorusInvariant(full_character(rsys, lam))
-    _assert_keys_in_M(rsys, out.terms)
+    for w in out.terms:
+        if residue(rsys, w):
+            raise ArithmeticError(f"key {w} is outside M for {rsys}")
     return out
-
-
-def xi_tensor(rsys: RootSystem, lam: Weight) -> TorusInvariant:
-    """xi([T(lam)]) for the tensor product of fundamental modules.
-
-    The factors' characters may individually have keys outside M; the full
-    product lands in M again, which is checked.
-    """
-    if not in_monoid(rsys, lam):
-        raise DomainError(f"{lam} is not in M+")
-    out = TorusInvariant.one(rsys.rank)
-    for i, a in enumerate(lam):
-        if not a:
-            continue
-        fund = TorusInvariant(full_character(rsys, rsys.fundamental_weight(i)))
-        for _ in range(a):
-            out = out * fund
-    _assert_keys_in_M(rsys, out.terms)
-    return out
-
-
-def av_basis_element(rsys: RootSystem, lam: Weight) -> TorusInvariant:
-    """av(lam) = sum_(w in W) K_2(w lam); orbit coefficients are |W|/|W lam|."""
-    if not in_monoid(rsys, lam):
-        raise DomainError(f"{lam} is not in M+")
-    orbit = rsys.weyl_orbit(lam)
-    coeff = rsys.weyl_group_order() // len(orbit)
-    return TorusInvariant({w: coeff for w in orbit})
 
 
 def _order_key(rsys: RootSystem):
@@ -236,56 +186,6 @@ def _order_key(rsys: RootSystem):
         return (sum(rsys.scaled_root_coords(w)), sum(w), w)
 
     return key
-
-
-def expand_in_av(rsys: RootSystem, t: TorusInvariant) -> dict[Weight, Fraction]:
-    """Coefficients of a W-invariant element in the av basis (exact, unique)."""
-    if not t.is_w_invariant(rsys):
-        raise DomainError("element is not Weyl-invariant")
-    key = _order_key(rsys)
-    work = dict(t.terms)
-    out: dict[Weight, Fraction] = {}
-    order = rsys.weyl_group_order()
-    while work:
-        top = max(work, key=key)
-        lam = rsys.dominant_representative(top)
-        orbit = rsys.weyl_orbit(lam)
-        coeff = Fraction(work[top] * len(orbit), order)
-        out[lam] = coeff
-        for w in orbit:
-            v = Fraction(work.get(w, 0)) - coeff * (order // len(orbit))
-            if v:
-                work[w] = v
-            else:
-                work.pop(w, None)
-    return out
-
-
-def expand_in_simples(rsys: RootSystem, t: TorusInvariant) -> dict[Weight, Fraction]:
-    """Triangular expansion of a W-invariant element over the xi([L(mu)]).
-
-    Both sides are W-invariant, so they agree exactly when they agree on the
-    dominant keys: repeatedly strips the maximal dominant key with its
-    coefficient, subtracting the dominant part of that simple character.
-    """
-    if not t.is_w_invariant(rsys):
-        raise DomainError("element is not Weyl-invariant")
-    key = _order_key(rsys)
-    work: dict[Weight, Fraction] = {
-        w: Fraction(c) for w, c in t.terms.items() if rsys.is_dominant(w)
-    }
-    out: dict[Weight, Fraction] = {}
-    while work:
-        top = max(work, key=key)
-        coeff = work[top]
-        out[top] = coeff
-        for w, m in weight_multiplicities(rsys, top).mult.items():
-            v = work.get(w, Fraction(0)) - coeff * m
-            if v:
-                work[w] = v
-            else:
-                work.pop(w, None)
-    return out
 
 
 # -- products in the basis of simple modules -----------------------------------

@@ -54,20 +54,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("hilb", help="Hilbert basis of the monoid M+")
+    p.set_defaults(func=cmd_hilb)
     add_type_rank(p)
     add_common(p)
 
     p = sub.add_parser("presentation", help="binomial presentation of C[M+]")
+    p.set_defaults(func=cmd_presentation)
     add_type_rank(p)
     add_common(p)
 
     p = sub.add_parser("verify", help="run the verification suite for one type")
+    p.set_defaults(func=cmd_verify)
     add_type_rank(p)
     p.add_argument("--bound", type=int, default=3,
                    help="coordinate bound for the generation check")
     add_common(p)
 
     p = sub.add_parser("casimir", help="rank-1 Casimir element C^(k) of L(m)")
+    p.set_defaults(func=cmd_casimir)
     p.add_argument("--m", type=int, required=True,
                    help="highest-weight label of the module")
     p.add_argument("--k", type=int, default=1, help="order of the Casimir")
@@ -78,8 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -208,15 +215,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "hilb":
-            return cmd_hilb(args)
-        if args.command == "presentation":
-            return cmd_presentation(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "casimir":
-            return cmd_casimir(args)
-        raise DomainError(f"unknown command {args.command!r}")
+        return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -108,21 +108,6 @@ def in_monoid(rsys: RootSystem, w: Weight) -> bool:
     return residue(rsys, w) == 0
 
 
-def type_A_membership(rsys: RootSystem, w: Weight) -> bool:
-    """Membership for type A by the same congruence with the closed-form classes.
-
-    r = (n+1)/gcd(n+1, 2) and c_i = i, written out rather than read from the
-    inverse Cartan matrix, so the two derivations cross-check each other.
-    """
-    if rsys.family != "A":
-        raise DomainError(f"type-A membership test called for {rsys}")
-    if any(x < 0 for x in w):
-        return False
-    n = rsys.rank
-    r = (n + 1) // gcd(n + 1, 2)
-    return sum((i + 1) * a for i, a in enumerate(w)) % r == 0
-
-
 def _type_A_multiplier(n: int, i: int) -> int:
     # closed form for the minimal s with s*w_i in M+, i 1-based
     return (n + 1) // gcd(n + 1, 2 * i)

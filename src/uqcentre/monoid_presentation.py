@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add
 
 from .errors import DomainError
 from .half_lattice_monoid import (
@@ -34,11 +33,14 @@ from .root_system import RootSystem, Weight, add_weights, scale_weight
 class TorusInvariant:
     """A finite exact combination sum c(mu) K_2mu of weights mu.
 
-    This is the group algebra of the weight lattice, multiplied by
-    ``K_2mu K_2nu = K_2(mu+nu)``; the monoid algebra C[M+] is the part with
-    keys in M+ (``X^lam`` is ``K_2lam``), and Harish-Chandra images are its
-    Weyl-invariant elements.  Coefficients are ``int`` or ``Fraction`` values
-    kept as given; the zero element has no terms.
+    This is the group algebra of the weight lattice, ``K_2mu K_2nu =
+    K_2(mu+nu)``; the monoid algebra C[M+] is the part with keys in M+
+    (``X^lam`` is ``K_2lam``), and Harish-Chandra images are its
+    Weyl-invariant elements.  Only the vector-space operations are defined:
+    sums, differences and scalar multiples.  Characters are multiplied in
+    the basis of simple modules instead (see ``character_ring``).
+    Coefficients are ``int`` or ``Fraction`` values kept as given; the zero
+    element has no terms.
     """
 
     __slots__ = ("terms",)
@@ -54,10 +56,6 @@ class TorusInvariant:
                 if c:
                     clean[tuple(w)] = c
         self.terms = clean
-
-    @classmethod
-    def one(cls, rank: int) -> "TorusInvariant":
-        return cls({(0,) * rank: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -77,40 +75,12 @@ class TorusInvariant:
     def __sub__(self, other):
         return self + (-1) * other
 
-    def __mul__(self, other):
-        if not isinstance(other, TorusInvariant):
-            return TorusInvariant({w: c * other for w, c in self.terms.items()})
-        out: dict[Weight, int | Fraction] = {}
-        get = out.get
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = tuple(map(add, w1, w2))
-                out[w] = get(w, 0) + c1 * c2
-        return TorusInvariant(out)
+    def __mul__(self, scalar):
+        if isinstance(scalar, TorusInvariant):
+            return NotImplemented
+        return TorusInvariant({w: c * scalar for w, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative powers are not defined")
-        if not self.terms:
-            raise DomainError("0^n")
-        rank = len(next(iter(self.terms)))
-        out = TorusInvariant.one(rank)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def total(self):
-        """Sum of all coefficients (the dimension, for a character image)."""
-        return sum(self.terms.values())
-
-    def is_w_invariant(self, rsys: RootSystem) -> bool:
-        for w, c in self.terms.items():
-            for i in range(rsys.rank):
-                if self.terms.get(rsys.simple_reflection(i, w), 0) != c:
-                    return False
-        return True
 
     def sorted_terms(self):
         return sorted(self.terms.items())

@@ -23,6 +23,8 @@ Conventions, fixed here once and consumed by every other module:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import DomainError, ResourceLimitError
 
@@ -32,33 +34,16 @@ RationalVector = tuple[Fraction, ...]
 # Weyl orbits of more points than this raise ResourceLimitError
 ORBIT_CAP = 10_000_000
 
-_RANK_CONSTRAINTS = {
-    "A": "rank >= 1",
-    "B": "rank >= 2",
-    "C": "rank >= 3",
-    "D": "rank >= 4",
-    "E": "rank in {6, 7, 8}",
-    "F": "rank == 4",
-    "G": "rank == 2",
+# the valid ranks of each family, and how the error message states them
+_RANKS = {
+    "A": (lambda n: n >= 1, "rank >= 1"),
+    "B": (lambda n: n >= 2, "rank >= 2"),
+    "C": (lambda n: n >= 3, "rank >= 3"),
+    "D": (lambda n: n >= 4, "rank >= 4"),
+    "E": (lambda n: n in (6, 7, 8), "rank in {6, 7, 8}"),
+    "F": (lambda n: n == 4, "rank == 4"),
+    "G": (lambda n: n == 2, "rank == 2"),
 }
-
-
-def _rank_ok(family: str, rank: int) -> bool:
-    if family == "A":
-        return rank >= 1
-    if family == "B":
-        return rank >= 2
-    if family == "C":
-        return rank >= 3
-    if family == "D":
-        return rank >= 4
-    if family == "E":
-        return rank in (6, 7, 8)
-    if family == "F":
-        return rank == 4
-    if family == "G":
-        return rank == 2
-    return False
 
 
 def _cartan_and_sym(family: str, rank: int):
@@ -120,18 +105,9 @@ def _invert_integer_matrix(A):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     inv = [row[n:] for row in aug]
-    den = 1
-    for row in inv:
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+    den = lcm(*(x.denominator for row in inv for x in row))
     num = tuple(tuple(int(x * den) for x in row) for row in inv)
     return num, den
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class RootSystem:
@@ -144,15 +120,13 @@ class RootSystem:
     """
 
     def __init__(self, family: str, rank: int):
-        if family not in _RANK_CONSTRAINTS:
+        if family not in _RANKS:
             raise DomainError(
                 f"unknown family {family!r}; expected one of A, B, C, D, E, F, G"
             )
-        if not _rank_ok(family, rank):
-            raise DomainError(
-                f"invalid rank {rank} for type {family}: requires "
-                + _RANK_CONSTRAINTS[family]
-            )
+        valid, rule = _RANKS[family]
+        if not valid(rank):
+            raise DomainError(f"invalid rank {rank} for type {family}: requires {rule}")
         self.family = family
         self.rank = rank
         self.cartan, self.sym = _cartan_and_sym(family, rank)
@@ -160,7 +134,6 @@ class RootSystem:
         # coordinates of a weight are (inv_num @ coords) / inv_den.
         self._inv_num, self._inv_den = _invert_integer_matrix(self.cartan)
         self._check_invariants()
-        self._positive = None
 
     def _check_invariants(self) -> None:
         A, d, n = self.cartan, self.sym, self.rank
@@ -228,19 +201,6 @@ class RootSystem:
         """Coefficients c with ``w = sum c_j alpha_j``, as exact rationals."""
         D = self._inv_den
         return tuple(Fraction(x, D) for x in self.scaled_root_coords(w))
-
-    def root_coords_to_weight(self, coords) -> Weight:
-        """Inverse of :meth:`weight_to_root_coords` on integer root vectors."""
-        A = self.cartan
-        out = []
-        for k in range(self.rank):
-            v = sum(A[k][j] * coords[j] for j in range(self.rank))
-            if isinstance(v, Fraction):
-                if v.denominator != 1:
-                    raise DomainError(f"{coords} is not in the weight lattice")
-                v = v.numerator
-            out.append(int(v))
-        return tuple(out)
 
     def bilinear_form(self, lam: Weight, mu: Weight) -> Fraction:
         """The invariant form (lam, mu), normalised with (alpha,alpha)=2 for short alpha."""
@@ -349,23 +309,21 @@ class RootSystem:
 
     def positive_roots(self) -> tuple[Weight, ...]:
         """All positive roots, as fundamental-weight coordinate tuples."""
-        if self._positive is None:
-            roots = set()
-            # not weyl_orbit: its size check needs the positive roots
-            for i in range(self.rank):
-                roots |= self._closure(self.simple_root(i))
-            D = self._inv_den
-            pos = [
-                r
-                for r in roots
-                if all(x >= 0 for x in self.scaled_root_coords(r))
-            ]
-            if 2 * len(pos) != len(roots) or any(
-                x % D for r in pos for x in self.scaled_root_coords(r)
-            ):
-                raise ArithmeticError(f"the roots of {self} are not integral and signed")
-            self._positive = tuple(sorted(pos))
         return self._positive
+
+    @cached_property
+    def _positive(self) -> tuple[Weight, ...]:
+        roots = set()
+        # not weyl_orbit: its size check needs the positive roots
+        for i in range(self.rank):
+            roots |= self._closure(self.simple_root(i))
+        D = self._inv_den
+        pos = [r for r in roots if all(x >= 0 for x in self.scaled_root_coords(r))]
+        if 2 * len(pos) != len(roots) or any(
+            x % D for r in pos for x in self.scaled_root_coords(r)
+        ):
+            raise ArithmeticError(f"the roots of {self} are not integral and signed")
+        return tuple(sorted(pos))
 
     def positive_root_data(self) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
         """Positive roots paired with their integer root-coordinate vectors."""
@@ -392,10 +350,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     Raises :class:`DomainError` for an invalid (family, rank) pair.
     """
     return RootSystem(family, rank)
-
-
-def weight_to_json(rsys: RootSystem, w: Weight) -> dict:
-    return {"family": rsys.family, "rank": rsys.rank, "coords": list(w)}
 
 
 def add_weights(a: Weight, b: Weight) -> Weight:

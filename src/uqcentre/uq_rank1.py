@@ -40,7 +40,7 @@ polynomials and never needs a polynomial gcd.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .errors import DomainError
 from .qrational import (
@@ -59,7 +59,7 @@ Mon = tuple[int, int, int]  # exponents (a, b, c) of F^a K^b E^c
 _QMQ = q_power(1) - q_power(-1)  # q - q^-1
 
 
-@lru_cache(maxsize=None)
+@cache
 def _qmq_power(c: int) -> QRat:
     """(q - q^-1)^c: the factor from E'-basis to E-basis coefficients."""
     return _QMQ ** c
@@ -247,7 +247,7 @@ def _rmul_gen(el: UqElement, which: str) -> UqElement:
     return UqElement._stored(out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _straighten(c: int, a: int) -> UqElement:
     """Normal form of E'^c F^a.
 
@@ -262,11 +262,6 @@ def _straighten(c: int, a: int) -> UqElement:
     head = head + _rmul_gen(tail, "K").scale(coef * q_power(1 - a))
     head = head - _rmul_gen(tail, "KINV").scale(coef * q_power(a - 1))
     return head
-
-
-def multiply(x: UqElement, y: UqElement) -> UqElement:
-    """Normal-ordered product (same as ``x * y``)."""
-    return x * y
 
 
 def is_central(x: UqElement) -> bool:
@@ -390,7 +385,8 @@ class SimpleModule:
 
     Basis e_0..e_m with K e_j = q^(m-2j) e_j, E e_j = [j] e_(j-1) and
     F e_j = [m-j] e_(j+1); for m = 1 these are the standard 2x2 matrices
-    [[0,1],[0,0]], [[0,0],[1,0]], diag(q, q^-1).
+    [[0,1],[0,0]], [[0,0],[1,0]], diag(q, q^-1).  Modules with the same m
+    compare equal, so the powers of Gamma_V are cached once per m.
     """
 
     def __init__(self, m: int):
@@ -419,12 +415,14 @@ class SimpleModule:
     def weights(self) -> tuple[int, ...]:
         return tuple(self.m - 2 * j for j in range(self.dim))
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SimpleModule) and self.m == other.m
+
+    def __hash__(self) -> int:
+        return hash(self.m)
+
     def __repr__(self):
         return f"SimpleModule(m={self.m})"
-
-
-def simple_module(m: int) -> SimpleModule:
-    return SimpleModule(m)
 
 
 def quasi_R(V: SimpleModule) -> UqMatrix:
@@ -464,24 +462,18 @@ def K_operator(V: SimpleModule) -> UqMatrix:
     return UqMatrix(rows)
 
 
-_gamma_powers: dict[tuple[int, int], UqMatrix] = {}
-
-
 def gamma(V: SimpleModule) -> UqMatrix:
     """Gamma_V = K_V Rt_V R_V; commutes with the coproduct image of U_q(sl2)."""
     return _gamma_power(V, 1)
 
 
+@cache
 def _gamma_power(V: SimpleModule, k: int) -> UqMatrix:
-    key = (V.m, k)
-    if key not in _gamma_powers:
-        if k == 0:
-            _gamma_powers[key] = UqMatrix.identity(V.dim)
-        elif k == 1:
-            _gamma_powers[key] = K_operator(V) * quasi_R_tilde_T(V) * quasi_R(V)
-        else:
-            _gamma_powers[key] = _gamma_power(V, k - 1) * _gamma_power(V, 1)
-    return _gamma_powers[key]
+    if k == 0:
+        return UqMatrix.identity(V.dim)
+    if k == 1:
+        return K_operator(V) * quasi_R_tilde_T(V) * quasi_R(V)
+    return _gamma_power(V, k - 1) * _gamma_power(V, 1)
 
 
 def casimir(V: SimpleModule, k: int) -> UqElement:
@@ -517,19 +509,6 @@ def _delta_matrix(V: SimpleModule, gen: str) -> UqMatrix:
         return UqMatrix.tensor(V.K, GEN_EP) + UqMatrix.tensor(V.E, _QMQ_ONE)
     if gen == "F":
         return UqMatrix.tensor(V.F, GEN_KINV) + UqMatrix.tensor(_qmat_id(V.dim), GEN_F)
-    if gen == "K":
-        return UqMatrix.tensor(V.K, GEN_K)
-    if gen == "Kinv":
-        return UqMatrix.tensor(V.Kinv, GEN_KINV)
-    raise DomainError(f"unknown generator {gen!r}")
-
-
-def _phi_delta_prime_matrix(V: SimpleModule, gen: str) -> UqMatrix:
-    """(zeta (x) id) of phi applied to the opposite coproduct of a generator."""
-    if gen == "E":
-        return UqMatrix.tensor(V.E, _QMQ_ONE) + UqMatrix.tensor(V.Kinv, GEN_EP)
-    if gen == "F":
-        return UqMatrix.tensor(_qmat_id(V.dim), GEN_F) + UqMatrix.tensor(V.F, GEN_K)
     if gen == "K":
         return UqMatrix.tensor(V.K, GEN_K)
     if gen == "Kinv":

@@ -1,18 +1,50 @@
-"""Test oracles that share no code with the library routines they check."""
+"""Test oracles: second implementations that the library itself never uses.
 
+Each oracle computes what a library routine computes by another route, and
+shares no code with the routine it checks.  Membership in M+ is read off the
+root coordinates, not the congruence mod r; products of characters are
+full-support convolutions of :class:`TorusInvariant` combinations, not the
+Brauer-Klimyk rule.  The oracles may read the library's Freudenthal tables
+(``weight_multiplicities``, ``full_character``) and its total order on
+weights (``_order_key``).
+"""
+
+from fractions import Fraction
 from itertools import product
+from math import gcd
+from operator import add
+
+from uqcentre import DomainError, TorusInvariant, weight_multiplicities
+from uqcentre.character_ring import _order_key, full_character
+
+
+# -- membership in M+ ---------------------------------------------------------
+
+
+def in_half_root_lattice(rsys, w):
+    """All root coordinates of ``w`` lie in (1/2)Z, by the inverse Cartan matrix."""
+    D = rsys.root_coord_scale
+    return all(2 * x % D == 0 for x in rsys.scaled_root_coords(w))
 
 
 def in_half_lattice(rsys, w):
-    """``w`` is dominant and all its root coordinates lie in (1/2)Z.
+    """``w`` is dominant and all its root coordinates lie in (1/2)Z."""
+    return all(x >= 0 for x in w) and in_half_root_lattice(rsys, w)
 
-    Root coordinates come from the inverse Cartan matrix, not from the
-    congruence mod r that the library uses for membership in M+.
+
+def type_A_membership(rsys, w):
+    """Membership in M+ for type A by the closed-form classes.
+
+    r = (n+1)/gcd(n+1, 2) and c_i = i, written out rather than read from the
+    inverse Cartan matrix, so the two derivations cross-check each other.
     """
+    if rsys.family != "A":
+        raise DomainError(f"type-A membership test called for {rsys}")
     if any(x < 0 for x in w):
         return False
-    D = rsys.root_coord_scale
-    return all(2 * x % D == 0 for x in rsys.scaled_root_coords(w))
+    n = rsys.rank
+    r = (n + 1) // gcd(n + 1, 2)
+    return sum((i + 1) * a for i, a in enumerate(w)) % r == 0
 
 
 def min_multiplier_search(rsys, i):
@@ -67,3 +99,147 @@ def factorisation_counts_by_dict(rsys, generators, bound):
             if c:
                 counts[w] += c
     return counts
+
+
+# -- root coordinates and dimensions ------------------------------------------
+
+
+def root_coords_to_weight(rsys, coords):
+    """The weight sum c_j alpha_j, by the Cartan matrix; inverse of ``weight_to_root_coords``."""
+    return tuple(
+        sum(rsys.cartan[k][j] * coords[j] for j in range(rsys.rank))
+        for k in range(rsys.rank)
+    )
+
+
+def weyl_dim(rsys, lam):
+    """dim L(lam) by the Weyl dimension formula (independent of Freudenthal)."""
+    if not rsys.is_dominant(lam):
+        raise DomainError(f"{lam} is not dominant")
+    lam_rho = tuple(x + 1 for x in lam)
+    out = Fraction(1)
+    for _, calpha in rsys.positive_root_data():
+        top = sum(lam_rho[j] * rsys.sym[j] * calpha[j] for j in range(rsys.rank))
+        bot = sum(rsys.sym[j] * calpha[j] for j in range(rsys.rank))
+        out *= Fraction(top, bot)
+    if out.denominator != 1:
+        raise ArithmeticError(f"Weyl dimension of {lam} for {rsys} is {out}")
+    return int(out)
+
+
+# -- the full-support product on TorusInvariant -------------------------------
+
+
+def torus_one(rank):
+    """K_0, the unit of the group algebra of the weight lattice."""
+    return TorusInvariant({(0,) * rank: 1})
+
+
+def torus_product(a, b):
+    """The full-support product, K_2mu K_2nu = K_2(mu+nu), of two combinations."""
+    out = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            w = tuple(map(add, w1, w2))
+            out[w] = out.get(w, 0) + c1 * c2
+    return TorusInvariant(out)
+
+
+def torus_power(t, n):
+    """t^n for a nonzero ``t`` and n >= 0, by repeated full-support products."""
+    out = torus_one(len(next(iter(t.terms))))
+    for _ in range(n):
+        out = torus_product(out, t)
+    return out
+
+
+def total(t):
+    """Sum of all coefficients (the dimension, for a character image)."""
+    return sum(t.terms.values())
+
+
+def is_w_invariant(rsys, t):
+    """``t`` is fixed by every simple reflection."""
+    return all(
+        t.terms.get(rsys.simple_reflection(i, w), 0) == c
+        for w, c in t.terms.items()
+        for i in range(rsys.rank)
+    )
+
+
+# -- characters by full-support products --------------------------------------
+
+
+def xi_tensor(rsys, lam):
+    """xi([T(lam)]), the product of lam_i copies of each fundamental character.
+
+    The factors' characters may individually have keys outside M; the full
+    product lands in M again, which is checked.
+    """
+    if not in_half_lattice(rsys, lam):
+        raise DomainError(f"{lam} is not in M+")
+    out = torus_one(rsys.rank)
+    for i, a in enumerate(lam):
+        fund = TorusInvariant(full_character(rsys, rsys.fundamental_weight(i)))
+        for _ in range(a):
+            out = torus_product(out, fund)
+    if not all(in_half_root_lattice(rsys, w) for w in out.terms):
+        raise ArithmeticError(f"a key of xi([T{lam}]) is outside M for {rsys}")
+    return out
+
+
+def av_basis_element(rsys, lam):
+    """av(lam) = sum_(w in W) K_2(w lam); orbit coefficients are |W|/|W lam|."""
+    if not in_half_lattice(rsys, lam):
+        raise DomainError(f"{lam} is not in M+")
+    orbit = rsys.weyl_orbit(lam)
+    coeff = rsys.weyl_group_order() // len(orbit)
+    return TorusInvariant({w: coeff for w in orbit})
+
+
+def expand_in_av(rsys, t):
+    """Coefficients of a W-invariant element in the av basis (exact, unique)."""
+    if not is_w_invariant(rsys, t):
+        raise DomainError("element is not Weyl-invariant")
+    key = _order_key(rsys)
+    work = dict(t.terms)
+    out = {}
+    order = rsys.weyl_group_order()
+    while work:
+        top = max(work, key=key)
+        lam = rsys.dominant_representative(top)
+        orbit = rsys.weyl_orbit(lam)
+        coeff = Fraction(work[top] * len(orbit), order)
+        out[lam] = coeff
+        for w in orbit:
+            v = Fraction(work.get(w, 0)) - coeff * (order // len(orbit))
+            if v:
+                work[w] = v
+            else:
+                work.pop(w, None)
+    return out
+
+
+def expand_in_simples(rsys, t):
+    """Triangular expansion of a W-invariant element over the xi([L(mu)]).
+
+    Both sides are W-invariant, so they agree exactly when they agree on the
+    dominant keys: repeatedly strips the maximal dominant key with its
+    coefficient, subtracting the dominant part of that simple character.
+    """
+    if not is_w_invariant(rsys, t):
+        raise DomainError("element is not Weyl-invariant")
+    key = _order_key(rsys)
+    work = {w: Fraction(c) for w, c in t.terms.items() if rsys.is_dominant(w)}
+    out = {}
+    while work:
+        top = max(work, key=key)
+        coeff = work[top]
+        out[top] = coeff
+        for w, m in weight_multiplicities(rsys, top).mult.items():
+            v = work.get(w, Fraction(0)) - coeff * m
+            if v:
+                work[w] = v
+            else:
+                work.pop(w, None)
+    return out

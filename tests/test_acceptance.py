@@ -25,16 +25,15 @@ from uqcentre import (
     min_multipliers,
     phi,
     presentation,
-    type_A_membership,
     unitriangularity_check,
     verify_centre_relations,
     verify_relations,
     weight_multiplicities,
-    weyl_dim,
     xi_simple,
 )
 from uqcentre.qrational import q_power
 from uqcentre.uq_rank1 import GEN_F, GEN_E, GEN_K, GEN_KINV
+from oracles import type_A_membership, weyl_dim
 
 
 def _report(name: str, passed: bool) -> None:

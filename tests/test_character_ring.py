@@ -7,23 +7,29 @@ import pytest
 from uqcentre import (
     DomainError,
     TorusInvariant,
-    av_basis_element,
     build_root_system,
-    expand_in_av,
-    expand_in_simples,
     in_monoid,
     independence_check,
     unitriangularity_check,
     verify_centre_relations,
     weight_multiplicities,
-    weyl_dim,
     xi_simple,
-    xi_tensor,
 )
 import uqcentre.character_ring as character_ring
 from uqcentre.character_ring import _dominant_weights_below, full_character
 from uqcentre.cli import main
 from uqcentre.monoid_presentation import presentation
+from oracles import (
+    av_basis_element,
+    expand_in_av,
+    expand_in_simples,
+    is_w_invariant,
+    torus_power,
+    torus_product,
+    total,
+    weyl_dim,
+    xi_tensor,
+)
 
 F = Fraction
 
@@ -78,7 +84,7 @@ def test_xi_simple_examples():
     assert xi_simple(a2, (0, 0)).terms == {(0, 0): 1}
     adj = xi_simple(a2, (1, 1))
     assert adj.terms[(0, 0)] == 2
-    assert adj.total() == 8
+    assert total(adj) == 8
     orbit = build_root_system("A", 2).weyl_orbit((1, 1))
     assert all(adj.terms[w] == 1 for w in orbit)
 
@@ -93,16 +99,16 @@ def test_xi_tensor_examples():
     a2 = build_root_system("A", 2)
     t = xi_tensor(a2, (1, 1))
     assert t.terms[(0, 0)] == 3
-    assert t.total() == 9
+    assert total(t) == 9
     # nu_i is the s_i-th power of one fundamental character
     fund = full_character(a2, (1, 0))
     cube = TorusInvariant({(0, 0): 1})
     for _ in range(3):
-        cube = cube * TorusInvariant(fund)
+        cube = torus_product(cube, TorusInvariant(fund))
     assert xi_tensor(a2, (3, 0)) == cube
 
     a4 = build_root_system("A", 4)
-    assert xi_tensor(a4, (2, 0, 1, 0)).total() == 250  # 5^2 * 10
+    assert total(xi_tensor(a4, (2, 0, 1, 0))) == 250  # 5^2 * 10
 
 
 def test_xi_tensor_keys_congruent_to_highest_weight():
@@ -117,9 +123,9 @@ def test_xi_tensor_keys_congruent_to_highest_weight():
 def test_w_invariance_of_images():
     for fam, n, lam in [("A", 2, (1, 1)), ("A", 2, (3, 0)), ("D", 4, (0, 1, 0, 0))]:
         rsys = build_root_system(fam, n)
-        assert xi_simple(rsys, lam).is_w_invariant(rsys)
-        assert xi_tensor(rsys, lam).is_w_invariant(rsys)
-        assert av_basis_element(rsys, lam).is_w_invariant(rsys)
+        assert is_w_invariant(rsys, xi_simple(rsys, lam))
+        assert is_w_invariant(rsys, xi_tensor(rsys, lam))
+        assert is_w_invariant(rsys, av_basis_element(rsys, lam))
 
 
 def test_av_basis_element():
@@ -192,7 +198,7 @@ def test_xi_multiplicative_against_tensor_decomposition():
     a1 = build_root_system("A", 1)
     for a in range(4):
         for b in range(4):
-            prod = xi_simple(a1, (a,)) * xi_simple(a1, (b,))
+            prod = torus_product(xi_simple(a1, (a,)), xi_simple(a1, (b,)))
             decomp = expand_in_simples(a1, prod)
             expected = {
                 (c,): F(1) for c in range(abs(a - b), a + b + 1, 2)
@@ -202,7 +208,7 @@ def test_xi_multiplicative_against_tensor_decomposition():
     # check the monoid product 8 (x) 8 = 27+10+10b+8+8+1 instead
     a2 = build_root_system("A", 2)
     adj = xi_simple(a2, (1, 1))
-    decomp = expand_in_simples(a2, adj * adj)
+    decomp = expand_in_simples(a2, torus_product(adj, adj))
     assert decomp == {
         (2, 2): F(1), (3, 0): F(1), (0, 3): F(1),
         (1, 1): F(2), (0, 0): F(1),
@@ -312,9 +318,9 @@ def test_torus_invariant_json_sorted():
 
 def test_torus_invariant_product_exact_past_2_15():
     # weights are tuples of Python ints, so no coordinate can wrap
-    assert TorusInvariant({(20000,): 1}) ** 2 == TorusInvariant({(40000,): 1})
-    assert (TorusInvariant({(0, 16384): 1}) ** 2).terms == {(0, 32768): 1}
-    assert (TorusInvariant({(-20000, 3): 2}) ** 3).terms == {(-60000, 9): 8}
+    assert torus_power(TorusInvariant({(20000,): 1}), 2) == TorusInvariant({(40000,): 1})
+    assert torus_power(TorusInvariant({(0, 16384): 1}), 2).terms == {(0, 32768): 1}
+    assert torus_power(TorusInvariant({(-20000, 3): 2}), 3).terms == {(-60000, 9): 8}
 
 
 def test_inexact_character_arithmetic_raises(monkeypatch):
@@ -324,11 +330,14 @@ def test_inexact_character_arithmetic_raises(monkeypatch):
     a2 = build_root_system("A", 2)
     data = a2.positive_root_data()
     monkeypatch.setattr(a2, "positive_root_data", lambda: data[1:])
-    monkeypatch.setattr(character_ring, "_table_cache", {})
-    with pytest.raises(ArithmeticError):
-        weight_multiplicities(a2, (1, 1))
-    with pytest.raises(ArithmeticError):
-        weyl_dim(a2, (0, 1))
+    character_ring._freudenthal_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            weight_multiplicities(a2, (1, 1))
+        with pytest.raises(ArithmeticError):
+            weyl_dim(a2, (0, 1))
+    finally:
+        character_ring._freudenthal_table.cache_clear()
 
 
 # D5 stops at coordinates <= 1: at (2,2,2,2,2) the oracle alone convolves to
@@ -367,14 +376,10 @@ def test_xi_simple_rejects_a_key_outside_M(monkeypatch):
         xi_simple(a2, (1, 1))
 
 
-def test_reports_multiply_without_full_support_products(monkeypatch, capsys):
-    def refuse(self, other):
-        raise AssertionError("full-support product")
-
-    monkeypatch.setattr(TorusInvariant, "__mul__", refuse)
-    monkeypatch.setattr(TorusInvariant, "__rmul__", refuse)
-    with pytest.raises(AssertionError):
-        TorusInvariant.one(1) ** 2
+def test_reports_multiply_without_full_support_products(capsys):
+    # the library has no full-support product to fall back on
+    with pytest.raises(TypeError):
+        TorusInvariant({(0,): 1}) * TorusInvariant({(0,): 1})
     assert main(["verify", "--type", "F", "--rank", "4"]) == 0
     assert "all checks passed" in capsys.readouterr().out
     rep, _ = unitriangularity_check(build_root_system("A", 2), 3)

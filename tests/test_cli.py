@@ -202,6 +202,27 @@ def test_out_file(tmp_path, capsys):
     assert data["rank"] == 2
 
 
+def test_unwritable_out_file_exits_2(tmp_path):
+    target = tmp_path / "missing" / "basis.json"
+    src = os.path.dirname(os.path.dirname(uqcentre.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "uqcentre", "hilb", "--type", "A", "--rank", "2",
+         "--out", str(target)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 2 and child.stdout == ""
+    assert child.stderr.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in child.stderr
+
+
+def test_invalid_rank_message(capsys):
+    code, _, err = run(capsys, "hilb", "--type", "B", "--rank", "1")
+    assert code == 2
+    assert err == "error: invalid rank 1 for type B: requires rank >= 2\n"
+
+
 @pytest.mark.parametrize("flags", [
     ("--jobs", "2"),
     ("--cache-dir", "chartables"),

@@ -23,7 +23,6 @@ from uqcentre import (
     min_multipliers,
     rel1,
     rel2,
-    type_A_membership,
 )
 from uqcentre.root_system import RootSystem, add_weights, scale_weight
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     diagram_involution,
     in_half_lattice,
     min_multiplier_search,
+    type_A_membership,
 )
 
 

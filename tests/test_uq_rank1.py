@@ -18,20 +18,20 @@ from uqcentre import (
     is_central,
     quasi_R,
     quasi_R_tilde_T,
-    simple_module,
     xi_simple,
 )
 from uqcentre import uq_rank1
 from uqcentre.qrational import Q_ONE, Q_ZERO, QRat, q_factorial, q_int, q_power
 from uqcentre.uq_rank1 import (
     GEN_E,
+    GEN_EP,
     GEN_F,
     GEN_K,
     GEN_KINV,
     UQ_ONE,
     UQ_ZERO,
+    _QMQ_ONE,
     _delta_matrix,
-    _phi_delta_prime_matrix,
     _qmat_id,
     _qmat_mul,
 )
@@ -127,7 +127,7 @@ def test_simple_module_matrices():
     assert V.E == ((QRat.integer(0), Q_ONE), (QRat.integer(0), QRat.integer(0)))
     assert V.F == ((QRat.integer(0), QRat.integer(0)), (Q_ONE, QRat.integer(0)))
     assert V.K[0][0] == q_power(1) and V.K[1][1] == q_power(-1)
-    V0 = simple_module(0)
+    V0 = SimpleModule(0)
     assert V0.dim == 1 and V0.E[0][0].is_zero() and V0.K[0][0] == Q_ONE
     V2 = SimpleModule(2)
     assert [V2.K[j][j] for j in range(3)] == [q_power(2), Q_ONE, q_power(-2)]
@@ -304,6 +304,15 @@ def test_K_intertwining_identities():
     for m in range(5):
         rep = check_K_intertwining(SimpleModule(m))
         assert rep.ok, (m, rep.lines())
+
+
+def _phi_delta_prime_matrix(V, gen):
+    """(zeta (x) id) of phi applied to the opposite coproduct of a generator."""
+    if gen == "E":
+        return UqMatrix.tensor(V.E, _QMQ_ONE) + UqMatrix.tensor(V.Kinv, GEN_EP)
+    if gen == "F":
+        return UqMatrix.tensor(_qmat_id(V.dim), GEN_F) + UqMatrix.tensor(V.F, GEN_K)
+    return UqMatrix.tensor(V.K, GEN_K)  # "K"
 
 
 def test_quasi_R_module_level_intertwining():
