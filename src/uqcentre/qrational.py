@@ -14,6 +14,11 @@ constructor, addition and multiplication: the q-valuation is stripped into
 only when a true denominator is involved, so arithmetic that stays in
 Z[q, q^-1] never reaches ``_pgcd``.
 
+A factor q^k is a shift of ``k`` (``QRat.shift``), with no polynomial
+product.  The Z[q] kernels ``_pmul`` and ``_pdiv_exact`` loop only over
+nonzero coefficients: the products of q-integers that the rank-1 code
+forms lie in q^k Z[q^2], so about half of their coefficients are zero.
+
 Polynomials are little-endian integer tuples; the zero polynomial is ``()``.
 """
 
@@ -43,12 +48,14 @@ def _pneg(a):
 
 
 def _pmul(a, b):
+    """Schoolbook product over the nonzero coefficients of both operands."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
+    nb = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in nb:
                 out[i + j] += x * y
     return _trim(out)
 
@@ -80,13 +87,14 @@ def _pdiv_exact(a, b):
     a = list(a)
     q = [0] * (len(a) - len(b) + 1)
     lb = b[-1]
+    nb = [(j, y) for j, y in enumerate(b) if y]
     for i in range(len(a) - len(b), -1, -1):
         coef, r = divmod(a[i + len(b) - 1], lb)
         if r:
             raise ArithmeticError("inexact polynomial division")
         if coef:
             q[i] = coef
-            for j, y in enumerate(b):
+            for j, y in nb:
                 a[i + j] -= coef * y
     if any(a):
         raise ArithmeticError("inexact polynomial division")
@@ -236,18 +244,17 @@ class QRat:
 
     def __add__(self, other):
         other = QRat.coerce(other)
-        if self.is_zero():
+        if not self.num:
             return other
-        if other.is_zero():
+        if not other.num:
             return self
         if self.den == (1,) and other.den == (1,):
             return _laurent_add(self.qpow, self.num, other.qpow, other.num)
+        # align the q-valuations by prepending zeros to the later numerator
         k = min(self.qpow, other.qpow)
-        shift1 = (0,) * (self.qpow - k) + (1,)
-        shift2 = (0,) * (other.qpow - k) + (1,)
         num = _padd(
-            _pmul(_pmul(self.num, other.den), shift1),
-            _pmul(_pmul(other.num, self.den), shift2),
+            (0,) * (self.qpow - k) + _pmul(self.num, other.den),
+            (0,) * (other.qpow - k) + _pmul(other.num, self.den),
         )
         return QRat(k, num, _pmul(self.den, other.den))
 
@@ -266,8 +273,13 @@ class QRat:
 
     def __mul__(self, other):
         other = QRat.coerce(other)
-        if self.is_zero() or other.is_zero():
+        if not self.num or not other.num:
             return Q_ZERO
+        # a factor q^k is applied as a shift
+        if other.num == (1,) and other.den == (1,):
+            return self.shift(other.qpow)
+        if self.num == (1,) and self.den == (1,):
+            return other.shift(self.qpow)
         if self.den == (1,) and other.den == (1,):
             # a product of polynomials with nonzero constant terms has one too
             return QRat(self.qpow + other.qpow, _pmul(self.num, other.num), (1,),
@@ -279,6 +291,12 @@ class QRat:
         )
 
     __rmul__ = __mul__
+
+    def shift(self, k: int) -> "QRat":
+        """q^k * self, by moving the q-valuation; no polynomial product."""
+        if not self.num or not k:
+            return self
+        return QRat(self.qpow + k, self.num, self.den, _canonical=True)
 
     def inverse(self) -> "QRat":
         if self.is_zero():

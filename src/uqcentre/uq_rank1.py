@@ -19,6 +19,15 @@ boundary: the constructor and ``monomial`` take E-basis coefficients, and
 ``terms``, ``coefficient``, ``sorted_terms``, ``render`` and ``to_json``
 give them back, so callers never see the E' basis.
 
+A product is formed one left term at a time.  For the left term
+r1 F^a1 K^b1 E'^c1, every right term r2 F^a2 K^b2 E'^c2 and every term
+s F^x K^y E'^z of the straightened E'^c1 F^a2 contribute r2 s q^e, with
+e = -2 (b1 x + z b2), to the monomial F^(a1+x) K^(b1+y+b2) E'^(z+c2); these
+small products are summed per monomial, and each sum is multiplied by r1
+once.  In Gamma_V^k the left coefficients are the large ones, so this
+about halves the work in large polynomial products.  Powers of q are
+applied as shifts (``QRat.shift``), never as products.
+
 From the (m+1)-dimensional simple module V the three operators
 
     R_V      = sum_n c_n  zeta(F^n) (x) E^n,
@@ -125,6 +134,8 @@ class UqElement:
     def __add__(self, other):
         if isinstance(other, (int, QRat)):
             other = UqElement({(0, 0, 0): other})
+        elif not isinstance(other, UqElement):
+            return NotImplemented
         out = dict(self._terms)
         for mon, c in other._terms.items():
             v = out.get(mon, Q_ZERO) + c
@@ -140,11 +151,13 @@ class UqElement:
         return UqElement._stored({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, QRat)):
-            other = UqElement({(0, 0, 0): other})
+        if not isinstance(other, (int, QRat, UqElement)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, QRat)):
+            return NotImplemented
         return (-self) + other
 
     def scale(self, coeff) -> "UqElement":
@@ -156,18 +169,28 @@ class UqElement:
     def __mul__(self, other):
         if isinstance(other, (int, QRat)):
             return self.scale(other)
+        if not isinstance(other, UqElement):
+            return NotImplemented
         out: dict[Mon, QRat] = {}
         for (a1, b1, c1), r1 in self._terms.items():
+            # sum r2 s q^e per output monomial, then multiply each sum by r1
+            # once (see the module docstring)
+            part: dict[Mon, QRat] = {}
             for (a2, b2, c2), r2 in other._terms.items():
-                base = r1 * r2
                 for (x, y, z), s in _straighten(c1, a2)._terms.items():
                     mon = (a1 + x, b1 + y + b2, z + c2)
-                    coeff = base * s * q_power(-2 * (b1 * x + z * b2))
-                    v = out.get(mon, Q_ZERO) + coeff
-                    if v.is_zero():
-                        out.pop(mon, None)
-                    else:
-                        out[mon] = v
+                    coeff = (r2 * s).shift(-2 * (b1 * x + z * b2))
+                    prev = part.get(mon)
+                    part[mon] = coeff if prev is None else prev + coeff
+            for mon, p in part.items():
+                if p.is_zero():
+                    continue
+                prev = out.get(mon)
+                v = r1 * p if prev is None else prev + r1 * p
+                if v.is_zero():
+                    del out[mon]
+                else:
+                    out[mon] = v
         return UqElement._stored(out)
 
     def __rmul__(self, other):
@@ -241,9 +264,9 @@ def _rmul_gen(el: UqElement, which: str) -> UqElement:
         if which == "E'":
             out[(x, y, z + 1)] = c
         elif which == "K":
-            out[(x, y + 1, z)] = c * q_power(-2 * z)
+            out[(x, y + 1, z)] = c.shift(-2 * z)
         else:
-            out[(x, y - 1, z)] = c * q_power(2 * z)
+            out[(x, y - 1, z)] = c.shift(2 * z)
     return UqElement._stored(out)
 
 
@@ -259,8 +282,8 @@ def _straighten(c: int, a: int) -> UqElement:
     head = _rmul_gen(_straighten(c - 1, a), "E'")
     tail = _straighten(c - 1, a - 1)
     coef = q_int(a)
-    head = head + _rmul_gen(tail, "K").scale(coef * q_power(1 - a))
-    head = head - _rmul_gen(tail, "KINV").scale(coef * q_power(a - 1))
+    head = head + _rmul_gen(tail, "K").scale(coef.shift(1 - a))
+    head = head - _rmul_gen(tail, "KINV").scale(coef.shift(a - 1))
     return head
 
 
@@ -447,7 +470,7 @@ def quasi_R_tilde_T(V: SimpleModule) -> UqMatrix:
         first = _qmat_mul(_qmat_divided_power(V.E, n), _qmat_pow(V.K, n))
         # K^-n F^n normal-ordered is q^(2n^2) F^n K^-n
         second = UqElement.monomial(
-            n, -n, 0, q_power(n * (n - 1) // 2 + 2 * n * n) * _qmq_power(n)
+            n, -n, 0, _qmq_power(n).shift(n * (n - 1) // 2 + 2 * n * n)
         )
         out = out + UqMatrix.tensor(first, second)
     return out
@@ -653,7 +676,7 @@ def hc_project(x: UqElement) -> dict[int, int]:
             )
         if a > 0:
             continue
-        shifted = coeff * q_power(-b)
+        shifted = coeff.shift(-b)
         val = shifted.constant_value()
         if val:
             out[b] = val

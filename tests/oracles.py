@@ -6,7 +6,9 @@ root coordinates, not the congruence mod r; products of characters are
 full-support convolutions of :class:`TorusInvariant` combinations, not the
 Brauer-Klimyk rule.  The oracles may read the library's Freudenthal tables
 (``weight_multiplicities``, ``full_character``) and its total order on
-weights (``_order_key``).
+weights (``_order_key``).  The product in U_q(sl2) is formed one straightening
+triple at a time; it reads the stored terms and the straightening table
+``_straighten``.  Polynomial products are dict convolutions.
 """
 
 from fractions import Fraction
@@ -14,8 +16,10 @@ from itertools import product
 from math import gcd
 from operator import add
 
-from uqcentre import DomainError, TorusInvariant, weight_multiplicities
+from uqcentre import DomainError, TorusInvariant, UqElement, weight_multiplicities
 from uqcentre.character_ring import _order_key, full_character
+from uqcentre.qrational import Q_ZERO, q_power
+from uqcentre.uq_rank1 import _straighten
 
 
 # -- membership in M+ ---------------------------------------------------------
@@ -243,3 +247,39 @@ def expand_in_simples(rsys, t):
             else:
                 work.pop(w, None)
     return out
+
+
+# -- products of polynomials and in U_q(sl2) ----------------------------------
+
+
+def poly_product_by_dict(a, b):
+    """The product of two little-endian integer polynomials, by a dict convolution."""
+    out = {}
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out.get(i + j, 0) + x * y
+    coeffs = [out.get(n, 0) for n in range(max(out, default=-1) + 1)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def uq_product_by_triples(x, y):
+    """x * y in U_q(sl2), one coefficient product r1 r2 s q^e per triple.
+
+    The triples are (left term, right term, term s F^u K^v E'^w of the
+    straightened E'^c1 F^a2); each adds r1 r2 s q^-2(b1 u + w b2) to the
+    monomial F^(a1+u) K^(b1+v+b2) E'^(w+c2).
+    """
+    out = {}
+    for (a1, b1, c1), r1 in x._terms.items():
+        for (a2, b2, c2), r2 in y._terms.items():
+            for (u, v, w), s in _straighten(c1, a2)._terms.items():
+                mon = (a1 + u, b1 + v + b2, w + c2)
+                coeff = r1 * r2 * s * q_power(-2 * (b1 * u + w * b2))
+                total = out.get(mon, Q_ZERO) + coeff
+                if total.is_zero():
+                    out.pop(mon, None)
+                else:
+                    out[mon] = total
+    return UqElement._stored(out)

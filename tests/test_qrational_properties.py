@@ -3,6 +3,8 @@
 Laurent operands (``den == (1,)``) take the fast path of the constructor,
 ``+`` and ``*``; the results must agree with sympy and be structurally
 equal to the canonical form the general (gcd) path gives for the same value.
+The Z[q] kernels ``_pmul`` and ``_pdiv_exact`` skip zero coefficients and
+are checked against a dict convolution on polynomials with interior zeros.
 """
 
 import pytest
@@ -12,7 +14,14 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from uqcentre.qrational import QRat, _pmul, laurent_quotient  # noqa: E402
+from oracles import poly_product_by_dict  # noqa: E402
+from uqcentre.qrational import (  # noqa: E402
+    QRat,
+    _pdiv_exact,
+    _pmul,
+    laurent_quotient,
+    q_power,
+)
 
 # the field Q(q) of sympy's sparse rational functions over ZZ
 _K, Q = sympy.field("q", sympy.ZZ)
@@ -150,3 +159,55 @@ def test_integer_constants_hash_like_the_int(n):
         assert hash(x) == hash(n)
         assert {n: "int"}.get(x) == "int"
         assert {x: "x"}.get(n) == "x"
+
+
+# polynomials with interior zeros and negative coefficients, trimmed
+sparse_coefficients = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+@st.composite
+def polynomials(draw, min_size=0):
+    coeffs = draw(st.lists(sparse_coefficients, min_size=min_size, max_size=12))
+    if coeffs and not coeffs[-1]:
+        coeffs[-1] = draw(st.sampled_from((-3, -1, 1, 2)))
+    return tuple(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials(), polynomials())
+def test_pmul_matches_dict_convolution(a, b):
+    assert _pmul(a, b) == poly_product_by_dict(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials(), polynomials(min_size=1), polynomials())
+def test_pdiv_exact_inverts_the_product_and_rejects_a_remainder(a, b, r):
+    assert _pdiv_exact(poly_product_by_dict(a, b), b) == a
+    # a nonzero remainder of lower degree than b makes the division inexact
+    r = list(r[: len(b) - 1])
+    while r and not r[-1]:
+        r.pop()
+    if r:
+        c = list(poly_product_by_dict(a, b))
+        c += [0] * (len(r) - len(c))
+        for i, x in enumerate(r):
+            c[i] += x
+        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+            _pdiv_exact(tuple(c), b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(laurents(), non_laurents()), exponents)
+def test_shift_is_multiplication_by_a_power_of_q(x, k):
+    shifted = x.shift(k)
+    assert fields(shifted) == fields(q_power(k) * x) == fields(x * q_power(k))
+    # the same value rebuilt through the general constructor from an unreduced form
+    assert fields(shifted) == fields(QRat(x.qpow + k - 2, (0, 0) + _pmul(x.num, D),
+                                          _pmul(x.den, D)))
+    assert same_value(shifted, Q**k * to_sympy(x))
+
+
+def test_shift_of_zero_is_the_canonical_zero():
+    zero = QRat(0, (), (1,))
+    for k in (-3, 0, 5):
+        assert fields(zero.shift(k)) == (0, (), (1,)) == fields(q_power(k) * zero)

@@ -106,6 +106,20 @@ def test_defining_relations():
     assert UQ_ONE * GEN_F == GEN_F
 
 
+def test_unsupported_operands_raise_type_error():
+    ops = (
+        lambda x, y: x * y,
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+    )
+    for other in (2.5, "a"):
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(GEN_E, other)
+            with pytest.raises(TypeError):
+                op(other, GEN_E)
+
+
 def test_multiplication_associative_on_random_monomials():
     rng = random.Random(37)
 
