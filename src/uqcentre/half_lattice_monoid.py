@@ -18,7 +18,7 @@ in two classes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 from math import gcd, lcm, prod
 
@@ -108,22 +108,10 @@ def in_monoid(rsys: RootSystem, w: Weight) -> bool:
     return residue(rsys, w) == 0
 
 
-def _type_A_multiplier(n: int, i: int) -> int:
-    # closed form for the minimal s with s*w_i in M+, i 1-based
-    return (n + 1) // gcd(n + 1, 2 * i)
-
-
 def min_multipliers(rsys: RootSystem) -> tuple[int, ...]:
     """Minimal s_i >= 1 with ``s_i w_i`` in M+: the order r / gcd(r, c_i) of c_i mod r."""
     r, c = residue_classes(rsys)
-    out = tuple(r // gcd(r, ci) for ci in c)
-    if rsys.family == "A":
-        for i, s in enumerate(out):
-            if s != _type_A_multiplier(rsys.rank, i + 1):
-                raise ArithmeticError(
-                    f"multiplier {s} at node {i + 1} of {rsys} is not the closed form"
-                )
-    return out
+    return tuple(r // gcd(r, ci) for ci in c)
 
 
 def conjugate(rsys: RootSystem, w: Weight) -> Weight:
@@ -163,6 +151,10 @@ class HilbertBasis:
             "pairs": [[list(a), list(b)] for a, b in self.pairs],
             "s": list(self.s),
         }
+
+    @cached_property
+    def element_set(self) -> frozenset[Weight]:
+        return frozenset(self.elements)
 
 
 def _box_size(limits, total_cap: int) -> int:
@@ -227,25 +219,40 @@ def _bounded_vectors(limits, total_cap=None, classes=None):
     return rec(0, total_cap, 0)
 
 
-def _is_atom(r: int, c: tuple[int, ...], w: Weight) -> bool:
-    """True iff the zero-sum sequence with w_i copies of c_i in Z/r is minimal.
+def _minimal_zero_sums(r: int, c: tuple[int, ...]) -> list[Weight]:
+    """The vectors w whose sequence of w_i copies of c_i is a minimal zero-sum sequence in Z/r.
 
-    It is minimal iff it is nonempty and zero-sum free after one unit is
-    taken off its first nonzero node (see :func:`hilbert_basis`).  ``reach``
-    is the bitmask of the sums of the nonempty subsequences of the terms so
-    far, so each term costs one cyclic shift of r bits.
+    One depth-first walk over the vectors in ascending lexicographic order,
+    one node per prefix; see :func:`hilbert_basis` for why it is exact.
+    ``reach`` is the bitmask of the sums of the nonempty subsequences of the
+    prefix minus its first unit, so each further unit costs one cyclic
+    shift of r bits, ORed into the old mask.
     """
-    first = next((i for i, a in enumerate(w) if a), None)
-    if first is None:
-        return False
+    n = len(c)
     full = (1 << r) - 1
-    reach = 0
-    for i, (ci, a) in enumerate(zip(c, w)):
-        for _ in range(a - (i == first)):
-            reach |= (reach << ci | reach >> (r - ci)) & full | 1 << ci
-            if reach & 1:
-                return False
-    return True
+    vec = [0] * n
+    out = []
+
+    def walk(pos, res, reach, started):
+        if pos == n:
+            if started and not res:
+                out.append(tuple(vec))
+            return
+        walk(pos + 1, res, reach, started)
+        ci = c[pos]
+        while True:
+            if started:
+                reach |= (reach << ci | reach >> (r - ci)) & full | 1 << ci
+                if reach & 1:
+                    break  # so is every extension of this prefix
+            started = True
+            res = (res + ci) % r
+            vec[pos] += 1
+            walk(pos + 1, res, reach, True)
+        vec[pos] = 0
+
+    walk(0, 0, 0, False)
+    return out
 
 
 @cache
@@ -260,14 +267,29 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
     g; if T in S minus g sums to zero, so does the rest of S, which holds g.
     A sequence of length > r has a proper nonempty zero-sum subsequence
     (two of its r + 1 partial sums agree), so every irreducible element has
-    sum(a_i) <= r (the Davenport bound) and a_i <= s_i.  Each member in
-    that box is tested on its own by :func:`_is_atom`; the elements come in
-    the lexicographic order of :func:`_bounded_vectors`.
+    sum(a_i) <= r (the Davenport bound) and a_i <= s_i; a box of that shape
+    over ``BOX_CAP`` points raises :class:`ResourceLimitError` at once.
+
+    :func:`_minimal_zero_sums` finds them in one walk over the vectors in
+    ascending lexicographic order, adding units node by node.  Take g to be
+    the first unit of the first nonzero node; every extension of a prefix
+    keeps that g.  Each prefix carries its residue and the mask of the sums
+    of the nonempty subsequences of the prefix minus g.  Once the mask holds
+    0, the prefix minus g has a zero-sum subsequence, and that subsequence
+    also lies in every extension minus g, so no extension is minimal and
+    the walk skips the whole subtree.  A leaf is kept iff it is nonzero with
+    residue 0: its sequence minus g is zero-sum free, so by the lemma above
+    it is minimal.  That sequence minus g has fewer than r terms and fewer
+    than s_i copies of each c_i, so every kept leaf lies in the Davenport
+    box, and the elements come in the order of :func:`_bounded_vectors` on
+    that box.
     """
     n = rsys.rank
     s = min_multipliers(rsys)
-    r, c = classes = residue_classes(rsys)
-    elements = tuple(w for w in _bounded_vectors(s, r, classes) if _is_atom(r, c, w))
+    r, c = residue_classes(rsys)
+    _check_box(s, r)
+    elements = tuple(_minimal_zero_sums(r, c))
+    element_set = set(elements)
 
     sigma = involution(rsys)
     self_conj: dict[int, Weight] = {}
@@ -278,14 +300,14 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
         mu = rsys.fundamental_weight(i)
         if i < j:
             mu = add_weights(mu, rsys.fundamental_weight(j))
-        if mu not in elements:
+        if mu not in element_set:
             raise ArithmeticError(
                 f"self-conjugate {mu} of node {i + 1} is reducible in {rsys}"
             )
         self_conj[i + 1] = mu
 
     scaled = tuple(scale_weight(s[i], rsys.fundamental_weight(i)) for i in range(n))
-    if not all(w in elements for w in scaled):
+    if not all(w in element_set for w in scaled):
         raise ArithmeticError(f"a scaled fundamental weight is reducible in {rsys}")
 
     pairs = []
@@ -294,7 +316,7 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
         bar = tuple(lam[sigma[i]] for i in range(n))
         if bar == lam or lam in seen:
             continue
-        if bar not in elements:
+        if bar not in element_set:
             raise ArithmeticError(f"the conjugate of {lam} is reducible in {rsys}")
         big, small = (lam, bar) if lam > bar else (bar, lam)
         pairs.append((big, small))
@@ -302,9 +324,9 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
         seen.add(bar)
 
     covered = set(self_conj.values()) | seen | set(scaled)
-    if covered != set(elements):
+    if covered != element_set:
         raise ArithmeticError(
-            f"unclassified basis elements of {rsys}: {covered ^ set(elements)}"
+            f"unclassified basis elements of {rsys}: {covered ^ element_set}"
         )
 
     return HilbertBasis(
@@ -324,7 +346,7 @@ def rel1(rsys: RootSystem, lam: Weight) -> dict[int, int]:
     Only defined for non-self-conjugate Hilbert basis elements.
     """
     basis = hilbert_basis(rsys)
-    if lam not in basis.elements:
+    if lam not in basis.element_set:
         raise DomainError(f"{lam} is not a Hilbert basis element of {rsys}")
     sigma = involution(rsys)
     bar = conjugate(rsys, lam)
@@ -363,7 +385,7 @@ def ell(rsys: RootSystem, lam: Weight) -> int:
 def rel2(rsys: RootSystem, lam: Weight) -> dict[int, int]:
     """Exponents e_i with ``ell(lam) * lam = sum e_i nu_i`` (keys are node indices)."""
     basis = hilbert_basis(rsys)
-    if lam not in basis.elements:
+    if lam not in basis.element_set:
         raise DomainError(f"{lam} is not a Hilbert basis element of {rsys}")
     l = ell(rsys, lam)
     s = basis.s

@@ -243,7 +243,10 @@ class QRat:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = QRat.coerce(other)
+        if not isinstance(other, QRat):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = QRat.integer(other)
         if not self.num:
             return other
         if not other.num:
@@ -266,13 +269,20 @@ class QRat:
         return QRat(self.qpow, _pneg(self.num), self.den, _canonical=True)
 
     def __sub__(self, other):
-        return self + (-QRat.coerce(other))
+        if not isinstance(other, (int, QRat)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return QRat.coerce(other) + (-self)
+        if not isinstance(other, (int, QRat)):
+            return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
-        other = QRat.coerce(other)
+        if not isinstance(other, QRat):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = QRat.integer(other)
         if not self.num or not other.num:
             return Q_ZERO
         # a factor q^k is applied as a shift

@@ -2,8 +2,10 @@
 
 Weights are integer coordinate tuples in the fundamental-weight basis: the
 weight ``sum a_i w_i`` is stored as ``(a_1, ..., a_n)``.  All arithmetic is
-exact (integers and ``fractions.Fraction``); the library never touches
-floating point.
+exact and the library never touches floating point: the inverse Cartan
+matrix is computed in integers, as numerators over one common denominator,
+and rational values such as root coordinates and the invariant form are
+``fractions.Fraction``.
 
 Conventions, fixed here once and consumed by every other module:
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd
 
 from .errors import DomainError, ResourceLimitError
 
@@ -88,26 +90,33 @@ def _cartan_and_sym(family: str, rank: int):
 
 
 def _invert_integer_matrix(A):
-    """Exact inverse of an integer matrix, as (numerators, common denominator)."""
+    """Exact inverse of an invertible integer matrix, as (numerators, common denominator).
+
+    Fraction-free Gauss-Jordan (Bareiss) on [A | I]: by Sylvester's
+    identity every entry stays a minor of [A | I] up to sign, so each
+    division by the previous pivot is exact, and the last step leaves
+    [d I | d A^-1] with d = +-det A.  Dividing d and d A^-1 by their gcd,
+    signed so that the denominator is positive, gives the least common
+    denominator.
+    """
     n = len(A)
-    aug = [
-        [Fraction(A[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [row[n:] for row in aug]
-    den = lcm(*(x.denominator for row in inv for x in row))
-    num = tuple(tuple(int(x * den) for x in row) for row in inv)
-    return num, den
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    prev = 1
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = pivot
+    adj = [row[n:] for row in rows]
+    g = gcd(prev, *(x for row in adj for x in row))
+    if prev < 0:
+        g = -g
+    return tuple(tuple(x // g for x in row) for row in adj), prev // g
 
 
 class RootSystem:

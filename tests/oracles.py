@@ -8,16 +8,20 @@ Brauer-Klimyk rule.  The oracles may read the library's Freudenthal tables
 (``weight_multiplicities``, ``full_character``) and its total order on
 weights (``_order_key``).  The product in U_q(sl2) is formed one straightening
 triple at a time; it reads the stored terms and the straightening table
-``_straighten``.  Polynomial products are dict convolutions.
+``_straighten``.  Polynomial products are dict convolutions.  The inverse
+Cartan matrix is Gauss-Jordan over ``Fraction``; the Hilbert basis is a scan
+of the Davenport box (the library's ``_bounded_vectors``) that tests each
+member on its own for minimality.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 from uqcentre import DomainError, TorusInvariant, UqElement, weight_multiplicities
 from uqcentre.character_ring import _order_key, full_character
+from uqcentre.half_lattice_monoid import _bounded_vectors
 from uqcentre.qrational import Q_ZERO, q_power
 from uqcentre.uq_rank1 import _straighten
 
@@ -51,6 +55,11 @@ def type_A_membership(rsys, w):
     return sum((i + 1) * a for i, a in enumerate(w)) % r == 0
 
 
+def type_A_multiplier(n, i):
+    """The closed form (n+1)/gcd(n+1, 2i) of the minimal s with s w_i in M+ for A_n, i 1-based."""
+    return (n + 1) // gcd(n + 1, 2 * i)
+
+
 def min_multiplier_search(rsys, i):
     """The least s >= 1 with ``s w_i`` in M+, by trying s = 1, 2, ..."""
     e = rsys.fundamental_weight(i)
@@ -58,6 +67,37 @@ def min_multiplier_search(rsys, i):
     while not in_half_lattice(rsys, tuple(s * x for x in e)):
         s += 1
     return s
+
+
+def is_atom(r, c, w):
+    """True iff the zero-sum sequence with w_i copies of c_i in Z/r is minimal.
+
+    It is minimal iff it is nonempty and zero-sum free after one unit is
+    taken off its first nonzero node.  ``reach`` is the bitmask of the sums
+    of the nonempty subsequences of the terms so far, so each term costs one
+    cyclic shift of r bits.
+    """
+    first = next((i for i, a in enumerate(w) if a), None)
+    if first is None:
+        return False
+    full = (1 << r) - 1
+    reach = 0
+    for i, (ci, a) in enumerate(zip(c, w)):
+        for _ in range(a - (i == first)):
+            reach |= (reach << ci | reach >> (r - ci)) & full | 1 << ci
+            if reach & 1:
+                return False
+    return True
+
+
+def atoms_in_box(r, c):
+    """The minimal zero-sum vectors over (r, c): each member of the Davenport box tested by :func:`is_atom`.
+
+    The box is 0 <= w_i <= r / gcd(r, c_i) with sum(w) <= r, in ascending
+    lexicographic order.
+    """
+    s = tuple(r // gcd(r, ci) for ci in c)
+    return tuple(w for w in _bounded_vectors(s, r, (r, c)) if is_atom(r, c, w))
 
 
 def diagram_involution(family, n):
@@ -106,6 +146,29 @@ def factorisation_counts_by_dict(rsys, generators, bound):
 
 
 # -- root coordinates and dimensions ------------------------------------------
+
+
+def inverse_by_fractions(A):
+    """Inverse of an invertible integer matrix by Gauss-Jordan over ``Fraction``, as (numerators, lcm of denominators)."""
+    n = len(A)
+    aug = [
+        [Fraction(A[i][j]) for j in range(n)]
+        + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    inv = [row[n:] for row in aug]
+    den = lcm(*(x.denominator for row in inv for x in row))
+    num = tuple(tuple(int(x * den) for x in row) for row in inv)
+    return num, den
 
 
 def root_coords_to_weight(rsys, coords):

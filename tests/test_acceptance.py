@@ -316,3 +316,15 @@ def test_criterion_12_oracle_cross_checks():
         ok &= weight_multiplicities(rsys, lam).dim == weyl_dim(rsys, lam)
 
     _report("criterion 12: membership, Hilbert-basis and dimension oracles agree", ok)
+
+
+def test_criterion_13_hilbert_basis_time_gate():
+    # A12 has r = 13 and 826 basis elements; testing each member of the
+    # Davenport box on its own took about 6 s here, the prefix walk ~0.03 s
+    rsys = build_root_system("A", 12)
+    hilbert_basis.cache_clear()
+    t0 = time.perf_counter()
+    basis = hilbert_basis(rsys)
+    elapsed = time.perf_counter() - t0
+    ok = len(basis.elements) == 826 and elapsed < 1.0
+    _report(f"criterion 13: Hilbert basis of A12 in process ({elapsed:.2f}s < 1s)", ok)

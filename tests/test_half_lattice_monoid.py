@@ -26,11 +26,13 @@ from uqcentre import (
 )
 from uqcentre.root_system import RootSystem, add_weights, scale_weight
 from oracles import (
+    atoms_in_box,
     centre_type,
     diagram_involution,
     in_half_lattice,
     min_multiplier_search,
     type_A_membership,
+    type_A_multiplier,
 )
 
 
@@ -104,6 +106,10 @@ def test_min_multipliers_match_search(fam, n):
     assert min_multipliers(rsys) == tuple(
         min_multiplier_search(rsys, i) for i in range(n)
     )
+    if fam == "A":
+        assert min_multipliers(rsys) == tuple(
+            type_A_multiplier(n, i + 1) for i in range(n)
+        )
 
 
 def test_residue_classes():
@@ -350,14 +356,26 @@ def test_hilbert_basis_sieve_matches_pairwise_definition(fam, n):
     assert basis.elements == tuple(sorted(pairwise))
 
 
-def test_safety_checks_raise_under_python_O(monkeypatch):
-    # a wrong multiplier fails the closed form in min_multipliers, and a too
-    # small search box misses nu_1 = 3 w_1, which hilbert_basis checks
-    monkeypatch.setattr(half_lattice_monoid, "_type_A_multiplier", lambda n, i: 2)
-    with pytest.raises(ArithmeticError):
-        min_multipliers(build_root_system("A", 2))
-    monkeypatch.undo()
+WALK_TYPES = (
+    [("A", n) for n in range(1, 13)]
+    + [("D", n) for n in range(4, 16)]
+    + [("E", 6), ("E", 7), ("E", 8)]
+    + [("B", 2), ("B", 5), ("C", 3), ("C", 6), ("F", 4), ("G", 2)]
+)
 
+
+@pytest.mark.parametrize("fam,n", WALK_TYPES)
+def test_walk_matches_box_scan(fam, n):
+    # same elements in the same order as testing each member of the box
+    rsys = build_root_system(fam, n)
+    assert hilbert_basis(rsys).elements == atoms_in_box(
+        *half_lattice_monoid.residue_classes(rsys)
+    )
+
+
+def test_safety_checks_raise_under_python_O(monkeypatch):
+    # a wrong multiplier gives nu_1 = w_1, which is no basis element; the
+    # check in hilbert_basis must not be an assert
     hilbert_basis.cache_clear()
     monkeypatch.setattr(half_lattice_monoid, "min_multipliers", lambda rsys: (1, 3))
     with pytest.raises(ArithmeticError):

@@ -1,7 +1,10 @@
 """Property tests of the monoid M+, each checked by root-coordinate membership.
 
 The library decides membership in M+ by a congruence mod r; the oracle here
-reads the root coordinates off the inverse Cartan matrix instead.
+reads the root coordinates off the inverse Cartan matrix instead.  The walk
+that finds minimal zero-sum sequences is checked against a scan of the
+Davenport box on random classes, and that scan against the pairwise
+definition.
 """
 
 from itertools import product
@@ -12,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oracles import in_half_lattice  # noqa: E402
+from oracles import atoms_in_box, in_half_lattice, is_atom  # noqa: E402
 from uqcentre import (  # noqa: E402
     build_root_system,
     conjugate,
@@ -22,7 +25,7 @@ from uqcentre import (  # noqa: E402
     rel1,
     rel2,
 )
-from uqcentre.half_lattice_monoid import _is_atom, residue_classes  # noqa: E402
+from uqcentre.half_lattice_monoid import _minimal_zero_sums, residue_classes  # noqa: E402
 from uqcentre.root_system import add_weights, scale_weight  # noqa: E402
 
 NAMES = (
@@ -122,4 +125,20 @@ def test_atom_test_matches_pairwise_definition(case):
     assert in_half_lattice(rsys, v)
     below = (mu for mu in product(*(range(a + 1) for a in v)) if any(mu) and mu != v)
     pairwise = not any(in_half_lattice(rsys, mu) for mu in below)
-    assert _is_atom(*residue_classes(rsys), v) == pairwise
+    assert is_atom(*residue_classes(rsys), v) == pairwise
+
+
+@st.composite
+def class_sequences(draw):
+    """A random order r <= 12 and up to 6 node classes c_i mod r, zero allowed and often drawn."""
+    r = draw(st.integers(1, 12))
+    c = draw(st.lists(st.one_of(st.just(0), st.integers(0, r - 1)), min_size=1, max_size=6))
+    return r, tuple(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_sequences())
+def test_walk_matches_box_scan_on_random_classes(case):
+    # the box holds 0 <= w_i <= s_i = r / gcd(r, c_i) with sum(w) <= r
+    r, c = case
+    assert tuple(_minimal_zero_sums(r, c)) == atoms_in_box(r, c)

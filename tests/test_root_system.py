@@ -7,7 +7,7 @@ import pytest
 
 from uqcentre import DomainError, ResourceLimitError, build_root_system
 from uqcentre import root_system
-from oracles import root_coords_to_weight
+from oracles import inverse_by_fractions, root_coords_to_weight
 
 F = Fraction
 
@@ -86,6 +86,33 @@ def test_root_coords_defining_property():
             for k in range(n):
                 lhs = sum(rsys.cartan[k][j] * c[j] for j in range(n))
                 assert lhs == (1 if k == i else 0)
+
+
+ALL_TO_20 = (
+    [("A", n) for n in range(1, 21)]
+    + [("B", n) for n in range(2, 21)]
+    + [("C", n) for n in range(3, 21)]
+    + [("D", n) for n in range(4, 21)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("fam,n", ALL_TO_20)
+def test_integer_inverse_matches_fraction_gauss_jordan(fam, n):
+    cartan = build_root_system(fam, n).cartan
+    assert root_system._invert_integer_matrix(cartan) == inverse_by_fractions(cartan)
+
+
+def test_integer_inverse_with_row_swaps_and_negative_determinants():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        try:
+            expected = inverse_by_fractions(A)
+        except StopIteration:  # singular
+            continue
+        assert root_system._invert_integer_matrix(A) == expected
 
 
 def test_bilinear_form_examples():

@@ -118,6 +118,20 @@ def test_unsupported_operands_raise_type_error():
                 op(GEN_E, other)
             with pytest.raises(TypeError):
                 op(other, GEN_E)
+            with pytest.raises(TypeError):
+                op(q_power(1), other)
+            with pytest.raises(TypeError):
+                op(other, q_power(1))
+
+
+def test_qrat_on_the_left_of_an_element():
+    # QRat returns NotImplemented for an element, so UqElement's reflected
+    # operators take over, as they do for an int
+    constant = UqElement({(0, 0, 0): q_power(1)})
+    assert q_power(2) * GEN_E == GEN_E.scale(q_power(2)) == GEN_E * q_power(2)
+    assert q_power(1) + GEN_E == constant + GEN_E == GEN_E + q_power(1)
+    assert q_power(1) - GEN_E == constant - GEN_E
+    assert 3 * GEN_E == GEN_E.scale(3)
 
 
 def test_multiplication_associative_on_random_monomials():
