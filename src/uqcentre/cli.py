@@ -21,7 +21,12 @@ import sys
 from .character_ring import independence_check, verify_centre_relations
 from .errors import DomainError, ResourceLimitError
 from .half_lattice_monoid import TYPE_I, classify_type, hilbert_basis
-from .monoid_presentation import generation_check, presentation, verify_relations
+from .monoid_presentation import (
+    generation_check,
+    generator_labels,
+    presentation,
+    verify_relations,
+)
 from .root_system import build_root_system
 from .uq_rank1 import (
     SimpleModule,
@@ -106,8 +111,7 @@ def cmd_hilb(args) -> int:
         f"(type {classify_type(rsys)}): {len(basis.elements)} elements",
         "s = " + str(list(basis.s)),
     ]
-    pres = presentation(rsys)
-    for lab, w in zip(pres.labels, pres.generators):
+    for lab, w in zip(generator_labels(rsys, basis), basis.elements):
         lines.append(f"  {lab} = {list(w)}")
     _emit(args, "\n".join(lines))
     return EXIT_OK

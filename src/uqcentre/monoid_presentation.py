@@ -179,7 +179,8 @@ def _weight_label(w: Weight) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def _labels(rsys: RootSystem, basis) -> tuple[str, ...]:
+def generator_labels(rsys: RootSystem, basis) -> tuple[str, ...]:
+    """Display labels of the Hilbert basis elements, in basis order."""
     if classify_type(rsys) == TYPE_I:
         return tuple(_weight_label(w) for w in basis.elements)
     by_weight: dict[Weight, str] = {}
@@ -230,7 +231,7 @@ def presentation(rsys: RootSystem) -> Presentation:
         family=rsys.family,
         rank=rsys.rank,
         generators=gens,
-        labels=_labels(rsys, basis),
+        labels=generator_labels(rsys, basis),
         relations=tuple(relations),
     )
 

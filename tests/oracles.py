@@ -5,13 +5,16 @@ shares no code with the routine it checks.  Membership in M+ is read off the
 root coordinates, not the congruence mod r; products of characters are
 full-support convolutions of :class:`TorusInvariant` combinations, not the
 Brauer-Klimyk rule.  The oracles may read the library's Freudenthal tables
-(``weight_multiplicities``, ``full_character``) and its total order on
-weights (``_order_key``).  The product in U_q(sl2) is formed one straightening
-triple at a time; it reads the stored terms and the straightening table
-``_straighten``.  Polynomial products are dict convolutions.  The inverse
-Cartan matrix is Gauss-Jordan over ``Fraction``; the Hilbert basis is a scan
-of the Davenport box (the library's ``_bounded_vectors``) that tests each
-member on its own for minimality.
+(``weight_multiplicities``, ``full_character``), its total order on weights
+(``_order_key``) and its Brauer-Klimyk product (``_times_fundamental``), with
+which the exact rank of the monomials in the fundamental characters expands
+them; the library certifies their independence by leading terms instead.
+The product in U_q(sl2) is formed one straightening triple at a time; it
+reads the stored terms and the straightening table ``_straighten``.
+Polynomial products are dict convolutions.  The inverse Cartan matrix is
+Gauss-Jordan over ``Fraction``; the Hilbert basis is a scan of the Davenport
+box (the library's ``_bounded_vectors``) that tests each member on its own
+for minimality.
 """
 
 from fractions import Fraction
@@ -20,7 +23,7 @@ from math import gcd, lcm
 from operator import add
 
 from uqcentre import DomainError, TorusInvariant, UqElement, weight_multiplicities
-from uqcentre.character_ring import _order_key, full_character
+from uqcentre.character_ring import _order_key, _times_fundamental, full_character
 from uqcentre.half_lattice_monoid import _bounded_vectors
 from uqcentre.qrational import Q_ZERO, q_power
 from uqcentre.uq_rank1 import _straighten
@@ -310,6 +313,57 @@ def expand_in_simples(rsys, t):
             else:
                 work.pop(w, None)
     return out
+
+
+def independence_rank(rsys, degree_bound):
+    """The exact rank of the monomials of degree <= degree_bound in the xi([L(w_i)]).
+
+    Expands each monomial in the basis of simple characters, as a monomial
+    of one degree less times one fundamental character by the library's
+    Brauer-Klimyk rule (``_times_fundamental``), then eliminates over
+    ``Fraction``.  The simple characters are linearly independent, so this
+    is the rank of the monomials themselves.
+    """
+    n = rsys.rank
+    # lexicographic, so e minus a unit at its first nonzero entry comes earlier
+    exps = list(_bounded_vectors([degree_bound] * n, degree_bound))
+    decomps = {}
+    for e in exps:
+        i = next((j for j, x in enumerate(e) if x), None)
+        if i is None:
+            decomps[e] = {rsys.zero(): 1}
+        else:
+            lower = e[:i] + (e[i] - 1,) + e[i + 1:]
+            decomps[e] = _times_fundamental(rsys, decomps[lower], i)
+
+    order_key = _order_key(rsys)
+    live = [
+        {order_key(lam): Fraction(c) for lam, c in decomps[e].items()}
+        for e in exps
+    ]
+    live = [r for r in live if r]
+    rank = 0
+    while live:
+        piv_row = max(live, key=max)
+        piv_key = max(piv_row)
+        piv_val = piv_row[piv_key]
+        rank += 1
+        nxt = []
+        for r in live:
+            if r is piv_row:
+                continue
+            if piv_key in r:
+                f = r[piv_key] / piv_val
+                for w, c in piv_row.items():
+                    v = r.get(w, Fraction(0)) - f * c
+                    if v:
+                        r[w] = v
+                    else:
+                        r.pop(w, None)
+            if r:
+                nxt.append(r)
+        live = nxt
+    return rank
 
 
 # -- products of polynomials and in U_q(sl2) ----------------------------------

@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.
 """
 
+import json
 import time
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -33,7 +35,8 @@ from uqcentre import (
 )
 from uqcentre.qrational import q_power
 from uqcentre.uq_rank1 import GEN_F, GEN_E, GEN_K, GEN_KINV
-from oracles import type_A_membership, weyl_dim
+from uqcentre.cli import main
+from oracles import independence_rank, type_A_membership, weyl_dim
 
 
 def _report(name: str, passed: bool) -> None:
@@ -245,8 +248,11 @@ def test_criterion_10_algebraic_independence():
     t0 = time.perf_counter()
     ok = True
     for fam, n in [("A", 1), ("B", 2), ("G", 2), ("C", 3)]:
-        rep = independence_check(build_root_system(fam, n), 4)
+        rsys = build_root_system(fam, n)
+        rep = independence_check(rsys, 4)
         ok &= rep.ok
+        # the leading-term certificate against the exact rank of the expansions
+        ok &= independence_rank(rsys, 4) == comb(n + 4, n)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0
     _report(
@@ -328,3 +334,19 @@ def test_criterion_13_hilbert_basis_time_gate():
     elapsed = time.perf_counter() - t0
     ok = len(basis.elements) == 826 and elapsed < 1.0
     _report(f"criterion 13: Hilbert basis of A12 in process ({elapsed:.2f}s < 1s)", ok)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_criterion_14_verify_e7_e8_time_gate(n, capsys):
+    # the independence certificate reads only the n fundamental dominant
+    # tables, so E8 fits the gate at the default bound
+    t0 = time.perf_counter()
+    code = main(["verify", "--type", "E", "--rank", str(n), "--format", "json"])
+    elapsed = time.perf_counter() - t0
+    out = json.loads(capsys.readouterr().out)
+    (indep,) = [r for r in out["reports"] if r["title"].startswith("independence")]
+    (item,) = indep["checks"]
+    want = comb(n + 3, n)
+    ok = code == 0 and out["ok"] and item["detail"] == f"rank {want} of {want}"
+    ok &= elapsed < 10.0
+    _report(f"criterion 14: verify E{n} at the default bound ({elapsed:.2f}s < 10s)", ok)

@@ -23,6 +23,7 @@ from oracles import (
     av_basis_element,
     expand_in_av,
     expand_in_simples,
+    independence_rank,
     is_w_invariant,
     torus_power,
     torus_product,
@@ -276,8 +277,11 @@ def test_independence_check():
     assert rep.ok and "10 monomials" in rep.items[0].name
     rep = independence_check(build_root_system("A", 1), 0)
     assert rep.ok and "1 monomials" in rep.items[0].name
-    with pytest.raises(DomainError):
-        independence_check(build_root_system("A", 2), 2)
+    # the certificate holds for every type, type II included
+    rep = independence_check(build_root_system("A", 2), 2)
+    assert rep.ok and rep.items[0].detail == "rank 6 of 6"
+    rep = independence_check(build_root_system("E", 6), 3)
+    assert rep.ok and rep.items[0].detail == "rank 84 of 84"
 
 
 def test_upsilon_linearly_independent():
@@ -359,14 +363,43 @@ def test_brauer_klimyk_matches_full_support_product(fam, n, bound):
 def test_independence_check_fails_for_equal_fundamental_characters(monkeypatch):
     b2 = build_root_system("B", 2)
     w1, w2 = b2.fundamental_weight(0), b2.fundamental_weight(1)
+    real = character_ring.weight_multiplicities
+    monkeypatch.setattr(
+        character_ring, "weight_multiplicities",
+        lambda rsys, lam: real(rsys, w1 if tuple(lam) == w2 else lam),
+    )
+    rep = independence_check(b2, 2)
+    assert not rep.ok
+    assert "w2" in rep.items[0].detail
+    assert rep.items[0].detail == f"xi[L(w2)] leads with 1·K_2{w1}"
+
+
+def test_independence_check_fails_for_a_doubled_highest_weight(monkeypatch):
+    g2 = build_root_system("G", 2)
+    w2 = g2.fundamental_weight(1)
+    real = character_ring.weight_multiplicities
+
+    def doubled(rsys, lam):
+        table = real(rsys, lam)
+        if tuple(lam) != w2:
+            return table
+        return replace(table, mult={mu: 2 * m for mu, m in table.mult.items()})
+
+    monkeypatch.setattr(character_ring, "weight_multiplicities", doubled)
+    rep = independence_check(g2, 3)
+    assert not rep.ok
+    assert rep.items[0].detail == f"xi[L(w2)] leads with 2·K_2{w2}"
+
+
+def test_independence_rank_drops_for_equal_fundamental_characters(monkeypatch):
+    b2 = build_root_system("B", 2)
+    w1, w2 = b2.fundamental_weight(0), b2.fundamental_weight(1)
     real = character_ring.full_character
     monkeypatch.setattr(
         character_ring, "full_character",
         lambda rsys, lam: real(rsys, w1 if tuple(lam) == w2 else lam),
     )
-    rep = independence_check(b2, 2)
-    assert not rep.ok
-    assert rep.items[0].detail == "rank 3 of 6"
+    assert independence_rank(b2, 2) == 3
 
 
 def test_xi_simple_rejects_a_key_outside_M(monkeypatch):
