@@ -1,10 +1,14 @@
 """The monoid algebra C[M+] and its binomial presentation.
 
 The algebra has basis ``X^lam`` for ``lam`` in M+ with ``X^lam X^mu =
-X^(lam+mu)``.  Mapping the abstract polynomial generator ``x_lam`` to
-``X^lam`` for each Hilbert basis element exhibits C[M+] as a quotient of a
-polynomial algebra: free for the type I algebras, and cut out by one
-``rel1`` and one ``rel2`` binomial per conjugate pair for type II.
+X^(lam+mu)``.  The map phi sending the abstract polynomial generator
+``x_lam`` to ``X^lam``, for each Hilbert basis element, exhibits C[M+] as a
+quotient of a polynomial algebra.  For the type I algebras phi is an
+isomorphism.  For type II, :func:`presentation` emits one ``rel1`` and one
+``rel2`` binomial per conjugate pair.  They lie in ker phi, but for E6 and
+A4-A7, the cases checked, they do not generate it: the E6 binomial
+x_nu6 x_mu3 - x_(w5+w6) x_(w3+2w6) is in ker phi and not in their ideal.
+Emitting the full presentation is ROADMAP item 1.
 Elements are :class:`TorusInvariant` combinations, ``X^lam`` being ``K_2lam``.
 """
 
@@ -276,9 +280,8 @@ def verify_relations(rsys: RootSystem, pres: Presentation | None = None) -> Repo
             left == right,
             f"{left!r} vs {right!r}" if left != right else "",
         )
-    # The partner's rel2 binomial is one more kernel-membership check.  It is
-    # not implied by the emitted binomials as ideal membership: it follows
-    # from them only after saturation.
+    # The partner's rel2 binomial is not emitted; that it lies in ker phi is
+    # one more kernel-membership check.
     scaled = set(basis.scaled_fundamentals)
     idx = {w: i for i, w in enumerate(pres.generators)}
     for lam, bar in basis.pairs:
@@ -295,6 +298,18 @@ def verify_relations(rsys: RootSystem, pres: Presentation | None = None) -> Repo
     return rep
 
 
+def _box_radix(rsys: RootSystem, bound: int) -> int:
+    """The radix ``bound + 1`` of the box [0, bound]^rank, once its size is checked.
+
+    Raises :class:`ResourceLimitError`, before anything is allocated, when
+    the box has more than ``BOX_CAP`` points.
+    """
+    if bound < 0:
+        raise DomainError("bound must be >= 0")
+    _check_box([bound] * rsys.rank, bound * rsys.rank)
+    return bound + 1
+
+
 def _factorisation_table(rsys: RootSystem, bound: int):
     """``(residues, counts)`` over the box [0, bound]^rank, as two flat lists.
 
@@ -308,13 +323,14 @@ def _factorisation_table(rsys: RootSystem, bound: int):
     w - g need no borrow, so the index of w - g is ``index(w) - off``.  The
     first rank - 1 digits of u are walked as prefixes and the last one is a
     contiguous range; the sub-box is empty when g leaves the box.
-    Non-members keep the count 0, since the generators are members.  Raises :class:`ResourceLimitError`, before any list is
-    allocated, when the box has more than ``BOX_CAP`` points.
+    Non-members keep the count 0, since the generators are members.
+
+    Only :func:`factorisation_counts` reads this table;
+    :func:`generation_check` asks whether a factorisation exists and
+    answers it on bitsets.  Raises :class:`ResourceLimitError`, before any
+    list is allocated, when the box has more than ``BOX_CAP`` points.
     """
-    if bound < 0:
-        raise DomainError("bound must be >= 0")
-    _check_box([bound] * rsys.rank, bound * rsys.rank)
-    radix = bound + 1
+    radix = _box_radix(rsys, bound)
     r, c = residue_classes(rsys)
     residues = [0]
     for ci in c:
@@ -338,8 +354,70 @@ def _factorisation_table(rsys: RootSystem, bound: int):
     return residues, counts
 
 
+def _member_bits(r: int, classes, bound: int) -> int:
+    """The cells of the box [0, bound]^rank whose class sum c_i w_i is 0 mod r, as a bitset.
+
+    Bit ``j`` is cell ``j`` of :func:`_cell_weight`.  The digits are
+    added from the least significant one: ``res[t]`` holds the cells of the
+    digits seen so far with class sum t, all below ``stride``, so the copy
+    of ``res[t]`` for digit value v is ``res[t] << v * stride`` and the
+    copies do not overlap.
+    """
+    radix = bound + 1
+    res = [1] + [0] * (r - 1)
+    stride = 1
+    for ci in reversed(classes):
+        new = [0] * r
+        for t, bits in enumerate(res):
+            if bits:
+                for v in range(radix):
+                    new[(t + ci * v) % r] |= bits << (v * stride)
+        res = new
+        stride *= radix
+    return res[0]
+
+
+def _reach_bits(generators, bound: int, rank: int) -> int:
+    """The cells of the box [0, bound]^rank that are sums of ``generators``, as a bitset.
+
+    Bit ``j`` is cell ``j`` of :func:`_cell_weight`, and the empty sum is
+    cell 0.  For each generator g that fits in the box, ``mask``
+    holds the sub-box u <= bound - g, built one digit at a time from the
+    least significant one.  For u in it, every digit u_i + g_i is at most
+    bound, so adding g carries into no digit and ``index(u + g) = index(u)
+    + index(g)``: the shift ``(reach & mask) << index(g)`` adds g to every
+    reached cell that stays in the box, and no other borrow or carry mask is
+    needed.  Each w >= g of the box has w - g in the sub-box, so repeating
+    the shift until ``reach`` stops growing (at most bound + 1 rounds) adds
+    every multiple of g that fits.
+    """
+    radix = bound + 1
+    reach = 1
+    for g in generators:
+        if max(g) > bound:
+            continue
+        mask, stride, off = 1, 1, 0
+        for gi in reversed(g):
+            digit = 0
+            for v in range(radix - gi):
+                digit |= mask << (v * stride)
+            mask = digit
+            off += gi * stride
+            stride *= radix
+        while True:
+            grown = reach | (reach & mask) << off
+            if grown == reach:
+                break
+            reach = grown
+    return reach
+
+
 def _cell_weight(j: int, radix: int, rank: int) -> Weight:
-    """The weight of cell ``j`` of :func:`_factorisation_table`."""
+    """The weight of cell ``j`` of the box [0, radix - 1]^rank.
+
+    Its digits in radix ``radix`` are ``j``, most significant first, so the
+    cells run in lexicographic order.
+    """
     digits = []
     for _ in range(rank):
         j, d = divmod(j, radix)
@@ -361,17 +439,25 @@ def factorisation_counts(rsys: RootSystem, bound: int) -> dict[Weight, int]:
 def generation_check(rsys: RootSystem, bound: int) -> Report:
     """Check that every member of M+ with coords <= bound factors over Hilb(M+).
 
-    Reads the table of :func:`_factorisation_table`: the members are the
-    cells of residue 0, and a member of count 0 is a failure.  Only those
-    cells are decoded into weights; :func:`factorisation_counts` gives the
-    counts themselves.
+    The question is whether a factorisation exists, so it is decided by
+    reachability on bitsets over the cells of the box: the members of
+    :func:`_member_bits` less the sums of :func:`_reach_bits`.  The first
+    five failures are the lowest set bits, which come in lexicographic
+    order, and only they are decoded into weights.
+    :func:`factorisation_counts` gives the counts themselves.
     """
-    residues, counts = _factorisation_table(rsys, bound)
-    bad = [j for j, (res, k) in enumerate(zip(residues, counts)) if not (res or k)]
+    radix = _box_radix(rsys, bound)
+    r, c = residue_classes(rsys)
+    members = _member_bits(r, c, bound)
+    bad = members & ~_reach_bits(hilbert_basis(rsys).elements, bound, rsys.rank)
+    unfactorable, rest = [], bad
+    while rest and len(unfactorable) < 5:
+        low = rest & -rest
+        unfactorable.append(_cell_weight(low.bit_length() - 1, radix, rsys.rank))
+        rest ^= low
     rep = Report(title=f"generation {rsys.family}{rsys.rank} bound {bound}")
-    unfactorable = [_cell_weight(j, bound + 1, rsys.rank) for j in bad[:5]]
     rep.add(
-        f"all {residues.count(0)} monoid elements factor over Hilb(M+)",
+        f"all {members.bit_count()} monoid elements factor over Hilb(M+)",
         not bad,
         f"unfactorable: {unfactorable}" if bad else "",
     )

@@ -6,6 +6,7 @@ lines.
 
 import json
 import time
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -350,3 +351,28 @@ def test_criterion_14_verify_e7_e8_time_gate(n, capsys):
     ok = code == 0 and out["ok"] and item["detail"] == f"rank {want} of {want}"
     ok &= elapsed < 10.0
     _report(f"criterion 14: verify E{n} at the default bound ({elapsed:.2f}s < 10s)", ok)
+
+
+def test_criterion_15_verify_a9_bound_4_time_gate(capsys):
+    # 5^9 cells: counting every factorisation in Python lists took ~6 s on a
+    # 2-vCPU host, reachability on bitsets ~0.03 s
+    t0 = time.perf_counter()
+    code = main(["verify", "--type", "A", "--rank", "9", "--bound", "4"])
+    elapsed = time.perf_counter() - t0
+    capsys.readouterr()
+    ok = code == 0 and elapsed < 1.0
+    _report(f"criterion 15: verify A9 --bound 4 in process ({elapsed:.2f}s < 1s)", ok)
+
+
+def test_criterion_16_generation_check_memory_gate():
+    # 7^8 cells of E8 at bound 6: two lists with one entry per cell peaked at
+    # ~133 MB, the bitsets at a few MB
+    e8 = build_root_system("E", 8)
+    tracemalloc.start()
+    try:
+        ok = generation_check(e8, 6).ok
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    ok &= peak < 16
+    _report(f"criterion 16: generation check of E8 at bound 6 ({peak:.1f} MB < 16 MB)", ok)

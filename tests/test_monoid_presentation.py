@@ -245,6 +245,46 @@ def test_factorisation_counts_match_the_dict_counter(fam, n, bound):
     assert generation_check(rsys, bound).ok == all(oracle.values())
 
 
+def _report_from_count_table(rsys, bound):
+    """The generation report read off the count table: members of count 0 fail."""
+    residues, counts = monoid_presentation._factorisation_table(rsys, bound)
+    box = list(product(range(bound + 1), repeat=rsys.rank))
+    bad = [w for w, res, k in zip(box, residues, counts) if res == 0 and k == 0]
+    return {
+        "title": f"generation {rsys.family}{rsys.rank} bound {bound}",
+        "ok": not bad,
+        "checks": [
+            {
+                "name": f"all {residues.count(0)} monoid elements factor over Hilb(M+)",
+                "passed": not bad,
+                "detail": f"unfactorable: {bad[:5]}" if bad else "",
+            }
+        ],
+    }
+
+
+def _no_count_table(*args, **kwargs):
+    raise AssertionError("the generation check built the count table")
+
+
+@pytest.mark.parametrize("fam,n,bound", _ORACLE_CASES)
+def test_generation_report_matches_the_count_table(monkeypatch, fam, n, bound):
+    rsys = build_root_system(fam, n)
+    basis = hilbert_basis(rsys)
+    in_box = [g for g in basis.elements if max(g) <= bound] or list(basis.elements)
+    rng = random.Random(f"{fam}{n} {bound}")
+    for k in range(4):
+        dropped = set(rng.sample(in_box, min(k, len(in_box))))
+        smaller = dataclasses.replace(
+            basis, elements=tuple(g for g in basis.elements if g not in dropped)
+        )
+        with monkeypatch.context() as m:
+            m.setattr(monoid_presentation, "hilbert_basis", lambda rsys: smaller)
+            want = _report_from_count_table(rsys, bound)
+            m.setattr(monoid_presentation, "_factorisation_table", _no_count_table)
+            assert generation_check(rsys, bound).to_json() == want
+
+
 def test_generation_check_fails_fast_at_the_box_cap(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("a table was allocated")
@@ -252,6 +292,8 @@ def test_generation_check_fails_fast_at_the_box_cap(monkeypatch):
     e8 = build_root_system("E", 8)
     monkeypatch.setattr(monoid_presentation, "residue_classes", no_table)
     monkeypatch.setattr(monoid_presentation, "hilbert_basis", no_table)
+    monkeypatch.setattr(monoid_presentation, "_member_bits", no_table)
+    monkeypatch.setattr(monoid_presentation, "_reach_bits", no_table)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="over the cap"):
         generation_check(e8, 10)
