@@ -2,7 +2,7 @@
 
 The library builds, entirely in exact arithmetic, the combinatorial model of
 the centre: the monoid M+ of dominant weights in the half root lattice and
-its Hilbert basis, the binomial presentation of the monoid algebra, the
+its Hilbert basis, binomial relations among its generators, the
 Harish-Chandra images of the central elements in the character ring, and the
 explicit rank-1 Casimir elements obtained from the quasi R-matrix.
 """

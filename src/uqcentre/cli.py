@@ -63,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_type_rank(p)
     add_common(p)
 
-    p = sub.add_parser("presentation", help="binomial presentation of C[M+]")
+    p = sub.add_parser("presentation",
+                       help="generators of C[M+] and binomial relations among them")
     p.set_defaults(func=cmd_presentation)
     add_type_rank(p)
     add_common(p)

@@ -1,4 +1,4 @@
-"""The monoid algebra C[M+] and its binomial presentation.
+"""The monoid algebra C[M+], its generators and binomial relations.
 
 The algebra has basis ``X^lam`` for ``lam`` in M+ with ``X^lam X^mu =
 X^(lam+mu)``.  The map phi sending the abstract polynomial generator
@@ -199,7 +199,10 @@ def generator_labels(rsys: RootSystem, basis) -> tuple[str, ...]:
 
 
 def presentation(rsys: RootSystem) -> Presentation:
-    """Generators (the Hilbert basis) and defining binomial relations of C[M+].
+    """Generators (the Hilbert basis) of C[M+] and binomial relations in ker phi.
+
+    For type II these relations need not generate ker phi (see the module
+    docstring); for type I there are none.
 
     For each conjugate pair the representative lambda is the lexicographically
     larger member.  rel1 is ``x_lam x_bar = prod x_mu_i^max(a_i, a_sigma(i))``;

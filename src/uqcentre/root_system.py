@@ -228,10 +228,10 @@ class RootSystem:
         A = self.cartan
         return tuple(w[k] - wi * A[k][i] for k in range(self.rank))
 
-    def _closure(self, w: Weight) -> set[Weight]:
-        """Closure of ``{w}`` under simple reflections (breadth-first)."""
-        seen = {w}
-        frontier = [w]
+    def _closure(self, *seeds: Weight) -> set[Weight]:
+        """Closure of the set of ``seeds`` under simple reflections (breadth-first)."""
+        seen = set(seeds)
+        frontier = list(seen)
         while frontier:
             nxt = []
             for u in frontier:
@@ -322,25 +322,23 @@ class RootSystem:
 
     @cached_property
     def _positive(self) -> tuple[Weight, ...]:
-        roots = set()
-        # not weyl_orbit: its size check needs the positive roots
-        for i in range(self.rank):
-            roots |= self._closure(self.simple_root(i))
-        D = self._inv_den
-        pos = [r for r in roots if all(x >= 0 for x in self.scaled_root_coords(r))]
-        if 2 * len(pos) != len(roots) or any(
-            x % D for r in pos for x in self.scaled_root_coords(r)
-        ):
-            raise ArithmeticError(f"the roots of {self} are not integral and signed")
-        return tuple(sorted(pos))
+        return tuple(r for r, _ in self._positive_data)
 
     def positive_root_data(self) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
         """Positive roots paired with their integer root-coordinate vectors."""
+        return self._positive_data
+
+    @cached_property
+    def _positive_data(self) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
+        # every root is W-conjugate to a simple root; not weyl_orbit, whose
+        # size check needs the positive roots
+        roots = self._closure(*(self.simple_root(i) for i in range(self.rank)))
+        coords = ((r, self.scaled_root_coords(r)) for r in sorted(roots))
+        pos = [(r, c) for r, c in coords if all(x >= 0 for x in c)]
         D = self._inv_den
-        return tuple(
-            (r, tuple(x // D for x in self.scaled_root_coords(r)))
-            for r in self.positive_roots()
-        )
+        if 2 * len(pos) != len(roots) or any(x % D for _, c in pos for x in c):
+            raise ArithmeticError(f"the roots of {self} are not integral and signed")
+        return tuple((r, tuple(x // D for x in c)) for r, c in pos)
 
     # -- serialization -----------------------------------------------------
 

@@ -41,10 +41,11 @@ Gamma_V = K_V Rt_V R_V, whose weighted partial traces
 
 are central.  The truncation of the quasi R-matrix at n = dim V is exact
 (zeta(F)^dim V = 0), not an approximation.  Since c_n E^n =
-q^(n(n-1)/2) E'^n / [n]! and [n]! divides every entry of zeta(F)^n and
-zeta(E)^n, every entry of R_V, Rt_V, K_V and Gamma_V^k has stored
-coefficients in Z[q, q^-1], so the whole Casimir pipeline runs on Laurent
-polynomials and never needs a polynomial gcd.
+q^(n(n-1)/2) E'^n / [n]!, R_V and Rt_V are built from the divided powers
+F^(n) e_j = [m-j choose n] e_(j+n) and E^(n) e_j = [j choose n] e_(j-n),
+one balanced q-binomial per nonzero entry, so every entry of R_V, Rt_V,
+K_V and Gamma_V^k has stored coefficients in Z[q, q^-1]: the whole Casimir
+pipeline runs on Laurent polynomials and never needs a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -257,34 +258,27 @@ GEN_EP = UqElement._stored({(0, 0, 1): Q_ONE})  # E' = (q - q^-1) E
 _QMQ_ONE = UqElement({(0, 0, 0): _QMQ})  # (q - q^-1) * 1
 
 
-def _rmul_gen(el: UqElement, which: str) -> UqElement:
-    """Right-multiply a normal form by E', K or K^-1 (all trivial shifts)."""
-    out = {}
-    for (x, y, z), c in el._terms.items():
-        if which == "E'":
-            out[(x, y, z + 1)] = c
-        elif which == "K":
-            out[(x, y + 1, z)] = c.shift(-2 * z)
-        else:
-            out[(x, y - 1, z)] = c.shift(2 * z)
-    return UqElement._stored(out)
-
-
 @cache
 def _straighten(c: int, a: int) -> UqElement:
     """Normal form of E'^c F^a.
 
     E' F^a = F^a E' + [a] (q^(1-a) F^(a-1) K - q^(a-1) F^(a-1) K^-1),
-    applied inductively in c.
+    applied inductively in c.  Moving K^(+-1) left past E'^z gives q^(-+2z).
     """
     if c == 0 or a == 0:
         return UqElement._stored({(a, 0, c): Q_ONE})
-    head = _rmul_gen(_straighten(c - 1, a), "E'")
-    tail = _straighten(c - 1, a - 1)
+    out = {(x, y, z + 1): s for (x, y, z), s in _straighten(c - 1, a)._terms.items()}
     coef = q_int(a)
-    head = head + _rmul_gen(tail, "K").scale(coef.shift(1 - a))
-    head = head - _rmul_gen(tail, "KINV").scale(coef.shift(a - 1))
-    return head
+    for dy in (1, -1):
+        for (x, y, z), s in _straighten(c - 1, a - 1)._terms.items():
+            t = (s * coef).shift(dy * (1 - a - 2 * z))
+            mon = (x, y + dy, z)
+            v = out.get(mon, Q_ZERO) + (t if dy > 0 else -t)
+            if v.is_zero():
+                out.pop(mon, None)
+            else:
+                out[mon] = v
+    return UqElement._stored(out)
 
 
 def is_central(x: UqElement) -> bool:
@@ -311,19 +305,10 @@ def _qmat_id(d):
     )
 
 
-def _qmat_pow(A, n):
-    out = _qmat_id(len(A))
-    for _ in range(n):
-        out = _qmat_mul(out, A)
-    return out
-
-
-def _qmat_divided_power(A, n):
-    """A^n / [n]!, entrywise; [n]! divides every entry for A = zeta(E), zeta(F)."""
-    fact = q_factorial(n)
-    return tuple(
-        tuple(laurent_quotient(x, fact) for x in row) for row in _qmat_pow(A, n)
-    )
+@cache
+def _q_binomial(n: int, k: int) -> QRat:
+    """The balanced q-binomial [n choose k] = [n]! / ([k]! [n-k]!), 0 <= k <= n."""
+    return laurent_quotient(q_factorial(n), q_factorial(k) * q_factorial(n - k))
 
 
 class UqMatrix:
@@ -451,29 +436,34 @@ class SimpleModule:
 def quasi_R(V: SimpleModule) -> UqMatrix:
     """(zeta (x) id) of the quasi R-matrix, truncated exactly at n = dim V.
 
-    The n-th term c_n zeta(F^n) (x) E^n is (zeta(F^n)/[n]!) (x) q^(n(n-1)/2) E'^n.
+    The n-th term c_n zeta(F^n) (x) E^n is zeta(F^(n)) (x) q^(n(n-1)/2) E'^n,
+    and the divided power F^(n) sends e_j to [m-j choose n] e_(j+n).
     """
-    out = UqMatrix.tensor(_qmat_id(V.dim), UQ_ZERO)
-    for n in range(V.dim):
-        e_n = UqElement._stored({(0, 0, n): q_power(n * (n - 1) // 2)})
-        out = out + UqMatrix.tensor(_qmat_divided_power(V.F, n), e_n)
-    return out
+    m, d = V.m, V.dim
+    rows = [[UQ_ZERO] * d for _ in range(d)]
+    for j in range(d):
+        for n in range(d - j):
+            coeff = _q_binomial(m - j, n).shift(n * (n - 1) // 2)
+            rows[j + n][j] = UqElement._stored({(0, 0, n): coeff})
+    return UqMatrix(rows)
 
 
 def quasi_R_tilde_T(V: SimpleModule) -> UqMatrix:
     """(zeta (x) id) phi(R^T): sum_n c_n zeta(E^n K^n) (x) K^-n F^n.
 
-    Here c_n = q^(n(n-1)/2) (q - q^-1)^n / [n]!, and the [n]! divides zeta(E^n).
+    Here c_n = q^(n(n-1)/2) (q - q^-1)^n / [n]!.  zeta(E^n K^n) / [n]! sends
+    e_j to q^(n(m-2j)) [j choose n] e_(j-n), and K^-n F^n normal-ordered is
+    q^(2n^2) F^n K^-n.
     """
-    out = UqMatrix.tensor(_qmat_id(V.dim), UQ_ZERO)
-    for n in range(V.dim):
-        first = _qmat_mul(_qmat_divided_power(V.E, n), _qmat_pow(V.K, n))
-        # K^-n F^n normal-ordered is q^(2n^2) F^n K^-n
-        second = UqElement.monomial(
-            n, -n, 0, _qmq_power(n).shift(n * (n - 1) // 2 + 2 * n * n)
-        )
-        out = out + UqMatrix.tensor(first, second)
-    return out
+    m, d = V.m, V.dim
+    rows = [[UQ_ZERO] * d for _ in range(d)]
+    for j in range(d):
+        for n in range(j + 1):
+            coeff = (_qmq_power(n) * _q_binomial(j, n)).shift(
+                n * (m - 2 * j) + n * (n - 1) // 2 + 2 * n * n
+            )
+            rows[j - n][j] = UqElement._stored({(n, -n, 0): coeff})
+    return UqMatrix(rows)
 
 
 def K_operator(V: SimpleModule) -> UqMatrix:
@@ -549,7 +539,7 @@ def _phi2_delta_matrix(V: SimpleModule, gen: str) -> UqMatrix:
     if gen == "F":
         # phi^2(Delta(F)) = F (x) K + K^2 (x) F
         return UqMatrix.tensor(V.F, GEN_K) + UqMatrix.tensor(
-            _qmat_pow(V.K, 2), GEN_F
+            _qmat_mul(V.K, V.K), GEN_F
         )
     if gen == "K":
         return UqMatrix.tensor(V.K, GEN_K)
@@ -584,11 +574,11 @@ def check_K_intertwining(V: SimpleModule) -> Report:
         ("zeta(E) (x) 1", UqMatrix.tensor(V.E, UQ_ONE),
          UqMatrix.tensor(V.E, UqElement.monomial(0, 2, 0))),
         ("1 (x) E", UqMatrix.tensor(ident, GEN_EP),
-         UqMatrix.tensor(_qmat_pow(V.K, 2), GEN_EP)),
+         UqMatrix.tensor(_qmat_mul(V.K, V.K), GEN_EP)),
         ("zeta(F) (x) 1", UqMatrix.tensor(V.F, UQ_ONE),
          UqMatrix.tensor(V.F, UqElement.monomial(0, -2, 0))),
         ("1 (x) F", UqMatrix.tensor(ident, GEN_F),
-         UqMatrix.tensor(_qmat_pow(V.Kinv, 2), GEN_F)),
+         UqMatrix.tensor(_qmat_mul(V.Kinv, V.Kinv), GEN_F)),
     ]
     for name, plain, twisted in checks:
         rep.add(f"K_V ({name}) twists by K^2", KV * plain == twisted * KV)

@@ -10,7 +10,9 @@ Brauer-Klimyk rule.  The oracles may read the library's Freudenthal tables
 which the exact rank of the monomials in the fundamental characters expands
 them; the library certifies their independence by leading terms instead.
 The product in U_q(sl2) is formed one straightening triple at a time; it
-reads the stored terms and the straightening table ``_straighten``.
+reads the stored terms and the straightening table ``_straighten``.  R_V
+and the transposed R~_V are sums of QRat matrix powers, each divided
+entrywise by [n]!, tensored with U_q(sl2) monomials.
 Polynomial products are dict convolutions.  The inverse Cartan matrix is
 Gauss-Jordan over ``Fraction``; the Hilbert basis is a scan of the Davenport
 box (the library's ``_bounded_vectors``) that tests each member on its own
@@ -22,10 +24,16 @@ from itertools import product
 from math import gcd, lcm
 from operator import add
 
-from uqcentre import DomainError, TorusInvariant, UqElement, weight_multiplicities
+from uqcentre import (
+    DomainError,
+    TorusInvariant,
+    UqElement,
+    UqMatrix,
+    weight_multiplicities,
+)
 from uqcentre.character_ring import _order_key, _times_fundamental, full_character
 from uqcentre.half_lattice_monoid import _bounded_vectors
-from uqcentre.qrational import Q_ZERO, q_power
+from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_factorial, q_power
 from uqcentre.uq_rank1 import _straighten
 
 
@@ -400,3 +408,50 @@ def uq_product_by_triples(x, y):
                 else:
                     out[mon] = total
     return UqElement._stored(out)
+
+
+# -- the truncated quasi R-matrix by matrix powers ----------------------------
+
+
+def _matrix_product(A, B):
+    return [
+        [sum((a * B[k][j] for k, a in enumerate(row)), Q_ZERO) for j in range(len(B[0]))]
+        for row in A
+    ]
+
+
+def _matrix_power(A, n):
+    out = [[Q_ONE if i == j else Q_ZERO for j in range(len(A))] for i in range(len(A))]
+    for _ in range(n):
+        out = _matrix_product(out, A)
+    return out
+
+
+def _divided_power(A, n):
+    """A^n / [n]!, entrywise; the division is exact for A = zeta(E), zeta(F)."""
+    fact = q_factorial(n)
+    return [[laurent_quotient(x, fact) for x in row] for row in _matrix_power(A, n)]
+
+
+def quasi_R_by_matrix_powers(V):
+    """sum_n (zeta(F)^n / [n]!) (x) q^(n(n-1)/2) E'^n over n < dim V."""
+    out = UqMatrix.tensor(_matrix_power(V.F, 0), UqElement())  # zero
+    for n in range(V.dim):
+        e_n = UqElement._stored({(0, 0, n): q_power(n * (n - 1) // 2)})
+        out = out + UqMatrix.tensor(_divided_power(V.F, n), e_n)
+    return out
+
+
+def quasi_R_tilde_T_by_matrix_powers(V):
+    """sum_n (zeta(E)^n / [n]!) zeta(K)^n (x) c'_n K^-n F^n over n < dim V.
+
+    c'_n = (q - q^-1)^n q^(n(n-1)/2), and K^-n F^n = q^(2n^2) F^n K^-n.
+    """
+    qmq = q_power(1) - q_power(-1)
+    out = UqMatrix.tensor(_matrix_power(V.F, 0), UqElement())  # zero
+    for n in range(V.dim):
+        first = _matrix_product(_divided_power(V.E, n), _matrix_power(V.K, n))
+        coeff = qmq ** n * q_power(n * (n - 1) // 2 + 2 * n * n)
+        second = UqElement.monomial(n, -n, 0, coeff)
+        out = out + UqMatrix.tensor(first, second)
+    return out

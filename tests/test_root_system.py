@@ -270,7 +270,8 @@ def test_root_coord_round_trip():
 
 
 def test_positive_roots_counts():
-    # number of positive roots: A_n n(n+1)/2, B_n/C_n n^2, D_n n(n-1), G_2 6, F_4 24, E_6 36
+    # number of positive roots: A_n n(n+1)/2, B_n/C_n n^2, D_n n(n-1), G_2 6,
+    # F_4 24, E_6 36, E_7 63, E_8 120
     expected = {
         ("A", 3): 6,
         ("B", 3): 9,
@@ -279,10 +280,45 @@ def test_positive_roots_counts():
         ("G", 2): 6,
         ("F", 4): 24,
         ("E", 6): 36,
+        ("A", 12): 78,
+        ("B", 8): 64,
+        ("C", 8): 64,
+        ("D", 15): 210,
+        ("E", 7): 63,
+        ("E", 8): 120,
     }
     for (fam, n), count in expected.items():
         rsys = build_root_system(fam, n)
         assert len(rsys.positive_roots()) == count
+
+
+def _types_up_to_rank(bound):
+    valid = {"A": 1, "B": 2, "C": 3, "D": 4}
+    for fam, low in valid.items():
+        for n in range(low, bound + 1):
+            yield fam, n
+    yield from [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def test_closure_of_several_seeds_is_union_of_closures():
+    for fam, n in _types_up_to_rank(8):
+        rsys = build_root_system(fam, n)
+        simple = [rsys.simple_root(i) for i in range(n)]
+        union = set().union(*(rsys._closure(a) for a in simple))
+        assert rsys._closure(*simple) == union, (fam, n)
+
+
+def test_positive_root_data_is_cached_and_exact():
+    for fam, n in [("A", 4), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]:
+        rsys = build_root_system(fam, n)
+        data = rsys.positive_root_data()
+        assert rsys.positive_root_data() is data
+        fresh = []
+        for r in rsys.positive_roots():
+            coords = rsys.weight_to_root_coords(r)
+            assert all(c.denominator == 1 and c >= 0 for c in coords)
+            fresh.append((r, tuple(int(c) for c in coords)))
+        assert data == tuple(fresh)
 
 
 def test_serialization_shape():

@@ -32,9 +32,11 @@ from uqcentre.uq_rank1 import (
     UQ_ZERO,
     _QMQ_ONE,
     _delta_matrix,
+    _q_binomial,
     _qmat_id,
     _qmat_mul,
 )
+from oracles import quasi_R_by_matrix_powers, quasi_R_tilde_T_by_matrix_powers
 
 QMQ = q_power(1) - q_power(-1)  # q - q^-1
 
@@ -218,6 +220,22 @@ def test_quasi_R_tilde_dim3_top_corner():
     c2 = q_power(3) * (Q_ONE - q_power(-2)) ** 2 / q_int(2)
     zeta = _qmat_mul(_qmat_mul(V.E, V.E), _qmat_mul(V.K, V.K))[0][2]
     assert Rt.rows[0][2] == UqElement.monomial(2, -2, 0, c2 * zeta * q_power(8))
+
+
+def test_q_binomial_pascal_rule():
+    # [n choose k] = q^-k [n-1 choose k] + q^(n-k) [n-1 choose k-1]
+    for n in range(13):
+        assert _q_binomial(n, 0) == _q_binomial(n, n) == Q_ONE
+        for k in range(1, n):
+            rhs = _q_binomial(n - 1, k).shift(-k) + _q_binomial(n - 1, k - 1).shift(n - k)
+            assert _q_binomial(n, k) == rhs
+
+
+def test_quasi_R_matches_matrix_powers():
+    for m in range(9):
+        V = SimpleModule(m)
+        assert quasi_R(V) == quasi_R_by_matrix_powers(V)
+        assert quasi_R_tilde_T(V) == quasi_R_tilde_T_by_matrix_powers(V)
 
 
 def test_K_operator():
