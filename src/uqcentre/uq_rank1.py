@@ -19,14 +19,17 @@ boundary: the constructor and ``monomial`` take E-basis coefficients, and
 ``terms``, ``coefficient``, ``sorted_terms``, ``render`` and ``to_json``
 give them back, so callers never see the E' basis.
 
-A product is formed one left term at a time.  For the left term
-r1 F^a1 K^b1 E'^c1, every right term r2 F^a2 K^b2 E'^c2 and every term
-s F^x K^y E'^z of the straightened E'^c1 F^a2 contribute r2 s q^e, with
-e = -2 (b1 x + z b2), to the monomial F^(a1+x) K^(b1+y+b2) E'^(z+c2); these
-small products are summed per monomial, and each sum is multiplied by r1
-once.  In Gamma_V^k the left coefficients are the large ones, so this
-about halves the work in large polynomial products.  Powers of q are
-applied as shifts (``QRat.shift``), never as products.
+A product L R is formed from tables of E'^c R, one per E'-exponent c of
+the left factor.  Every right term r2 F^a2 K^b2 E'^c2 and every term
+s F^x K^y E'^z of the straightened E'^c F^a2 contribute r2 s q^(-2 z b2)
+to the monomial F^x K^(y+b2) E'^(z+c2) of E'^c R; the table keeps the
+nonzero sums, and it depends on c and R alone.  The left term
+r1 F^a1 K^b1 E'^c then adds r1 p q^(-2 b1 x) to F^(a1+x) K^(b1+y) E'^z for
+every table entry p F^x K^y E'^z: moving K^b1 past F^x is a shift applied
+after the table is built, and r1, the large coefficient in Gamma_V^k, is
+multiplied once per output monomial.  A matrix product shares the tables
+of each right entry down its column, so every row reuses them.  Powers of
+q are applied as shifts (``QRat.shift``), never as products.
 
 From the (m+1)-dimensional simple module V the three operators
 
@@ -173,25 +176,7 @@ class UqElement:
         if not isinstance(other, UqElement):
             return NotImplemented
         out: dict[Mon, QRat] = {}
-        for (a1, b1, c1), r1 in self._terms.items():
-            # sum r2 s q^e per output monomial, then multiply each sum by r1
-            # once (see the module docstring)
-            part: dict[Mon, QRat] = {}
-            for (a2, b2, c2), r2 in other._terms.items():
-                for (x, y, z), s in _straighten(c1, a2)._terms.items():
-                    mon = (a1 + x, b1 + y + b2, z + c2)
-                    coeff = (r2 * s).shift(-2 * (b1 * x + z * b2))
-                    prev = part.get(mon)
-                    part[mon] = coeff if prev is None else prev + coeff
-            for mon, p in part.items():
-                if p.is_zero():
-                    continue
-                prev = out.get(mon)
-                v = r1 * p if prev is None else prev + r1 * p
-                if v.is_zero():
-                    del out[mon]
-                else:
-                    out[mon] = v
+        _mul_into(out, self._terms, other._terms, {})
         return UqElement._stored(out)
 
     def __rmul__(self, other):
@@ -281,6 +266,45 @@ def _straighten(c: int, a: int) -> UqElement:
     return UqElement._stored(out)
 
 
+def _table(c: int, right: dict) -> list:
+    """The nonzero ((x, y, z), p) with E'^c R = sum p F^x K^y E'^z.
+
+    ``right`` holds the stored terms of R; moving K^b2 left past E'^z gives
+    q^(-2 z b2).
+    """
+    acc: dict[Mon, QRat] = {}
+    for (a2, b2, c2), r2 in right.items():
+        for (x, y, z), s in _straighten(c, a2)._terms.items():
+            mon = (x, y + b2, z + c2)
+            coeff = (r2 * s).shift(-2 * z * b2)
+            prev = acc.get(mon)
+            acc[mon] = coeff if prev is None else prev + coeff
+    return [(mon, p) for mon, p in acc.items() if not p.is_zero()]
+
+
+def _mul_into(out: dict, left: dict, right: dict, tables: dict) -> None:
+    """Add the product of stored terms ``left`` and ``right`` into ``out``.
+
+    ``tables`` maps an E'-exponent c to ``_table(c, right)``, built on first
+    use; it belongs to ``right`` and may be shared by every product with the
+    same right factor.  Moving K^b1 right past F^x gives q^(-2 b1 x).
+    """
+    for (a1, b1, c1), r1 in left.items():
+        table = tables.get(c1)
+        if table is None:
+            table = tables[c1] = _table(c1, right)
+        for (x, y, z), p in table:
+            mon = (a1 + x, b1 + y, z)
+            v = (r1 * p).shift(-2 * b1 * x)
+            prev = out.get(mon)
+            if prev is not None:
+                v = prev + v
+                if v.is_zero():
+                    del out[mon]
+                    continue
+            out[mon] = v
+
+
 def is_central(x: UqElement) -> bool:
     """Whether x commutes with E, F and K (E enters as E' = (q - q^-1) E)."""
     return all(x.commutator(g).is_zero() for g in (GEN_EP, GEN_F, GEN_K))
@@ -352,19 +376,20 @@ class UqMatrix:
 
     def __mul__(self, other):
         if isinstance(other, UqMatrix):
+            # one column at a time: the tables of entry (k, j) serve every row
             d = self.dim
-            return UqMatrix(
-                [
-                    [
-                        sum(
-                            (self.rows[i][k] * other.rows[k][j] for k in range(d)),
-                            UQ_ZERO,
-                        )
-                        for j in range(d)
-                    ]
-                    for i in range(d)
-                ]
-            )
+            columns = []
+            for j in range(d):
+                right = [other.rows[k][j]._terms for k in range(d)]
+                tables = [{} for _ in range(d)]
+                column = []
+                for row in self.rows:
+                    out: dict[Mon, QRat] = {}
+                    for k in range(d):
+                        _mul_into(out, row[k]._terms, right[k], tables[k])
+                    column.append(UqElement._stored(out))
+                columns.append(column)
+            return UqMatrix(zip(*columns))
         return UqMatrix([[e * other for e in row] for row in self.rows])
 
     def __pow__(self, n: int):
@@ -499,10 +524,12 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     if k < 1:
         raise DomainError("k must be >= 1")
     head, G = _gamma_power(V, k - 1).rows, _gamma_power(V, 1).rows
-    out = UQ_ZERO
-    for j in range(V.dim):
-        diag = sum((head[j][l] * G[l][j] for l in range(V.dim)), UQ_ZERO)
-        out = out + diag.scale(V.K[j][j])
+    terms: dict[Mon, QRat] = {}
+    for j, w in enumerate(V.weights):  # zeta(K) e_j = q^w e_j
+        for l in range(V.dim):
+            left = {mon: r.shift(w) for mon, r in head[j][l]._terms.items()}
+            _mul_into(terms, left, G[l][j]._terms, {})
+    out = UqElement._stored(terms)
     for mon, coeff in out.terms.items():
         if not coeff.is_laurent():
             raise ArithmeticError(

@@ -1,6 +1,6 @@
 """Golden output of ``uqcentre casimir``: the sha256 of every output byte.
 
-The digests pin ``casimir --m M --k K`` for M <= 4 and K <= 3, in both
+The digests pin ``casimir --m M --k K`` for M <= 6 and K <= 3, in both
 output formats, as standard output (the rendered text and a trailing
 newline).  Any drift in a coefficient, its canonical form, the term order or
 the rendering changes a digest.
@@ -28,6 +28,12 @@ JSON_SHA256 = {
     (4, 1): "f366f2ee9b0e0d92daae6cbb90d9d00bb52eabfcdd08a630677ba52cef9df6d7",
     (4, 2): "9b6799d7469ac84dcb1a57d474ffced0986d708ceb5a10eb60aec97061bbbc47",
     (4, 3): "d032277a762ab34adf97f1cfd0aa220a767a3fc25d5ccc3f10f440ef6366122a",
+    (5, 1): "e681dc7b4ab213aa3218a891a9eb7f73c309e59ecdbd01c5ddd24e340beab62b",
+    (5, 2): "6accb78487a4e3a3a15dd27177b01eda01bcea8741a0fd7480719ce3648b2ebe",
+    (5, 3): "975f3ace78efae3127e9d5fc478941cdfa89b74c793da6d936ca21bb47152872",
+    (6, 1): "cf033c82fc8be7afd82e3303d8b497770c12a1da02e3cb9cbdc889b5572d3595",
+    (6, 2): "c8d2ff76dbfb16851cce54cf7567fced1aab4f47f4501b1e04e24a156a0bbe50",
+    (6, 3): "8da1d581bccb57c68e5a699fc186caf4928de056a6cc9a9df0e57e1907832ada",
 }
 TEXT_SHA256 = {
     (0, 1): "1f540dd2beb13a36d42a0b3eb5c3968390cdb37d0654ad806159894dc8564e7c",
@@ -45,6 +51,12 @@ TEXT_SHA256 = {
     (4, 1): "646e2c0070c722d7d49a37c905da8dfdded4f55b17b0334f1661763650436614",
     (4, 2): "63c79026e9f41936f61bb84e5a65677f18b7ba9e44236b6386c21e0a74e8e0ef",
     (4, 3): "561ae2174d5c76b3313b33fa2ee055f9dcf19d8d866cc6e4c8dd797bed94a19e",
+    (5, 1): "bd66c7b2f4d08b544980cb00c3278df734c6f38ee26b539eabd22e1dbf0ba5ae",
+    (5, 2): "013aaf710b69e0ccf937c1df6fd3358bf04e45517282c6686aa49ae106b51a8d",
+    (5, 3): "2eeb5693e6c4c167d01f3286a476265d834ab6bf27b0841418b374396059a83f",
+    (6, 1): "b6e3b6debaeaffb20773fd332aa4bdbc24fa1e610bcf17202d1762a2a3dfdd09",
+    (6, 2): "e95c67267b89cecccee382eb307535f58e6be43c411ffbb61328e22d91af6634",
+    (6, 3): "fee4aa5caa7eafa903e7b89d52acc3cad8a8f6b7c4bae598e738d3f3b6ac76f5",
 }
 
 DIGESTS = {"json": JSON_SHA256, "text": TEXT_SHA256}

@@ -36,7 +36,11 @@ from uqcentre.uq_rank1 import (
     _qmat_id,
     _qmat_mul,
 )
-from oracles import quasi_R_by_matrix_powers, quasi_R_tilde_T_by_matrix_powers
+from oracles import (
+    quasi_R_by_matrix_powers,
+    quasi_R_tilde_T_by_matrix_powers,
+    uq_product_by_triples,
+)
 
 QMQ = q_power(1) - q_power(-1)  # q - q^-1
 
@@ -276,6 +280,40 @@ def test_casimir_trivial_module():
         assert casimir(SimpleModule(0), k) == UQ_ONE
     with pytest.raises(DomainError):
         casimir(SimpleModule(1), 0)
+
+
+def _matrix_product_by_triples(A, B):
+    d = A.dim
+    return UqMatrix(
+        [
+            [
+                sum(
+                    (uq_product_by_triples(A.rows[i][k], B.rows[k][j]) for k in range(d)),
+                    UQ_ZERO,
+                )
+                for j in range(d)
+            ]
+            for i in range(d)
+        ]
+    )
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_casimir_matches_the_trace_of_oracle_products(m):
+    # C^(k)_V = sum_j q^(m-2j) (Gamma_V^k)_jj, every product by the oracle
+    V = SimpleModule(m)
+    G = _matrix_product_by_triples(
+        _matrix_product_by_triples(K_operator(V), quasi_R_tilde_T(V)), quasi_R(V)
+    )
+    assert G == gamma(V)
+    power = G
+    for k in range(1, 4):
+        if k > 1:
+            power = _matrix_product_by_triples(power, G)
+        trace = sum(
+            (power.rows[j][j].scale(V.K[j][j]) for j in range(V.dim)), UQ_ZERO
+        )
+        assert casimir(V, k) == trace
 
 
 def test_casimir_raises_on_non_laurent_coefficient(monkeypatch):
