@@ -1,25 +1,43 @@
 """Exact rational functions in the quantum parameter q.
 
-An element is stored in the canonical form ``q^k * num(q) / den(q)`` where
-``num`` and ``den`` are integer-coefficient polynomials with nonzero constant
-terms (powers of q are factored into ``k``), the polynomial gcd of ``num``
-and ``den`` is trivial, the integer contents of ``num`` and ``den`` are
-coprime, and ``den`` has positive leading coefficient.  The canonical form is
-unique, so equality is structural.
+An element is ``q^k * num(q) / den(q)`` in canonical form: ``num`` and
+``den`` are integer-coefficient polynomials with nonzero constant terms
+(powers of q are factored into ``k``), the polynomial gcd of ``num`` and
+``den`` is trivial, the integer contents of ``num`` and ``den`` are coprime,
+and ``den`` has positive leading coefficient.  The canonical form is unique,
+so equality is structural.  ``qpow``, ``num`` and ``den`` give it back, the
+polynomials as little-endian integer tuples (the zero polynomial is ``()``).
 
-Laurent polynomials (``den == (1,)``) take a fast path through the
-constructor, addition and multiplication: the q-valuation is stripped into
-``k`` and nothing else is done, since ``q^k * num`` with ``num(0) != 0`` and
-``den = 1`` already is the canonical form.  Content and gcd reduction run
-only when a true denominator is involved, so arithmetic that stays in
-Z[q, q^-1] never reaches ``_pgcd``.
+Laurent polynomials (``den == (1,)``) are stored packed, by Kronecker
+substitution: ``num`` is held as the one integer N = num(2^B), whose
+balanced base-2^B digits, each in [-2^(B-1), 2^(B-1)), are the
+coefficients, together with a proven bound h on their l1 norm.
 
-A factor q^k is a shift of ``k`` (``QRat.shift``), with no polynomial
-product.  The Z[q] kernels ``_pmul`` and ``_pdiv_exact`` loop only over
-nonzero coefficients: the products of q-integers that the rank-1 code
-forms lie in q^k Z[q^2], so about half of their coefficients are zero.
+- A product is the big-integer product N1*N2, with bound h1*h2 (the l1 norm
+  is submultiplicative).
+- A sum left-shifts the N of larger q-valuation by B times the gap and adds,
+  with bound h1 + h2; trailing zero digits, which only equal valuations can
+  leave, move into ``k``.
+- A shift by q^k changes only ``k``, and a negation only the sign of N;
+  neither changes the bound.
 
-Polynomials are little-endian integer tuples; the zero polynomial is ``()``.
+While h < 2^(B-1) every coefficient is below 2^(B-1) in absolute value, so
+N has one balanced digit expansion, and N = 0 iff the value is 0.  Every
+stored value keeps that invariant, so any value may be unpacked or
+zero-tested.  When the bound of a sum or product reaches the limit, the
+operands' bounds are refreshed to their exact l1 norms (unpacking them is
+exact, since they are valid); if the bound is still too large, the operands
+are repacked at a wider B and the result is normalised.  B is a function of
+the value: 64 while its l1 norm is below 2^63, else the least multiple of 64
+that exceeds its bit length, so an integer constant of any size is valid and
+equal values have equal (k, N, B).  ``laurent_quotient`` divides the packed
+integers and certifies the quotient by the same bound.
+
+Values with a true denominator take the general path: the constructor
+divides out the integer contents and the polynomial gcd (``_pgcd``), on
+tuples, with the schoolbook kernels ``_pmul`` and ``_pdiv_exact``.  A result
+whose denominator reduces to 1 is packed.  The Gamma_V powers and Casimirs
+of the rank-1 code stay in Z[q, q^-1] and never reach that path.
 """
 
 from __future__ import annotations
@@ -27,6 +45,10 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError
+
+_B = 64  # the digit width of every value whose l1 norm is below 2^63
+_LIMIT = 1 << (_B - 1)
+_MASK = (1 << _B) - 1
 
 
 def _trim(p):
@@ -137,46 +159,148 @@ def _pgcd(a, b):
     return g
 
 
-def _laurent_add(k1, a, k2, b):
-    """q^k1 a + q^k2 b for polynomials a, b with nonzero constant terms."""
-    if k1 > k2:
-        k1, a, k2, b = k2, b, k1, a
-    out = list(a)
-    shift = k2 - k1
-    if len(out) < shift + len(b):
-        out.extend([0] * (shift + len(b) - len(out)))
-    for i, y in enumerate(b, shift):
-        out[i] += y
-    return QRat(k1, out, (1,))
+# -- the packed Laurent form ---------------------------------------------------
+
+
+def _width(h: int) -> int:
+    """The digit width B of a packed value with l1 bound h: h < 2^(B-1)."""
+    return _B if h < _LIMIT else _B * ((h.bit_length() + _B) // _B)
+
+
+def _digits(n: int, b: int) -> list[int]:
+    """The balanced base-2^b digits of n, little-endian, with no trailing zero."""
+    half, full = 1 << (b - 1), 1 << b
+    out = []
+    if b == 64:
+        # the two's complement words of n, with a carry into the next word
+        # wherever a word is read as negative; the top word is sign only
+        words = n.to_bytes((abs(n).bit_length() // 64 + 2) * 8, "little", signed=True)
+        carry = 0
+        for d in memoryview(words).cast("Q"):
+            d += carry
+            carry = d >= half
+            if carry:
+                d -= full
+            out.append(d)
+        while out and not out[-1]:
+            out.pop()
+        return out
+    mask = full - 1
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        n = (n - d) >> b
+    return out
+
+
+def _evaluate(coeffs, b: int) -> int:
+    """The polynomial with little-endian ``coeffs`` at q = 2^b."""
+    n = 0
+    for c in reversed(coeffs):
+        n = (n << b) + c
+    return n
+
+
+def _stored(qpow: int, n, h) -> "QRat":
+    """The QRat with the given slots, which must already be canonical."""
+    out = _new(QRat)
+    out.qpow, out._n, out._h = qpow, n, h
+    return out
+
+
+def _from_coefficients(qpow: int, coeffs) -> "QRat":
+    """q^qpow times the polynomial ``coeffs``, packed at the width of its l1 norm."""
+    coeffs = _trim(coeffs)
+    if not coeffs:
+        return Q_ZERO
+    if not coeffs[0]:
+        v = next(i for i, x in enumerate(coeffs) if x)
+        qpow += v
+        coeffs = coeffs[v:]
+    h = sum(map(abs, coeffs))
+    return _stored(qpow, _evaluate(coeffs, _width(h)), h)
+
+
+def _refresh(x: "QRat") -> int:
+    """Tighten the bound of packed x to its exact l1 norm, and return it.
+
+    The width is unchanged: it is a function of the l1 norm, which the old
+    bound already shared.
+    """
+    x._h = h = sum(map(abs, _digits(x._n, _width(x._h))))
+    return h
+
+
+def _at_width(x: "QRat", b: int) -> int:
+    """N of packed x repacked at width b (at least the width of x)."""
+    w = _width(x._h)
+    return x._n if w == b else _evaluate(_digits(x._n, w), b)
+
+
+def _combine(x: "QRat", y: "QRat", product: bool) -> "QRat":
+    """x*y or x + y, for nonzero packed x, y whose bound reached 2^(B-1).
+
+    The operands' bounds are refreshed first; if the result's bound still
+    reaches the limit, it is formed at a wider B.  The result is unpacked
+    and packed again at the width of its exact l1 norm.
+    """
+    hx, hy = _refresh(x), _refresh(y)
+    b = _width(hx * hy if product else hx + hy)
+    nx, ny = _at_width(x, b), _at_width(y, b)
+    if product:
+        qpow, n = x.qpow + y.qpow, nx * ny
+    else:
+        qpow = min(x.qpow, y.qpow)
+        n = (nx << b * (x.qpow - qpow)) + (ny << b * (y.qpow - qpow))
+    return _from_coefficients(qpow, _digits(n, b))
+
+
+def _quotient_certified(x: "QRat", y: "QRat") -> "QRat":
+    """x / y for nonzero packed x, y, conclusively.
+
+    If y divides x in Z[q, q^-1], the quotient z has l1 norm at most
+    2^deg(z) |x|_1 (Mignotte's bound for a factor of x), so at a width with
+    2^deg(z) h_x h_y < 2^(B-1) the product y z of the decoded quotient has
+    valid coefficients; it then equals x exactly iff it evaluates to N_x.
+    """
+    hx, hy = _refresh(x), _refresh(y)
+    # a valid N with d + 1 digits at width w has d*w <= bit length < (d+1)*w
+    dz = abs(x._n).bit_length() // _width(hx) - abs(y._n).bit_length() // _width(hy)
+    if dz < 0:
+        raise ArithmeticError("inexact polynomial division")
+    b = max(_width(hx), _width(hy), _width((hx << dz) * hy))
+    n, r = divmod(_at_width(x, b), _at_width(y, b))
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    z = _digits(n, b)
+    if sum(map(abs, z)) * hy >= 1 << (b - 1):
+        raise ArithmeticError("inexact polynomial division")
+    return _from_coefficients(x.qpow - y.qpow, z)
 
 
 class QRat:
-    """An exact element of the field of rational functions in q."""
+    """An exact element of the field of rational functions in q.
 
-    __slots__ = ("qpow", "num", "den")
+    A Laurent value keeps its packed N = num(2^B) in ``_n`` and its l1 bound
+    in ``_h``; any other value keeps the pair ``(num, den)`` in ``_n`` and
+    ``_h = None``.
+    """
 
-    def __init__(self, qpow, num, den, _canonical=False):
-        if _canonical:
-            self.qpow, self.num, self.den = qpow, num, den
-            return
+    __slots__ = ("qpow", "_n", "_h")
+
+    def __init__(self, qpow, num, den):
         if den == (1,):
-            # Laurent fast path: only the q-valuation needs stripping
-            num = _trim(num)
-            if not num:
-                self.qpow, self.num, self.den = 0, (), (1,)
-                return
-            if not num[0]:
-                vn = next(i for i, x in enumerate(num) if x)
-                qpow += vn
-                num = num[vn:]
-            self.qpow, self.num, self.den = qpow, num, den
+            x = _from_coefficients(qpow, num)
+            self.qpow, self._n, self._h = x.qpow, x._n, x._h
             return
         num = _trim(num)
         den = _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            self.qpow, self.num, self.den = 0, (), (1,)
+            self.qpow, self._n, self._h = 0, 0, 0
             return
         vn = next(i for i, x in enumerate(num) if x)
         vd = next(i for i, x in enumerate(den) if x)
@@ -197,7 +321,21 @@ class QRat:
         den = _pscale(pd, cd)
         if den[-1] < 0:
             num, den = _pneg(num), _pneg(den)
-        self.qpow, self.num, self.den = qpow, num, den
+        if den == (1,):
+            x = _from_coefficients(qpow, num)
+            self.qpow, self._n, self._h = x.qpow, x._n, x._h
+        else:
+            self.qpow, self._n, self._h = qpow, (num, den), None
+
+    @property
+    def num(self) -> tuple:
+        if self._h is None:
+            return self._n[0]
+        return tuple(_digits(self._n, _width(self._h)))
+
+    @property
+    def den(self) -> tuple:
+        return (1,) if self._h is not None else self._n[1]
 
     # -- constructors -------------------------------------------------------
 
@@ -205,7 +343,7 @@ class QRat:
     def integer(cls, n: int) -> "QRat":
         if n == 0:
             return Q_ZERO
-        return cls(0, (n,), (1,), _canonical=True)
+        return _stored(0, n, abs(n))
 
     @classmethod
     def coerce(cls, x) -> "QRat":
@@ -216,18 +354,18 @@ class QRat:
         raise TypeError(f"cannot coerce {x!r} to QRat")
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def is_one(self) -> bool:
-        return self.qpow == 0 and self.num == (1,) and self.den == (1,)
+        return self.qpow == 0 and self._n == 1
 
     def is_laurent(self) -> bool:
         """Whether the element is a Laurent polynomial in q."""
-        return self.den == (1,) or self.is_zero()
+        return self._h is not None
 
     def as_laurent(self) -> dict[int, int]:
         """Exponent -> coefficient map; raises if not a Laurent polynomial."""
-        if not self.is_laurent():
+        if self._h is None:
             raise DomainError(f"{self} is not a Laurent polynomial")
         return {self.qpow + i: c for i, c in enumerate(self.num) if c}
 
@@ -247,12 +385,27 @@ class QRat:
             if not isinstance(other, int):
                 return NotImplemented
             other = QRat.integer(other)
-        if not self.num:
+        if not self._n:
             return other
-        if not other.num:
+        if not other._n:
             return self
-        if self.den == (1,) and other.den == (1,):
-            return _laurent_add(self.qpow, self.num, other.qpow, other.num)
+        if self._h is not None and other._h is not None:
+            h = self._h + other._h
+            if h >= _LIMIT:
+                return _combine(self, other, False)
+            # the N of larger valuation moves up one digit per power of q
+            k1, k2 = self.qpow, other.qpow
+            if k1 < k2:
+                return _stored(k1, self._n + (other._n << _B * (k2 - k1)), h)
+            if k2 < k1:
+                return _stored(k2, other._n + (self._n << _B * (k1 - k2)), h)
+            n = self._n + other._n
+            if not n:
+                return Q_ZERO
+            if not n & _MASK:  # trailing zero digits move into the valuation
+                z = (n & -n).bit_length() // _B
+                k1, n = k1 + z, n >> (_B * z)
+            return _stored(k1, n, h)
         # align the q-valuations by prepending zeros to the later numerator
         k = min(self.qpow, other.qpow)
         num = _padd(
@@ -264,9 +417,9 @@ class QRat:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero():
-            return self
-        return QRat(self.qpow, _pneg(self.num), self.den, _canonical=True)
+        if self._h is not None:
+            return _stored(self.qpow, -self._n, self._h)
+        return _stored(self.qpow, (_pneg(self._n[0]), self._n[1]), None)
 
     def __sub__(self, other):
         if not isinstance(other, (int, QRat)):
@@ -283,17 +436,14 @@ class QRat:
             if not isinstance(other, int):
                 return NotImplemented
             other = QRat.integer(other)
-        if not self.num or not other.num:
+        if not self._n or not other._n:
             return Q_ZERO
-        # a factor q^k is applied as a shift
-        if other.num == (1,) and other.den == (1,):
-            return self.shift(other.qpow)
-        if self.num == (1,) and self.den == (1,):
-            return other.shift(self.qpow)
-        if self.den == (1,) and other.den == (1,):
+        if self._h is not None and other._h is not None:
             # a product of polynomials with nonzero constant terms has one too
-            return QRat(self.qpow + other.qpow, _pmul(self.num, other.num), (1,),
-                        _canonical=True)
+            h = self._h * other._h
+            if h >= _LIMIT:
+                return _combine(self, other, True)
+            return _stored(self.qpow + other.qpow, self._n * other._n, h)
         return QRat(
             self.qpow + other.qpow,
             _pmul(self.num, other.num),
@@ -304,9 +454,9 @@ class QRat:
 
     def shift(self, k: int) -> "QRat":
         """q^k * self, by moving the q-valuation; no polynomial product."""
-        if not self.num or not k:
+        if not self._n or not k:
             return self
-        return QRat(self.qpow + k, self.num, self.den, _canonical=True)
+        return _stored(self.qpow + k, self._n, self._h)
 
     def inverse(self) -> "QRat":
         if self.is_zero():
@@ -334,18 +484,19 @@ class QRat:
     def __eq__(self, other):
         if isinstance(other, int):
             other = QRat.integer(other)
+        # one N stands for different polynomials at different widths
         return (
             isinstance(other, QRat)
             and self.qpow == other.qpow
-            and self.num == other.num
-            and self.den == other.den
+            and self._n == other._n
+            and (self._h is None or _width(self._h) == _width(other._h))
         )
 
     def __hash__(self):
-        # an integer constant equals that int, so it must hash like it
-        if self.qpow == 0 and self.den == (1,) and len(self.num) <= 1:
-            return hash(self.num[0] if self.num else 0)
-        return hash((self.qpow, self.num, self.den))
+        # an integer constant equals that int, and its N is that int
+        if self._h is None:
+            return hash((self.qpow, self._n))
+        return hash((self.qpow, self._n)) if self.qpow else hash(self._n)
 
     # -- rendering -----------------------------------------------------------
 
@@ -366,6 +517,9 @@ class QRat:
 
     def to_json(self) -> dict:
         return {"qpow": self.qpow, "num": list(self.num), "den": list(self.den)}
+
+
+_new = object.__new__
 
 
 def _monomial_str(c: int, e: int) -> str:
@@ -395,28 +549,39 @@ def _poly_str(p) -> str:
     return _laurent_str({i: c for i, c in enumerate(p) if c})
 
 
-Q_ZERO = QRat(0, (), (1,), _canonical=True)
-Q_ONE = QRat(0, (1,), (1,), _canonical=True)
+Q_ZERO = _stored(0, 0, 0)
+Q_ONE = _stored(0, 1, 1)
 
 
 def laurent_quotient(x: QRat, y: QRat) -> QRat:
     """x / y for Laurent polynomials x, y where y divides x in Z[q, q^-1].
 
-    Exact long division of the coefficient polynomials, with no gcd; raises
-    ArithmeticError when the quotient is not a Laurent polynomial.
+    One division of the packed integers, with no gcd: a remainder proves the
+    polynomial division inexact, since q -> 2^B is a ring map.  At B = 64 an
+    exact integer quotient is accepted when its digits z satisfy
+    |z|_1 h_y < 2^(B-1), so that y z has valid coefficients and equals x;
+    otherwise the division is decided at a wider B.  Raises ArithmeticError when the
+    quotient is not a Laurent polynomial.
     """
-    if not (x.is_laurent() and y.is_laurent()):
+    if x._h is None or y._h is None:
         raise ArithmeticError("laurent_quotient needs Laurent polynomials")
-    if y.is_zero():
+    if not y._n:
         raise ZeroDivisionError
-    if x.is_zero():
+    if not x._n:
         return Q_ZERO
-    return QRat(x.qpow - y.qpow, _pdiv_exact(x.num, y.num), (1,), _canonical=True)
+    if x._h < _LIMIT and y._h < _LIMIT:
+        n, r = divmod(x._n, y._n)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        hz = sum(map(abs, _digits(n, _B)))
+        if hz * y._h < _LIMIT:
+            return _stored(x.qpow - y.qpow, n, hz)
+    return _quotient_certified(x, y)
 
 
 def q_power(k: int) -> QRat:
     """q^k."""
-    return QRat(k, (1,), (1,), _canonical=True)
+    return _stored(k, 1, 1)
 
 
 def q_int(m: int) -> QRat:
@@ -427,7 +592,7 @@ def q_int(m: int) -> QRat:
         return -q_int(-m)
     num = [0] * (2 * m - 1)
     num[0::2] = [1] * m
-    return QRat(1 - m, tuple(num), (1,), _canonical=True)
+    return _from_coefficients(1 - m, num)
 
 
 def q_factorial(m: int) -> QRat:

@@ -250,6 +250,13 @@ class RootSystem:
 
         Raises :class:`ResourceLimitError` before it builds an orbit of more
         than ``ORBIT_CAP`` points, the size being known from :meth:`orbit_size`.
+
+        The walk starts at the dominant weight mu and needs no seen-set.  A
+        point v != mu has one parent, s_i v for the least i with v_i < 0,
+        which is higher than v in the dominance order.  So from each point u
+        the walk applies s_i where u_i > 0 and keeps v = s_i u (with
+        v_i = -u_i < 0) only if v_j >= 0 for every j < i: every point is
+        reached exactly once, from its parent.
         """
         self._check_weight(w)
         size = self.orbit_size(w)
@@ -257,7 +264,17 @@ class RootSystem:
             raise ResourceLimitError(
                 f"Weyl orbit of {w} in {self} has {size} points, over the cap {ORBIT_CAP}"
             )
-        return self._closure(tuple(w))
+        A, r = self.cartan, self.rank
+        columns = [tuple(A[k][i] for k in range(r)) for i in range(r)]
+        orbit = [self.dominant_representative(w)]
+        for u in orbit:  # the list grows while it is walked
+            for i, ui in enumerate(u):
+                if ui > 0:
+                    col = columns[i]
+                    # v_j = u_j - u_i A_ji for j < i, tested before v is built
+                    if all(u[j] >= ui * col[j] for j in range(i)):
+                        orbit.append(tuple(x - ui * a for x, a in zip(u, col)))
+        return set(orbit)
 
     def orbit_size(self, w: Weight) -> int:
         """|W w| = |W| / |W_mu| for the dominant mu in the orbit of ``w``.

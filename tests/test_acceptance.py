@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.
 """
 
+import hashlib
 import json
 import time
 import tracemalloc
@@ -35,9 +36,10 @@ from uqcentre import (
     xi_simple,
 )
 from uqcentre.qrational import q_power
-from uqcentre.uq_rank1 import GEN_F, GEN_E, GEN_K, GEN_KINV
+from uqcentre.uq_rank1 import GEN_F, GEN_E, GEN_K, GEN_KINV, _gamma_power, _straighten
 from uqcentre.cli import main
 from oracles import independence_rank, type_A_membership, weyl_dim
+from test_casimir_golden import JSON_SHA256
 
 
 def _report(name: str, passed: bool) -> None:
@@ -376,3 +378,18 @@ def test_criterion_16_generation_check_memory_gate():
         tracemalloc.stop()
     ok &= peak < 16
     _report(f"criterion 16: generation check of E8 at bound 6 ({peak:.1f} MB < 16 MB)", ok)
+
+
+def test_criterion_17_casimir_time_gate(capsys):
+    # casimir m = 6, k = 3 from cold caches: ~2.7 s on a 2-vCPU host with
+    # tuple coefficients and schoolbook products, ~0.5 s with the packed
+    # Laurent coefficients (one big-integer product each)
+    _gamma_power.cache_clear()
+    _straighten.cache_clear()
+    t0 = time.perf_counter()
+    code = main(["casimir", "--m", "6", "--k", "3", "--format", "json"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out.encode()
+    ok = code == 0 and hashlib.sha256(out).hexdigest() == JSON_SHA256[(6, 3)]
+    ok &= elapsed < 1.8
+    _report(f"criterion 17: casimir m=6 k=3 in process ({elapsed:.2f}s < 1.8s)", ok)

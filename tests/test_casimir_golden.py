@@ -1,8 +1,8 @@
 """Golden output of ``uqcentre casimir``: the sha256 of every output byte.
 
 The digests pin ``casimir --m M --k K`` for M <= 6 and K <= 3, in both
-output formats, as standard output (the rendered text and a trailing
-newline).  Any drift in a coefficient, its canonical form, the term order or
+output formats, and for M = 7, 8 with K <= 2 in JSON, as standard output
+(the rendered text and a trailing newline).  Any drift in a coefficient, its canonical form, the term order or
 the rendering changes a digest.
 """
 
@@ -59,6 +59,13 @@ TEXT_SHA256 = {
     (6, 3): "fee4aa5caa7eafa903e7b89d52acc3cad8a8f6b7c4bae598e738d3f3b6ac76f5",
 }
 
+LARGE_JSON_SHA256 = {
+    (7, 1): "ff41dd1dfb02bd2198c3d44ab0bbaf1f3556622dd8b241c6ef7f1fbfb98f285e",
+    (7, 2): "9cdd7d8b075cf992b1f5d485cafc56881bb8c6fdd692b8e93e9d79d3866a8825",
+    (8, 1): "49f00810783b44b12c15e3382a1223904e91e019b54586d44661b77089a0fa32",
+    (8, 2): "89be52736ccc41e69d0a5551d4b2942e9b72fd871458607188ee8d158218d3b9",
+}
+
 DIGESTS = {"json": JSON_SHA256, "text": TEXT_SHA256}
 
 
@@ -69,3 +76,11 @@ def test_casimir_output_digest(capsys, m, k, fmt):
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == DIGESTS[fmt][(m, k)]
+
+
+@pytest.mark.parametrize("m,k", sorted(LARGE_JSON_SHA256))
+def test_large_casimir_json_digest(capsys, m, k):
+    code = main(["casimir", "--m", str(m), "--k", str(k), "--format", "json"])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == LARGE_JSON_SHA256[(m, k)]

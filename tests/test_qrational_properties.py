@@ -1,10 +1,15 @@
 """Property tests of QRat arithmetic, with sympy as an independent oracle.
 
-Laurent operands (``den == (1,)``) take the fast path of the constructor,
-``+`` and ``*``; the results must agree with sympy and be structurally
-equal to the canonical form the general (gcd) path gives for the same value.
-The Z[q] kernels ``_pmul`` and ``_pdiv_exact`` skip zero coefficients and
-are checked against a dict convolution on polynomials with interior zeros.
+Laurent operands (``den == (1,)``) are stored packed, as N = num(2^B) with a
+bound on the l1 norm of the coefficients; the results of ``+``, ``-``, ``*``
+and ``shift`` must agree with sympy and be structurally equal to the
+canonical form the general (gcd) path gives for the same value.  Coefficients
+are also drawn near 2^(B-1), where a bound check decides between the packed
+product and a wider B, and as large as 10^30; product chains force the
+bounds past 2^(B-1), so the operands are refreshed and repacked wider.  Every
+packed result must carry a valid bound.  The Z[q] kernels ``_pmul`` and
+``_pdiv_exact``, which serve the gcd path, skip zero coefficients and are
+checked against a dict convolution on polynomials with interior zeros.
 """
 
 import pytest
@@ -16,9 +21,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oracles import poly_product_by_dict  # noqa: E402
 from uqcentre.qrational import (  # noqa: E402
+    _B,
     QRat,
     _pdiv_exact,
     _pmul,
+    _width,
     laurent_quotient,
     q_power,
 )
@@ -211,3 +218,117 @@ def test_shift_of_zero_is_the_canonical_zero():
     zero = QRat(0, (), (1,))
     for k in (-3, 0, 5):
         assert fields(zero.shift(k)) == (0, (), (1,)) == fields(q_power(k) * zero)
+
+
+# -- the packed form at large coefficients ------------------------------------------
+
+
+def valid(x: QRat) -> bool:
+    """x carries a bound on its l1 norm below 2^(B-1), at the width of that norm."""
+    if not x.is_laurent():
+        return True
+    l1 = sum(abs(c) for c in x.num)
+    return l1 <= x._h < 2 ** (_width(x._h) - 1) and _width(x._h) == _width(l1)
+
+
+def signed(magnitudes):
+    return st.builds(lambda m, neg: -m if neg else m, magnitudes, st.booleans())
+
+
+# small, near the digit limit 2^(B-1), and far beyond one digit
+big_coefficients = st.one_of(
+    st.integers(-4, 4),
+    signed(st.integers(2 ** (_B - 2), 2 ** (_B + 2))),
+    st.integers(-10**30, 10**30),
+)
+
+
+@st.composite
+def big_laurents(draw, coefficients=big_coefficients, max_size=6):
+    coeffs = draw(st.lists(coefficients, max_size=max_size))
+    return QRat(draw(exponents), tuple(coeffs), (1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_laurents(), big_laurents(), exponents)
+def test_packed_arithmetic_agrees_with_sympy_at_large_coefficients(x, y, k):
+    sx, sy = to_sympy(x), to_sympy(y)
+    assert valid(x) and valid(y)
+    for result, expr in (
+        (x + y, sx + sy), (y + x, sx + sy), (x - y, sx - sy), (-x, -sx),
+        (x * y, sx * sy), (x.shift(k), Q**k * sx),
+    ):
+        assert valid(result)
+        assert is_canonical_laurent(result)
+        assert same_value(result, expr)
+        # the same value built from its coefficients: equal, and hashed alike
+        rebuilt = QRat(result.qpow, result.num, (1,))
+        assert fields(result) == fields(rebuilt) and result == rebuilt
+        assert hash(result) == hash(rebuilt)
+    assert (x == y) == (sx == sy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(big_laurents(st.integers(-2**40, 2**40), max_size=5), min_size=2, max_size=6),
+       big_laurents())
+def test_product_chains_widen_and_narrow(factors, y):
+    """Products whose bounds pass 2^(B-1); then sums that cancel them again."""
+    p, expr = QRat.integer(1), _K(1)
+    for f in factors:
+        p, expr = p * f, expr * to_sympy(f)
+        assert valid(p) and same_value(p, expr)
+    assert is_canonical_laurent(p)
+    assert (p - p).is_zero() and fields(p - p) == (0, (), (1,))
+    for result, value in ((p + y - p, to_sympy(y)), (p * y - p * y, _K(0)),
+                          ((p + y) * (p - y), expr**2 - to_sympy(y) ** 2)):
+        assert valid(result) and is_canonical_laurent(result)
+        assert same_value(result, value)
+        assert fields(result) == fields(QRat(result.qpow, result.num, (1,)))
+    if not y.is_zero():
+        assert laurent_quotient(p * y, y) == p
+    if not p.is_zero():
+        assert laurent_quotient(p * y, p) == y
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponents, st.lists(big_coefficients, min_size=1, max_size=5), big_laurents())
+def test_sums_that_cancel_low_digits_or_everything(k, low, tail):
+    if not any(low):
+        low[0] = 1
+    x = QRat(k, tuple(low), (1,)) + tail.shift(len(low) + 1)
+    minus_low = QRat(k, tuple(-c for c in low), (1,))
+    rest = x + minus_low  # only the shifted tail survives
+    assert valid(rest) and fields(rest) == fields(tail.shift(len(low) + 1))
+    assert (x + (-x)).is_zero() and fields(x - x) == (0, (), (1,))
+    assert valid(x - x)
+
+
+def test_one_packed_integer_is_not_one_value_at_every_width():
+    # 1 + q at B = 64 and the constant 2^64 + 1 at B = 128 share N = 2^64 + 1
+    one_plus_q = QRat(0, (1, 1), (1,))
+    constant = QRat.integer(2**_B + 1)
+    assert one_plus_q._n == constant._n
+    assert one_plus_q != constant and constant != one_plus_q
+    assert one_plus_q != 2**_B + 1
+    assert constant == 2**_B + 1 and hash(constant) == hash(2**_B + 1)
+
+
+def test_laurent_quotient_rejects_exact_integer_but_inexact_polynomial_division():
+    # 2^B = 1 mod 3 for even B, so 3 divides 1 + 2^B + 2^2B, but 3 does not
+    # divide 1 + q + q^2 in Z[q]; the same with the cofactor 1 + q on both sides
+    x = QRat(0, (1, 1, 1), (1,))
+    y = QRat.integer(3)
+    cofactor = QRat(0, (1, 1), (1,))
+    for num, den in ((x, y), (x * cofactor, y * cofactor), (x.shift(2), y.shift(-1))):
+        assert num._n % den._n == 0
+        with pytest.raises(ArithmeticError):
+            laurent_quotient(num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_laurents(), big_laurents())
+def test_laurent_quotient_inverts_multiplication_at_large_coefficients(x, y):
+    if y.is_zero():
+        return
+    z = laurent_quotient(x * y, y)
+    assert z == x and valid(z)

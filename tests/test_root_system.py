@@ -308,6 +308,17 @@ def test_closure_of_several_seeds_is_union_of_closures():
         assert rsys._closure(*simple) == union, (fam, n)
 
 
+def test_orbit_walk_matches_the_breadth_first_closure():
+    rng = random.Random(17)
+    for fam, n in _types_up_to_rank(5):
+        if fam == "E" and n > 6:
+            continue
+        rsys = build_root_system(fam, n)
+        for _ in range(4):
+            w = tuple(rng.randint(-1, 1) for _ in range(n))
+            assert rsys.weyl_orbit(w) == rsys._closure(w), (fam, n, w)
+
+
 def test_positive_root_data_is_cached_and_exact():
     for fam, n in [("A", 4), ("B", 3), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]:
         rsys = build_root_system(fam, n)
