@@ -5,9 +5,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uqcentre
-from uqcentre.cli import main
+from uqcentre.cli import COMMANDS, Option, _json_dump, _parse, main
+
+SRC = os.path.dirname(os.path.dirname(uqcentre.__file__))
 
 
 def run(capsys, *argv):
@@ -232,3 +236,160 @@ def test_removed_options_exit_2(capsys, flags):
     code, out, err = run(capsys, "verify", "--type", "A", "--rank", "2", *flags)
     assert code == 2
     assert out == "" and "unrecognized arguments" in err
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback():
+    # as `uqcentre ... | head -1` once head has exited: no reader is left
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "uqcentre", "hilb", "--type", "A", "--rank", "12",
+             "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2
+    assert child.stderr.startswith("error: cannot write standard output: ")
+    assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**40, 10**40) | _TEXT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(st.integers(-10**40, 10**40), max_size=4)
+        | st.dictionaries(_TEXT | st.sampled_from(["10", "2", "", "a"]), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_json_dump_is_json_dumps(value):
+    assert _json_dump(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "one"}, [{"a": [0.5]}], {"b": 1, 2: 0}])
+def test_json_dump_rejects_what_it_cannot_match(value):
+    with pytest.raises(TypeError):
+        _json_dump(value)
+
+
+DEFAULTS = {"format": "text", "out": None}
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["hilb", "--type", "A", "--rank", "2"], {"family": "A", "rank": 2}),
+    (["presentation", "--type=E", "--rank=6"], {"family": "E", "rank": 6}),
+    (["verify", "--type", "D", "--rank", "5"], {"family": "D", "rank": 5, "bound": 3}),
+    (["casimir", "--m", "1"], {"m": 1, "k": 1}),
+    (["hilb", "--ty", "B", "--ra=3", "--form", "json"],
+     {"family": "B", "rank": 3, "format": "json"}),
+    (["verify", "--rank", "2", "--type", "A", "--bo=4", "--out", "r.txt"],
+     {"family": "A", "rank": 2, "bound": 4, "out": "r.txt"}),
+    (["casimir", "--m", "1", "--m", "3", "--k", "2", "--k=3", "--format", "json",
+      "--format", "text"], {"m": 3, "k": 3}),
+    (["presentation", "--type", "A", "--rank", "9", "--rank", "3"], {"family": "A", "rank": 3}),
+    (["casimir", "--m", "-1", "--k=-2"], {"m": -1, "k": -2}),
+    (["verify", "--type", "A", "--rank", "-3", "--bound", "-1"],
+     {"family": "A", "rank": -3, "bound": -1}),
+])
+def test_parse_fills_defaults_and_takes_the_last_value(argv, values):
+    command, args = _parse(argv)
+    assert command == argv[0]
+    assert vars(args) == {**DEFAULTS, **values}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["casimir", "--m", "-1"], "error: --m must be >= 0\n"),
+    (["casimir", "--m", "1", "--k", "-1"], "error: --k must be >= 1\n"),
+    (["verify", "--type", "A", "--rank", "2", "--bound=-1"], "error: --bound must be >= 1\n"),
+    (["hilb", "--type", "A", "--rank", "-2"],
+     "error: invalid rank -2 for type A: requires rank >= 1\n"),
+])
+def test_negative_values_reach_the_domain_checks(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"],
+    *([name, flag] for name in COMMANDS for flag in ("-h", "--help")),
+    ["hilb", "--type", "A", "--help"],  # help comes before the missing --rank
+    ["casimir", "--m", "1", "--hel"],
+])
+def test_help_lists_every_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: uqcentre")
+    if argv[0] not in COMMANDS:
+        assert all(f"  {name}  " in out for name in COMMANDS)
+        return
+    for opt in COMMANDS[argv[0]][2]:
+        assert f"  {opt.flag} " in out and opt.help in out
+        assert opt.choices is None or "{" + ",".join(opt.choices) + "}" in out
+
+
+@pytest.mark.parametrize("argv, problem", [
+    ([], "the following arguments are required: command"),
+    (["nonsense"], "argument command: invalid choice: 'nonsense' "
+                   "(choose from 'hilb', 'presentation', 'verify', 'casimir')"),
+    (["--type", "A"], "unrecognized arguments: --type A"),
+    (["hilb", "--type", "A"], "the following arguments are required: --rank"),
+    (["casimir", "--k", "2"], "the following arguments are required: --m"),
+    (["presentation"], "the following arguments are required: --type, --rank"),
+    (["verify", "--type", "A", "--rank", "two"], "argument --rank: invalid int value: 'two'"),
+    (["casimir", "--m", "1.5"], "argument --m: invalid int value: '1.5'"),
+    (["hilb", "--type", "A", "--rank", "2", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["hilb", "--type", "A", "--rank"], "argument --rank: expected one argument"),
+    (["hilb", "--type", "--rank", "2"], "argument --type: expected one argument"),
+    (["verify", "--type", "A", "--rank", "2", "--bound="], "argument --bound: invalid int value: ''"),
+    (["casimir", "--m", "1", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+    (["casimir", "--m", "1", "-x", "extra"], "unrecognized arguments: -x extra"),
+    (["hilb", "--type", "A", "--rank", "2", "--help=yes"],
+     "argument -h/--help: ignored explicit argument 'yes'"),
+])
+def test_usage_errors_name_the_problem(capsys, argv, problem):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: uqcentre")
+    assert error.endswith("error: " + problem)
+
+
+def test_ambiguous_prefix_is_refused(capsys, monkeypatch):
+    # no two options of a subcommand share a prefix today: add one that does
+    func, summary, options = COMMANDS["verify"]
+    extra = Option("--bounds", "bounds", int, 0, None, "a second option starting --bound")
+    monkeypatch.setitem(COMMANDS, "verify", (func, summary, options + (extra,)))
+    code, out, err = run(capsys, "verify", "--type", "A", "--rank", "2", "--bo", "2")
+    assert code == 2 and out == ""
+    assert err.splitlines()[1] == (
+        "uqcentre verify: error: ambiguous option: --bo could match --bound, --bounds")
+    assert _parse(["verify", "--type", "A", "--rank", "2", "--bound", "2"])[1].bound == 2
+
+
+def test_cli_imports_no_argparse():
+    # argparse pulls in gettext, and its messages pull in locale: none is needed
+    probe = (
+        "import io, sys, contextlib, uqcentre.cli\n"
+        "loaded = lambda: [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+        "after_import = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    uqcentre.cli.main(['hilb', '--type', 'A', '--rank', '2', '--format', 'json'])\n"
+        "    uqcentre.cli.main(['verify', '--help'])\n"
+        "print(after_import, loaded())\n"
+    )
+    child = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[] []\n"

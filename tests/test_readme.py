@@ -1,7 +1,8 @@
-"""The README's JSON schemas name the top-level keys the CLI emits."""
+"""The README's command lines run, and its JSON schemas name the keys the CLI emits."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 from uqcentre.cli import main
@@ -56,3 +57,21 @@ def test_json_schemas_match_cli_keys(capsys):
             assert required <= keys <= required | optional, (argv, keys)
             seen |= keys
         assert seen == required | optional, command
+
+
+def documented_command_lines():
+    """The ``uqcentre ...`` lines of the README's "Command line" block, as argv lists."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("uqcentre ")]
+
+
+def test_command_line_examples_exit_0(capsys):
+    lines = documented_command_lines()
+    assert any(argv == ["--help"] for argv in lines)
+    assert any(len(argv) == 2 and argv[1] == "--help" for argv in lines)
+    assert any("=" in word for argv in lines for word in argv)
+    for argv in lines:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out
