@@ -171,13 +171,23 @@ def _box_size(limits, total_cap: int) -> int:
     return sum(ways)
 
 
+def _count_str(n: int) -> str:
+    """n exactly while it has at most 18 digits, else "at least 10^e" with 10^e <= n < 10^(e+1)."""
+    if n < 10**18:
+        return str(n)
+    e = (n.bit_length() - 1) * 30102 // 100000  # 0.30102 < log10(2), so 10^e <= n
+    while 10 ** (e + 1) <= n:
+        e += 1
+    return f"at least 10^{e}"
+
+
 def _check_box(limits, total_cap: int) -> None:
     """Raise :class:`ResourceLimitError` if the box of :func:`_box_size` has over ``BOX_CAP`` points."""
     size = _box_size(limits, total_cap)
     if size > BOX_CAP:
         raise ResourceLimitError(
-            f"the box {list(limits)} with sum <= {total_cap} has {size} points, "
-            f"over the cap {BOX_CAP}"
+            f"the box of {len(limits)} coordinates, each at most {max(limits)}, with sum "
+            f"<= {total_cap} has {_count_str(size)} points, over the cap {BOX_CAP}"
         )
 
 

@@ -8,7 +8,7 @@ isomorphism.  For type II, :func:`presentation` emits one ``rel1`` and one
 ``rel2`` binomial per conjugate pair.  They lie in ker phi, but for E6 and
 A4-A7, the cases checked, they do not generate it: the E6 binomial
 x_nu6 x_mu3 - x_(w5+w6) x_(w3+2w6) is in ker phi and not in their ideal.
-Emitting the full presentation is ROADMAP item 1.
+Emitting the full presentation is on the ROADMAP.
 Elements are :class:`TorusInvariant` combinations, ``X^lam`` being ``K_2lam``.
 """
 

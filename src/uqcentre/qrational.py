@@ -33,11 +33,15 @@ that exceeds its bit length, so an integer constant of any size is valid and
 equal values have equal (k, N, B).  ``laurent_quotient`` divides the packed
 integers and certifies the quotient by the same bound.
 
-Values with a true denominator take the general path: the constructor
-divides out the integer contents and the polynomial gcd (``_pgcd``), on
-tuples, with the schoolbook kernels ``_pmul`` and ``_pdiv_exact``.  A result
-whose denominator reduces to 1 is packed.  The Gamma_V powers and Casimirs
-of the rank-1 code stay in Z[q, q^-1] and never reach that path.
+A value with a true denominator is the same packed form twice: its
+numerator and denominator are packed Laurent values at q-valuation 0, and
+``k`` holds the valuation.  ``+``, ``*`` and ``/`` on such values combine the
+packed parts with the packed product and sum, and one reducer, ``_fraction``,
+brings the result to canonical form: it unpacks both parts once for their
+primitive gcd (``_pgcd``) and integer contents, divides both by that factor
+with ``laurent_quotient``, and returns a Laurent value when the denominator
+becomes 1.  The Gamma_V powers and Casimirs of the rank-1 code stay in
+Z[q, q^-1] and never reach the reducer.
 """
 
 from __future__ import annotations
@@ -58,30 +62,6 @@ def _trim(p):
     return tuple(p)
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-    )
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
-def _pmul(a, b):
-    """Schoolbook product over the nonzero coefficients of both operands."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    nb = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in nb:
-                out[i + j] += x * y
-    return _trim(out)
-
-
 def _pcontent(a):
     g = 0
     for x in a:
@@ -91,36 +71,7 @@ def _pcontent(a):
 
 def _pprimitive(a):
     c = _pcontent(a)
-    if c in (0, 1):
-        return a
-    return tuple(x // c for x in a)
-
-
-def _pscale(a, k):
-    return tuple(x * k for x in a)
-
-
-def _pdiv_exact(a, b):
-    """Quotient a/b when the division is exact in Z[q]."""
-    if not b:
-        raise ZeroDivisionError
-    if not a:
-        return ()
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    lb = b[-1]
-    nb = [(j, y) for j, y in enumerate(b) if y]
-    for i in range(len(a) - len(b), -1, -1):
-        coef, r = divmod(a[i + len(b) - 1], lb)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        if coef:
-            q[i] = coef
-            for j, y in nb:
-                a[i + j] -= coef * y
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(q)
+    return a if c in (0, 1) else tuple(x // c for x in a)
 
 
 def _pseudo_rem(a, b):
@@ -141,22 +92,13 @@ def _pseudo_rem(a, b):
 
 
 def _pgcd(a, b):
-    """Primitive gcd in Z[q] (positive leading coefficient)."""
-    a, b = _pprimitive(_trim(a)), _pprimitive(_trim(b))
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            r = _pprimitive(_pseudo_rem(a, b))
-            a, b = b, r
-        g = a
-    if g and g[-1] < 0:
-        g = _pneg(g)
-    return g
+    """Primitive gcd in Z[q] (positive leading coefficient) of nonzero trimmed a, b."""
+    a, b = _pprimitive(a), _pprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _pprimitive(_pseudo_rem(a, b))
+    return a if a[-1] > 0 else tuple(-x for x in a)
 
 
 # -- the packed Laurent form ---------------------------------------------------
@@ -284,58 +226,25 @@ class QRat:
     """An exact element of the field of rational functions in q.
 
     A Laurent value keeps its packed N = num(2^B) in ``_n`` and its l1 bound
-    in ``_h``; any other value keeps the pair ``(num, den)`` in ``_n`` and
-    ``_h = None``.
+    in ``_h``; any other value keeps ``_h = None`` and in ``_n`` the pair of
+    packed Laurent values (numerator, denominator), both at q-valuation 0.
     """
 
     __slots__ = ("qpow", "_n", "_h")
 
     def __init__(self, qpow, num, den):
-        if den == (1,):
-            x = _from_coefficients(qpow, num)
-            self.qpow, self._n, self._h = x.qpow, x._n, x._h
-            return
-        num = _trim(num)
-        den = _trim(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.qpow, self._n, self._h = 0, 0, 0
-            return
-        vn = next(i for i, x in enumerate(num) if x)
-        vd = next(i for i, x in enumerate(den) if x)
-        qpow += vn - vd
-        num = num[vn:]
-        den = den[vd:]
-        cn, cd = abs(_pcontent(num)), abs(_pcontent(den))
-        pn = tuple(x // cn for x in num)
-        pd = tuple(x // cd for x in den)
-        g = _pgcd(pn, pd)
-        if len(g) > 1 or g != (1,):
-            pn = _pdiv_exact(pn, g)
-            pd = _pdiv_exact(pd, g)
-        c = gcd(cn, cd)
-        cn //= c
-        cd //= c
-        num = _pscale(pn, cn)
-        den = _pscale(pd, cd)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        if den == (1,):
-            x = _from_coefficients(qpow, num)
-            self.qpow, self._n, self._h = x.qpow, x._n, x._h
-        else:
-            self.qpow, self._n, self._h = qpow, (num, den), None
+        x = _fraction(_from_coefficients(qpow, num), _from_coefficients(0, den))
+        self.qpow, self._n, self._h = x.qpow, x._n, x._h
 
     @property
     def num(self) -> tuple:
         if self._h is None:
-            return self._n[0]
+            return self._n[0].num
         return tuple(_digits(self._n, _width(self._h)))
 
     @property
     def den(self) -> tuple:
-        return (1,) if self._h is not None else self._n[1]
+        return (1,) if self._h is not None else self._n[1].num
 
     # -- constructors -------------------------------------------------------
 
@@ -406,20 +315,16 @@ class QRat:
                 z = (n & -n).bit_length() // _B
                 k1, n = k1 + z, n >> (_B * z)
             return _stored(k1, n, h)
-        # align the q-valuations by prepending zeros to the later numerator
-        k = min(self.qpow, other.qpow)
-        num = _padd(
-            (0,) * (self.qpow - k) + _pmul(self.num, other.den),
-            (0,) * (other.qpow - k) + _pmul(other.num, self.den),
-        )
-        return QRat(k, num, _pmul(self.den, other.den))
+        n1, d1 = _parts(self)
+        n2, d2 = _parts(other)
+        return _fraction(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self._h is not None:
             return _stored(self.qpow, -self._n, self._h)
-        return _stored(self.qpow, (_pneg(self._n[0]), self._n[1]), None)
+        return _stored(self.qpow, (-self._n[0], self._n[1]), None)
 
     def __sub__(self, other):
         if not isinstance(other, (int, QRat)):
@@ -444,11 +349,9 @@ class QRat:
             if h >= _LIMIT:
                 return _combine(self, other, True)
             return _stored(self.qpow + other.qpow, self._n * other._n, h)
-        return QRat(
-            self.qpow + other.qpow,
-            _pmul(self.num, other.num),
-            _pmul(self.den, other.den),
-        )
+        n1, d1 = _parts(self)
+        n2, d2 = _parts(other)
+        return _fraction(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -459,15 +362,13 @@ class QRat:
         return _stored(self.qpow + k, self._n, self._h)
 
     def inverse(self) -> "QRat":
-        if self.is_zero():
-            raise ZeroDivisionError
-        return QRat(-self.qpow, self.den, self.num)
+        return _quotient(Q_ONE, self)
 
     def __truediv__(self, other):
-        return self * QRat.coerce(other).inverse()
+        return _quotient(self, QRat.coerce(other))
 
     def __rtruediv__(self, other):
-        return QRat.coerce(other) * self.inverse()
+        return _quotient(QRat.coerce(other), self)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -520,6 +421,47 @@ class QRat:
 
 
 _new = object.__new__
+
+
+def _parts(x: QRat) -> tuple[QRat, QRat]:
+    """Packed Laurent (numerator, denominator) whose quotient is x."""
+    if x._h is not None:
+        return x, Q_ONE
+    n, d = x._n
+    return n.shift(x.qpow), d
+
+
+def _quotient(x: QRat, y: QRat) -> QRat:
+    n1, d1 = _parts(x)
+    n2, d2 = _parts(y)
+    return _fraction(n1 * d2, d1 * n2)
+
+
+def _fraction(n: QRat, d: QRat) -> QRat:
+    """n / d in canonical form, for packed Laurent n and d.
+
+    Both are unpacked once, for the primitive gcd g of the polynomials and
+    the gcd c of their integer contents, then divided by c*g, signed so that
+    the denominator leads positive.  A denominator of 1 gives a Laurent value.
+    """
+    if not d._n:
+        raise ZeroDivisionError("zero denominator")
+    if not n._n:
+        return Q_ZERO
+    if d._n in (1, -1):  # d = +-q^k
+        return (n if d._n == 1 else -n).shift(-d.qpow)
+    num, den = n.num, d.num
+    c = gcd(_pcontent(num), _pcontent(den))
+    c = -c if den[-1] < 0 else c
+    g = _pgcd(num, den)
+    qpow = n.qpow - d.qpow
+    n, d = n.shift(-n.qpow), d.shift(-d.qpow)
+    if c != 1 or len(g) > 1:
+        cg = _from_coefficients(0, [c * x for x in g])
+        n, d = laurent_quotient(n, cg), laurent_quotient(d, cg)
+    if d.is_one():
+        return n.shift(qpow)
+    return _stored(qpow, (n, d), None)
 
 
 def _monomial_str(c: int, e: int) -> str:

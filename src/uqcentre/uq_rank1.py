@@ -670,9 +670,7 @@ def express_in_powers(
     # every pivot row now reads prev * x_col = rhs
     sol = [Q_ZERO] * ncols
     for col, r in pivots:
-        rhs = rows[r][-1]
-        if not rhs.is_zero():
-            sol[col] = QRat(rhs.qpow - prev.qpow, rhs.num, prev.num)
+        sol[col] = rows[r][-1] / prev
     return sol
 
 

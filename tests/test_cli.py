@@ -190,6 +190,15 @@ def test_box_cap_exits_3_before_enumerating(capsys, argv):
     assert "over the cap" in err
 
 
+def test_box_cap_message_is_one_short_line(capsys):
+    # the A60 box has 60 coordinates and about 1.9 * 10^35 points
+    code, out, err = run(capsys, "hilb", "--type", "A", "--rank", "60")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) <= 160
+    assert "60 coordinates" in lines[0] and "at least 10^35 points, over the cap" in lines[0]
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["hilb", "--type", "A"]) == 2  # missing --rank
     assert main(["nonsense"]) == 2

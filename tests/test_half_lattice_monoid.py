@@ -161,6 +161,13 @@ def test_bounded_vectors_cap_and_count():
         box([10] * 8)  # 11^8 points: raises before the first one is made
 
 
+def test_box_count_is_exact_while_short_else_a_power_of_ten():
+    count = half_lattice_monoid._count_str
+    assert count(214358881) == "214358881" and count(10**18 - 1) == "9" * 18
+    for n, e in [(10**18, 18), (2 * 10**35 - 1, 35), (10**700 - 1, 699), (2**5000, 1505)]:
+        assert count(n) == f"at least 10^{e}"
+
+
 def test_classify_type():
     assert classify_type(build_root_system("A", 1)) == TYPE_I
     assert classify_type(build_root_system("A", 2)) == TYPE_II

@@ -7,9 +7,10 @@ canonical form the general (gcd) path gives for the same value.  Coefficients
 are also drawn near 2^(B-1), where a bound check decides between the packed
 product and a wider B, and as large as 10^30; product chains force the
 bounds past 2^(B-1), so the operands are refreshed and repacked wider.  Every
-packed result must carry a valid bound.  The Z[q] kernels ``_pmul`` and
-``_pdiv_exact``, which serve the gcd path, skip zero coefficients and are
-checked against a dict convolution on polynomials with interior zeros.
+packed result must carry a valid bound.  Fractions are checked against
+fractions too: pairs whose denominators share a factor, with large
+coefficients, so that the reducer divides out a common factor at a wider B;
+every result must be in the reduced form that sympy's gcd confirms.
 """
 
 import pytest
@@ -23,8 +24,6 @@ from oracles import poly_product_by_dict  # noqa: E402
 from uqcentre.qrational import (  # noqa: E402
     _B,
     QRat,
-    _pdiv_exact,
-    _pmul,
     _width,
     laurent_quotient,
     q_power,
@@ -84,7 +83,8 @@ def fields(x: QRat):
 
 def general_form(x: QRat) -> QRat:
     """x rebuilt through the general constructor path from an unreduced form."""
-    return QRat(x.qpow - 2, (0, 0) + _pmul(x.num, D), _pmul(x.den, D))
+    return QRat(x.qpow - 2, (0, 0) + poly_product_by_dict(x.num, D),
+                poly_product_by_dict(x.den, D))
 
 
 def is_canonical_laurent(x: QRat) -> bool:
@@ -98,7 +98,7 @@ def is_canonical_laurent(x: QRat) -> bool:
 def test_fast_constructor_matches_general_path(k, coeffs):
     x = QRat(k, tuple(coeffs), (1,))
     assert is_canonical_laurent(x)
-    assert fields(x) == fields(QRat(k, _pmul(tuple(coeffs), D), D))
+    assert fields(x) == fields(QRat(k, poly_product_by_dict(coeffs, D), D))
     assert same_value(x, Q**k * sum((c * Q**i for i, c in enumerate(coeffs)), _K(0)))
 
 
@@ -168,49 +168,14 @@ def test_integer_constants_hash_like_the_int(n):
         assert {x: "x"}.get(n) == "x"
 
 
-# polynomials with interior zeros and negative coefficients, trimmed
-sparse_coefficients = st.one_of(st.just(0), st.integers(-9, 9))
-
-
-@st.composite
-def polynomials(draw, min_size=0):
-    coeffs = draw(st.lists(sparse_coefficients, min_size=min_size, max_size=12))
-    if coeffs and not coeffs[-1]:
-        coeffs[-1] = draw(st.sampled_from((-3, -1, 1, 2)))
-    return tuple(coeffs)
-
-
-@settings(max_examples=300, deadline=None)
-@given(polynomials(), polynomials())
-def test_pmul_matches_dict_convolution(a, b):
-    assert _pmul(a, b) == poly_product_by_dict(a, b)
-
-
-@settings(max_examples=300, deadline=None)
-@given(polynomials(), polynomials(min_size=1), polynomials())
-def test_pdiv_exact_inverts_the_product_and_rejects_a_remainder(a, b, r):
-    assert _pdiv_exact(poly_product_by_dict(a, b), b) == a
-    # a nonzero remainder of lower degree than b makes the division inexact
-    r = list(r[: len(b) - 1])
-    while r and not r[-1]:
-        r.pop()
-    if r:
-        c = list(poly_product_by_dict(a, b))
-        c += [0] * (len(r) - len(c))
-        for i, x in enumerate(r):
-            c[i] += x
-        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
-            _pdiv_exact(tuple(c), b)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(laurents(), non_laurents()), exponents)
 def test_shift_is_multiplication_by_a_power_of_q(x, k):
     shifted = x.shift(k)
     assert fields(shifted) == fields(q_power(k) * x) == fields(x * q_power(k))
     # the same value rebuilt through the general constructor from an unreduced form
-    assert fields(shifted) == fields(QRat(x.qpow + k - 2, (0, 0) + _pmul(x.num, D),
-                                          _pmul(x.den, D)))
+    unreduced = (0, 0) + poly_product_by_dict(x.num, D), poly_product_by_dict(x.den, D)
+    assert fields(shifted) == fields(QRat(x.qpow + k - 2, *unreduced))
     assert same_value(shifted, Q**k * to_sympy(x))
 
 
@@ -332,3 +297,73 @@ def test_laurent_quotient_inverts_multiplication_at_large_coefficients(x, y):
         return
     z = laurent_quotient(x * y, y)
     assert z == x and valid(z)
+
+
+# -- fractions against fractions -----------------------------------------------------
+
+
+def coefficient_lists(coefficients, min_size, max_size):
+    """Trimmed coefficient tuples that are not the zero polynomial."""
+    def nonzero(cs):
+        cs = list(cs)
+        if not any(cs):
+            cs[-1] = 1
+        while not cs[-1]:
+            cs.pop()
+        return tuple(cs)
+    return st.lists(coefficients, min_size=min_size, max_size=max_size).map(nonzero)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two fractions whose denominators share a factor f, as do their contents.
+
+    Coefficients are small, near 2^(B-1) or as large as 10^30, so the sums,
+    products and quotients below have a common factor c*g with large
+    coefficients to divide out, and the quotient by it is certified at a
+    wider B.
+    """
+    f = draw(coefficient_lists(big_coefficients, 1, 3))
+    content = draw(st.sampled_from((1, 6, 2**_B + 1)))
+
+    def fraction():
+        num = draw(coefficient_lists(big_coefficients, 1, 4))
+        den = draw(coefficient_lists(big_coefficients, 2, 3))
+        den = tuple(content * c for c in poly_product_by_dict(den, f))
+        return QRat(draw(exponents), num, den)
+
+    return fraction(), fraction()
+
+
+def is_canonical(x: QRat) -> bool:
+    """x is in the unique reduced form, checked with sympy's polynomial gcd."""
+    if x.is_zero():
+        return fields(x) == (0, (), (1,))
+    num, den = x.num, x.den
+    if not (num[0] and num[-1] and den[0] and den[-1] > 0):
+        return False
+    if x.is_laurent() != (den == (1,)):
+        return False
+    contents = [abs(sympy.gcd_list(list(p))) for p in (num, den)]
+    poly = [sympy.Poly(list(reversed(p)), sympy.Symbol("q")) for p in (num, den)]
+    return sympy.gcd(*contents) == 1 and poly[0].gcd(poly[1]).degree() == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_pairs(), st.integers(-3, -1))
+def test_fraction_arithmetic_on_fractions_agrees_with_sympy(pair, e):
+    x, y = pair
+    sx, sy = to_sympy(x), to_sympy(y)
+    # sympy leaves (-1/q)**-1 as q/-1, unequal to -q; 1 / (-1/q) is -q
+    for result, expr in (
+        (x + y, sx + sy), (y + x, sx + sy), (x - y, sx - sy), (-x, -sx),
+        (x * y, sx * sy), (y * x, sx * sy), (x / y, sx / sy), (y / x, sy / sx),
+        (x.inverse(), 1 / sx), (x ** e, 1 / sx**-e), (y ** e, 1 / sy**-e),
+    ):
+        assert is_canonical(result)
+        assert same_value(result, expr)
+        # the same value built from its reduced form: equal, and hashed alike
+        rebuilt = QRat(result.qpow, result.num, result.den)
+        assert fields(rebuilt) == fields(result) and rebuilt == result
+        assert hash(rebuilt) == hash(result)
+    assert (x == y) == (sx == sy)
