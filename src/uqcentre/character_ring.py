@@ -18,7 +18,7 @@ exact rank of the monomials in the fundamental characters) live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from math import comb
 
@@ -42,8 +42,7 @@ from .root_system import (
 )
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(namedtuple("CharacterTable", "highest mult dim")):
     """Multiplicities of the simple module with the given highest weight.
 
     ``mult`` is keyed by the dominant weights only; values on the rest of the
@@ -51,9 +50,7 @@ class CharacterTable:
     full orbits.
     """
 
-    highest: Weight
-    mult: dict[Weight, int]
-    dim: int
+    __slots__ = ()
 
 
 # -- weight multiplicities ---------------------------------------------------

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import os
 import sys
+from _json import encode_basestring_ascii  # json.encoder's C escaper, without json
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .character_ring import independence_check, verify_centre_relations

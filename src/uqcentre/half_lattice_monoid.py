@@ -17,7 +17,7 @@ in two classes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from itertools import accumulate
 from math import gcd, lcm, prod
@@ -122,10 +122,13 @@ def conjugate(rsys: RootSystem, w: Weight) -> Weight:
     return tuple(w[sigma[i]] for i in range(rsys.rank))
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(namedtuple(
+    "HilbertBasis",
+    "family rank elements self_conjugate scaled_fundamentals s pairs",
+)):
     """The irreducible elements of M+, with their classification.
 
+    ``elements`` is a tuple of weights and ``s`` a tuple of ints.
     ``self_conjugate`` maps the smaller index of each sigma-orbit (1-based)
     to the element mu_i; ``scaled_fundamentals`` lists nu_i = s_i w_i for
     every node; ``pairs`` holds the non-self-conjugate elements grouped as
@@ -133,13 +136,7 @@ class HilbertBasis:
     For type I all three views coincide with the fundamental weights.
     """
 
-    family: str
-    rank: int
-    elements: tuple[Weight, ...]
-    self_conjugate: dict[int, Weight]
-    scaled_fundamentals: tuple[Weight, ...]
-    s: tuple[int, ...]
-    pairs: tuple[tuple[Weight, Weight], ...]
+    # no ``__slots__ = ()``: the cached ``element_set`` lives in the instance dict
 
     def to_json(self) -> dict:
         return {

@@ -14,8 +14,7 @@ Elements are :class:`TorusInvariant` combinations, ``X^lam`` being ``K_2lam``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import product
 
 from .errors import DomainError
@@ -53,10 +52,14 @@ class TorusInvariant:
         clean = {}
         if terms:
             for w, c in terms.items():
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError(
-                        f"coefficient {c!r} is not an int or a Fraction"
-                    )
+                if not isinstance(c, int):
+                    # a caller holding a Fraction has loaded ``fractions`` already
+                    from fractions import Fraction
+
+                    if not isinstance(c, Fraction):
+                        raise TypeError(
+                            f"coefficient {c!r} is not an int or a Fraction"
+                        )
                 if c:
                     clean[tuple(w)] = c
         self.terms = clean
@@ -104,23 +107,21 @@ class TorusInvariant:
     __repr__ = render
 
 
-@dataclass(frozen=True)
-class BinomialRelation:
-    """lhs - rhs with both sides monomials in the generators (index -> exponent)."""
+class BinomialRelation(namedtuple("BinomialRelation", "kind source lhs rhs")):
+    """lhs - rhs with both sides monomials in the generators (index -> exponent).
 
-    kind: str  # "rel1" | "rel2"
-    source: Weight  # the pair representative the relation was built from
-    lhs: tuple[tuple[int, int], ...]
-    rhs: tuple[tuple[int, int], ...]
+    ``kind`` is "rel1" or "rel2"; ``source`` is the pair representative the
+    relation was built from; ``lhs`` and ``rhs`` are tuples of
+    (generator index, exponent) pairs.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Presentation:
-    family: str
-    rank: int
-    generators: tuple[Weight, ...]
-    labels: tuple[str, ...]
-    relations: tuple[BinomialRelation, ...]
+class Presentation(namedtuple("Presentation", "family rank generators labels relations")):
+    """Generators (weights, with their labels) and BinomialRelations of C[M+]."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         def side(mono):

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckItem = namedtuple("CheckItem", "name passed detail", defaults=("",))
 
 
-@dataclass
 class Report:
-    title: str = ""
-    items: list[CheckItem] = field(default_factory=list)
+    """A titled list of CheckItems; ``ok`` when every item passed."""
+
+    def __init__(self, title: str = "", items: list[CheckItem] | None = None):
+        self.title = title
+        self.items = [] if items is None else items
+
+    def __repr__(self) -> str:
+        return f"Report(title={self.title!r}, items={self.items!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Report):
+            return NotImplemented
+        return (self.title, self.items) == (other.title, other.items)
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.items.append(CheckItem(name, bool(passed), detail))

@@ -3,9 +3,10 @@
 Weights are integer coordinate tuples in the fundamental-weight basis: the
 weight ``sum a_i w_i`` is stored as ``(a_1, ..., a_n)``.  All arithmetic is
 exact and the library never touches floating point: the inverse Cartan
-matrix is computed in integers, as numerators over one common denominator,
-and rational values such as root coordinates and the invariant form are
-``fractions.Fraction``.
+matrix is computed in integers, as numerators over one common denominator.
+Only ``weight_to_root_coords`` and ``bilinear_form`` return rational values,
+as ``fractions.Fraction``; they import ``fractions`` themselves, so that
+importing this module does not load it.
 
 Conventions, fixed here once and consumed by every other module:
 
@@ -24,14 +25,13 @@ Conventions, fixed here once and consumed by every other module:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, ResourceLimitError
 
 Weight = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
+RationalVector = tuple  # of fractions.Fraction
 
 # Weyl orbits of more points than this raise ResourceLimitError
 ORBIT_CAP = 10_000_000
@@ -208,11 +208,15 @@ class RootSystem:
 
     def weight_to_root_coords(self, w: Weight) -> RationalVector:
         """Coefficients c with ``w = sum c_j alpha_j``, as exact rationals."""
+        from fractions import Fraction
+
         D = self._inv_den
         return tuple(Fraction(x, D) for x in self.scaled_root_coords(w))
 
     def bilinear_form(self, lam: Weight, mu: Weight) -> Fraction:
         """The invariant form (lam, mu), normalised with (alpha,alpha)=2 for short alpha."""
+        from fractions import Fraction
+
         self._check_weight(lam)
         c = self.scaled_root_coords(mu)
         dot = sum(lam[j] * self.sym[j] * c[j] for j in range(self.rank))

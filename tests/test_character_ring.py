@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -249,11 +248,11 @@ def test_verify_centre_relations_reports_unbalanced_binomial(monkeypatch, capsys
     pres = presentation(a3)
     bad = pres.relations[0]
     (i, e), *rest = bad.rhs
-    bad = replace(bad, rhs=((i, e + 1), *rest))
+    bad = bad._replace(rhs=((i, e + 1), *rest))
 
     monkeypatch.setattr(
         character_ring, "presentation",
-        lambda rsys: replace(pres, relations=(bad,) + pres.relations[1:]),
+        lambda rsys: pres._replace(relations=(bad,) + pres.relations[1:]),
     )
     rep = verify_centre_relations(a3)
     assert not rep.ok
@@ -383,7 +382,7 @@ def test_independence_check_fails_for_a_doubled_highest_weight(monkeypatch):
         table = real(rsys, lam)
         if tuple(lam) != w2:
             return table
-        return replace(table, mult={mu: 2 * m for mu, m in table.mult.items()})
+        return table._replace(mult={mu: 2 * m for mu, m in table.mult.items()})
 
     monkeypatch.setattr(character_ring, "weight_multiplicities", doubled)
     rep = independence_check(g2, 3)

@@ -388,17 +388,28 @@ def test_ambiguous_prefix_is_refused(capsys, monkeypatch):
 
 
 def test_cli_imports_no_argparse():
-    # argparse pulls in gettext, and its messages pull in locale: none is needed
+    # argparse pulls in gettext, and its messages pull in locale; dataclasses
+    # pulls in inspect, fractions pulls in decimal, and json is one function.
+    # None is needed, neither to import the CLI nor to run a command.  -S keeps
+    # site's .pth files from loading or hiding any of them.
     probe = (
         "import io, sys, contextlib, uqcentre.cli\n"
-        "loaded = lambda: [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+        "banned = ('argparse', 'gettext', 'locale', 'dataclasses', 'inspect',\n"
+        "          'fractions', 'decimal', 'json')\n"
+        "loaded = lambda: [m for m in banned if m in sys.modules]\n"
         "after_import = loaded()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    uqcentre.cli.main(['hilb', '--type', 'A', '--rank', '2', '--format', 'json'])\n"
+        "    for argv in (['hilb', '--type', 'A', '--rank', '2'],\n"
+        "                 ['presentation', '--type', 'B', '--rank', '2'],\n"
+        "                 ['verify', '--type', 'G', '--rank', '2'],\n"
+        "                 ['verify', '--type', 'A', '--rank', '2'],\n"
+        "                 ['casimir', '--m', '1', '--k', '2']):\n"
+        "        for fmt in ('text', 'json'):\n"
+        "            assert uqcentre.cli.main(argv + ['--format', fmt]) == 0, argv\n"
         "    uqcentre.cli.main(['verify', '--help'])\n"
         "print(after_import, loaded())\n"
     )
-    child = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
-                           capture_output=True, text=True)
+    child = subprocess.run([sys.executable, "-S", "-c", probe],
+                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[] []\n"
