@@ -3,7 +3,10 @@
 Weights are integer coordinate tuples in the fundamental-weight basis: the
 weight ``sum a_i w_i`` is stored as ``(a_1, ..., a_n)``.  All arithmetic is
 exact and the library never touches floating point: the inverse Cartan
-matrix is computed in integers, as numerators over one common denominator.
+matrix is held in integers, as numerators over one common denominator.  For
+A-D it is written down from the closed forms of Bourbaki's plates I-IV in
+O(n^2), so that a large rank reaches the resource caps at once; for E, F and
+G it is computed by fraction-free Gauss-Jordan elimination.
 Only ``weight_to_root_coords`` and ``bilinear_form`` return rational values,
 as ``fractions.Fraction``; they import ``fractions`` themselves, so that
 importing this module does not load it.
@@ -119,6 +122,42 @@ def _invert_integer_matrix(A):
     return tuple(tuple(x // g for x in row) for row in adj), prev // g
 
 
+def _classical_inverse(family: str, n: int):
+    """The inverse Cartan matrix of A_n, B_n, C_n or D_n, as (numerators, common denominator).
+
+    Entry [j][i] is the coefficient of alpha_j in the fundamental weight
+    w_i, read off Bourbaki's plates I-IV.  With 1-based i, j and
+    m = min(i, j) it is:
+
+    * A_n: m (n + 1 - max(i, j)) / (n + 1);
+    * B_n: m, except column n (w_n), which is j / 2;
+    * C_n: m, except row n (alpha_n), which is i / 2;
+    * D_n: m when i, j <= n - 2, and m / 2 when one of them is above;
+      n / 4 when i = j >= n - 1, and (n - 2) / 4 for i, j = n - 1, n.
+
+    The pair is reduced as :func:`_invert_integer_matrix` reduces it, in
+    O(n^2) operations in place of its O(n^3).
+    """
+    den = n + 1 if family == "A" else 4 if family == "D" else 2
+
+    def entry(j, i):
+        m = min(i, j)
+        if family == "A":
+            return m * (n + 1 - max(i, j))
+        if family == "B":
+            return j if i == n else 2 * m
+        if family == "C":
+            return i if j == n else 2 * m
+        high = (i > n - 2) + (j > n - 2)
+        if high == 2:
+            return n if i == j else n - 2
+        return 2 * m if high else 4 * m
+
+    num = [[entry(j, i) for i in range(1, n + 1)] for j in range(1, n + 1)]
+    g = gcd(den, *(x for row in num for x in row))
+    return tuple(tuple(x // g for x in row) for row in num), den // g
+
+
 class RootSystem:
     """Cartan data of one simple type, with exact coordinate conversions.
 
@@ -141,7 +180,10 @@ class RootSystem:
         self.cartan, self.sym = _cartan_and_sym(family, rank)
         # inv_num / inv_den is the exact inverse Cartan matrix; root
         # coordinates of a weight are (inv_num @ coords) / inv_den.
-        self._inv_num, self._inv_den = _invert_integer_matrix(self.cartan)
+        if family in ("A", "B", "C", "D"):
+            self._inv_num, self._inv_den = _classical_inverse(family, rank)
+        else:
+            self._inv_num, self._inv_den = _invert_integer_matrix(self.cartan)
         self._check_invariants()
 
     def _check_invariants(self) -> None:

@@ -625,27 +625,18 @@ def _laurent_row(row: list[QRat]) -> list[QRat]:
     return row
 
 
-def express_in_powers(
-    target: UqElement, base: UqElement, max_degree: int
-) -> list[QRat] | None:
-    """Coefficients c_j with ``target = sum c_j base^j``, or None.
+def _solve(columns: list[dict]) -> list[QRat] | None:
+    """Solve sum_j x_j columns[j] = columns[-1], or None if inconsistent.
 
-    One linear equation per monomial, on the stored E'-basis coefficients:
-    the equation of F^a K^b E^c is the E-basis one divided by (q - q^-1)^c,
-    and rescaling an equation does not change the solution.  Each equation
-    is scaled into Z[q, q^-1] (a no-op for Casimirs) and the system is solved
-    by fraction-free Gauss-Jordan elimination, whose exact divisions stay in
-    Z[q, q^-1]; each solution entry is one quotient of Laurent polynomials.
-    Free unknowns are set to 0.  Used to express higher Casimirs as
-    polynomials in the degree-one Casimir.
+    The columns are sparse vectors over Q(q), {row key: coefficient}.  Each
+    row is scaled into Z[q, q^-1] and the system is solved by fraction-free
+    Gauss-Jordan elimination, whose exact divisions stay in Z[q, q^-1]; each
+    solution entry is one quotient of Laurent polynomials.  Free unknowns
+    are set to 0.
     """
-    powers = [UQ_ONE]
-    for _ in range(max_degree):
-        powers.append(powers[-1] * base)
-    columns = [p._terms for p in powers] + [target._terms]
-    mons = sorted(set().union(*columns))
-    rows = [_laurent_row([col.get(mon, Q_ZERO) for col in columns]) for mon in mons]
-    ncols = len(powers)
+    keys = sorted(set().union(*columns))
+    rows = [_laurent_row([col.get(key, Q_ZERO) for col in columns]) for key in keys]
+    ncols = len(columns) - 1
     pivots = []  # (column, row) pairs
     prev = Q_ONE
     for col in range(ncols):
@@ -674,6 +665,83 @@ def express_in_powers(
     return sol
 
 
+def _check_zero_grade(x: UqElement) -> None:
+    """Raise DomainError unless every monomial F^a K^b E^c of x has a = c."""
+    for a, b, c in x._terms:
+        if a != c:
+            raise DomainError(
+                f"monomial F^{a} K^{b} E^{c} is outside the zero-grade subalgebra"
+            )
+
+
+def _hc_image(x: UqElement) -> dict[int, QRat]:
+    """The Harish-Chandra image {K-power: coefficient} of x.
+
+    The terms F^0 K^b E^0 of x are kept, each shifted by q^-b; every other
+    term is projected away.  The map is linear.  On the zero-grade
+    subalgebra U_0 it is an algebra map, because U_0 meets F U E in a
+    two-sided ideal of U_0, and the shift K -> q^-1 K is an automorphism of
+    the Laurent polynomials in K.
+    """
+    # with a = c = 0 the stored coefficient is the public one
+    return {b: coeff.shift(-b) for (a, b, c), coeff in x._terms.items() if a == c == 0}
+
+
+def express_in_powers(
+    target: UqElement, base: UqElement, max_degree: int
+) -> list[QRat] | None:
+    """Coefficients c_j with ``target = sum c_j base^j``, or None.
+
+    The base must lie in the zero-grade subalgebra U_0 = span{F^a K^b E^a};
+    DomainError is raised otherwise.  The system is solved in the
+    Harish-Chandra image (:func:`_hc_image`), one equation per power of K,
+    rather than over every PBW monomial of the powers of the base.  The image
+    is linear, and on U_0 it is an algebra map, so it sends a solution in
+    U_q(sl2) to a solution in the image: an inconsistent image system proves
+    that no solution exists, for any target.  A solution c of the image
+    system is certified by forming sum c_j base^j once and comparing it with
+    the target.  If they differ:
+
+    * when the image of the base is not a scalar, its powers are linearly
+      independent, so c was the only candidate and None is returned;
+    * when the base is a scalar, the full system is the image system plus
+      the condition that the target be a scalar, which has just failed, so
+      None is returned;
+    * otherwise (the base is not a scalar but its image is, as for F E + 1)
+      the image loses the information needed to decide, and DomainError is
+      raised.
+
+    Free unknowns are set to 0 (by :func:`_solve`).  Every pivot column of
+    the image system is a pivot column of the full system, so a certified
+    solution is the one the full elimination would give.  Used to express
+    higher Casimirs as polynomials in the degree-one Casimir; on the centre
+    the image is injective (Jantzen, Lectures on Quantum Groups, ch. 6).
+    """
+    _check_zero_grade(base)
+    image = _hc_image(base)
+    powers = [{0: Q_ONE}]
+    for _ in range(max_degree):
+        acc: dict[int, QRat] = {}
+        for b1, c1 in powers[-1].items():
+            for b2, c2 in image.items():
+                acc[b1 + b2] = acc.get(b1 + b2, Q_ZERO) + c1 * c2
+        powers.append({b: c for b, c in acc.items() if not c.is_zero()})
+    sol = _solve(powers + [_hc_image(target)])
+    if sol is None:
+        return None
+    total = UQ_ZERO
+    for c in reversed(sol):  # Horner
+        total = total * base + c
+    if total == target:
+        return sol
+    if image.keys() <= {0} and not base._terms.keys() <= {(0, 0, 0)}:
+        raise DomainError(
+            "the base has a scalar Harish-Chandra image but is not a scalar, "
+            "so the image cannot decide the system"
+        )
+    return None
+
+
 def hc_project(x: UqElement) -> dict[int, int]:
     """Harish-Chandra image of a zero-grade element, as {K-power: coefficient}.
 
@@ -683,16 +751,5 @@ def hc_project(x: UqElement) -> dict[int, int]:
     coefficients must be q-independent integers, as they are for the central
     elements this is applied to.
     """
-    out: dict[int, int] = {}
-    for (a, b, c), coeff in x._terms.items():  # with a = c = 0 stored = public
-        if a != c:
-            raise DomainError(
-                f"monomial F^{a} K^{b} E^{c} is outside the zero-grade subalgebra"
-            )
-        if a > 0:
-            continue
-        shifted = coeff.shift(-b)
-        val = shifted.constant_value()
-        if val:
-            out[b] = val
-    return out
+    _check_zero_grade(x)
+    return {b: coeff.constant_value() for b, coeff in _hc_image(x).items()}

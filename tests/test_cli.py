@@ -181,6 +181,7 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("hilb", "--type", "A", "--rank", "14"),  # 6.6e7 points under sum(a) <= 15
     ("verify", "--type", "E", "--rank", "8", "--bound", "10"),  # 11^8 points
+    ("hilb", "--type", "A", "--rank", "300"),  # the A300 Cartan inverse comes first
 ])
 def test_box_cap_exits_3_before_enumerating(capsys, argv):
     start = time.perf_counter()

@@ -103,6 +103,18 @@ def test_integer_inverse_matches_fraction_gauss_jordan(fam, n):
     assert root_system._invert_integer_matrix(cartan) == inverse_by_fractions(cartan)
 
 
+CLASSICAL_TO_30 = [
+    (fam, n) for fam, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+    for n in range(low, 31)
+]
+
+
+@pytest.mark.parametrize("fam,n", CLASSICAL_TO_30)
+def test_classical_closed_form_inverse_matches_bareiss(fam, n):
+    cartan = build_root_system(fam, n).cartan
+    assert root_system._classical_inverse(fam, n) == root_system._invert_integer_matrix(cartan)
+
+
 def test_integer_inverse_with_row_swaps_and_negative_determinants():
     rng = random.Random(11)
     for _ in range(200):

@@ -530,6 +530,57 @@ def test_express_in_powers_matches_field_elimination():
         assert express_in_powers(Cm, C1, m) == _field_solve(Cm, C1, m)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_higher_casimirs_in_powers_match_field_elimination(k):
+    # m >= 3 has no solution: the image system alone must prove it
+    from uqcentre.uq_rank1 import express_in_powers
+
+    for m in range(6):
+        V = SimpleModule(m)
+        Ck, C1 = casimir(V, k), casimir(V, 1)
+        sol = express_in_powers(Ck, C1, k)
+        assert sol == _field_solve(Ck, C1, k), m
+        assert (sol is None) == (m >= 3), m
+
+
+def test_express_in_powers_certifies_the_image_solution():
+    from uqcentre.uq_rank1 import express_in_powers
+
+    C1 = casimir(SimpleModule(1), 1)
+    # C1 + E has the image of C1, so the image system is solved by c = (0, 1, 0)
+    target = C1 + GEN_E
+    assert express_in_powers(target, C1, 2) is None
+    assert _field_solve(target, C1, 2) is None
+    # F E + 1 is not a scalar but its image is: F E + 2 = base + 1, which
+    # the image cannot find, so the solve refuses rather than answer None
+    base = GEN_F * GEN_E + 1
+    assert _field_solve(base + 1, base, 1) == [Q_ONE, Q_ONE]
+    with pytest.raises(DomainError):
+        express_in_powers(base + 1, base, 1)
+    assert express_in_powers(UQ_ONE.scale(3), base, 2) == [QRat.integer(3), Q_ZERO, Q_ZERO]
+    with pytest.raises(DomainError):
+        express_in_powers(C1, GEN_E, 2)  # a base outside the zero-grade subalgebra
+
+
+def test_express_in_powers_forms_no_product_without_an_image_solution(monkeypatch):
+    small, large = SimpleModule(1), SimpleModule(4)
+    C2_small, C1_small = casimir(small, 2), casimir(small, 1)
+    C3, C1 = casimir(large, 3), casimir(large, 1)
+    calls = []
+    real = uq_rank1._mul_into
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(uq_rank1, "_mul_into", counting)
+    assert uq_rank1.express_in_powers(C3, C1, 3) is None
+    assert calls == []
+    # the counter sees the products of a certificate
+    assert uq_rank1.express_in_powers(C2_small, C1_small, 2) is not None
+    assert calls
+
+
 def test_render_and_json():
     C = casimir(SimpleModule(1), 1)
     text = C.render()
