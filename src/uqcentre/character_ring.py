@@ -7,7 +7,8 @@ elements ``K_2mu``: ``xi([V]) = sum m_V(mu) K_2mu``.
 Weight multiplicities come from Freudenthal's recursion, run entirely in
 integer arithmetic.  Characters are multiplied in one way only: in the basis
 of simple modules, one fundamental character at a time, by the
-Brauer-Klimyk rule.  That product serves the unitriangularity report; the
+Brauer-Klimyk rule.  That product serves the unitriangularity report, which
+walks the members of M+ in the box that the generation check reads; the
 algebraic-independence report reads leading terms off the dominant tables
 and multiplies nothing.  The second implementations that the tests check
 these against (the full-support product of ``TorusInvariant`` combinations,
@@ -23,15 +24,8 @@ from functools import cache
 from math import comb
 
 from .errors import DomainError
-from .half_lattice_monoid import (
-    TYPE_I,
-    _bounded_vectors,
-    classify_type,
-    in_monoid,
-    residue,
-    residue_classes,
-)
-from .monoid_presentation import TorusInvariant, monomial_weight, presentation
+from .half_lattice_monoid import TYPE_I, classify_type, in_monoid, residue
+from .monoid_presentation import TorusInvariant, _box_members, monomial_weight, presentation
 from .report import Report
 from .root_system import (
     RootSystem,
@@ -238,7 +232,9 @@ def _tensor_decomposition(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
 def unitriangularity_check(rsys: RootSystem, bound: int):
     """Expand [T(lam)] over the [L(mu)] for all lam in M+ with coords <= bound.
 
-    The expansion multiplies by one fundamental character at a time with the
+    The members come from :func:`_box_members`, so a negative bound raises
+    :class:`DomainError` and an oversized box :class:`ResourceLimitError`.  The
+    expansion multiplies by one fundamental character at a time with the
     Brauer-Klimyk rule.
 
     Asserts the diagonal coefficient 1 and nonnegative integer multiplicities
@@ -246,7 +242,7 @@ def unitriangularity_check(rsys: RootSystem, bound: int):
     """
     rep = Report(title=f"unitriangularity {rsys.family}{rsys.rank} bound {bound}")
     mults: dict[Weight, dict[Weight, int]] = {}
-    for w in _bounded_vectors([bound] * rsys.rank, classes=residue_classes(rsys)):
+    for w in _box_members(rsys, bound):
         decomp = _tensor_decomposition(rsys, w)
         ok = decomp.get(w) == 1
         entry: dict[Weight, int] = {}

@@ -188,44 +188,6 @@ def _check_box(limits, total_cap: int) -> None:
         )
 
 
-def _bounded_vectors(limits, total_cap=None, classes=None):
-    """The vectors with 0 <= v_i <= limits[i], sum(v) <= total_cap, sum c_i v_i = 0 mod r.
-
-    ``classes`` is ``(r, c)`` as from :func:`residue_classes`; without it,
-    or with r = 1, every vector of the box is yielded.  The residue is
-    carried down the recursion, and the last coordinate runs only over the
-    values that close it.  The vectors come in ascending lexicographic order,
-    so every vector comes after all the other vectors that lie componentwise
-    below it.  Raises :class:`ResourceLimitError` at once, before the first
-    vector, when the box has more than ``BOX_CAP`` points.
-    """
-    n = len(limits)
-    if total_cap is None:
-        total_cap = sum(limits)
-    _check_box(limits, total_cap)
-    r, c = classes or (1, (0,) * n)
-    # closing[res]: the last coordinates v with res + c[-1] * v = 0 mod r
-    closing = [
-        [v for v in range(limits[-1] + 1) if (res + c[-1] * v) % r == 0]
-        for res in range(r)
-    ]
-    vec = [0] * n
-
-    def rec(pos, remaining, res):
-        if pos == n - 1:
-            for v in closing[res]:
-                if v > remaining:
-                    break
-                vec[pos] = v
-                yield tuple(vec)
-            return
-        for v in range(min(limits[pos], remaining) + 1):
-            vec[pos] = v
-            yield from rec(pos + 1, remaining - v, (res + c[pos] * v) % r)
-
-    return rec(0, total_cap, 0)
-
-
 def _minimal_zero_sums(r: int, c: tuple[int, ...]) -> list[Weight]:
     """The vectors w whose sequence of w_i copies of c_i is a minimal zero-sum sequence in Z/r.
 
@@ -288,8 +250,7 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
     residue 0: its sequence minus g is zero-sum free, so by the lemma above
     it is minimal.  That sequence minus g has fewer than r terms and fewer
     than s_i copies of each c_i, so every kept leaf lies in the Davenport
-    box, and the elements come in the order of :func:`_bounded_vectors` on
-    that box.
+    box, and the elements come in ascending lexicographic order.
     """
     n = rsys.rank
     s = min_multipliers(rsys)

@@ -15,7 +15,8 @@ Elements are :class:`TorusInvariant` combinations, ``X^lam`` being ``K_2lam``.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import compress, islice, product
+from operator import sub
 
 from .errors import DomainError
 from .half_lattice_monoid import (
@@ -314,54 +315,20 @@ def _box_radix(rsys: RootSystem, bound: int) -> int:
     return bound + 1
 
 
-def _factorisation_table(rsys: RootSystem, bound: int):
-    """``(residues, counts)`` over the box [0, bound]^rank, as two flat lists.
+def _cell_weights(bits: int, radix: int, rank: int):
+    """The weights of the cells set in ``bits``, lazily, in ascending lexicographic order.
 
-    Cell ``j`` is the weight whose digits in radix ``bound + 1`` are ``j``,
-    most significant first, so the cells run in lexicographic order.
-    ``residues[j]`` is the class sum c_i w_i mod r of :func:`residue_classes`
-    (0 iff w is in M+) and ``counts[j]`` is the number of factorisations of w
-    over Hilb(M+) as a multiset.  They are counted one generator g at a
-    time, in ascending j, by ``counts[j + off] += counts[j]`` over the cells
-    u <= bound - g, ``off`` being the index of g: for w >= g the digits of
-    w - g need no borrow, so the index of w - g is ``index(w) - off``.  The
-    first rank - 1 digits of u are walked as prefixes and the last one is a
-    contiguous range; the sub-box is empty when g leaves the box.
-    Non-members keep the count 0, since the generators are members.
-
-    Only :func:`factorisation_counts` reads this table;
-    :func:`generation_check` asks whether a factorisation exists and
-    answers it on bitsets.  Raises :class:`ResourceLimitError`, before any
-    list is allocated, when the box has more than ``BOX_CAP`` points.
+    Cell ``j`` of the box [0, radix - 1]^rank is the weight whose digits in
+    radix ``radix`` are ``j``, most significant first: the ``j``-th point of
+    :func:`product`, selected by bit ``j``.
     """
-    radix = _box_radix(rsys, bound)
-    r, c = residue_classes(rsys)
-    residues = [0]
-    for ci in c:
-        residues = [(x + ci * v) % r for x in residues for v in range(radix)]
-    counts = [0] * len(residues)
-    counts[0] = 1
-    for g in hilbert_basis(rsys).elements:
-        off = 0
-        for gi in g:
-            off = off * radix + gi
-        prefixes = [0]
-        for gi in g[:-1]:
-            prefixes = [p * radix + u for p in prefixes for u in range(radix - gi)]
-        width = radix - g[-1]
-        for p in prefixes:
-            start = p * radix
-            for j in range(start, start + width):
-                k = counts[j]
-                if k:
-                    counts[j + off] += k
-    return residues, counts
+    return compress(product(range(radix), repeat=rank), map(int, bin(bits)[:1:-1]))
 
 
 def _member_bits(r: int, classes, bound: int) -> int:
     """The cells of the box [0, bound]^rank whose class sum c_i w_i is 0 mod r, as a bitset.
 
-    Bit ``j`` is cell ``j`` of :func:`_cell_weight`.  The digits are
+    Bit ``j`` is cell ``j`` of :func:`_cell_weights`.  The digits are
     added from the least significant one: ``res[t]`` holds the cells of the
     digits seen so far with class sum t, all below ``stride``, so the copy
     of ``res[t]`` for digit value v is ``res[t] << v * stride`` and the
@@ -381,10 +348,10 @@ def _member_bits(r: int, classes, bound: int) -> int:
     return res[0]
 
 
-def _reach_bits(generators, bound: int, rank: int) -> int:
+def _reach_bits(generators, bound: int) -> int:
     """The cells of the box [0, bound]^rank that are sums of ``generators``, as a bitset.
 
-    Bit ``j`` is cell ``j`` of :func:`_cell_weight`, and the empty sum is
+    Bit ``j`` is cell ``j`` of :func:`_cell_weights`, and the empty sum is
     cell 0.  For each generator g that fits in the box, ``mask``
     holds the sub-box u <= bound - g, built one digit at a time from the
     least significant one.  For u in it, every digit u_i + g_i is at most
@@ -416,28 +383,30 @@ def _reach_bits(generators, bound: int, rank: int) -> int:
     return reach
 
 
-def _cell_weight(j: int, radix: int, rank: int) -> Weight:
-    """The weight of cell ``j`` of the box [0, radix - 1]^rank.
-
-    Its digits in radix ``radix`` are ``j``, most significant first, so the
-    cells run in lexicographic order.
-    """
-    digits = []
-    for _ in range(rank):
-        j, d = divmod(j, radix)
-        digits.append(d)
-    return tuple(reversed(digits))
+def _box_members(rsys: RootSystem, bound: int) -> list[Weight]:
+    """The members of M+ with coords <= bound in lexicographic order; the cap is checked first."""
+    radix = _box_radix(rsys, bound)
+    r, c = residue_classes(rsys)
+    return list(_cell_weights(_member_bits(r, c, bound), radix, rsys.rank))
 
 
 def factorisation_counts(rsys: RootSystem, bound: int) -> dict[Weight, int]:
     """The number of Hilbert-basis factorisations of every member of M+ with coords <= bound.
 
-    Keys are the members of the box [0, bound]^rank in lexicographic order;
-    factorisations are counted as multisets of generators.
+    Keys are the members of :func:`_box_members`, in lexicographic order;
+    factorisations are counted as multisets of generators.  One pass per
+    generator g over the members, in that order, adds the count of w - g,
+    which comes earlier, to that of w; a w - g outside the box is no key.
     """
-    residues, counts = _factorisation_table(rsys, bound)
-    box = product(range(bound + 1), repeat=rsys.rank)
-    return {w: k for w, res, k in zip(box, residues, counts) if not res}
+    members = _box_members(rsys, bound)
+    counts = dict.fromkeys(members, 0)
+    counts[members[0]] = 1  # the zero weight, cell 0
+    for g in hilbert_basis(rsys).elements:
+        for w in members:
+            k = counts.get(tuple(map(sub, w, g)))
+            if k:
+                counts[w] += k
+    return counts
 
 
 def generation_check(rsys: RootSystem, bound: int) -> Report:
@@ -445,24 +414,19 @@ def generation_check(rsys: RootSystem, bound: int) -> Report:
 
     The question is whether a factorisation exists, so it is decided by
     reachability on bitsets over the cells of the box: the members of
-    :func:`_member_bits` less the sums of :func:`_reach_bits`.  The first
-    five failures are the lowest set bits, which come in lexicographic
-    order, and only they are decoded into weights.
+    :func:`_member_bits` less the sums of :func:`_reach_bits`.  Only when
+    that leaves a cell are the first five decoded by :func:`_cell_weights`.
     :func:`factorisation_counts` gives the counts themselves.
     """
     radix = _box_radix(rsys, bound)
     r, c = residue_classes(rsys)
     members = _member_bits(r, c, bound)
-    bad = members & ~_reach_bits(hilbert_basis(rsys).elements, bound, rsys.rank)
-    unfactorable, rest = [], bad
-    while rest and len(unfactorable) < 5:
-        low = rest & -rest
-        unfactorable.append(_cell_weight(low.bit_length() - 1, radix, rsys.rank))
-        rest ^= low
+    bad = members & ~_reach_bits(hilbert_basis(rsys).elements, bound)
+    first = list(islice(_cell_weights(bad, radix, rsys.rank), 5)) if bad else None
     rep = Report(title=f"generation {rsys.family}{rsys.rank} bound {bound}")
     rep.add(
         f"all {members.bit_count()} monoid elements factor over Hilb(M+)",
         not bad,
-        f"unfactorable: {unfactorable}" if bad else "",
+        f"unfactorable: {first}" if bad else "",
     )
     return rep

@@ -306,8 +306,17 @@ def _mul_into(out: dict, left: dict, right: dict, tables: dict) -> None:
 
 
 def is_central(x: UqElement) -> bool:
-    """Whether x commutes with E, F and K (E enters as E' = (q - q^-1) E)."""
-    return all(x.commutator(g).is_zero() for g in (GEN_EP, GEN_F, GEN_K))
+    """Whether x commutes with E, F and K (E enters as E' = (q - q^-1) E).
+
+    x g and (-g) x are summed into one dict, free of zero terms: the commutator.
+    """
+    for g in (GEN_EP, GEN_F, GEN_K):
+        out: dict[Mon, QRat] = {}
+        _mul_into(out, x._terms, g._terms, {})
+        _mul_into(out, (-g)._terms, x._terms, {})
+        if out:
+            return False
+    return True
 
 
 # -- matrices over QRat (module actions) and over UqElement -----------------

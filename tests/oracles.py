@@ -15,8 +15,8 @@ and the transposed R~_V are sums of QRat matrix powers, each divided
 entrywise by [n]!, tensored with U_q(sl2) monomials.
 Polynomial products are dict convolutions.  The inverse Cartan matrix is
 Gauss-Jordan over ``Fraction``; the Hilbert basis is a scan of the Davenport
-box (the library's ``_bounded_vectors``) that tests each member on its own
-for minimality.
+box (:func:`bounded_vectors`, which shares no code with the library's box)
+that tests each member on its own for minimality.
 """
 
 from fractions import Fraction
@@ -32,7 +32,6 @@ from uqcentre import (
     weight_multiplicities,
 )
 from uqcentre.character_ring import _order_key, _times_fundamental, full_character
-from uqcentre.half_lattice_monoid import _bounded_vectors
 from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_factorial, q_power
 from uqcentre.uq_rank1 import _straighten
 
@@ -101,6 +100,37 @@ def is_atom(r, c, w):
     return True
 
 
+def bounded_vectors(limits, total_cap, classes=None):
+    """The vectors with 0 <= v_i <= limits[i], sum(v) <= total_cap, sum c_i v_i = 0 mod r.
+
+    ``classes`` is ``(r, c)``; without it every vector of the box is
+    yielded.  The vectors come in ascending lexicographic order.  The
+    residue is carried down the recursion, and the last coordinate runs
+    only over the precomputed values that close it.
+    """
+    n = len(limits)
+    r, c = classes or (1, (0,) * n)
+    closing = [
+        [v for v in range(limits[-1] + 1) if (res + c[-1] * v) % r == 0]
+        for res in range(r)
+    ]
+    vec = [0] * n
+
+    def rec(pos, remaining, res):
+        if pos == n - 1:
+            for v in closing[res]:
+                if v > remaining:
+                    break
+                vec[pos] = v
+                yield tuple(vec)
+            return
+        for v in range(min(limits[pos], remaining) + 1):
+            vec[pos] = v
+            yield from rec(pos + 1, remaining - v, (res + c[pos] * v) % r)
+
+    return rec(0, total_cap, 0)
+
+
 def atoms_in_box(r, c):
     """The minimal zero-sum vectors over (r, c): each member of the Davenport box tested by :func:`is_atom`.
 
@@ -108,7 +138,7 @@ def atoms_in_box(r, c):
     lexicographic order.
     """
     s = tuple(r // gcd(r, ci) for ci in c)
-    return tuple(w for w in _bounded_vectors(s, r, (r, c)) if is_atom(r, c, w))
+    return tuple(w for w in bounded_vectors(s, r, (r, c)) if is_atom(r, c, w))
 
 
 def diagram_involution(family, n):
@@ -334,7 +364,7 @@ def independence_rank(rsys, degree_bound):
     """
     n = rsys.rank
     # lexicographic, so e minus a unit at its first nonzero entry comes earlier
-    exps = list(_bounded_vectors([degree_bound] * n, degree_bound))
+    exps = list(bounded_vectors([degree_bound] * n, degree_bound))
     decomps = {}
     for e in exps:
         i = next((j for j, x in enumerate(e) if x), None)

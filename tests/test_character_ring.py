@@ -224,6 +224,13 @@ def test_unitriangularity_single_fundamental_factor():
     assert mults[(0, 1)] == {(0, 1): 1}
 
 
+def test_unitriangularity_rejects_a_negative_bound():
+    # the bound the generation check and the factorisation counts reject
+    a2 = build_root_system("A", 2)
+    with pytest.raises(DomainError, match="bound must be >= 0"):
+        unitriangularity_check(a2, -1)
+
+
 def test_unitriangularity_a2():
     a2 = build_root_system("A", 2)
     rep, mults = unitriangularity_check(a2, 3)

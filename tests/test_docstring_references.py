@@ -1,0 +1,57 @@
+"""Every :func:, :class: and :meth: reference in a library docstring resolves.
+
+A reference resolves when it names something in its module's globals, an
+attribute of a class defined in that module, or a name of the ``uqcentre``
+package.  A dotted reference is followed one attribute at a time from its
+first part.  ``__main__`` is not imported: importing it runs the CLI.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import uqcentre
+
+PACKAGE = Path(uqcentre.__file__).resolve().parent
+REFERENCE = re.compile(r":(?:func|class|meth):`~?([\w.]+)(?:\(\))?`")
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__main__")
+
+
+def references(stem):
+    """The names referenced in the docstrings of module ``stem``."""
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names += REFERENCE.findall(ast.get_docstring(node, clean=False) or "")
+    return names
+
+
+def resolves(module, name):
+    head, *rest = name.split(".")
+    scopes = [module, uqcentre] + [
+        obj
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    ]
+    for scope in scopes:
+        obj = getattr(scope, head, None)
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_the_docstrings_hold_references():
+    assert sum(len(references(stem)) for stem in MODULES) >= 20
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_docstring_references_resolve(stem):
+    module = importlib.import_module(f"uqcentre.{stem}" if stem != "__init__" else "uqcentre")
+    stale = [name for name in references(stem) if not resolves(module, name)]
+    assert not stale, f"uqcentre.{stem} docstrings name {stale}"

@@ -24,6 +24,7 @@ from uqcentre import (
     rel1,
     rel2,
 )
+from uqcentre.monoid_presentation import _cell_weights, _member_bits
 from uqcentre.root_system import RootSystem, add_weights, scale_weight
 from oracles import (
     atoms_in_box,
@@ -144,21 +145,20 @@ def test_in_monoid_wrong_length():
     assert not in_monoid(a2, (1, -1, 0))
 
 
-def test_bounded_vectors_cap_and_count():
-    box = half_lattice_monoid._bounded_vectors
+def test_box_cap_and_count():
     size = half_lattice_monoid._box_size
     for limits, total in [([2, 3], 4), ([3, 0, 2], 9), ([1] * 5, 2), ([4, 4, 4], 6)]:
         brute = [
             v for v in product(*(range(b + 1) for b in limits)) if sum(v) <= total
         ]
-        assert list(box(limits, total)) == brute
         assert size(limits, total) == len(brute)
-    # members only, still in lexicographic order
-    assert list(box([3, 3], None, (3, (1, 2)))) == [
+    # the member cells of the box [0, 3]^2 decode in lexicographic order
+    members = _member_bits(3, (1, 2), 3)
+    assert list(_cell_weights(members, 4, 2)) == [
         (0, 0), (0, 3), (1, 1), (2, 2), (3, 0), (3, 3),
     ]
     with pytest.raises(ResourceLimitError):
-        box([10] * 8)  # 11^8 points: raises before the first one is made
+        half_lattice_monoid._check_box([10] * 8, 80)  # 11^8 points
 
 
 def test_box_count_is_exact_while_short_else_a_power_of_ten():

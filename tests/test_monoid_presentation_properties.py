@@ -2,13 +2,15 @@
 
 ``generation_check`` decides membership and reachability on Python-int
 bitsets over the box [0, bound]^rank.  Each builder takes plain inputs, so
-it is drawn here on random classes and generators and compared with the
-count table of ``_factorisation_table``, which is fed the same inputs:
-the member bitset must be the cells of residue 0, and the reach bitset the
-cells of nonzero count.
+it is drawn here on random classes and generators and compared with a brute
+force over the same inputs, cell ``j`` being the ``j``-th point of
+``product(range(bound + 1), repeat=rank)``: the member bitset must be the
+cells of residue 0, and the reach bitset the cells of nonzero factorisation
+count: those reached from 0 by adding generators without leaving the box.
 """
 
-from types import SimpleNamespace
+from itertools import product
+from operator import add
 
 import pytest
 
@@ -16,28 +18,29 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from uqcentre import monoid_presentation  # noqa: E402
-from uqcentre.monoid_presentation import (  # noqa: E402
-    _factorisation_table,
-    _member_bits,
-    _reach_bits,
-)
+from uqcentre.monoid_presentation import _member_bits, _reach_bits  # noqa: E402
 
 
 def _bits(cells):
     return sum(1 << j for j, on in enumerate(cells) if on)
 
 
-def _table(r, classes, generators, bound):
-    """The count table of the library, read on plain inputs."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(monoid_presentation, "residue_classes", lambda rsys: (r, tuple(classes)))
-        m.setattr(
-            monoid_presentation,
-            "hilbert_basis",
-            lambda rsys: SimpleNamespace(elements=tuple(generators)),
-        )
-        return _factorisation_table(SimpleNamespace(rank=len(classes)), bound)
+def _box(rank, bound):
+    return product(range(bound + 1), repeat=rank)
+
+
+def _reachable(generators, bound, rank):
+    """The sums of ``generators`` in the box, by a search from 0 that never leaves it."""
+    seen = {(0,) * rank}
+    todo = list(seen)
+    while todo:
+        w = todo.pop()
+        for g in generators:
+            v = tuple(map(add, w, g))
+            if max(v) <= bound and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
 
 
 def _often_zero(values):
@@ -62,8 +65,8 @@ def boxes(draw):
 @settings(max_examples=300, deadline=None)
 @given(boxes())
 def test_member_bits_are_the_cells_of_residue_zero(case):
-    r, classes, generators, bound = case
-    residues, _ = _table(r, classes, generators, bound)
+    r, classes, _, bound = case
+    residues = (sum(c * v for c, v in zip(classes, w)) % r for w in _box(len(classes), bound))
     assert _member_bits(r, classes, bound) == _bits(res == 0 for res in residues)
 
 
@@ -71,5 +74,5 @@ def test_member_bits_are_the_cells_of_residue_zero(case):
 @given(boxes())
 def test_reach_bits_are_the_cells_of_nonzero_count(case):
     r, classes, generators, bound = case
-    _, counts = _table(r, classes, generators, bound)
-    assert _reach_bits(generators, bound, len(classes)) == _bits(k > 0 for k in counts)
+    reached = _reachable(generators, bound, len(classes))
+    assert _reach_bits(generators, bound) == _bits(w in reached for w in _box(len(classes), bound))
