@@ -192,9 +192,6 @@ class UqElement:
             out = out * self
         return out
 
-    def commutator(self, other) -> "UqElement":
-        return self * other - other * self
-
     def coefficient(self, mon: Mon) -> QRat:
         coeff = self._terms.get(mon, Q_ZERO)
         return coeff * _qmq_power(mon[2]) if mon[2] else coeff
@@ -625,55 +622,6 @@ def check_K_intertwining(V: SimpleModule) -> Report:
     return rep
 
 
-def _laurent_row(row: list[QRat]) -> list[QRat]:
-    """The row times the denominators of its entries, so that it lies in Z[q, q^-1]."""
-    for i in range(len(row)):
-        if not row[i].is_laurent():
-            den = QRat(0, row[i].den, (1,))
-            row = [x * den for x in row]
-    return row
-
-
-def _solve(columns: list[dict]) -> list[QRat] | None:
-    """Solve sum_j x_j columns[j] = columns[-1], or None if inconsistent.
-
-    The columns are sparse vectors over Q(q), {row key: coefficient}.  Each
-    row is scaled into Z[q, q^-1] and the system is solved by fraction-free
-    Gauss-Jordan elimination, whose exact divisions stay in Z[q, q^-1]; each
-    solution entry is one quotient of Laurent polynomials.  Free unknowns
-    are set to 0.
-    """
-    keys = sorted(set().union(*columns))
-    rows = [_laurent_row([col.get(key, Q_ZERO) for col in columns]) for key in keys]
-    ncols = len(columns) - 1
-    pivots = []  # (column, row) pairs
-    prev = Q_ONE
-    for col in range(ncols):
-        piv = len(pivots)
-        r = next(
-            (i for i in range(piv, len(rows)) if not rows[i][col].is_zero()), None
-        )
-        if r is None:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        prow = rows[piv]
-        pv = prow[col]
-        for i, row in enumerate(rows):
-            if i != piv:
-                f = row[col]
-                rows[i] = [laurent_quotient(pv * x - f * y, prev) for x, y in zip(row, prow)]
-        pivots.append((col, piv))
-        prev = pv
-    for row in rows:
-        if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
-            return None
-    # every pivot row now reads prev * x_col = rhs
-    sol = [Q_ZERO] * ncols
-    for col, r in pivots:
-        sol[col] = rows[r][-1] / prev
-    return sol
-
-
 def _check_zero_grade(x: UqElement) -> None:
     """Raise DomainError unless every monomial F^a K^b E^c of x has a = c."""
     for a, b, c in x._terms:
@@ -702,42 +650,62 @@ def express_in_powers(
     """Coefficients c_j with ``target = sum c_j base^j``, or None.
 
     The base must lie in the zero-grade subalgebra U_0 = span{F^a K^b E^a};
-    DomainError is raised otherwise.  The system is solved in the
-    Harish-Chandra image (:func:`_hc_image`), one equation per power of K,
-    rather than over every PBW monomial of the powers of the base.  The image
-    is linear, and on U_0 it is an algebra map, so it sends a solution in
-    U_q(sl2) to a solution in the image: an inconsistent image system proves
-    that no solution exists, for any target.  A solution c of the image
-    system is certified by forming sum c_j base^j once and comparing it with
-    the target.  If they differ:
+    DomainError is raised otherwise, and for a negative ``max_degree``.  The
+    system is solved in the Harish-Chandra image (:func:`_hc_image`).  The
+    image is linear, and on U_0 it is an algebra map, so it sends a solution
+    in U_q(sl2) to a solution in the image: an inconsistent image system
+    proves that no solution exists, for any target.
 
-    * when the image of the base is not a scalar, its powers are linearly
-      independent, so c was the only candidate and None is returned;
-    * when the base is a scalar, the full system is the image system plus
-      the condition that the target be a scalar, which has just failed, so
-      None is returned;
-    * otherwise (the base is not a scalar but its image is, as for F E + 1)
-      the image loses the information needed to decide, and DomainError is
-      raised.
+    * When the image p of the base is not a scalar, let e be its largest
+      K-exponent if that is positive, else its smallest.  Then p^j has
+      extreme exponent j e, which no lower power reaches, so the powers of p
+      are linearly independent and the solution is unique: for j =
+      ``max_degree`` down to 0, c_j is the coefficient of K^(j e) left in the target's image,
+      divided by that of K^e in p to the j-th power, and c_j p^j is
+      subtracted.  The system is consistent iff nothing is left.
+    * When the image of the base is a scalar, every power of it is, so the
+      image system is consistent iff the target's image is a scalar t_0;
+      the answer is then (t_0, 0, ..., 0), the higher unknowns being free
+      and set to 0.
 
-    Free unknowns are set to 0 (by :func:`_solve`).  Every pivot column of
-    the image system is a pivot column of the full system, so a certified
-    solution is the one the full elimination would give.  Used to express
-    higher Casimirs as polynomials in the degree-one Casimir; on the centre
-    the image is injective (Jantzen, Lectures on Quantum Groups, ch. 6).
+    A solution c of the image system is certified by forming sum c_j base^j
+    once and comparing it with the target.  If they differ, None is
+    returned, since c was the only candidate or (for a scalar base) the
+    target is not a scalar; but when the base is not a scalar and its image
+    is, as for F E + 1, the image loses the information needed to decide,
+    and DomainError is raised.  Used to express higher Casimirs as
+    polynomials in the degree-one Casimir; on the centre the image is
+    injective (Jantzen, Lectures on Quantum Groups, ch. 6).
     """
+    if max_degree < 0:
+        raise DomainError("max_degree must be >= 0")
     _check_zero_grade(base)
-    image = _hc_image(base)
-    powers = [{0: Q_ONE}]
-    for _ in range(max_degree):
-        acc: dict[int, QRat] = {}
-        for b1, c1 in powers[-1].items():
-            for b2, c2 in image.items():
-                acc[b1 + b2] = acc.get(b1 + b2, Q_ZERO) + c1 * c2
-        powers.append({b: c for b, c in acc.items() if not c.is_zero()})
-    sol = _solve(powers + [_hc_image(target)])
-    if sol is None:
-        return None
+    image, rest = _hc_image(base), _hc_image(target)
+    if image.keys() <= {0}:
+        if not rest.keys() <= {0}:
+            return None
+        sol = [rest.get(0, Q_ZERO)] + [Q_ZERO] * max_degree
+    else:
+        e = max(image) if max(image) > 0 else min(image)
+        powers = [{0: Q_ONE}]
+        for _ in range(max_degree):
+            acc: dict[int, QRat] = {}
+            for b1, c1 in powers[-1].items():
+                for b2, c2 in image.items():
+                    acc[b1 + b2] = acc.get(b1 + b2, Q_ZERO) + c1 * c2
+            powers.append({b: c for b, c in acc.items() if not c.is_zero()})
+        sol = [Q_ZERO] * (max_degree + 1)
+        for j in range(max_degree, -1, -1):
+            if j * e in rest:
+                sol[j] = c = rest[j * e] / powers[j][j * e]
+                for b, coeff in powers[j].items():
+                    v = rest.get(b, Q_ZERO) - c * coeff
+                    if v.is_zero():
+                        rest.pop(b, None)
+                    else:
+                        rest[b] = v
+        if rest:
+            return None
     total = UQ_ZERO
     for c in reversed(sol):  # Horner
         total = total * base + c

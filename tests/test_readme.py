@@ -75,3 +75,16 @@ def test_command_line_examples_exit_0(capsys):
     for argv in lines:
         assert main(argv) == 0, argv
         assert capsys.readouterr().out
+
+
+def test_library_example_runs_as_commented(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.count("\n") == len(namespace["pres"].relations)
+    basis = namespace["basis"]
+    assert len(basis.elements) == 14 and basis.s == (3, 1, 3, 1, 3, 3)
+    kinds = [r.kind for r in namespace["pres"].relations]
+    assert (kinds.count("rel1"), kinds.count("rel2")) == (5, 3)
+    assert namespace["verify_centre_relations"](namespace["d5"]).ok

@@ -339,7 +339,7 @@ def test_internal_basis_round_trip():
     ep = UqElement.monomial(0, 0, 1, QMQ)
     assert ep * GEN_F == (GEN_E * GEN_F).scale(QMQ)
     # E' F = F E' + K - K^-1 has integer coefficients
-    assert ep.commutator(GEN_F) == GEN_K - GEN_KINV
+    assert ep * GEN_F - GEN_F * ep == GEN_K - GEN_KINV
     assert all(c.is_laurent() for c in (ep * GEN_F).terms.values())
 
 
@@ -507,7 +507,9 @@ def test_express_in_powers_matches_field_elimination():
         return QRat(rng.randint(-2, 2), num, den)
 
     bases = [casimir(SimpleModule(1), 1), casimir(SimpleModule(2), 1),
-             GEN_F * GEN_E + GEN_K.scale(q_power(2))]
+             GEN_F * GEN_E + GEN_K.scale(q_power(2)),
+             # images whose extreme K-power is the lowest one
+             UQ_ONE + GEN_KINV, GEN_F * GEN_E + GEN_KINV.scale(q_power(-1) + 3)]
     for base in bases:
         for degree in (1, 2, 3):
             coeffs = [rand_coeff() for _ in range(degree + 1)]
@@ -560,6 +562,15 @@ def test_express_in_powers_certifies_the_image_solution():
     assert express_in_powers(UQ_ONE.scale(3), base, 2) == [QRat.integer(3), Q_ZERO, Q_ZERO]
     with pytest.raises(DomainError):
         express_in_powers(C1, GEN_E, 2)  # a base outside the zero-grade subalgebra
+
+
+def test_express_in_powers_rejects_a_negative_degree():
+    from uqcentre.uq_rank1 import express_in_powers
+
+    C1 = casimir(SimpleModule(1), 1)
+    for target in (UQ_ONE, UQ_ZERO, C1):
+        with pytest.raises(DomainError, match="max_degree must be >= 0"):
+            express_in_powers(target, C1, -1)
 
 
 def test_express_in_powers_forms_no_product_without_an_image_solution(monkeypatch):
