@@ -52,8 +52,6 @@ from .uq_rank1 import (
     UqElement,
     UqMatrix,
     casimir,
-    check_K_intertwining,
-    check_gamma_intertwines,
     express_in_powers,
     gamma,
     hc_project,

@@ -10,11 +10,11 @@ of simple modules, one fundamental character at a time, by the
 Brauer-Klimyk rule.  That product serves the unitriangularity report, which
 walks the members of M+ in the box that the generation check reads; the
 algebraic-independence report reads leading terms off the dominant tables
-and multiplies nothing.  The second implementations that the tests check
-these against (the full-support product of ``TorusInvariant`` combinations,
-the av basis, triangular expansions, the Weyl dimension formula and the
-exact rank of the monomials in the fundamental characters) live in
-``tests/oracles.py``.
+and multiplies nothing.  A :class:`TorusInvariant` has ``int`` coefficients
+and no arithmetic, so the second implementations that the tests check these
+against (the full-support product of ``TorusInvariant`` combinations, the av
+basis, triangular expansions, the Weyl dimension formula and the exact rank
+of the monomials in the fundamental characters) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -79,8 +79,10 @@ def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
             = 2 sum_(alpha>0) sum_(k>=1) m(mu + k alpha) (mu + k alpha, alpha),
 
     evaluated in scaled integer arithmetic (the string property lets the
-    inner sum stop at the first zero multiplicity).
+    inner sum stop at the first zero multiplicity).  A ``lam`` whose length
+    is not the rank raises DomainError; a short one would descend forever.
     """
+    rsys._check_weight(lam)
     if not rsys.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant")
     return _freudenthal_table(rsys, tuple(lam))

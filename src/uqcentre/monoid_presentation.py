@@ -9,7 +9,9 @@ isomorphism.  For type II, :func:`presentation` emits one ``rel1`` and one
 A4-A7, the cases checked, they do not generate it: the E6 binomial
 x_nu6 x_mu3 - x_(w5+w6) x_(w3+2w6) is in ker phi and not in their ideal.
 Emitting the full presentation is on the ROADMAP.
-Elements are :class:`TorusInvariant` combinations, ``X^lam`` being ``K_2lam``.
+Elements are :class:`TorusInvariant` combinations, ``X^lam`` being ``K_2lam``,
+with ``int`` coefficients and no arithmetic: :func:`phi` builds one term and
+the tests multiply them in their own oracle.
 """
 
 from __future__ import annotations
@@ -35,16 +37,16 @@ from .root_system import RootSystem, Weight, add_weights, scale_weight
 
 
 class TorusInvariant:
-    """A finite exact combination sum c(mu) K_2mu of weights mu.
+    """A finite integer combination sum c(mu) K_2mu of weights mu.
 
     This is the group algebra of the weight lattice, ``K_2mu K_2nu =
     K_2(mu+nu)``; the monoid algebra C[M+] is the part with keys in M+
     (``X^lam`` is ``K_2lam``), and Harish-Chandra images are its
-    Weyl-invariant elements.  Only the vector-space operations are defined:
-    sums, differences and scalar multiples.  Characters are multiplied in
-    the basis of simple modules instead (see ``character_ring``).
-    Coefficients are ``int`` or ``Fraction`` values kept as given; the zero
-    element has no terms.
+    Weyl-invariant elements.  The library only builds these combinations
+    (:func:`phi`, ``xi_simple``) and reads them, so no arithmetic is
+    defined: characters are multiplied in the basis of simple modules
+    instead (see ``character_ring``).  Coefficients are ``int``; any other
+    coefficient raises TypeError.  The zero element has no terms.
     """
 
     __slots__ = ("terms",)
@@ -54,13 +56,7 @@ class TorusInvariant:
         if terms:
             for w, c in terms.items():
                 if not isinstance(c, int):
-                    # a caller holding a Fraction has loaded ``fractions`` already
-                    from fractions import Fraction
-
-                    if not isinstance(c, Fraction):
-                        raise TypeError(
-                            f"coefficient {c!r} is not an int or a Fraction"
-                        )
+                    raise TypeError(f"coefficient {c!r} is not an int")
                 if c:
                     clean[tuple(w)] = c
         self.terms = clean
@@ -73,22 +69,6 @@ class TorusInvariant:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return TorusInvariant(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, TorusInvariant):
-            return NotImplemented
-        return TorusInvariant({w: c * scalar for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def sorted_terms(self):
         return sorted(self.terms.items())

@@ -10,9 +10,14 @@ Brauer-Klimyk rule.  The oracles may read the library's Freudenthal tables
 which the exact rank of the monomials in the fundamental characters expands
 them; the library certifies their independence by leading terms instead.
 The product in U_q(sl2) is formed one straightening triple at a time; it
-reads the stored terms and the straightening table ``_straighten``.  R_V
-and the transposed R~_V are sums of QRat matrix powers, each divided
-entrywise by [n]!, tensored with U_q(sl2) monomials.
+reads the stored terms and the straightening table ``_straighten``.  The
+matrices of zeta(E), zeta(F) and zeta(K) on the simple module are built here
+from its label m.  R_V and the transposed R~_V are sums of QRat matrix
+powers, each divided entrywise by [n]!, tensored with U_q(sl2) monomials.
+The intertwining lemmas on the way to the centrality of C^(k)_V (Gamma_V
+commutes with the coproduct; K_V twists it by phi^2) are checked here on the
+library's Gamma_V and K_V, with the coproducts as sums of matrix (x) element
+terms.
 Polynomial products are dict convolutions.  The inverse Cartan matrix is
 Gauss-Jordan over ``Fraction``; the Hilbert basis is a scan of the Davenport
 box (:func:`bounded_vectors`, which shares no code with the library's box)
@@ -26,14 +31,17 @@ from operator import add
 
 from uqcentre import (
     DomainError,
+    K_operator,
+    Report,
     TorusInvariant,
     UqElement,
     UqMatrix,
+    gamma,
     weight_multiplicities,
 )
 from uqcentre.character_ring import _order_key, _times_fundamental, full_character
-from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_factorial, q_power
-from uqcentre.uq_rank1 import _straighten
+from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_factorial, q_int, q_power
+from uqcentre.uq_rank1 import GEN_EP, GEN_F, GEN_K, GEN_KINV, UQ_ONE, UQ_ZERO, _straighten
 
 
 # -- membership in M+ ---------------------------------------------------------
@@ -440,7 +448,10 @@ def uq_product_by_triples(x, y):
     return UqElement._stored(out)
 
 
-# -- the truncated quasi R-matrix by matrix powers ----------------------------
+# -- the simple module, its coproduct operators and the quasi R-matrix --------
+
+
+QMQ = q_power(1) - q_power(-1)  # q - q^-1
 
 
 def _matrix_product(A, B):
@@ -463,13 +474,62 @@ def _divided_power(A, n):
     return [[laurent_quotient(x, fact) for x in row] for row in _matrix_power(A, n)]
 
 
+def module_matrices(m):
+    """zeta(E), zeta(F), zeta(K), zeta(K^-1) on L(m varpi), from the label m.
+
+    Basis e_0..e_m with K e_j = q^(m-2j) e_j, E e_j = [j] e_(j-1) and
+    F e_j = [m-j] e_(j+1); for m = 1 these are [[0,1],[0,0]], [[0,0],[1,0]],
+    diag(q, q^-1) and diag(q^-1, q).
+    """
+    d = m + 1
+    E, F, K, Kinv = ([[Q_ZERO] * d for _ in range(d)] for _ in range(4))
+    for j in range(d):
+        K[j][j], Kinv[j][j] = q_power(m - 2 * j), q_power(2 * j - m)
+        if j > 0:
+            E[j - 1][j] = q_int(j)
+        if j < m:
+            F[j + 1][j] = q_int(m - j)
+    return E, F, K, Kinv
+
+
+def tensor_sum(pairs):
+    """The operator sum of M (x) u over the pairs (QRat matrix M, UqElement u)."""
+    pairs = list(pairs)
+    d = len(pairs[0][0])
+    return UqMatrix(
+        [[sum((u.scale(M[i][j]) for M, u in pairs), UQ_ZERO) for j in range(d)] for i in range(d)]
+    )
+
+
+def coproduct_matrix(m, gen, twist=""):
+    """(zeta (x) id) of Delta(gen), of phi^2 Delta(gen) (twist "phi2") or of phi Delta'(gen) ("phi").
+
+    "E" stands for E' = (q - q^-1) E: every identity these enter is linear
+    in E, and the rescaling keeps the coefficients in Z[q, q^-1].
+    """
+    E, F, K, Kinv = module_matrices(m)
+    one, qmq = _matrix_power(K, 0), UQ_ONE.scale(QMQ)
+    if gen == "K":  # K (x) K, fixed by both twists
+        return tensor_sum([(K, GEN_K)])
+    return tensor_sum({
+        ("", "E"): [(K, GEN_EP), (E, qmq)],  # K (x) E + E (x) 1
+        ("", "F"): [(F, GEN_KINV), (one, GEN_F)],  # F (x) K^-1 + 1 (x) F
+        ("", "Kinv"): [(Kinv, GEN_KINV)],
+        # K^-1 (x) E + E (x) K^-2
+        ("phi2", "E"): [(Kinv, GEN_EP), (E, UqElement.monomial(0, -2, 0, QMQ))],
+        ("phi2", "F"): [(F, GEN_K), (_matrix_power(K, 2), GEN_F)],  # F (x) K + K^2 (x) F
+        ("phi", "E"): [(E, qmq), (Kinv, GEN_EP)],  # E (x) 1 + K^-1 (x) E
+        ("phi", "F"): [(one, GEN_F), (F, GEN_K)],  # 1 (x) F + F (x) K
+    }[twist, gen])
+
+
 def quasi_R_by_matrix_powers(V):
     """sum_n (zeta(F)^n / [n]!) (x) q^(n(n-1)/2) E'^n over n < dim V."""
-    out = UqMatrix.tensor(_matrix_power(V.F, 0), UqElement())  # zero
-    for n in range(V.dim):
-        e_n = UqElement._stored({(0, 0, n): q_power(n * (n - 1) // 2)})
-        out = out + UqMatrix.tensor(_divided_power(V.F, n), e_n)
-    return out
+    F = module_matrices(V.m)[1]
+    return tensor_sum(
+        (_divided_power(F, n), UqElement._stored({(0, 0, n): q_power(n * (n - 1) // 2)}))
+        for n in range(V.dim)
+    )
 
 
 def quasi_R_tilde_T_by_matrix_powers(V):
@@ -477,11 +537,52 @@ def quasi_R_tilde_T_by_matrix_powers(V):
 
     c'_n = (q - q^-1)^n q^(n(n-1)/2), and K^-n F^n = q^(2n^2) F^n K^-n.
     """
-    qmq = q_power(1) - q_power(-1)
-    out = UqMatrix.tensor(_matrix_power(V.F, 0), UqElement())  # zero
-    for n in range(V.dim):
-        first = _matrix_product(_divided_power(V.E, n), _matrix_power(V.K, n))
-        coeff = qmq ** n * q_power(n * (n - 1) // 2 + 2 * n * n)
-        second = UqElement.monomial(n, -n, 0, coeff)
-        out = out + UqMatrix.tensor(first, second)
-    return out
+    E, _, K, _ = module_matrices(V.m)
+    return tensor_sum(
+        (
+            _matrix_product(_divided_power(E, n), _matrix_power(K, n)),
+            UqElement.monomial(n, -n, 0, QMQ ** n * q_power(n * (n - 1) // 2 + 2 * n * n)),
+        )
+        for n in range(V.dim)
+    )
+
+
+# -- the intertwining lemmas behind the centrality of C^(k)_V -----------------
+
+
+def check_gamma_intertwines(V):
+    """Commutators of Gamma_V with the coproduct images of E, F, K^(+-1)."""
+    rep = Report(title=f"Gamma commutation, m={V.m}")
+    G = gamma(V)
+    for gen in ("E", "F", "K", "Kinv"):
+        D = coproduct_matrix(V.m, gen)
+        rep.add(f"[Gamma, Delta({gen})] = 0", G * D == D * G)
+    return rep
+
+
+def check_K_intertwining(V):
+    """The five diagonal-operator identities and the phi^2 intertwining law.
+
+    The identities are linear in E, which enters as E' = (q - q^-1) E.
+    """
+    rep = Report(title=f"K_V intertwining, m={V.m}")
+    KV = K_operator(V)
+    E, F, K, Kinv = module_matrices(V.m)
+    one = _matrix_power(K, 0)
+    for gen in ("K", "Kinv"):
+        D = coproduct_matrix(V.m, gen)
+        rep.add(f"K_V commutes with zeta({gen}) (x) {gen}", KV * D == D * KV)
+    checks = [
+        ("zeta(E) (x) 1", E, UQ_ONE, E, UqElement.monomial(0, 2, 0)),
+        ("1 (x) E", one, GEN_EP, _matrix_power(K, 2), GEN_EP),
+        ("zeta(F) (x) 1", F, UQ_ONE, F, UqElement.monomial(0, -2, 0)),
+        ("1 (x) F", one, GEN_F, _matrix_power(Kinv, 2), GEN_F),
+    ]
+    for name, A, u, B, v in checks:
+        plain, twisted = tensor_sum([(A, u)]), tensor_sum([(B, v)])
+        rep.add(f"K_V ({name}) twists by K^2", KV * plain == twisted * KV)
+    for gen in ("E", "F", "K"):
+        lhs = KV * coproduct_matrix(V.m, gen, "phi2")
+        rhs = coproduct_matrix(V.m, gen) * KV
+        rep.add(f"K_V phi^2(Delta({gen})) = Delta({gen}) K_V", lhs == rhs)
+    return rep

@@ -17,8 +17,6 @@ from uqcentre import (
     SimpleModule,
     build_root_system,
     casimir,
-    check_K_intertwining,
-    check_gamma_intertwines,
     factorisation_counts,
     generation_check,
     hc_project,
@@ -38,6 +36,7 @@ from uqcentre import (
 from uqcentre.qrational import q_power
 from uqcentre.uq_rank1 import GEN_F, GEN_E, GEN_K, GEN_KINV, _gamma_power, _straighten
 from uqcentre.cli import main
+from oracles import check_K_intertwining, check_gamma_intertwines
 from oracles import independence_rank, type_A_membership, weyl_dim
 from test_casimir_golden import JSON_SHA256
 

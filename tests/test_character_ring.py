@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 from itertools import product
 
@@ -93,6 +94,26 @@ def test_xi_simple_rejects_outside_m():
     a2 = build_root_system("A", 2)
     with pytest.raises(DomainError):
         xi_simple(a2, (1, 0))
+
+
+def test_a_weight_of_the_wrong_length_raises_at_once():
+    # a short weight once sent the dominant descent climbing without end, so
+    # the call runs under a 5 s alarm
+    a2 = build_root_system("A", 2)
+
+    def expire(signum, frame):
+        raise TimeoutError("no answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for lam in ((1,), (1, 0, 0)):
+            for table in (weight_multiplicities, full_character):
+                with pytest.raises(DomainError, match="expected rank 2"):
+                    table(a2, lam)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_xi_tensor_examples():

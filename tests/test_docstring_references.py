@@ -3,12 +3,17 @@
 A reference resolves when it names something in its module's globals, an
 attribute of a class defined in that module, or a name of the ``uqcentre``
 package.  A dotted reference is followed one attribute at a time from its
-first part.  ``__main__`` is not imported: importing it runs the CLI.
+first part.  ``__main__`` is not imported: importing it runs the CLI.  The
+backticked identifiers of the README's ``## Modules`` table resolve in the
+same way in some module of the package; Python builtins and standard-library
+modules are skipped.
 """
 
 import ast
+import builtins
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,7 @@ import pytest
 import uqcentre
 
 PACKAGE = Path(uqcentre.__file__).resolve().parent
+README = PACKAGE.parents[1] / "README.md"
 REFERENCE = re.compile(r":(?:func|class|meth):`~?([\w.]+)(?:\(\))?`")
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__main__")
 
@@ -55,3 +61,19 @@ def test_docstring_references_resolve(stem):
     module = importlib.import_module(f"uqcentre.{stem}" if stem != "__init__" else "uqcentre")
     stale = [name for name in references(stem) if not resolves(module, name)]
     assert not stale, f"uqcentre.{stem} docstrings name {stale}"
+
+
+def test_readme_modules_table_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    names = sorted(set(re.findall(r"`([A-Za-z_][\w.]*)`", table)))
+    modules = [importlib.import_module(f"uqcentre.{stem}") for stem in MODULES if stem != "__init__"]
+    skipped = {"uqcentre", *dir(builtins), *sys.stdlib_module_names}
+
+    def known(name):
+        name = name.removeprefix("uqcentre.")
+        return name.split(".")[0] in skipped or any(resolves(m, name) for m in modules)
+
+    assert len(names) >= 20
+    stale = [name for name in names if not known(name)]
+    assert not stale, f"the README modules table names {stale}"
