@@ -31,7 +31,6 @@ from .half_lattice_monoid import (
 from .monoid_presentation import (
     BinomialRelation,
     Presentation,
-    TorusInvariant,
     factorisation_counts,
     generation_check,
     phi,

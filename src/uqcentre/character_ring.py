@@ -1,8 +1,8 @@
 """Characters, Harish-Chandra images and products in the character ring.
 
-The image of the central element attached to a module is its character
-written as a :class:`TorusInvariant`, a combination of the even torus
-elements ``K_2mu``: ``xi([V]) = sum m_V(mu) K_2mu``.
+The image of the central element attached to a module is its character, a
+combination of the even torus elements ``K_2mu``: ``xi([V]) = sum m_V(mu)
+K_2mu``, held as the multiplicity map ``{mu: m_V(mu)}``.
 
 Weight multiplicities come from Freudenthal's recursion, run entirely in
 integer arithmetic.  Characters are multiplied in one way only: in the basis
@@ -10,11 +10,11 @@ of simple modules, one fundamental character at a time, by the
 Brauer-Klimyk rule.  That product serves the unitriangularity report, which
 walks the members of M+ in the box that the generation check reads; the
 algebraic-independence report reads leading terms off the dominant tables
-and multiplies nothing.  A :class:`TorusInvariant` has ``int`` coefficients
-and no arithmetic, so the second implementations that the tests check these
-against (the full-support product of ``TorusInvariant`` combinations, the av
-basis, triangular expansions, the Weyl dimension formula and the exact rank
-of the monomials in the fundamental characters) live in ``tests/oracles.py``.
+and multiplies nothing.  The second implementations that the tests check
+these against (the full-support product of multiplicity maps, the av basis,
+triangular expansions, the Weyl dimension formula and the exact rank of the
+monomials in the fundamental characters) live in ``tests/oracles.py``.
+The memoised tables are handed out as read-only ``MappingProxyType`` views.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from math import comb
+from types import MappingProxyType
 
 from .errors import DomainError
 from .half_lattice_monoid import TYPE_I, classify_type, in_monoid, residue
-from .monoid_presentation import TorusInvariant, _box_members, monomial_weight, presentation
+from .monoid_presentation import _box_members, phi, presentation
 from .report import Report
 from .root_system import (
     RootSystem,
@@ -39,9 +40,9 @@ from .root_system import (
 class CharacterTable(namedtuple("CharacterTable", "highest mult dim")):
     """Multiplicities of the simple module with the given highest weight.
 
-    ``mult`` is keyed by the dominant weights only; values on the rest of the
-    orbit follow by Weyl invariance.  ``dim`` sums the multiplicities over
-    full orbits.
+    ``mult`` is a read-only map keyed by the dominant weights only; values on
+    the rest of the orbit follow by Weyl invariance.  ``dim`` sums the
+    multiplicities over full orbits.
     """
 
     __slots__ = ()
@@ -82,7 +83,6 @@ def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
     inner sum stop at the first zero multiplicity).  A ``lam`` whose length
     is not the rank raises DomainError; a short one would descend forever.
     """
-    rsys._check_weight(lam)
     if not rsys.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant")
     return _freudenthal_table(rsys, tuple(lam))
@@ -133,16 +133,16 @@ def _freudenthal_table(rsys: RootSystem, lam: Weight) -> CharacterTable:
         mult[mu] = q
 
     dim = sum(m * rsys.orbit_size(mu) for mu, m in mult.items())
-    return CharacterTable(highest=lam, mult=mult, dim=dim)
+    return CharacterTable(highest=lam, mult=MappingProxyType(mult), dim=dim)
 
 
-def full_character(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
-    """The complete weight-multiplicity map of L(lam), keyed by every weight."""
+def full_character(rsys: RootSystem, lam: Weight) -> MappingProxyType:
+    """The complete weight-multiplicity map of L(lam), keyed by every weight, read-only."""
     return _full_character(rsys, tuple(lam))
 
 
 @cache
-def _full_character(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
+def _full_character(rsys: RootSystem, lam: Weight) -> MappingProxyType:
     table = weight_multiplicities(rsys, lam)
     out: dict[Weight, int] = {}
     for mu, m in table.mult.items():
@@ -153,18 +153,18 @@ def _full_character(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
             f"character of {lam} for {rsys} sums to {sum(out.values())}, "
             f"not the dimension {table.dim}"
         )
-    return out
+    return MappingProxyType(out)
 
 
 # -- xi images ----------------------------------------------------------------
 
 
-def xi_simple(rsys: RootSystem, lam: Weight) -> TorusInvariant:
-    """xi([L(lam)]) = sum m(mu) K_2mu; requires lam in M+."""
+def xi_simple(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
+    """xi([L(lam)]) = sum m(mu) K_2mu as a new dict {mu: m(mu)}; requires lam in M+."""
     if not in_monoid(rsys, lam):
         raise DomainError(f"{lam} is not in M+; 2mu would leave the root lattice")
-    out = TorusInvariant(full_character(rsys, lam))
-    for w in out.terms:
+    out = dict(full_character(rsys, lam))
+    for w in out:
         if residue(rsys, w):
             raise ArithmeticError(f"key {w} is outside M for {rsys}")
     return out
@@ -282,8 +282,8 @@ def verify_centre_relations(rsys: RootSystem) -> Report:
     rep = Report(title=f"centre relations {rsys.family}{rsys.rank}")
 
     for rel in pres.relations:
-        lw = monomial_weight(pres.generators, rel.lhs)
-        rw = monomial_weight(pres.generators, rel.rhs)
+        lw = phi(pres.generators, rel.lhs)
+        rw = phi(pres.generators, rel.rhs)
         rep.add(
             f"{rel.kind}[{rel.source}] exponent identity",
             lw == rw,

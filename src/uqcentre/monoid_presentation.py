@@ -9,9 +9,9 @@ isomorphism.  For type II, :func:`presentation` emits one ``rel1`` and one
 A4-A7, the cases checked, they do not generate it: the E6 binomial
 x_nu6 x_mu3 - x_(w5+w6) x_(w3+2w6) is in ker phi and not in their ideal.
 Emitting the full presentation is on the ROADMAP.
-Elements are :class:`TorusInvariant` combinations, ``X^lam`` being ``K_2lam``,
-with ``int`` coefficients and no arithmetic: :func:`phi` builds one term and
-the tests multiply them in their own oracle.
+A basis element ``X^lam`` is known by its weight lam, so :func:`phi` returns
+the weight of a generator monomial, and a binomial lies in ker phi exactly
+when its two sides have the same weight.
 """
 
 from __future__ import annotations
@@ -34,58 +34,6 @@ from .half_lattice_monoid import (
 )
 from .report import Report
 from .root_system import RootSystem, Weight, add_weights, scale_weight
-
-
-class TorusInvariant:
-    """A finite integer combination sum c(mu) K_2mu of weights mu.
-
-    This is the group algebra of the weight lattice, ``K_2mu K_2nu =
-    K_2(mu+nu)``; the monoid algebra C[M+] is the part with keys in M+
-    (``X^lam`` is ``K_2lam``), and Harish-Chandra images are its
-    Weyl-invariant elements.  The library only builds these combinations
-    (:func:`phi`, ``xi_simple``) and reads them, so no arithmetic is
-    defined: characters are multiplied in the basis of simple modules
-    instead (see ``character_ring``).  Coefficients are ``int``; any other
-    coefficient raises TypeError.  The zero element has no terms.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if not isinstance(c, int):
-                    raise TypeError(f"coefficient {c!r} is not an int")
-                if c:
-                    clean[tuple(w)] = c
-        self.terms = clean
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusInvariant) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def to_json(self) -> list:
-        return [[list(w), c] for w, c in self.sorted_terms()]
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            mu = ",".join(map(str, w))
-            parts.append(f"{c}·K_2({mu})")
-        return " + ".join(parts)
-
-    __repr__ = render
 
 
 class BinomialRelation(namedtuple("BinomialRelation", "kind source lhs rhs")):
@@ -136,8 +84,8 @@ class Presentation(namedtuple("Presentation", "family rank generators labels rel
         return [f"{side(r.lhs)} = {side(r.rhs)}" for r in self.relations]
 
 
-def monomial_weight(generators, monomial) -> Weight:
-    """The weight sum e * g of a generator monomial {index: exponent} (or its items)."""
+def phi(generators, monomial) -> Weight:
+    """phi(x^e) = X^lam, given by lam = sum e * g, for a monomial {index: exponent} (or its items)."""
     gens = list(generators)
     if not gens:
         raise DomainError("empty generator list")
@@ -149,11 +97,6 @@ def monomial_weight(generators, monomial) -> Weight:
             raise DomainError(f"negative exponent {e}")
         total = add_weights(total, scale_weight(e, gens[i]))
     return total
-
-
-def phi(generators, monomial) -> TorusInvariant:
-    """Evaluate a generator monomial {index: exponent} to a single X^lam term."""
-    return TorusInvariant({monomial_weight(generators, monomial): 1})
 
 
 def _weight_label(w: Weight) -> str:
@@ -258,12 +201,12 @@ def verify_relations(rsys: RootSystem, pres: Presentation | None = None) -> Repo
             f"{len(pres.relations)} relations" if pres.relations else "",
         )
     for rel in pres.relations:
-        left = phi(pres.generators, dict(rel.lhs))
-        right = phi(pres.generators, dict(rel.rhs))
+        left = phi(pres.generators, rel.lhs)
+        right = phi(pres.generators, rel.rhs)
         rep.add(
             f"{rel.kind}[{_weight_label(rel.source)}]",
             left == right,
-            f"{left!r} vs {right!r}" if left != right else "",
+            "" if left == right else f"{left} != {right}",
         )
     # The partner's rel2 binomial is not emitted; that it lies in ker phi is
     # one more kernel-membership check.

@@ -385,10 +385,11 @@ class QRat:
     def __eq__(self, other):
         if isinstance(other, int):
             other = QRat.integer(other)
+        elif not isinstance(other, QRat):
+            return NotImplemented
         # one N stands for different polynomials at different widths
         return (
-            isinstance(other, QRat)
-            and self.qpow == other.qpow
+            self.qpow == other.qpow
             and self._n == other._n
             and (self._h is None or _width(self._h) == _width(other._h))
         )

@@ -268,6 +268,7 @@ class RootSystem:
 
     def simple_reflection(self, i: int, w: Weight) -> Weight:
         """s_i(w) = w - w_i * alpha_i, in fundamental-weight coordinates."""
+        self._check_weight(w)
         wi = w[i]
         if wi == 0:
             return tuple(w)
@@ -304,7 +305,6 @@ class RootSystem:
         v_i = -u_i < 0) only if v_j >= 0 for every j < i: every point is
         reached exactly once, from its parent.
         """
-        self._check_weight(w)
         size = self.orbit_size(w)
         if size > ORBIT_CAP:
             raise ResourceLimitError(
@@ -330,7 +330,6 @@ class RootSystem:
         is |W|, and the roots with (mu, alpha) = 0 form the root system of the
         stabiliser W_mu, with the same heights.
         """
-        self._check_weight(w)
         mu = self.dominant_representative(w)
         num = den = 1
         for _, calpha in self.positive_root_data():
@@ -350,6 +349,7 @@ class RootSystem:
 
     def dominant_representative(self, w: Weight) -> Weight:
         """The unique dominant weight in the Weyl orbit of ``w``."""
+        self._check_weight(w)
         v = list(w)
         A = self.cartan
         while True:
@@ -363,7 +363,8 @@ class RootSystem:
                 return tuple(v)
 
     def is_dominant(self, w: Weight) -> bool:
-        return all(x >= 0 for x in w)
+        self._check_weight(w)
+        return min(w) >= 0
 
     def dominates(self, lam: Weight, mu: Weight) -> bool:
         """True iff lam - mu is a nonnegative integer sum of simple roots.

@@ -6,7 +6,6 @@ import pytest
 
 from uqcentre import (
     DomainError,
-    TorusInvariant,
     build_root_system,
     in_monoid,
     independence_check,
@@ -80,14 +79,14 @@ def test_weyl_dim_cross_checks():
 
 def test_xi_simple_examples():
     a1 = build_root_system("A", 1)
-    assert xi_simple(a1, (1,)).terms == {(1,): 1, (-1,): 1}
+    assert xi_simple(a1, (1,)) == {(1,): 1, (-1,): 1}
     a2 = build_root_system("A", 2)
-    assert xi_simple(a2, (0, 0)).terms == {(0, 0): 1}
+    assert xi_simple(a2, (0, 0)) == {(0, 0): 1}
     adj = xi_simple(a2, (1, 1))
-    assert adj.terms[(0, 0)] == 2
+    assert adj[(0, 0)] == 2
     assert total(adj) == 8
     orbit = build_root_system("A", 2).weyl_orbit((1, 1))
-    assert all(adj.terms[w] == 1 for w in orbit)
+    assert all(adj[w] == 1 for w in orbit)
 
 
 def test_xi_simple_rejects_outside_m():
@@ -119,13 +118,13 @@ def test_a_weight_of_the_wrong_length_raises_at_once():
 def test_xi_tensor_examples():
     a2 = build_root_system("A", 2)
     t = xi_tensor(a2, (1, 1))
-    assert t.terms[(0, 0)] == 3
+    assert t[(0, 0)] == 3
     assert total(t) == 9
     # nu_i is the s_i-th power of one fundamental character
     fund = full_character(a2, (1, 0))
-    cube = TorusInvariant({(0, 0): 1})
+    cube = {(0, 0): 1}
     for _ in range(3):
-        cube = torus_product(cube, TorusInvariant(fund))
+        cube = torus_product(cube, fund)
     assert xi_tensor(a2, (3, 0)) == cube
 
     a4 = build_root_system("A", 4)
@@ -135,7 +134,7 @@ def test_xi_tensor_examples():
 def test_xi_tensor_keys_congruent_to_highest_weight():
     a2 = build_root_system("A", 2)
     t = xi_tensor(a2, (1, 1))
-    for key in t.terms:
+    for key in t:
         diff = tuple(a - b for a, b in zip((1, 1), key))
         coords = a2.weight_to_root_coords(diff)
         assert all(c.denominator == 1 for c in coords)
@@ -151,12 +150,12 @@ def test_w_invariance_of_images():
 
 def test_av_basis_element():
     a1 = build_root_system("A", 1)
-    assert av_basis_element(a1, (1,)).terms == {(1,): 1, (-1,): 1}
-    assert av_basis_element(a1, (0,)).terms == {(0,): 2}
+    assert av_basis_element(a1, (1,)) == {(1,): 1, (-1,): 1}
+    assert av_basis_element(a1, (0,)) == {(0,): 2}
     a2 = build_root_system("A", 2)
     av = av_basis_element(a2, (1, 1))
-    assert len(av.terms) == 6 and set(av.terms.values()) == {1}
-    assert av_basis_element(a2, (0, 0)).terms == {(0, 0): 6}
+    assert len(av) == 6 and set(av.values()) == {1}
+    assert av_basis_element(a2, (0, 0)) == {(0, 0): 6}
 
 
 def test_expand_in_av():
@@ -165,12 +164,12 @@ def test_expand_in_av():
     for lam in [(0,), (1,), (3,)]:
         assert expand_in_av(a1, av_basis_element(a1, lam)) == {lam: F(1)}
     assert expand_in_av(a1, xi_simple(a1, (2,))) == {(2,): F(1), (0,): F(1, 2)}
-    assert expand_in_av(a1, TorusInvariant({})) == {}
+    assert expand_in_av(a1, {}) == {}
     a2 = build_root_system("A", 2)
     for lam in [(0, 0), (1, 1), (3, 0)]:
         assert expand_in_av(a2, av_basis_element(a2, lam)) == {lam: F(1)}
     with pytest.raises(DomainError):
-        expand_in_av(a2, TorusInvariant({(1, 1): 1}))  # not W-invariant
+        expand_in_av(a2, {(1, 1): 1})  # not W-invariant
 
 
 def test_av_lies_in_span_of_simples():
@@ -185,7 +184,7 @@ def test_av_lies_in_span_of_simples():
 
         def av_recursive(lam):
             table = weight_multiplicities(rsys, lam)
-            acc = {w: F(c) for w, c in xi_simple(rsys, lam).terms.items()}
+            acc = {w: F(c) for w, c in xi_simple(rsys, lam).items()}
             for mu, m in table.mult.items():
                 if mu == lam:
                     continue
@@ -203,7 +202,7 @@ def test_av_lies_in_span_of_simples():
                 continue
             direct = av_basis_element(rsys, lam)
             rec = av_recursive(lam)
-            assert rec == {w: F(c) for w, c in direct.terms.items()}, (fam, lam)
+            assert rec == {w: F(c) for w, c in direct.items()}, (fam, lam)
 
 
 def test_expand_in_simples_round_trip():
@@ -211,7 +210,7 @@ def test_expand_in_simples_round_trip():
     for lam in [(0, 0), (1, 1), (3, 0)]:
         assert expand_in_simples(a2, xi_simple(a2, lam)) == {lam: F(1)}
     with pytest.raises(DomainError):
-        expand_in_simples(a2, TorusInvariant({(1, 1): 1}))  # not W-invariant
+        expand_in_simples(a2, {(1, 1): 1})  # not W-invariant
 
 
 def test_xi_multiplicative_against_tensor_decomposition():
@@ -341,17 +340,11 @@ def test_upsilon_linearly_independent():
         assert rank == len(upsilon), (fam, n)
 
 
-def test_torus_invariant_json_sorted():
-    a1 = build_root_system("A", 1)
-    js = xi_simple(a1, (2,)).to_json()
-    assert js == [[[-2], 1], [[0], 1], [[2], 1]]
-
-
 def test_torus_invariant_product_exact_past_2_15():
     # weights are tuples of Python ints, so no coordinate can wrap
-    assert torus_power(TorusInvariant({(20000,): 1}), 2) == TorusInvariant({(40000,): 1})
-    assert torus_power(TorusInvariant({(0, 16384): 1}), 2).terms == {(0, 32768): 1}
-    assert torus_power(TorusInvariant({(-20000, 3): 2}), 3).terms == {(-60000, 9): 8}
+    assert torus_power({(20000,): 1}, 2) == {(40000,): 1}
+    assert torus_power({(0, 16384): 1}, 2) == {(0, 32768): 1}
+    assert torus_power({(-20000, 3): 2}, 3) == {(-60000, 9): 8}
 
 
 def test_inexact_character_arithmetic_raises(monkeypatch):
@@ -437,13 +430,24 @@ def test_xi_simple_rejects_a_key_outside_M(monkeypatch):
 
 
 def test_reports_multiply_without_full_support_products(capsys):
-    # the library has no full-support product to fall back on
-    with pytest.raises(TypeError):
-        TorusInvariant({(0,): 1}) * TorusInvariant({(0,): 1})
     assert main(["verify", "--type", "F", "--rank", "4"]) == 0
     assert "all checks passed" in capsys.readouterr().out
     rep, _ = unitriangularity_check(build_root_system("A", 2), 3)
     assert rep.ok
+
+
+def test_a_returned_table_cannot_change_the_memoised_one():
+    a2 = build_root_system("A", 2)
+    w1 = a2.fundamental_weight(0)
+    image = xi_simple(a2, (1, 1))
+    image[(0, 0)] = 99
+    for view in (full_character(a2, (1, 1)), weight_multiplicities(a2, w1).mult):
+        with pytest.raises(TypeError):
+            view[next(iter(view))] = 99
+    assert full_character(a2, (1, 1))[(0, 0)] == 2
+    assert xi_simple(a2, (1, 1))[(0, 0)] == 2
+    assert weight_multiplicities(a2, w1).mult == {w1: 1}
+    assert independence_check(a2, 2).ok
 
 
 def _box_dominant_weights_below(rsys, lam):

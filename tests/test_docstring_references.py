@@ -1,12 +1,13 @@
-"""Every :func:, :class: and :meth: reference in a library docstring resolves.
+"""Every :func:, :class: and :meth: reference in a library or oracle docstring resolves.
 
 A reference resolves when it names something in its module's globals, an
 attribute of a class defined in that module, or a name of the ``uqcentre``
-package.  A dotted reference is followed one attribute at a time from its
-first part.  ``__main__`` is not imported: importing it runs the CLI.  The
-backticked identifiers of the README's ``## Modules`` table resolve in the
-same way in some module of the package; Python builtins and standard-library
-modules are skipped.
+package; the module of ``tests/oracles.py`` is ``oracles``.  A dotted
+reference is followed one attribute at a time from its first part.
+``__main__`` is not imported: importing it runs the CLI.  The backticked
+identifiers of the README's ``## Modules`` table resolve in the same way in
+some module of the package; Python builtins and standard-library modules are
+skipped.
 """
 
 import ast
@@ -21,14 +22,15 @@ import pytest
 import uqcentre
 
 PACKAGE = Path(uqcentre.__file__).resolve().parent
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 README = PACKAGE.parents[1] / "README.md"
 REFERENCE = re.compile(r":(?:func|class|meth):`~?([\w.]+)(?:\(\))?`")
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__main__")
 
 
-def references(stem):
-    """The names referenced in the docstrings of module ``stem``."""
-    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+def references(path):
+    """The names referenced in the docstrings of the module at ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     names = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -53,14 +55,22 @@ def resolves(module, name):
 
 
 def test_the_docstrings_hold_references():
-    assert sum(len(references(stem)) for stem in MODULES) >= 20
+    assert sum(len(references(PACKAGE / f"{stem}.py")) for stem in MODULES) >= 20
 
 
 @pytest.mark.parametrize("stem", MODULES)
 def test_docstring_references_resolve(stem):
     module = importlib.import_module(f"uqcentre.{stem}" if stem != "__init__" else "uqcentre")
-    stale = [name for name in references(stem) if not resolves(module, name)]
+    stale = [name for name in references(PACKAGE / f"{stem}.py") if not resolves(module, name)]
     assert not stale, f"uqcentre.{stem} docstrings name {stale}"
+
+
+def test_oracle_docstring_references_resolve():
+    oracles = importlib.import_module("oracles")
+    names = references(ORACLES)
+    assert names
+    stale = [name for name in names if not resolves(oracles, name)]
+    assert not stale, f"tests/oracles.py docstrings name {stale}"
 
 
 def test_readme_modules_table_names_resolve():

@@ -1,7 +1,6 @@
 import random
 import time
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -12,7 +11,6 @@ from uqcentre import (
     BinomialRelation,
     DomainError,
     ResourceLimitError,
-    TorusInvariant,
     build_root_system,
     factorisation_counts,
     generation_check,
@@ -24,36 +22,35 @@ from uqcentre import (
 from oracles import factorisation_counts_by_dict, in_half_lattice, torus_one, torus_product
 
 
-
-def X(w):
-    return TorusInvariant({w: 1})
-
-
 def test_phi_examples():
     a2 = build_root_system("A", 2)
     gens = hilbert_basis(a2).elements  # ((0,3), (1,1), (3,0))
-    assert phi(gens, {0: 1, 2: 1}) == X((3, 3))
-    assert phi(gens, {1: 3}) == X((3, 3))
-    assert phi(gens, {}) == X((0, 0))
+    assert phi(gens, {0: 1, 2: 1}) == (3, 3)
+    assert phi(gens, {1: 3}) == (3, 3)
+    assert phi(gens, ((1, 3),)) == (3, 3)
+    assert phi(gens, {}) == (0, 0)
+    for bad in ({7: 1}, {0: -1}):
+        with pytest.raises(DomainError):
+            phi(gens, bad)
     with pytest.raises(DomainError):
-        phi(gens, {7: 1})
+        phi((), {})
 
 
 def test_monoid_algebra_laws():
     rng = random.Random(23)
 
+    # elements are {weight: coefficient} dicts without zero coefficients
     def rand_elem():
-        return TorusInvariant(
-            {
-                tuple(rng.randint(0, 3) for _ in range(2)): rng.randint(-3, 3)
-                for _ in range(3)
-            }
-        )
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(2)): rng.randint(-3, 3)
+            for _ in range(3)
+        }
+        return {w: c for w, c in terms.items() if c}
 
     def add(a, b):
-        terms = Counter(a.terms)
-        terms.update(b.terms)
-        return TorusInvariant(terms)
+        terms = Counter(a)
+        terms.update(b)
+        return {w: c for w, c in terms.items() if c}
 
     mul = torus_product
     one = torus_one(2)
@@ -63,20 +60,6 @@ def test_monoid_algebra_laws():
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
         assert mul(a, one) == a
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-
-
-def test_torus_invariant_keeps_exact_coefficients():
-    # int coefficients only, kept as given; the class defines no arithmetic
-    x = TorusInvariant({(1,): 2, (0,): 0})
-    assert x.terms == {(1,): 2} and not TorusInvariant({(0,): 0})
-    assert torus_product(x, x).terms == {(2,): 4}
-    for bad in (Fraction(1, 2), 2.7, 1.0, "1", None):
-        with pytest.raises(TypeError):
-            TorusInvariant({(0,): bad})
-    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-        for other in (x, 2):
-            with pytest.raises(TypeError):
-                op(x, other)
 
 
 def test_presentation_a2():
@@ -186,6 +169,23 @@ def test_verify_relations_type_i_rejects_wrong_generators():
     bogus = BinomialRelation("rel1", (1, 0), ((0, 2),), ((1, 1),))
     rep = verify_relations(b2, pres._replace(relations=(bogus,)))
     assert not rep.ok
+
+
+def test_verify_relations_type_ii_names_the_unbalanced_binomial():
+    e6 = build_root_system("E", 6)
+    pres = presentation(e6)
+    k = next(k for k, r in enumerate(pres.relations) if r.kind == "rel2")
+    rel = pres.relations[k]
+    (g, e), = rel.lhs
+    unbalanced = rel._replace(lhs=((g, e - 1),))
+    relations = pres.relations[:k] + (unbalanced,) + pres.relations[k + 1:]
+    good = verify_relations(e6, pres)
+    rep = verify_relations(e6, pres._replace(relations=relations))
+    left = tuple((e - 1) * x for x in pres.generators[g])
+    right = phi(pres.generators, rel.rhs)
+    assert [i.name for i in rep.items] == [i.name for i in good.items]
+    assert [i for i, item in enumerate(rep.items) if not item.passed] == [k]
+    assert rep.items[k].detail == f"{left} != {right}"
 
 
 def test_generation_check():
@@ -355,8 +355,7 @@ def test_freeness_type_i_monomials_injective():
             if sum(e) <= 5
         ]
         for e in exps:
-            img = phi(gens, dict(enumerate(e)))
-            key = next(iter(img.terms))
+            key = phi(gens, dict(enumerate(e)))
             assert key not in seen or seen[key] == e
             seen[key] = e
         assert len(seen) == len(exps)

@@ -68,6 +68,16 @@ def test_invalid_types_rejected(family, rank):
         build_root_system(family, rank)
 
 
+def test_a_weight_of_the_wrong_length_raises_domain_error():
+    a2 = build_root_system("A", 2)
+    checks = (a2.is_dominant, a2.dominant_representative,
+              lambda w: a2.simple_reflection(0, w))
+    for w in ((1,), (1, 0, 0)):
+        for check in checks:
+            with pytest.raises(DomainError, match="expected rank 2"):
+                check(w)
+
+
 def test_weight_to_root_coords_examples():
     a2 = build_root_system("A", 2)
     assert a2.weight_to_root_coords((1, 0)) == (F(2, 3), F(1, 3))

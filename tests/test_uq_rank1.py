@@ -137,6 +137,10 @@ def test_a_constant_element_equals_its_scalar():
     assert UQ_ZERO == 0 and UQ_ZERO == Q_ZERO
     assert constant != q_power(2) and constant != 1
     assert GEN_K != q_power(1) and GEN_K + 1 != 1
+    # and from the scalar's side: QRat defers to UqElement, as int does
+    assert q_power(1) == constant and not q_power(1) != constant
+    assert q_power(2) != constant and q_power(1) != GEN_K
+    assert q_power(1).__eq__(constant) is NotImplemented and q_power(1) != "q"
 
 
 def test_qrat_on_the_left_of_an_element():
@@ -421,7 +425,7 @@ def test_centrality_and_intertwining_beyond_m4():
     for m in range(5, 9):
         C = casimir(SimpleModule(m), 1)
         assert is_central(C), m
-        assert hc_project(C) == {w[0]: c for w, c in xi_simple(a1, (m,)).terms.items()}
+        assert hc_project(C) == {w[0]: c for w, c in xi_simple(a1, (m,)).items()}
     for m in (5, 6):
         assert is_central(casimir(SimpleModule(m), 2)), m
     for m in range(9):
@@ -445,7 +449,7 @@ def test_hc_consistency_with_character_ring():
     for m in range(5):
         image = hc_project(casimir(SimpleModule(m), 1))
         xs = xi_simple(a1, (m,))
-        assert image == {w[0]: c for w, c in xs.terms.items()}
+        assert image == {w[0]: c for w, c in xs.items()}
         assert all(v > 0 for v in image.values())
 
 
