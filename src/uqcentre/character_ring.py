@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .errors import DomainError
 from .half_lattice_monoid import TYPE_I, classify_type, in_monoid, residue
-from .monoid_presentation import _box_members, phi, presentation
+from .monoid_presentation import _add_balance, _box_members, presentation
 from .report import Report
 from .root_system import (
     RootSystem,
@@ -274,7 +274,8 @@ def verify_centre_relations(rsys: RootSystem) -> Report:
     weight of the monomial.  The fundamental characters are algebraically
     independent (``independence_check`` certifies this by leading terms, for
     every type), so the two sides of a binomial have the same image exactly
-    when they have the same weight; that exponent identity is what is checked.
+    when they have the same weight; that exponent identity is what is checked,
+    by the comparison that ``verify_relations`` uses.
     """
     if classify_type(rsys) == TYPE_I:
         raise DomainError(f"{rsys} is of type I; its centre has no relations")
@@ -282,13 +283,7 @@ def verify_centre_relations(rsys: RootSystem) -> Report:
     rep = Report(title=f"centre relations {rsys.family}{rsys.rank}")
 
     for rel in pres.relations:
-        lw = phi(pres.generators, rel.lhs)
-        rw = phi(pres.generators, rel.rhs)
-        rep.add(
-            f"{rel.kind}[{rel.source}] exponent identity",
-            lw == rw,
-            "" if lw == rw else f"{lw} != {rw}",
-        )
+        _add_balance(rep, f"{rel.kind}[{rel.source}] exponent identity", pres.generators, rel)
     return rep
 
 

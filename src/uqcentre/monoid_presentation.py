@@ -123,6 +123,17 @@ def generator_labels(rsys: RootSystem, basis) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _mono(pairs):
+    """The (generator index, exponent) factors in descending index, matching the usual display."""
+    return tuple(sorted(pairs, key=lambda t: -t[0]))
+
+
+def _rel2_binomial(rsys: RootSystem, basis, idx, lam: Weight) -> BinomialRelation:
+    """The rel2 binomial x_lam^ell = prod x_nu_i^e_i; ``idx`` maps weights to generator indices."""
+    rhs = _mono((idx[basis.scaled_fundamentals[i - 1]], e) for i, e in rel2(rsys, lam).items())
+    return BinomialRelation("rel2", lam, ((idx[lam], ell(rsys, lam)),), rhs)
+
+
 def presentation(rsys: RootSystem) -> Presentation:
     """Generators (the Hilbert basis) of C[M+] and binomial relations in ker phi.
 
@@ -137,28 +148,14 @@ def presentation(rsys: RootSystem) -> Presentation:
     basis = hilbert_basis(rsys)
     gens = basis.elements
     idx = {w: i for i, w in enumerate(gens)}
-
-    def mono(pairs):
-        # factors in descending generator weight, matching the usual display
-        return tuple(sorted(pairs, key=lambda t: -t[0]))
-
     relations = []
     scaled = set(basis.scaled_fundamentals)
     for lam, bar in sorted(basis.pairs, reverse=True):
-        exps = rel1(rsys, lam)
-        rhs = mono((idx[basis.self_conjugate[i]], e) for i, e in exps.items())
-        lhs = mono(((idx[lam], 1), (idx[bar], 1)))
+        rhs = _mono((idx[basis.self_conjugate[i]], e) for i, e in rel1(rsys, lam).items())
+        lhs = _mono(((idx[lam], 1), (idx[bar], 1)))
         relations.append(BinomialRelation("rel1", lam, lhs, rhs))
         if lam not in scaled:
-            l = ell(rsys, lam)
-            exps2 = rel2(rsys, lam)
-            rhs2 = mono(
-                (idx[basis.scaled_fundamentals[i - 1]], e)
-                for i, e in exps2.items()
-            )
-            relations.append(
-                BinomialRelation("rel2", lam, ((idx[lam], l),), rhs2)
-            )
+            relations.append(_rel2_binomial(rsys, basis, idx, lam))
     return Presentation(
         family=rsys.family,
         rank=rsys.rank,
@@ -201,29 +198,26 @@ def verify_relations(rsys: RootSystem, pres: Presentation | None = None) -> Repo
             f"{len(pres.relations)} relations" if pres.relations else "",
         )
     for rel in pres.relations:
-        left = phi(pres.generators, rel.lhs)
-        right = phi(pres.generators, rel.rhs)
-        rep.add(
-            f"{rel.kind}[{_weight_label(rel.source)}]",
-            left == right,
-            "" if left == right else f"{left} != {right}",
-        )
+        _add_balance(rep, f"{rel.kind}[{_weight_label(rel.source)}]", pres.generators, rel)
     # The partner's rel2 binomial is not emitted; that it lies in ker phi is
     # one more kernel-membership check.
     scaled = set(basis.scaled_fundamentals)
     idx = {w: i for i, w in enumerate(pres.generators)}
-    for lam, bar in basis.pairs:
-        if bar in scaled:
-            continue
-        l = ell(rsys, bar)
-        exps = rel2(rsys, bar)
-        lhs = phi(pres.generators, {idx[bar]: l})
-        rhs = phi(
-            pres.generators,
-            {idx[basis.scaled_fundamentals[i - 1]]: e for i, e in exps.items()},
-        )
-        rep.add(f"rel2-conjugate[{_weight_label(bar)}]", lhs == rhs)
+    for _, bar in basis.pairs:
+        if bar not in scaled:
+            rel = _rel2_binomial(rsys, basis, idx, bar)
+            _add_balance(rep, f"rel2-conjugate[{_weight_label(bar)}]", pres.generators, rel)
     return rep
+
+
+def _add_balance(rep: Report, name: str, generators, rel: BinomialRelation) -> None:
+    """Add item ``name`` to ``rep``: whether phi gives both sides of ``rel`` the same weight.
+
+    This one comparison serves :func:`verify_relations` and the centre-relations report.
+    """
+    left = phi(generators, rel.lhs)
+    right = phi(generators, rel.rhs)
+    rep.add(name, left == right, "" if left == right else f"{left} != {right}")
 
 
 def _box_radix(rsys: RootSystem, bound: int) -> int:

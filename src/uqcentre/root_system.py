@@ -267,7 +267,9 @@ class RootSystem:
     # -- Weyl group --------------------------------------------------------
 
     def simple_reflection(self, i: int, w: Weight) -> Weight:
-        """s_i(w) = w - w_i * alpha_i, in fundamental-weight coordinates."""
+        """s_i(w) = w - w_i * alpha_i, in fundamental-weight coordinates; 0 <= i < rank."""
+        if not 0 <= i < self.rank:
+            raise DomainError(f"node index {i} is outside 0..{self.rank - 1}")
         self._check_weight(w)
         wi = w[i]
         if wi == 0:

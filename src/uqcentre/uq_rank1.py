@@ -91,10 +91,12 @@ class UqElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        """The element sum coeff * F^a K^b E^c over ``{(a, b, c): coeff}``."""
+        """The element sum coeff * F^a K^b E^c over ``{(a, b, c): coeff}``; a, c >= 0."""
         clean = {}
         if terms:
             for mon, coeff in terms.items():
+                if mon[0] < 0 or mon[2] < 0:
+                    raise DomainError("F and E exponents must be nonnegative")
                 coeff = QRat.coerce(coeff)
                 if not coeff.is_zero():
                     clean[mon] = coeff * _qmq_power(-mon[2]) if mon[2] else coeff
@@ -109,8 +111,6 @@ class UqElement:
 
     @classmethod
     def monomial(cls, a: int, b: int, c: int, coeff=1) -> "UqElement":
-        if a < 0 or c < 0:
-            raise DomainError("F and E exponents must be nonnegative")
         return cls({(a, b, c): coeff})
 
     @property

@@ -128,6 +128,31 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAILURES" in out
 
 
+def test_verify_reports_a_broken_rel1_without_raising(capsys, monkeypatch):
+    # with mu_1 = nu_1 = 3w1, rel1 reads x_{3w1} x_{3w2} = x_{3w1}^3: (3, 3) != (9, 0)
+    import uqcentre.half_lattice_monoid as hlm
+    import uqcentre.monoid_presentation as mp
+
+    real = hlm.hilbert_basis
+    for module in (hlm, mp):
+        monkeypatch.setattr(
+            module, "hilbert_basis",
+            lambda rsys: real(rsys)._replace(self_conjugate={1: (3, 0)}),
+        )
+    code, out, err = run(capsys, "verify", "--type", "A", "--rank", "2")
+    assert code == 1 and not err
+    reports = {s.split("\n", 1)[0]: s for s in out.split("== ")[1:]}
+    assert "[FAIL] rel1[3w1]: (3, 3) != (9, 0)" in reports["kernel membership A2"]
+    assert (
+        "[FAIL] rel1[(3, 0)] exponent identity: (3, 3) != (9, 0)"
+        in reports["centre relations A2"]
+    )
+    assert out.endswith("verdict: FAILURES above\n")
+    code, out, err = run(capsys, "verify", "--type", "A", "--rank", "2", "--format", "json")
+    assert code == 1 and not err
+    assert json.loads(out)["ok"] is False
+
+
 def test_casimir_m1_k1(capsys):
     code, out, _ = run(capsys, "casimir", "--m", "1", "--k", "1")
     assert code == 0

@@ -141,8 +141,27 @@ def test_in_monoid_wrong_length():
         in_monoid(a2, (1, 1, 1))
     with pytest.raises(DomainError, match="has length 1, expected rank 2"):
         in_monoid(a2, (3,))
-    # the sign test comes first, as it did for root-coordinate membership
-    assert not in_monoid(a2, (1, -1, 0))
+    # the length test comes first: a negative coordinate does not hide it
+    with pytest.raises(DomainError, match="has length 3, expected rank 2"):
+        in_monoid(a2, (1, -1, 0))
+
+
+@pytest.mark.parametrize("func", [ell, half_lattice_monoid.residue, in_monoid])
+@pytest.mark.parametrize("w", [(1,), (-1,), (3,), (0, 0, 1), (1, -1, 0)])
+def test_weight_functions_reject_a_weight_of_the_wrong_length(func, w):
+    with pytest.raises(DomainError, match=f"has length {len(w)}, expected rank 2"):
+        func(build_root_system("A", 2), w)
+
+
+def test_in_monoid_checks_the_length_once(monkeypatch):
+    a2 = build_root_system("A", 2)
+    seen = []
+    check = RootSystem._check_weight
+    monkeypatch.setattr(
+        RootSystem, "_check_weight", lambda self, w: seen.append(w) or check(self, w)
+    )
+    assert in_monoid(a2, (1, 1)) and not in_monoid(a2, (1, 0))
+    assert seen == [(1, 1), (1, 0)]
 
 
 def test_box_cap_and_count():
@@ -469,7 +488,7 @@ def test_rel1_weight_identity_all_type_ii_rank_le_6():
         rsys = build_root_system(fam, n)
         basis = hilbert_basis(rsys)
         for lam, bar in basis.pairs:
-            exps = rel1(rsys, lam)  # postcondition asserted inside
+            exps = rel1(rsys, lam)
             total = (0,) * n
             for i, e in exps.items():
                 total = add_weights(total, scale_weight(e, basis.self_conjugate[i]))
@@ -502,7 +521,7 @@ def test_rel2_weight_identity_all_type_ii_rank_le_6():
         rsys = build_root_system(fam, n)
         basis = hilbert_basis(rsys)
         for lam in basis.elements:
-            exps = rel2(rsys, lam)  # postcondition asserted inside
+            exps = rel2(rsys, lam)
             l = ell(rsys, lam)
             total = (0,) * n
             for i, e in exps.items():

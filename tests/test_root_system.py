@@ -78,6 +78,13 @@ def test_a_weight_of_the_wrong_length_raises_domain_error():
                 check(w)
 
 
+@pytest.mark.parametrize("i", [-1, -2, 2, 5])
+def test_simple_reflection_rejects_a_node_outside_the_diagram(i):
+    # Python reads a negative index from the end, so s_-1 would act as s_2
+    with pytest.raises(DomainError, match=f"node index {i} is outside 0..1"):
+        build_root_system("A", 2).simple_reflection(i, (1, 0))
+
+
 def test_weight_to_root_coords_examples():
     a2 = build_root_system("A", 2)
     assert a2.weight_to_root_coords((1, 0)) == (F(2, 3), F(1, 3))

@@ -606,3 +606,13 @@ def test_render_and_json():
     js = C.to_json()
     assert [[0, 1, 0], {"qpow": 1, "num": [1], "den": [1]}] in js
     assert UQ_ZERO.render() == "0"
+
+
+@pytest.mark.parametrize("mon", [(-1, 0, 0), (0, 0, -1), (-2, 1, -1)])
+def test_negative_f_or_e_exponents_raise_domain_error(mon):
+    with pytest.raises(DomainError, match="nonnegative"):
+        UqElement({mon: 1})
+    with pytest.raises(DomainError, match="nonnegative"):
+        UqElement.monomial(*mon)
+    # a negative K exponent is K^-1, which is allowed
+    assert UqElement({(0, -1, 0): 1}) == GEN_KINV
