@@ -9,17 +9,32 @@ so equality is structural.  ``qpow``, ``num`` and ``den`` give it back, the
 polynomials as little-endian integer tuples (the zero polynomial is ``()``).
 
 Laurent polynomials (``den == (1,)``) are stored packed, by Kronecker
-substitution: ``num`` is held as the one integer N = num(2^B), whose
-balanced base-2^B digits, each in [-2^(B-1), 2^(B-1)), are the
-coefficients, together with a proven bound h on their l1 norm.
+substitution.  A value whose exponents all share one parity is
+q^k P(q^2), and it is held at stride 2: as the one integer N = P(2^B).
+Any other Laurent value is held at stride 1, as N = num(2^B).  In both, the
+balanced base-2^B digits of N, each in [-2^(B-1), 2^(B-1)), are the
+coefficients, and a proven bound h on their l1 norm is kept with N.  The
+stride is a function of the value, so the form stays canonical:
+(1 + q)(1 - q) and 1 - q^2 are both stored at stride 2, and equal values
+have equal (k, N, B, stride).  Every value in the rank-1 Casimir pipeline
+has stride 2, so its N is half the length of the stride-1 packing, which
+would hold a zero digit at every odd offset.
 
-- A product is the big-integer product N1*N2, with bound h1*h2 (the l1 norm
-  is submultiplicative).
-- A sum left-shifts the N of larger q-valuation by B times the gap and adds,
-  with bound h1 + h2; trailing zero digits, which only equal valuations can
-  leave, move into ``k``.
+- A product of two values of one stride is the big-integer product N1*N2,
+  with bound h1*h2 (the l1 norm is submultiplicative).
+- A sum of two values of one stride s, whose valuations differ by a
+  multiple of s, left-shifts the N of larger valuation by B/s bits per
+  power of q and adds, with bound h1 + h2; trailing zero digits, which only
+  equal valuations can leave, move into ``k``.
+- A stride-1 result whose odd-offset digits all vanish, such as
+  (1 + q)(1 - q), is moved to stride 2; ``_one_parity`` decides that with a
+  few big-integer operations, without unpacking.
 - A shift by q^k changes only ``k``, and a negation only the sign of N;
-  neither changes the bound.
+  neither changes the bound or the stride.
+- Any other mix (operands of different strides, or stride-2 summands of
+  valuations of opposite parity) falls back to stride 1: a stride-2 N is
+  spread to stride 1 by evaluating its digits at 2^(2B), the two are
+  combined, and the result is unpacked and packed again canonically.
 
 While h < 2^(B-1) every coefficient is below 2^(B-1) in absolute value, so
 N has one balanced digit expansion, and N = 0 iff the value is 0.  Every
@@ -29,9 +44,9 @@ operands' bounds are refreshed to their exact l1 norms (unpacking them is
 exact, since they are valid); if the bound is still too large, the operands
 are repacked at a wider B and the result is normalised.  B is a function of
 the value: 64 while its l1 norm is below 2^63, else the least multiple of 64
-that exceeds its bit length, so an integer constant of any size is valid and
-equal values have equal (k, N, B).  ``laurent_quotient`` divides the packed
-integers and certifies the quotient by the same bound.
+that exceeds its bit length, so an integer constant of any size is valid.
+``laurent_quotient`` divides the packed integers and certifies the quotient
+by the same bound; a quotient of two stride-2 values has stride 2.
 
 A value with a true denominator is the same packed form twice: its
 numerator and denominator are packed Laurent values at q-valuation 0, and
@@ -53,6 +68,10 @@ from .errors import DomainError
 _B = 64  # the digit width of every value whose l1 norm is below 2^63
 _LIMIT = 1 << (_B - 1)
 _MASK = (1 << _B) - 1
+# one 128-bit block each, little-endian: 2^63 in the even 64-bit word, and
+# all ones in the odd word
+_EVEN_OFFSETS = bytes(7) + b"\x80" + bytes(8)
+_ODD_WORDS = bytes(8) + b"\xff" * 8
 
 
 def _trim(p):
@@ -145,24 +164,46 @@ def _evaluate(coeffs, b: int) -> int:
     return n
 
 
-def _stored(qpow: int, n, h) -> "QRat":
+def _one_parity(n: int) -> bool:
+    """Whether every odd-offset digit of n, a valid packing at B = 64, is zero.
+
+    Let C add 2^63 at every even offset of L = (bits of n) // 128 + 2 blocks
+    of 128 bits; then n + C is positive and below 2^(128 L).  If the odd
+    digits of n vanish, each even digit plus 2^63 lies in [0, 2^64), so every
+    odd 64-bit word of n + C is zero.  Conversely, if those words are all
+    zero, n + C = sum w_i 2^(128 i) with 0 <= w_i < 2^64 gives n the digits
+    w_i - 2^63 at even offsets and 0 at odd ones, and the balanced expansion
+    is unique.
+    """
+    words = abs(n).bit_length() // 128 + 2
+    m = n + int.from_bytes(_EVEN_OFFSETS * words, "little")
+    return not m & int.from_bytes(_ODD_WORDS * words, "little")
+
+
+def _stored(qpow: int, n, h, s) -> "QRat":
     """The QRat with the given slots, which must already be canonical."""
     out = _new(QRat)
-    out.qpow, out._n, out._h = qpow, n, h
+    out.qpow, out._n, out._h, out._s = qpow, n, h, s
     return out
 
 
-def _from_coefficients(qpow: int, coeffs) -> "QRat":
-    """q^qpow times the polynomial ``coeffs``, packed at the width of its l1 norm."""
+def _from_coefficients(qpow: int, coeffs, s: int = 1) -> "QRat":
+    """q^qpow times sum_i coeffs[i] q^(s i), packed canonically at the width of its l1 norm.
+
+    A stride-1 polynomial whose odd-offset coefficients all vanish is packed
+    at stride 2.
+    """
     coeffs = _trim(coeffs)
     if not coeffs:
         return Q_ZERO
     if not coeffs[0]:
         v = next(i for i, x in enumerate(coeffs) if x)
-        qpow += v
+        qpow += s * v
         coeffs = coeffs[v:]
+    if s == 1 and not any(coeffs[1::2]):
+        coeffs, s = coeffs[::2], 2
     h = sum(map(abs, coeffs))
-    return _stored(qpow, _evaluate(coeffs, _width(h)), h)
+    return _stored(qpow, _evaluate(coeffs, _width(h)), h, s)
 
 
 def _refresh(x: "QRat") -> int:
@@ -175,72 +216,95 @@ def _refresh(x: "QRat") -> int:
     return h
 
 
-def _at_width(x: "QRat", b: int) -> int:
-    """N of packed x repacked at width b (at least the width of x)."""
+def _at(x: "QRat", b: int, s: int) -> int:
+    """N of packed x repacked at width b (at least the width of x) and stride s (at most that of x).
+
+    Spreading stride 2 to stride 1 puts digit i at offset 2i: the digits
+    are evaluated at 2^(2b).
+    """
     w = _width(x._h)
-    return x._n if w == b else _evaluate(_digits(x._n, w), b)
+    if w == b and x._s == s:
+        return x._n
+    return _evaluate(_digits(x._n, w), b * x._s // s)
 
 
 def _combine(x: "QRat", y: "QRat", product: bool) -> "QRat":
-    """x*y or x + y, for nonzero packed x, y whose bound reached 2^(B-1).
+    """x*y or x + y, for nonzero packed x, y that the one-operation path cannot combine.
 
-    The operands' bounds are refreshed first; if the result's bound still
-    reaches the limit, it is formed at a wider B.  The result is unpacked
-    and packed again at the width of its exact l1 norm.
+    That path needs operands of one stride (for a stride-2 sum, with
+    valuations of one parity) and a result bound below 2^(B-1).  If the bound reaches the
+    limit, the operands' bounds are refreshed first.  The result is formed
+    at the width of the bound: at stride 2 if that path's stride condition
+    holds, else with both operands spread to stride 1.  It is unpacked and
+    packed again, canonically, at the width of its exact l1 norm.
     """
-    hx, hy = _refresh(x), _refresh(y)
-    b = _width(hx * hy if product else hx + hy)
-    nx, ny = _at_width(x, b), _at_width(y, b)
+    h = x._h * y._h if product else x._h + y._h
+    if h >= _LIMIT:
+        hx, hy = _refresh(x), _refresh(y)
+        h = hx * hy if product else hx + hy
+    b = _width(h)
+    s = 2 if x._s == y._s == 2 and (product or not (x.qpow - y.qpow) & 1) else 1
+    nx, ny = _at(x, b, s), _at(y, b, s)
     if product:
         qpow, n = x.qpow + y.qpow, nx * ny
     else:
         qpow = min(x.qpow, y.qpow)
-        n = (nx << b * (x.qpow - qpow)) + (ny << b * (y.qpow - qpow))
-    return _from_coefficients(qpow, _digits(n, b))
+        n = (nx << b * ((x.qpow - qpow) // s)) + (ny << b * ((y.qpow - qpow) // s))
+    return _from_coefficients(qpow, _digits(n, b), s)
 
 
 def _quotient_certified(x: "QRat", y: "QRat") -> "QRat":
     """x / y for nonzero packed x, y, conclusively.
 
-    If y divides x in Z[q, q^-1], the quotient z has l1 norm at most
+    Both are taken at stride 2 if both have it (a quotient of polynomials
+    in q^2 is one), else at stride 1; degrees below count digits at that
+    stride.  If y divides x in Z[q, q^-1], the quotient z has l1 norm at most
     2^deg(z) |x|_1 (Mignotte's bound for a factor of x), so at a width with
     2^deg(z) h_x h_y < 2^(B-1) the product y z of the decoded quotient has
     valid coefficients; it then equals x exactly iff it evaluates to N_x.
     """
+    s = 2 if x._s == y._s == 2 else 1
     hx, hy = _refresh(x), _refresh(y)
     # a valid N with d + 1 digits at width w has d*w <= bit length < (d+1)*w
-    dz = abs(x._n).bit_length() // _width(hx) - abs(y._n).bit_length() // _width(hy)
+    dx = abs(x._n).bit_length() // _width(hx) * (x._s // s)
+    dz = dx - abs(y._n).bit_length() // _width(hy) * (y._s // s)
     if dz < 0:
         raise ArithmeticError("inexact polynomial division")
     b = max(_width(hx), _width(hy), _width((hx << dz) * hy))
-    n, r = divmod(_at_width(x, b), _at_width(y, b))
+    n, r = divmod(_at(x, b, s), _at(y, b, s))
     if r:
         raise ArithmeticError("inexact polynomial division")
     z = _digits(n, b)
     if sum(map(abs, z)) * hy >= 1 << (b - 1):
         raise ArithmeticError("inexact polynomial division")
-    return _from_coefficients(x.qpow - y.qpow, z)
+    return _from_coefficients(x.qpow - y.qpow, z, s)
 
 
 class QRat:
     """An exact element of the field of rational functions in q.
 
-    A Laurent value keeps its packed N = num(2^B) in ``_n`` and its l1 bound
-    in ``_h``; any other value keeps ``_h = None`` and in ``_n`` the pair of
-    packed Laurent values (numerator, denominator), both at q-valuation 0.
+    A Laurent value keeps its packed N in ``_n``, its l1 bound in ``_h`` and
+    its stride, 2 or 1, in ``_s``; any other value keeps ``_h = _s = None``
+    and in ``_n`` the pair of packed Laurent values (numerator, denominator),
+    both at q-valuation 0.
     """
 
-    __slots__ = ("qpow", "_n", "_h")
+    __slots__ = ("qpow", "_n", "_h", "_s")
 
     def __init__(self, qpow, num, den):
         x = _fraction(_from_coefficients(qpow, num), _from_coefficients(0, den))
-        self.qpow, self._n, self._h = x.qpow, x._n, x._h
+        self.qpow, self._n, self._h, self._s = x.qpow, x._n, x._h, x._s
 
     @property
     def num(self) -> tuple:
         if self._h is None:
             return self._n[0].num
-        return tuple(_digits(self._n, _width(self._h)))
+        digits = _digits(self._n, _width(self._h))
+        if self._s == 1:
+            return tuple(digits)
+        spread = [0] * (2 * len(digits) - 1)
+        spread[::2] = digits
+        return tuple(spread)
 
     @property
     def den(self) -> tuple:
@@ -252,7 +316,7 @@ class QRat:
     def integer(cls, n: int) -> "QRat":
         if n == 0:
             return Q_ZERO
-        return _stored(0, n, abs(n))
+        return _stored(0, n, abs(n), 2)
 
     @classmethod
     def coerce(cls, x) -> "QRat":
@@ -300,21 +364,25 @@ class QRat:
             return self
         if self._h is not None and other._h is not None:
             h = self._h + other._h
-            if h >= _LIMIT:
-                return _combine(self, other, False)
-            # the N of larger valuation moves up one digit per power of q
             k1, k2 = self.qpow, other.qpow
+            s = self._s
+            if h >= _LIMIT or s != other._s or (k1 - k2) % s:
+                return _combine(self, other, False)
+            # the N of larger valuation moves up one digit per power of q^s
             if k1 < k2:
-                return _stored(k1, self._n + (other._n << _B * (k2 - k1)), h)
-            if k2 < k1:
-                return _stored(k2, other._n + (self._n << _B * (k1 - k2)), h)
-            n = self._n + other._n
-            if not n:
-                return Q_ZERO
-            if not n & _MASK:  # trailing zero digits move into the valuation
-                z = (n & -n).bit_length() // _B
-                k1, n = k1 + z, n >> (_B * z)
-            return _stored(k1, n, h)
+                n = self._n + (other._n << _B * (k2 - k1) // s)
+            elif k2 < k1:
+                k1, n = k2, other._n + (self._n << _B * (k1 - k2) // s)
+            else:
+                n = self._n + other._n
+                if not n:
+                    return Q_ZERO
+                if not n & _MASK:  # trailing zero digits move into the valuation
+                    z = (n & -n).bit_length() // _B
+                    k1, n = k1 + s * z, n >> (_B * z)
+            if s == 1 and _one_parity(n):
+                return _from_coefficients(k1, _digits(n, _B))
+            return _stored(k1, n, h, s)
         n1, d1 = _parts(self)
         n2, d2 = _parts(other)
         return _fraction(n1 * d2 + n2 * d1, d1 * d2)
@@ -323,8 +391,8 @@ class QRat:
 
     def __neg__(self):
         if self._h is not None:
-            return _stored(self.qpow, -self._n, self._h)
-        return _stored(self.qpow, (-self._n[0], self._n[1]), None)
+            return _stored(self.qpow, -self._n, self._h, self._s)
+        return _stored(self.qpow, (-self._n[0], self._n[1]), None, None)
 
     def __sub__(self, other):
         if not isinstance(other, (int, QRat)):
@@ -341,25 +409,33 @@ class QRat:
             if not isinstance(other, int):
                 return NotImplemented
             other = QRat.integer(other)
+        return self.mul_shift(other, 0)
+
+    __rmul__ = __mul__
+
+    def mul_shift(self, other: "QRat", k: int) -> "QRat":
+        """q^k * self * other: for Laurent values of one stride, one packed product and one new value."""
         if not self._n or not other._n:
             return Q_ZERO
         if self._h is not None and other._h is not None:
             # a product of polynomials with nonzero constant terms has one too
             h = self._h * other._h
-            if h >= _LIMIT:
-                return _combine(self, other, True)
-            return _stored(self.qpow + other.qpow, self._n * other._n, h)
+            s = self._s
+            if h >= _LIMIT or s != other._s:
+                return _combine(self, other, True).shift(k)
+            n = self._n * other._n
+            if s == 1 and _one_parity(n):
+                return _from_coefficients(self.qpow + other.qpow + k, _digits(n, _B))
+            return _stored(self.qpow + other.qpow + k, n, h, s)
         n1, d1 = _parts(self)
         n2, d2 = _parts(other)
-        return _fraction(n1 * n2, d1 * d2)
-
-    __rmul__ = __mul__
+        return _fraction(n1 * n2, d1 * d2).shift(k)
 
     def shift(self, k: int) -> "QRat":
         """q^k * self, by moving the q-valuation; no polynomial product."""
         if not self._n or not k:
             return self
-        return _stored(self.qpow + k, self._n, self._h)
+        return _stored(self.qpow + k, self._n, self._h, self._s)
 
     def inverse(self) -> "QRat":
         return _quotient(Q_ONE, self)
@@ -387,11 +463,12 @@ class QRat:
             other = QRat.integer(other)
         elif not isinstance(other, QRat):
             return NotImplemented
-        # one N stands for different polynomials at different widths
+        # one N stands for different polynomials at different widths and strides
         return (
             self.qpow == other.qpow
             and self._n == other._n
-            and (self._h is None or _width(self._h) == _width(other._h))
+            and (self._h is None
+                 or (self._s == other._s and _width(self._h) == _width(other._h)))
         )
 
     def __hash__(self):
@@ -462,7 +539,7 @@ def _fraction(n: QRat, d: QRat) -> QRat:
         n, d = laurent_quotient(n, cg), laurent_quotient(d, cg)
     if d.is_one():
         return n.shift(qpow)
-    return _stored(qpow, (n, d), None)
+    return _stored(qpow, (n, d), None, None)
 
 
 def _monomial_str(c: int, e: int) -> str:
@@ -492,19 +569,21 @@ def _poly_str(p) -> str:
     return _laurent_str({i: c for i, c in enumerate(p) if c})
 
 
-Q_ZERO = _stored(0, 0, 0)
-Q_ONE = _stored(0, 1, 1)
+Q_ZERO = _stored(0, 0, 0, 2)
+Q_ONE = _stored(0, 1, 1, 2)
 
 
 def laurent_quotient(x: QRat, y: QRat) -> QRat:
     """x / y for Laurent polynomials x, y where y divides x in Z[q, q^-1].
 
     One division of the packed integers, with no gcd: a remainder proves the
-    polynomial division inexact, since q -> 2^B is a ring map.  At B = 64 an
-    exact integer quotient is accepted when its digits z satisfy
-    |z|_1 h_y < 2^(B-1), so that y z has valid coefficients and equals x;
-    otherwise the division is decided at a wider B.  Raises ArithmeticError when the
-    quotient is not a Laurent polynomial.
+    polynomial division inexact, since q^2 -> 2^B (q -> 2^B at stride 1) is
+    a ring map.  For two stride-2 operands at B = 64, an exact integer
+    quotient is accepted when its digits z satisfy |z|_1 h_y < 2^(B-1), so
+    that y z has valid coefficients and equals x; otherwise the division is
+    decided by ``_quotient_certified``, at a wider B if need be, and at
+    stride 1 unless both operands have stride 2.  Raises ArithmeticError
+    when the quotient is not a Laurent polynomial.
     """
     if x._h is None or y._h is None:
         raise ArithmeticError("laurent_quotient needs Laurent polynomials")
@@ -512,19 +591,19 @@ def laurent_quotient(x: QRat, y: QRat) -> QRat:
         raise ZeroDivisionError
     if not x._n:
         return Q_ZERO
-    if x._h < _LIMIT and y._h < _LIMIT:
+    if x._h < _LIMIT and y._h < _LIMIT and x._s == 2 == y._s:
         n, r = divmod(x._n, y._n)
         if r:
             raise ArithmeticError("inexact polynomial division")
         hz = sum(map(abs, _digits(n, _B)))
         if hz * y._h < _LIMIT:
-            return _stored(x.qpow - y.qpow, n, hz)
+            return _stored(x.qpow - y.qpow, n, hz, 2)
     return _quotient_certified(x, y)
 
 
 def q_power(k: int) -> QRat:
     """q^k."""
-    return _stored(k, 1, 1)
+    return _stored(k, 1, 1, 2)
 
 
 def q_int(m: int) -> QRat:
@@ -533,9 +612,7 @@ def q_int(m: int) -> QRat:
         return Q_ZERO
     if m < 0:
         return -q_int(-m)
-    num = [0] * (2 * m - 1)
-    num[0::2] = [1] * m
-    return _from_coefficients(1 - m, num)
+    return _from_coefficients(1 - m, [1] * m, 2)
 
 
 def q_factorial(m: int) -> QRat:

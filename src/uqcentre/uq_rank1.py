@@ -29,7 +29,8 @@ every table entry p F^x K^y E'^z: moving K^b1 past F^x is a shift applied
 after the table is built, and r1, the large coefficient in Gamma_V^k, is
 multiplied once per output monomial.  A matrix product shares the tables
 of each right entry down its column, so every row reuses them.  Powers of
-q are applied as shifts (``QRat.shift``), never as products.
+q are applied as shifts, never as products: each term of a product is one
+packed multiply-and-shift (:meth:`QRat.mul_shift`).
 
 From the (m+1)-dimensional simple module V the three operators
 
@@ -53,6 +54,21 @@ E^(n) e_j = [j choose n] e_(j-n), one balanced q-binomial per nonzero
 entry, so every entry of R_V, Rt_V, K_V and Gamma_V^k has stored
 coefficients in Z[q, q^-1]: the whole Casimir pipeline runs on Laurent
 polynomials and never needs a polynomial gcd.
+
+Every such coefficient is moreover q^e P(q^2), with exponents of one
+parity, which ``qrational`` packs in q^2 at half the length.  [a] lies in
+q^(1-a) Z[q^2]; the straightening rule multiplies it by q^(+-(1-a)), and
+moving K^(+-1) left past E'^z by q^(-+2z), so every coefficient of the
+straightened E'^c F^a lies in Z[q^(+-2)].  The q-Pascal rule
+[n k] = q^k [n-1 k] + q^(k-n) [n-1 k-1] adds two terms of valuation
+-k(n-k), so by induction [n k] lies in q^(-k(n-k)) Z[q^2].  For the
+matrices: q -> -q together with K -> -K and F -> -F (E' fixed) preserves
+the relations, so it is a ring automorphism psi, and psi multiplies a
+coefficient c(q) of F^a K^b E'^c by (-1)^(a+b) as it takes it to c(-q).  It
+sends R_V and Rt_V to D R_V D^-1 and D Rt_V D^-1, for the sign matrix
+D = diag((-1)^(i(i-1)/2 + i(m+1))), and K_V to (-1)^m K_V.  So every
+entry of Gamma_V^k and C^(k) is fixed by psi up to one sign, and each of
+its coefficients has exponents of one parity.
 """
 
 from __future__ import annotations
@@ -60,15 +76,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import DomainError
-from .qrational import (
-    Q_ONE,
-    Q_ZERO,
-    QRat,
-    laurent_quotient,
-    q_factorial,
-    q_int,
-    q_power,
-)
+from .qrational import Q_ONE, Q_ZERO, QRat, q_int, q_power
 
 Mon = tuple[int, int, int]  # exponents (a, b, c) of F^a K^b E^c
 
@@ -91,10 +99,16 @@ class UqElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        """The element sum coeff * F^a K^b E^c over ``{(a, b, c): coeff}``; a, c >= 0."""
+        """The element sum coeff * F^a K^b E^c over ``{(a, b, c): coeff}``.
+
+        Each key must be a triple of ints with a, c >= 0; DomainError otherwise.
+        """
         clean = {}
         if terms:
             for mon, coeff in terms.items():
+                if not (isinstance(mon, tuple) and len(mon) == 3
+                        and all(isinstance(e, int) for e in mon)):
+                    raise DomainError(f"a monomial is a triple of int exponents, not {mon!r}")
                 if mon[0] < 0 or mon[2] < 0:
                     raise DomainError("F and E exponents must be nonnegative")
                 coeff = QRat.coerce(coeff)
@@ -255,7 +269,7 @@ def _straighten(c: int, a: int) -> UqElement:
     coef = q_int(a)
     for dy in (1, -1):
         for (x, y, z), s in _straighten(c - 1, a - 1)._terms.items():
-            t = (s * coef).shift(dy * (1 - a - 2 * z))
+            t = s.mul_shift(coef, dy * (1 - a - 2 * z))
             mon = (x, y + dy, z)
             v = out.get(mon, Q_ZERO) + (t if dy > 0 else -t)
             if v.is_zero():
@@ -275,7 +289,7 @@ def _table(c: int, right: dict) -> list:
     for (a2, b2, c2), r2 in right.items():
         for (x, y, z), s in _straighten(c, a2)._terms.items():
             mon = (x, y + b2, z + c2)
-            coeff = (r2 * s).shift(-2 * z * b2)
+            coeff = r2.mul_shift(s, -2 * z * b2)
             prev = acc.get(mon)
             acc[mon] = coeff if prev is None else prev + coeff
     return [(mon, p) for mon, p in acc.items() if not p.is_zero()]
@@ -294,7 +308,7 @@ def _mul_into(out: dict, left: dict, right: dict, tables: dict) -> None:
             table = tables[c1] = _table(c1, right)
         for (x, y, z), p in table:
             mon = (a1 + x, b1 + y, z)
-            v = (r1 * p).shift(-2 * b1 * x)
+            v = r1.mul_shift(p, -2 * b1 * x)
             prev = out.get(mon)
             if prev is not None:
                 v = prev + v
@@ -323,8 +337,14 @@ def is_central(x: UqElement) -> bool:
 
 @cache
 def _q_binomial(n: int, k: int) -> QRat:
-    """The balanced q-binomial [n choose k] = [n]! / ([k]! [n-k]!), 0 <= k <= n."""
-    return laurent_quotient(q_factorial(n), q_factorial(k) * q_factorial(n - k))
+    """The balanced q-binomial [n choose k] = [n]! / ([k]! [n-k]!), 0 <= k <= n.
+
+    Built by the q-Pascal rule [n k] = q^k [n-1 k] + q^(k-n) [n-1 k-1],
+    with shifts and sums only: the two terms lie in q^(-k(n-k)) Z[q^2].
+    """
+    if k == 0 or k == n:
+        return Q_ONE
+    return _q_binomial(n - 1, k).shift(k) + _q_binomial(n - 1, k - 1).shift(k - n)
 
 
 class UqMatrix:
@@ -427,8 +447,8 @@ def quasi_R_tilde_T(V: SimpleModule) -> UqMatrix:
     rows = [[UQ_ZERO] * d for _ in range(d)]
     for j in range(d):
         for n in range(j + 1):
-            coeff = (_qmq_power(n) * _q_binomial(j, n)).shift(
-                n * (m - 2 * j) + n * (n - 1) // 2 + 2 * n * n
+            coeff = _qmq_power(n).mul_shift(
+                _q_binomial(j, n), n * (m - 2 * j) + n * (n - 1) // 2 + 2 * n * n
             )
             rows[j - n][j] = UqElement._stored({(n, -n, 0): coeff})
     return UqMatrix(rows)

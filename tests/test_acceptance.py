@@ -34,11 +34,13 @@ from uqcentre import (
     xi_simple,
 )
 from uqcentre.qrational import q_power
-from uqcentre.uq_rank1 import GEN_F, GEN_E, GEN_K, GEN_KINV, _gamma_power, _straighten
+from uqcentre.uq_rank1 import (
+    GEN_F, GEN_E, GEN_K, GEN_KINV, _gamma_power, _q_binomial, _straighten,
+)
 from uqcentre.cli import main
 from oracles import check_K_intertwining, check_gamma_intertwines
 from oracles import independence_rank, type_A_membership, weyl_dim
-from test_casimir_golden import JSON_SHA256
+from test_casimir_golden import JSON_SHA256, LARGE_JSON_SHA256
 
 
 def _report(name: str, passed: bool) -> None:
@@ -380,9 +382,9 @@ def test_criterion_16_generation_check_memory_gate():
 
 
 def test_criterion_17_casimir_time_gate(capsys):
-    # casimir m = 6, k = 3 from cold caches: ~2.7 s on a 2-vCPU host with
-    # tuple coefficients and schoolbook products, ~0.5 s with the packed
-    # Laurent coefficients (one big-integer product each)
+    # casimir m = 6, k = 3 from cold caches, on a 2-vCPU host: ~0.3 s with
+    # Laurent coefficients packed at stride 1 (a zero digit at every odd
+    # offset), ~0.14 s packed in q^2, at half the length
     _gamma_power.cache_clear()
     _straighten.cache_clear()
     t0 = time.perf_counter()
@@ -392,3 +394,19 @@ def test_criterion_17_casimir_time_gate(capsys):
     ok = code == 0 and hashlib.sha256(out).hexdigest() == JSON_SHA256[(6, 3)]
     ok &= elapsed < 1.8
     _report(f"criterion 17: casimir m=6 k=3 in process ({elapsed:.2f}s < 1.8s)", ok)
+
+
+def test_criterion_18_casimir_m30_time_gate(capsys):
+    # casimir m = 30, k = 1 from cold caches, on a 2-vCPU host: ~16 s with
+    # q-binomials divided out of [30]!-sized q-factorials, ~0.27 s with
+    # q-binomials by the q-Pascal rule and coefficients packed in q^2
+    _gamma_power.cache_clear()
+    _straighten.cache_clear()
+    _q_binomial.cache_clear()
+    t0 = time.perf_counter()
+    code = main(["casimir", "--m", "30", "--k", "1", "--format", "json"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out.encode()
+    ok = code == 0 and hashlib.sha256(out).hexdigest() == LARGE_JSON_SHA256[(30, 1)]
+    ok &= elapsed < 3.0
+    _report(f"criterion 18: casimir m=30 k=1 in process ({elapsed:.2f}s < 3s)", ok)

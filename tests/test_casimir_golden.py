@@ -1,7 +1,8 @@
 """Golden output of ``uqcentre casimir``: the sha256 of every output byte.
 
 The digests pin ``casimir --m M --k K`` for M <= 6 and K <= 3, in both
-output formats, and for M = 7, 8 with K <= 2 in JSON, as standard output
+output formats, and in JSON for M = 7, 8 with K <= 3, for (M, K) = (10, 3)
+and (12, 2), and for M = 20, 26, 30 with K = 1, as standard output
 (the rendered text and a trailing newline).  Any drift in a coefficient, its canonical form, the term order or
 the rendering changes a digest.
 """
@@ -64,6 +65,13 @@ LARGE_JSON_SHA256 = {
     (7, 2): "9cdd7d8b075cf992b1f5d485cafc56881bb8c6fdd692b8e93e9d79d3866a8825",
     (8, 1): "49f00810783b44b12c15e3382a1223904e91e019b54586d44661b77089a0fa32",
     (8, 2): "89be52736ccc41e69d0a5551d4b2942e9b72fd871458607188ee8d158218d3b9",
+    (7, 3): "e690f5015888acaa14e0cf30174afae005455565eb4cca202fdd2d2d2b5f397b",
+    (8, 3): "6ecb288419f6195c86ee4bdc2c4bc954633804f54a538a631d8419d2d1732b54",
+    (10, 3): "3a2769b72c180a3f5821b185f5a51be3ba1d97741ceb413ef362b6be5b723c0a",
+    (12, 2): "123a497ceb1eed47c25a4ae37bbb91b6bb01c96a5536379095f985270ad1619e",
+    (20, 1): "1e6bf30b0843e5edb720a22dc7ba83a5054ae49cc88941b416829e64f5168c33",
+    (26, 1): "43cb8b1b90fc1cf7168c67f664e60eb89b17a6c506dfa16ab332765d42ed8557",
+    (30, 1): "b7aa192b88ae62cceb5205747a49573ed6543030e03ef232b500b0b9d046bd89",
 }
 
 DIGESTS = {"json": JSON_SHA256, "text": TEXT_SHA256}

@@ -11,6 +11,11 @@ packed result must carry a valid bound.  Fractions are checked against
 fractions too: pairs whose denominators share a factor, with large
 coefficients, so that the reducer divides out a common factor at a wider B;
 every result must be in the reduced form that sympy's gcd confirms.
+
+A Laurent value whose exponents share one parity is packed in q^2 (stride
+2), any other at stride 1: operands of both kinds, and values that pass
+through stride 1 and cancel back to a polynomial in q^2, must be packed at
+the stride their value decides, hash alike and carry a valid bound.
 """
 
 import pytest
@@ -24,6 +29,7 @@ from oracles import poly_product_by_dict  # noqa: E402
 from uqcentre.qrational import (  # noqa: E402
     _B,
     QRat,
+    _one_parity,
     _width,
     laurent_quotient,
     q_power,
@@ -367,3 +373,100 @@ def test_fraction_arithmetic_on_fractions_agrees_with_sympy(pair, e):
         assert fields(rebuilt) == fields(result) and rebuilt == result
         assert hash(rebuilt) == hash(result)
     assert (x == y) == (sx == sy)
+
+
+# -- the packing in q^2 ---------------------------------------------------------------
+
+
+def single_parity(x: QRat) -> bool:
+    """Every exponent of the Laurent value x has one parity."""
+    return len({e % 2 for e in x.as_laurent()}) <= 1
+
+
+def packed_canonically(x: QRat) -> bool:
+    """x is packed at stride 2 iff its exponents share a parity, and its N is that packing.
+
+    At stride 2 the digits of N are the coefficients of q^qpow, q^(qpow+2),
+    ...; at stride 1 those of every power of q from q^qpow up.
+    """
+    stride = 2 if single_parity(x) else 1
+    digits = x.num[::stride]
+    return x._s == stride and x._n == sum(c << (_width(x._h) * i) for i, c in enumerate(digits))
+
+
+@st.composite
+def even_laurents(draw, coefficients=big_coefficients, max_size=6):
+    """q^k P(q^2): every exponent has the parity of k."""
+    coeffs = draw(st.lists(coefficients, max_size=max_size))
+    spread = [0] * (2 * len(coeffs))
+    spread[::2] = coeffs
+    return QRat(draw(exponents), tuple(spread), (1,))
+
+
+any_parity = st.one_of(even_laurents(), big_laurents())
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_parity, any_parity, exponents)
+def test_q2_packing_agrees_with_sympy(x, y, k):
+    sx, sy = to_sympy(x), to_sympy(y)
+    assert packed_canonically(x) and packed_canonically(y)
+    results = [(x + y, sx + sy), (y + x, sx + sy), (x - y, sx - sy), (-x, -sx),
+               (x * y, sx * sy), (y * x, sx * sy), (x.shift(k), Q**k * sx),
+               (x.mul_shift(y, k), Q**k * sx * sy)]
+    if not y.is_zero():
+        results.append((laurent_quotient(x * y, y), sx))
+    for result, expr in results:
+        assert valid(result) and is_canonical_laurent(result)
+        assert packed_canonically(result)
+        assert same_value(result, expr)
+        rebuilt = QRat(result.qpow, result.num, (1,))
+        assert fields(result) == fields(rebuilt) and result == rebuilt
+        assert hash(result) == hash(rebuilt)
+    assert (x == y) == (sx == sy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(even_laurents(), big_laurents())
+def test_mixed_values_that_cancel_to_an_even_polynomial(even, mixed):
+    # (even + mixed) - mixed and (even * mixed) / mixed pass through stride 1
+    # and come back to the packing of ``even`` itself
+    for result in [(even + mixed) - mixed, mixed + (even - mixed)] + (
+        [laurent_quotient(even * mixed, mixed)] if not mixed.is_zero() else []
+    ):
+        assert valid(result) and packed_canonically(result)
+        assert fields(result) == fields(even) and result == even
+        assert (result._n, result._s, _width(result._h)) == (even._n, even._s, _width(even._h))
+        assert hash(result) == hash(even)
+
+
+def test_q2_packing_is_a_function_of_the_value():
+    q = q_power(1)
+    for value, expected in (((1 + q) * (1 - q), 1 - q * q), ((1 + q) + (-q), QRat.integer(1)),
+                            ((q - 1) * (q + 1) * q_power(-1), q - q_power(-1))):
+        assert value == expected and expected == value
+        assert hash(value) == hash(expected)
+        assert (value.qpow, value._n, value._s) == (expected.qpow, expected._n, expected._s)
+        assert value._s == 2
+    # 1 + q^2 at stride 2 and 1 + q at stride 1 share N = 1 + 2^B, and differ
+    assert (1 + q * q)._n == (1 + q)._n and 1 + q * q != 1 + q
+    # opposite parities give a stride-1 sum, whose odd digits are kept
+    assert (1 + q)._s == 1 and (1 + q).num == (1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30), big_laurents())
+def test_integer_constants_from_stride_1_hash_like_the_int(n, mixed):
+    for x in ((mixed + n) - mixed, (n - mixed) + mixed):
+        assert x == n and n == x and hash(x) == hash(n)
+        assert {n: "int"}.get(x) == "int"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**63 + 1, 2**63 - 1)),
+                min_size=1, max_size=9), st.booleans())
+def test_odd_digit_test_matches_the_digits(digits, even):
+    if even:
+        digits[1::2] = [0] * len(digits[1::2])
+    n = sum(d << (64 * i) for i, d in enumerate(digits))
+    assert _one_parity(n) == (not any(digits[1::2]))

@@ -18,8 +18,8 @@ from uqcentre import (
     quasi_R_tilde_T,
     xi_simple,
 )
-from uqcentre import uq_rank1
-from uqcentre.qrational import Q_ONE, Q_ZERO, QRat, q_factorial, q_int, q_power
+from uqcentre import qrational, uq_rank1
+from uqcentre.qrational import Q_ONE, Q_ZERO, QRat, laurent_quotient, q_factorial, q_int, q_power
 from uqcentre.uq_rank1 import (
     GEN_E,
     GEN_F,
@@ -243,6 +243,39 @@ def test_q_binomial_pascal_rule():
         for k in range(1, n):
             rhs = _q_binomial(n - 1, k).shift(-k) + _q_binomial(n - 1, k - 1).shift(n - k)
             assert _q_binomial(n, k) == rhs
+
+
+def test_q_binomials_are_factorial_quotients_in_q_squared():
+    # [n choose k] = [n]! / ([k]! [n-k]!) lies in q^(-k(n-k)) Z[q^2], packed in q^2
+    for n in range(15):
+        for k in range(n + 1):
+            b = _q_binomial(n, k)
+            assert b == laurent_quotient(q_factorial(n), q_factorial(k) * q_factorial(n - k))
+            assert b.qpow == -k * (n - k) and b._s == 2
+
+
+def test_straightening_coefficients_lie_in_q_squared():
+    for c in range(5):
+        for a in range(5):
+            for coeff in uq_rank1._straighten(c, a)._terms.values():
+                assert coeff.qpow % 2 == 0 and coeff._s == 2, (c, a)
+
+
+def test_casimir_pipeline_is_packed_in_q_squared(monkeypatch):
+    # every coefficient is q^e P(q^2), held at stride 2, and up to m = 4 every
+    # product and sum is one packed operation: a fall-back to the stride-1
+    # packing, or to the general path, fails here, not only in the benchmark
+    general = []
+    monkeypatch.setattr(qrational, "_combine", lambda *args: general.append(args))
+    for cached in (uq_rank1._gamma_power, uq_rank1._straighten, _q_binomial):
+        cached.cache_clear()
+    for m in range(5):
+        V = SimpleModule(m)
+        C = casimir(V, 3)
+        coeffs = [c for row in gamma(V).rows for e in row for c in e._terms.values()]
+        coeffs += list(C._terms.values()) + list(C.terms.values())
+        assert coeffs and all(c._s == 2 for c in coeffs), m
+    assert not general
 
 
 def test_quasi_R_matches_matrix_powers():
@@ -616,3 +649,10 @@ def test_negative_f_or_e_exponents_raise_domain_error(mon):
         UqElement.monomial(*mon)
     # a negative K exponent is K^-1, which is allowed
     assert UqElement({(0, -1, 0): 1}) == GEN_KINV
+
+
+@pytest.mark.parametrize("mon", [(1.5, 0, 0), (0, 0.5, 0), (0, 0), (0, 0, 0, 0), "abc"])
+def test_malformed_monomials_raise_domain_error(mon):
+    # F^1.5 and K^0.5 would render, and a short key would raise IndexError
+    with pytest.raises(DomainError, match="triple of int exponents"):
+        UqElement({mon: 1})
