@@ -4,14 +4,15 @@ The image of the central element attached to a module is its character, a
 combination of the even torus elements ``K_2mu``: ``xi([V]) = sum m_V(mu)
 K_2mu``, held as the multiplicity map ``{mu: m_V(mu)}``.
 
-Weight multiplicities come from Freudenthal's recursion, run entirely in
-integer arithmetic.  Characters are multiplied in one way only: in the basis
-of simple modules, one fundamental character at a time, by the
-Brauer-Klimyk rule.  That product serves the unitriangularity report, which
-walks the members of M+ in the box that the generation check reads; the
-algebraic-independence report reads leading terms off the dominant tables
-and multiplies nothing.  The second implementations that the tests check
-these against (the full-support product of multiplicity maps, the av basis,
+Weight multiplicities come from Freudenthal's recursion over stabiliser
+orbits, run entirely in integer arithmetic.  Characters are multiplied in
+one way only: in the basis of simple modules, one fundamental character at
+a time, by the Brauer-Klimyk rule.  That product serves the
+unitriangularity report, which walks the members of M+ in the box that the
+generation check reads; the algebraic-independence report reads leading
+terms off the dominant tables and multiplies nothing.  The second
+implementations that the tests check these against (Freudenthal over every
+positive root, the full-support product of multiplicity maps, the av basis,
 triangular expansions, the Weyl dimension formula and the exact rank of the
 monomials in the fundamental characters) live in ``tests/oracles.py``.
 The memoised tables are handed out as read-only ``MappingProxyType`` views.
@@ -32,7 +33,7 @@ from .root_system import (
     RootSystem,
     Weight,
     add_weights,
-    scale_weight,
+    height_product,
     sub_weights,
 )
 
@@ -71,18 +72,37 @@ def _dominant_weights_below(rsys: RootSystem, lam: Weight) -> list[Weight]:
     return found
 
 
+def _check_integral(lam) -> None:
+    if not all(isinstance(x, int) for x in lam):
+        raise DomainError(f"highest weight {lam} has a coordinate that is not an int")
+
+
 def weight_multiplicities(rsys: RootSystem, lam: Weight) -> CharacterTable:
     """Exact weight multiplicities of L(lam) via Freudenthal's recursion.
 
     For each dominant mu < lam,
 
-        (|lam+rho|^2 - |mu+rho|^2) m(mu)
-            = 2 sum_(alpha>0) sum_(k>=1) m(mu + k alpha) (mu + k alpha, alpha),
+        (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum_(alpha>0) S(alpha),
+        S(alpha) = sum_(k>=1) m(mu + k alpha) (mu + k alpha, alpha),
 
     evaluated in scaled integer arithmetic (the string property lets the
-    inner sum stop at the first zero multiplicity).  A ``lam`` whose length
-    is not the rank raises DomainError; a short one would descend forever.
+    inner sum stop at the first zero multiplicity).  As in Moody and Patera,
+    "Fast recursion formula for weight multiplicities" (Bull. AMS 7, 1982),
+    the sum runs over orbits of the stabiliser W_J of mu, J = {i : mu_i = 0}.
+    Phi_J, the roots supported on J, are the roots orthogonal to mu, and:
+
+    * S is W_J-invariant, since W_J fixes mu and the form;
+    * W_J permutes the positive roots outside Phi_J; on Phi_J,
+      S(-alpha) = S(alpha), the alpha-string through mu being symmetric;
+    * each W_J-orbit holds one W_J-dominant root (alpha_i >= 0 for i in J).
+
+    So the sum is sum c_alpha S(alpha) over the W_J-dominant alpha > 0, with
+    c_alpha = |W_J alpha| outside Phi_J and |W_J alpha| / 2 in it, exact
+    quotients of :func:`height_product` over Phi_J+.  A ``lam`` with a
+    coordinate that is not an int, or of a length other than the rank,
+    raises DomainError (a short one would descend forever).
     """
+    _check_integral(lam)
     if not rsys.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant")
     return _freudenthal_table(rsys, tuple(lam))
@@ -111,16 +131,19 @@ def _freudenthal_table(rsys: RootSystem, lam: Weight) -> CharacterTable:
     mult: dict[Weight, int] = {lam: 1}
     lam_rho = add_weights(lam, rho)
     for mu in doms[1:]:
+        # Phi_J+: the positive roots supported on J = {j : mu_j = 0}
+        sub = [(b, cb) for b, cb in pos if not any(c and m for c, m in zip(cb, mu))]
         num = 0
         for alpha, calpha in pos:
-            k = 1
-            while True:
-                nu = add_weights(mu, scale_weight(k, alpha))
-                m = mult.get(rsys.dominant_representative(nu), 0)
-                if m == 0:
-                    break
-                num += m * form_with_root(nu, calpha)
-                k += 1
+            if any(a < 0 for a, m in zip(alpha, mu) if m == 0):
+                continue  # not W_J-dominant
+            s, nu = 0, add_weights(mu, alpha)
+            while m := mult.get(rsys.dominant_representative(nu), 0):
+                s += m * form_with_root(nu, calpha)
+                nu = add_weights(nu, alpha)
+            if s:  # times c_alpha, halved when alpha is in Phi_J: (mu, alpha) = 0
+                in_j = form_with_root(mu, calpha) == 0
+                num += s * height_product(sub, alpha, 2 if in_j else 1)
         diff = sub_weights(lam, mu)
         cdiff = tuple(x // D for x in rsys.scaled_root_coords(diff))
         den = form_with_root(add_weights(lam_rho, add_weights(mu, rho)), cdiff)
@@ -138,6 +161,7 @@ def _freudenthal_table(rsys: RootSystem, lam: Weight) -> CharacterTable:
 
 def full_character(rsys: RootSystem, lam: Weight) -> MappingProxyType:
     """The complete weight-multiplicity map of L(lam), keyed by every weight, read-only."""
+    _check_integral(lam)
     return _full_character(rsys, tuple(lam))
 
 

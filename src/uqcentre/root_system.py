@@ -7,6 +7,8 @@ matrix is held in integers, as numerators over one common denominator.  For
 A-D it is written down from the closed forms of Bourbaki's plates I-IV in
 O(n^2), so that a large rank reaches the resource caps at once; for E, F and
 G it is computed by fraction-free Gauss-Jordan elimination.
+The positive roots are built height by height from the simple roots, in
+root coordinates, by the alpha_i-string rule, and must sum to 2 rho.
 Only ``weight_to_root_coords`` and ``bilinear_form`` return rational values,
 as ``fractions.Fraction``; they import ``fractions`` themselves, so that
 importing this module does not load it.
@@ -277,23 +279,6 @@ class RootSystem:
         A = self.cartan
         return tuple(w[k] - wi * A[k][i] for k in range(self.rank))
 
-    def _closure(self, *seeds: Weight) -> set[Weight]:
-        """Closure of the set of ``seeds`` under simple reflections (breadth-first)."""
-        seen = set(seeds)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in range(self.rank):
-                    if u[i] == 0:
-                        continue
-                    v = self.simple_reflection(i, u)
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return seen
-
     def weyl_orbit(self, w: Weight) -> set[Weight]:
         """The Weyl orbit of ``w``, as a set of weights.
 
@@ -327,23 +312,9 @@ class RootSystem:
     def orbit_size(self, w: Weight) -> int:
         """|W w| = |W| / |W_mu| for the dominant mu in the orbit of ``w``.
 
-        This is the product of (ht alpha + 1) / ht alpha over the positive
-        roots alpha with (mu, alpha) != 0: the product over all positive roots
-        is |W|, and the roots with (mu, alpha) = 0 form the root system of the
-        stabiliser W_mu, with the same heights.
+        This is :func:`height_product` over all positive roots.
         """
-        mu = self.dominant_representative(w)
-        num = den = 1
-        for _, calpha in self.positive_root_data():
-            # (mu, alpha) = sum_j calpha_j mu_j (alpha_j, alpha_j) / 2, all terms >= 0
-            if any(c and m for c, m in zip(calpha, mu)):
-                height = sum(calpha)
-                num *= height + 1
-                den *= height
-        size, rem = divmod(num, den)
-        if rem:
-            raise ArithmeticError(f"orbit size of {w} in {self} is {num}/{den}")
-        return size
+        return height_product(self.positive_root_data(), self.dominant_representative(w))
 
     def weyl_group_order(self) -> int:
         """|W|, the orbit size of the regular weight rho."""
@@ -396,15 +367,29 @@ class RootSystem:
 
     @cached_property
     def _positive_data(self) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
-        # every root is W-conjugate to a simple root; not weyl_orbit, whose
-        # size check needs the positive roots
-        roots = self._closure(*(self.simple_root(i) for i in range(self.rank)))
-        coords = ((r, self.scaled_root_coords(r)) for r in sorted(roots))
-        pos = [(r, c) for r, c in coords if all(x >= 0 for x in c)]
-        D = self._inv_den
-        if 2 * len(pos) != len(roots) or any(x % D for _, c in pos for x in c):
-            raise ArithmeticError(f"the roots of {self} are not integral and signed")
-        return tuple((r, tuple(x // D for x in c)) for r, c in pos)
+        # Height by height from the simple roots, in root coordinates: the
+        # alpha_i-string beta - p alpha_i, ..., beta + q alpha_i has
+        # p - q = <beta, alpha_i^v> = w_i, so beta + alpha_i is a root iff
+        # p > w_i, with p read off the lower roots.  Every root of height h + 1
+        # is beta + alpha_i for one of height h.  The sum must be 2 rho.
+        r = self.rank
+        simple = [self.simple_root(i) for i in range(r)]
+        level = {tuple(int(j == i) for j in range(r)): simple[i] for i in range(r)}
+        roots = dict(level)  # root coordinates -> weight
+        while level:
+            above = {}
+            for c, w in level.items():
+                for i, alpha in enumerate(simple):
+                    p = 0
+                    while p < c[i] and c[:i] + (c[i] - p - 1,) + c[i + 1 :] in roots:
+                        p += 1
+                    if p > w[i]:
+                        above[c[:i] + (c[i] + 1,) + c[i + 1 :]] = add_weights(w, alpha)
+            roots.update(above)
+            level = above
+        if [sum(col) for col in zip(*roots.values())] != [2] * r:
+            raise ArithmeticError(f"the positive roots of {self} do not sum to 2 rho")
+        return tuple(sorted((w, c) for c, w in roots.items()))
 
     # -- serialization -----------------------------------------------------
 
@@ -423,6 +408,29 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     Raises :class:`DomainError` for an invalid (family, rank) pair.
     """
     return RootSystem(family, rank)
+
+
+def height_product(root_data, v: Weight, den: int = 1) -> int:
+    """prod (ht beta + 1) / ht beta over the roots beta with (v, beta) != 0, over ``den``.
+
+    ``root_data`` holds the (weight, root coordinates) pairs of the positive
+    roots of a subsystem spanned by simple roots, and ``v`` is dominant on
+    their support, so (v, beta) = sum_j beta_j v_j (alpha_j, alpha_j) / 2 has
+    no negative term.  The product over all of them is the order of their
+    Weyl group W', and the roots with (v, beta) = 0 form the root system of
+    the stabiliser of v in W', with the same heights; so the product is
+    |W' v|.  A remainder raises ArithmeticError.
+    """
+    num = 1
+    for _, cbeta in root_data:
+        if any(c and x for c, x in zip(cbeta, v)):
+            height = sum(cbeta)
+            num *= height + 1
+            den *= height
+    size, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"orbit count of {v} is {num}/{den}, not an integer")
+    return size
 
 
 def add_weights(a: Weight, b: Weight) -> Weight:

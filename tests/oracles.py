@@ -4,8 +4,12 @@ Each oracle computes what a library routine computes by another route, and
 shares no code with the routine it checks.  Membership in M+ is read off the
 root coordinates, not the congruence mod r; products of characters are
 full-support convolutions of ``{weight: coefficient}`` dicts, not the
-Brauer-Klimyk rule.  The oracles may read the library's Freudenthal tables
-(``weight_multiplicities``, ``full_character``), its total order on weights
+Brauer-Klimyk rule.  The positive roots are the Weyl closure of the simple
+roots, not built height by height; Freudenthal's recursion sums over every
+positive root, not over stabiliser orbits, and reads the library's dominant
+weights below lam (``_dominant_weights_below``).  The oracles may read the
+library's Freudenthal tables (``weight_multiplicities``,
+``full_character``), its total order on weights
 (``_order_key``) and its Brauer-Klimyk product (``_times_fundamental``), with
 which the exact rank of the monomials in the fundamental characters expands
 them; the library certifies their independence by leading terms instead.
@@ -38,7 +42,13 @@ from uqcentre import (
     gamma,
     weight_multiplicities,
 )
-from uqcentre.character_ring import _order_key, _times_fundamental, full_character
+from uqcentre.character_ring import (
+    CharacterTable,
+    _dominant_weights_below,
+    _order_key,
+    _times_fundamental,
+    full_character,
+)
 from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_factorial, q_int, q_power
 from uqcentre.uq_rank1 import GEN_EP, GEN_F, GEN_K, GEN_KINV, UQ_ONE, UQ_ZERO, _straighten
 
@@ -240,6 +250,76 @@ def weyl_dim(rsys, lam):
     if out.denominator != 1:
         raise ArithmeticError(f"Weyl dimension of {lam} for {rsys} is {out}")
     return int(out)
+
+
+def weyl_closure(rsys, *seeds):
+    """Closure of the set of ``seeds`` under simple reflections (breadth-first)."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for i in range(rsys.rank):
+                if u[i] == 0:
+                    continue
+                v = rsys.simple_reflection(i, u)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def positive_roots_by_closure(rsys):
+    """The (weight, root coordinates) pairs of the positive roots, sorted by weight.
+
+    Every root is W-conjugate to a simple root, so the roots are the closure
+    of the simple roots; the positive ones have nonnegative root coordinates.
+    """
+    D = rsys.root_coord_scale
+    roots = weyl_closure(rsys, *(rsys.simple_root(i) for i in range(rsys.rank)))
+    coords = ((r, rsys.scaled_root_coords(r)) for r in sorted(roots))
+    pos = [(r, c) for r, c in coords if all(x >= 0 for x in c)]
+    if 2 * len(pos) != len(roots) or any(x % D for _, c in pos for x in c):
+        raise ArithmeticError(f"the roots of {rsys} are not integral and signed")
+    return tuple((r, tuple(x // D for x in c)) for r, c in pos)
+
+
+def freudenthal_by_roots(rsys, lam):
+    """The table of L(lam) by Freudenthal's recursion summed over every positive root.
+
+    The library sums over the orbits of the stabiliser of each mu instead.
+    Returns a :class:`CharacterTable` with ``mult`` a plain dict.
+    """
+    n, d, D = rsys.rank, rsys.sym, rsys.root_coord_scale
+    rho = rsys.rho()
+
+    def form_with_root(x, calpha):
+        return sum(x[j] * d[j] * calpha[j] for j in range(n))
+
+    doms = _dominant_weights_below(rsys, lam)
+    doms.sort(key=lambda w: sum(rsys.scaled_root_coords(w)), reverse=True)
+    mult = {lam: 1}
+    for mu in doms[1:]:
+        num = 0
+        for alpha, calpha in rsys.positive_root_data():
+            k = 1
+            while True:
+                nu = tuple(x + k * a for x, a in zip(mu, alpha))
+                m = mult.get(rsys.dominant_representative(nu), 0)
+                if m == 0:
+                    break
+                num += m * form_with_root(nu, calpha)
+                k += 1
+        cdiff = [(x - y) // D for x, y in zip(
+            rsys.scaled_root_coords(lam), rsys.scaled_root_coords(mu))]
+        den = form_with_root([a + b + 2 for a, b in zip(lam, mu)], cdiff)
+        q, r = divmod(2 * num, den)
+        if r or q <= 0:
+            raise ArithmeticError(f"Freudenthal step at {mu} below {lam} gives {2 * num}/{den}")
+        mult[mu] = q
+    dim = sum(m * rsys.orbit_size(mu) for mu, m in mult.items())
+    return CharacterTable(highest=lam, mult=mult, dim=dim)
 
 
 # -- the full-support product on {weight: coefficient} dicts ------------------

@@ -22,6 +22,7 @@ from oracles import (
     av_basis_element,
     expand_in_av,
     expand_in_simples,
+    freudenthal_by_roots,
     independence_rank,
     is_w_invariant,
     torus_power,
@@ -113,6 +114,15 @@ def test_a_weight_of_the_wrong_length_raises_at_once():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("lam", [(1.5, 0), (1.0, 0)])
+def test_a_highest_weight_that_is_not_integral_raises(lam):
+    a2 = build_root_system("A", 2)
+    full_character(a2, (1, 0))  # (1.0, 0) == (1, 0): a memoised table must not answer
+    for compute in (weight_multiplicities, full_character):
+        with pytest.raises(DomainError, match="not an int"):
+            compute(a2, lam)
 
 
 def test_xi_tensor_examples():
@@ -485,3 +495,27 @@ def test_dominant_weights_below_matches_box(fam, n):
             found = _dominant_weights_below(rsys, lam)
             assert len(found) == len(set(found)), lam
             assert set(found) == _box_dominant_weights_below(rsys, lam), lam
+
+
+RANK_UP_TO_8 = RANK_UP_TO_6 + [
+    (f, n) for f in "ABCD" for n in (7, 8)
+] + [("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("fam,n", RANK_UP_TO_8)
+def test_orbit_sums_match_the_sum_over_every_root_at_fundamental_weights(fam, n):
+    rsys = build_root_system(fam, n)
+    for i in range(n):
+        lam = rsys.fundamental_weight(i)
+        table = weight_multiplicities(rsys, lam)
+        assert table == freudenthal_by_roots(rsys, lam), lam
+        assert table.dim == weyl_dim(rsys, lam), lam
+
+
+@pytest.mark.parametrize("fam,n", RANK_UP_TO_6)
+def test_orbit_sums_match_the_sum_over_every_root_at_2w1_and_rho(fam, n):
+    rsys = build_root_system(fam, n)
+    for lam in (tuple(2 * x for x in rsys.fundamental_weight(0)), rsys.rho()):
+        table = weight_multiplicities(rsys, lam)
+        assert table == freudenthal_by_roots(rsys, lam), lam
+        assert table.dim == weyl_dim(rsys, lam), lam

@@ -1,8 +1,10 @@
-"""Property test of the multiplicativity that the centre-relation check uses.
+"""Property tests of the character tables and of xi o T.
 
 ``verify_centre_relations`` compares only the weights of the two sides of a
 binomial, which is sound because xi o T is multiplicative:
-xi([T(a)]) xi([T(b)]) = xi([T(a + b)]) for a, b in M+.
+xi([T(a)]) xi([T(b)]) = xi([T(a + b)]) for a, b in M+.  The Freudenthal
+tables, summed over orbits of the stabiliser of each weight, agree with the
+sum over every positive root.
 """
 
 import pytest
@@ -11,8 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from uqcentre import build_root_system, hilbert_basis  # noqa: E402
-from oracles import torus_product, xi_tensor  # noqa: E402
+from uqcentre import build_root_system, hilbert_basis, weight_multiplicities  # noqa: E402
+from oracles import freudenthal_by_roots, torus_product, xi_tensor  # noqa: E402
 
 SYSTEMS = {name: build_root_system(name[0], int(name[1:])) for name in ("A2", "A3", "D5")}
 
@@ -38,3 +40,23 @@ def test_xi_tensor_is_multiplicative(case):
     rsys, a, b = case
     total = tuple(x + y for x, y in zip(a, b))
     assert torus_product(xi_tensor(rsys, a), xi_tensor(rsys, b)) == xi_tensor(rsys, total)
+
+
+TABLE_SYSTEMS = [
+    build_root_system(f, n)
+    for f, n in (("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("F", 4), ("G", 2))
+]
+
+
+@st.composite
+def small_dominant_weights(draw):
+    """A root system and a dominant weight with coordinates <= 2."""
+    rsys = draw(st.sampled_from(TABLE_SYSTEMS))
+    return rsys, tuple(draw(st.lists(st.integers(0, 2), min_size=rsys.rank, max_size=rsys.rank)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dominant_weights())
+def test_orbit_sums_match_the_sum_over_every_root(case):
+    rsys, lam = case
+    assert weight_multiplicities(rsys, lam) == freudenthal_by_roots(rsys, lam)

@@ -7,7 +7,12 @@ import pytest
 
 from uqcentre import DomainError, ResourceLimitError, build_root_system
 from uqcentre import root_system
-from oracles import inverse_by_fractions, root_coords_to_weight
+from oracles import (
+    inverse_by_fractions,
+    positive_roots_by_closure,
+    root_coords_to_weight,
+    weyl_closure,
+)
 
 F = Fraction
 
@@ -333,8 +338,8 @@ def test_closure_of_several_seeds_is_union_of_closures():
     for fam, n in _types_up_to_rank(8):
         rsys = build_root_system(fam, n)
         simple = [rsys.simple_root(i) for i in range(n)]
-        union = set().union(*(rsys._closure(a) for a in simple))
-        assert rsys._closure(*simple) == union, (fam, n)
+        union = set().union(*(weyl_closure(rsys, a) for a in simple))
+        assert weyl_closure(rsys, *simple) == union, (fam, n)
 
 
 def test_orbit_walk_matches_the_breadth_first_closure():
@@ -345,7 +350,22 @@ def test_orbit_walk_matches_the_breadth_first_closure():
         rsys = build_root_system(fam, n)
         for _ in range(4):
             w = tuple(rng.randint(-1, 1) for _ in range(n))
-            assert rsys.weyl_orbit(w) == rsys._closure(w), (fam, n, w)
+            assert rsys.weyl_orbit(w) == weyl_closure(rsys, w), (fam, n, w)
+
+
+@pytest.mark.parametrize("fam,n", ALL_SMALL + [("A", 12), ("D", 15)])
+def test_positive_roots_by_height_match_the_weyl_closure(fam, n):
+    rsys = build_root_system(fam, n)
+    assert rsys.positive_root_data() == positive_roots_by_closure(rsys)
+
+
+def test_positive_roots_that_miss_2rho_raise(monkeypatch):
+    # with the sign of one off-diagonal entry flipped the string rule finds
+    # the "roots" (2, -1), (1, 2) and (3, 1), which sum to (6, 2), not 2 rho
+    rsys = build_root_system("A", 2)
+    monkeypatch.setattr(rsys, "cartan", ((2, 1), (-1, 2)))
+    with pytest.raises(ArithmeticError, match="2 rho"):
+        rsys.positive_root_data()
 
 
 def test_positive_root_data_is_cached_and_exact():
