@@ -5,7 +5,10 @@ combination of the even torus elements ``K_2mu``: ``xi([V]) = sum m_V(mu)
 K_2mu``, held as the multiplicity map ``{mu: m_V(mu)}``.
 
 Weight multiplicities come from Freudenthal's recursion over stabiliser
-orbits, run entirely in integer arithmetic.  Characters are multiplied in
+orbits, run entirely in integer arithmetic.  What the orbits are depends
+only on the zero pattern J = {j : mu_j = 0} of the dominant weight mu, so a
+table build forms the roots supported on J, the W_J-dominant roots and
+their orbit counts once per J, not once per mu.  Characters are multiplied in
 one way only: in the basis of simple modules, one fundamental character at
 a time, by the Brauer-Klimyk rule.  That product serves the
 unitriangularity report, which walks the members of M+ in the box that the
@@ -130,20 +133,24 @@ def _freudenthal_table(rsys: RootSystem, lam: Weight) -> CharacterTable:
 
     mult: dict[Weight, int] = {lam: 1}
     lam_rho = add_weights(lam, rho)
+    orbits = {}  # zero pattern J of mu -> (Phi_J+, the W_J-dominant roots)
+    counts = {}  # (J, alpha) -> c_alpha
     for mu in doms[1:]:
-        # Phi_J+: the positive roots supported on J = {j : mu_j = 0}
-        sub = [(b, cb) for b, cb in pos if not any(c and m for c, m in zip(cb, mu))]
+        zero = tuple(m == 0 for m in mu)
+        if zero not in orbits:
+            orbits[zero] = _stabiliser_orbits(pos, zero)
+        sub, roots = orbits[zero]
         num = 0
-        for alpha, calpha in pos:
-            if any(a < 0 for a, m in zip(alpha, mu) if m == 0):
-                continue  # not W_J-dominant
+        for alpha, calpha, den in roots:
             s, nu = 0, add_weights(mu, alpha)
             while m := mult.get(rsys.dominant_representative(nu), 0):
                 s += m * form_with_root(nu, calpha)
                 nu = add_weights(nu, alpha)
-            if s:  # times c_alpha, halved when alpha is in Phi_J: (mu, alpha) = 0
-                in_j = form_with_root(mu, calpha) == 0
-                num += s * height_product(sub, alpha, 2 if in_j else 1)
+            if s:  # times c_alpha, formed once per J
+                c_alpha = counts.get((zero, alpha))
+                if c_alpha is None:
+                    c_alpha = counts[zero, alpha] = height_product(sub, alpha, den)
+                num += s * c_alpha
         diff = sub_weights(lam, mu)
         cdiff = tuple(x // D for x in rsys.scaled_root_coords(diff))
         den = form_with_root(add_weights(lam_rho, add_weights(mu, rho)), cdiff)
@@ -157,6 +164,28 @@ def _freudenthal_table(rsys: RootSystem, lam: Weight) -> CharacterTable:
 
     dim = sum(m * rsys.orbit_size(mu) for mu, m in mult.items())
     return CharacterTable(highest=lam, mult=MappingProxyType(mult), dim=dim)
+
+
+def _stabiliser_orbits(pos, zero: tuple[bool, ...]):
+    """What the Freudenthal step at a dominant mu reads off J = {j : zero[j]}.
+
+    Returns Phi_J+, the positive roots supported on J, and the W_J-dominant
+    positive roots alpha, each with its calpha and the divisor of its count
+    c_alpha: 2 when alpha is in Phi_J, 1 when not.  For dominant mu,
+    (mu, alpha) = 0 exactly when alpha is supported on J, so all of it
+    depends on J alone and a table build forms it once per J.
+    """
+
+    def on_j(cbeta) -> bool:
+        return not any(c for c, z in zip(cbeta, zero) if not z)
+
+    sub = [(b, cb) for b, cb in pos if on_j(cb)]
+    roots = [
+        (alpha, calpha, 2 if on_j(calpha) else 1)
+        for alpha, calpha in pos
+        if not any(a < 0 for a, z in zip(alpha, zero) if z)
+    ]
+    return sub, roots
 
 
 def full_character(rsys: RootSystem, lam: Weight) -> MappingProxyType:

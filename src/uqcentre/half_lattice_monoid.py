@@ -46,15 +46,20 @@ def classify_type(rsys: RootSystem) -> str:
 def involution(rsys: RootSystem) -> tuple[int, ...]:
     """The diagram involution -w_0 as a 0-indexed permutation of the nodes.
 
-    -w_0 permutes the fundamental weights: sigma(i) is the node of the
-    dominant weight in the Weyl orbit of -w_i.  Raises ``ArithmeticError``
-    if that weight is not fundamental or sigma is not an involution.
+    -w_0 maps the dominant chamber to itself and permutes the simple roots,
+    so it permutes the fundamental weights by a diagram automorphism sigma:
+    -w_0(sum c_i w_i) = sum c_i w_sigma(i), w_0 the longest element of W
+    (Bourbaki, *Lie Groups and Lie Algebras*, ch. VI).  One walk reads all
+    of sigma off lam = sum (i + 1) w_i, whose coordinates are distinct: the
+    dominant weight in the orbit of -lam is -w_0 lam, with i + 1 at
+    coordinate sigma(i).  Raises ``ArithmeticError`` if that weight is not a
+    permutation of 1..n or sigma is not an involution.
     """
-    fund = [rsys.fundamental_weight(i) for i in range(rsys.rank)]
-    dom = [rsys.dominant_representative(scale_weight(-1, w)) for w in fund]
-    if not all(d in fund for d in dom):
-        raise ArithmeticError(f"-w_0 of {rsys} maps the fundamental weights to {dom}")
-    sigma = tuple(fund.index(d) for d in dom)
+    n = rsys.rank
+    dom = rsys.dominant_representative(tuple(-(i + 1) for i in range(n)))
+    if sorted(dom) != list(range(1, n + 1)):
+        raise ArithmeticError(f"-w_0 of {rsys} maps -(1, ..., {n}) to {dom}")
+    sigma = tuple(dom.index(i + 1) for i in range(n))
     if any(sigma[j] != i for i, j in enumerate(sigma)):
         raise ArithmeticError(f"-w_0 of {rsys} gives {sigma}, not an involution")
     return sigma

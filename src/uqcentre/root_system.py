@@ -321,19 +321,37 @@ class RootSystem:
         return self.orbit_size(self.rho())
 
     def dominant_representative(self, w: Weight) -> Weight:
-        """The unique dominant weight in the Weyl orbit of ``w``."""
+        """The unique dominant weight in the Weyl orbit of ``w``.
+
+        Reflects at negative coordinates until none is left.  Every such
+        reflection raises the weight in the dominance order, and any order of
+        them ends at the same dominant weight, so the walk keeps the negative
+        coordinates on a stack: s_i makes v_i positive and lowers only the
+        neighbours of i, so only a neighbour that has just turned negative is
+        pushed.  The walk takes l(x) steps, x the shortest element of W with
+        x(w) dominant, each costing the degree of node i, not the rank.
+        """
         self._check_weight(w)
         v = list(w)
-        A = self.cartan
-        while True:
-            for i in range(self.rank):
-                if v[i] < 0:
-                    vi = v[i]
-                    for k in range(self.rank):
-                        v[k] -= vi * A[k][i]
-                    break
-            else:
-                return tuple(v)
+        columns = self._columns
+        stack = [i for i, x in enumerate(v) if x < 0]
+        while stack:
+            i = stack.pop()
+            vi = v[i]
+            for k, a in columns[i]:
+                x = v[k]
+                v[k] = x - vi * a
+                if x >= 0 > v[k]:
+                    stack.append(k)
+        return tuple(v)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # the nonzero entries (k, A[k][i]) of each Cartan column i
+        A, r = self.cartan, self.rank
+        return tuple(
+            tuple((k, A[k][i]) for k in range(r) if A[k][i]) for i in range(r)
+        )
 
     def is_dominant(self, w: Weight) -> bool:
         self._check_weight(w)

@@ -468,12 +468,37 @@ def gamma(V: SimpleModule) -> UqMatrix:
     return _gamma_power(V, 1)
 
 
+def _gamma_entries(V: SimpleModule, pairs) -> list[UqElement]:
+    """The entries (j, l) of Gamma_V = K_V Rt_V R_V, for each (j, l) in ``pairs``.
+
+    K_V is diagonal, so entry (j, l) is sum_t (K_jj Rt_jt) R_tl; the row
+    K_jj Rt_j is formed once for every j that ``pairs`` names.
+    """
+    K, Rt, R = K_operator(V).rows, quasi_R_tilde_T(V).rows, quasi_R(V).rows
+    rows: dict[int, list] = {}
+    out = []
+    for j, l in pairs:
+        if j not in rows:
+            rows[j] = []
+            for t in range(V.dim):
+                kr: dict[Mon, QRat] = {}
+                _mul_into(kr, K[j][j]._terms, Rt[j][t]._terms, {})
+                rows[j].append(kr)
+        terms: dict[Mon, QRat] = {}
+        for t, kr in enumerate(rows[j]):
+            _mul_into(terms, kr, R[t][l]._terms, {})
+        out.append(UqElement._stored(terms))
+    return out
+
+
 @cache
 def _gamma_power(V: SimpleModule, k: int) -> UqMatrix:
     if k == 0:
         return UqMatrix.identity(V.dim)
     if k == 1:
-        return K_operator(V) * quasi_R_tilde_T(V) * quasi_R(V)
+        d = V.dim
+        entries = _gamma_entries(V, [(j, l) for j in range(d) for l in range(d)])
+        return UqMatrix(entries[j * d : (j + 1) * d] for j in range(d))
     return _gamma_power(V, k - 1) * _gamma_power(V, 1)
 
 
@@ -481,17 +506,26 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     """C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k); central for every k >= 1.
 
     K_2rho acts as zeta(K) in rank 1.  Only the diagonal of Gamma_V^k is
-    formed, as that of Gamma_V^(k-1) Gamma_V.  The coefficients of the result
-    are Laurent polynomials; ArithmeticError is raised if one is not.
+    formed, as that of Gamma_V^(k-1) Gamma_V, from the entries (l, j) of
+    Gamma_V met by a nonzero entry (j, l) of Gamma_V^(k-1).  For k = 1 these
+    are the diagonal entries alone, and no other entry of Gamma_V is formed.
+    The coefficients of the result are Laurent polynomials; ArithmeticError is
+    raised if one is not.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    head, G = _gamma_power(V, k - 1).rows, _gamma_power(V, 1).rows
+    head = _gamma_power(V, k - 1).rows
+    pairs = [(l, j) for j in range(V.dim) for l in range(V.dim) if head[j][l]]
+    if k == 1:  # head is the identity: only the diagonal of Gamma_V is read
+        G = dict(zip(pairs, _gamma_entries(V, pairs)))
+    else:
+        rows = _gamma_power(V, 1).rows
+        G = {(l, j): rows[l][j] for l, j in pairs}
     terms: dict[Mon, QRat] = {}
-    for j, w in enumerate(V.weights):  # zeta(K) e_j = q^w e_j
-        for l in range(V.dim):
-            left = {mon: r.shift(w) for mon, r in head[j][l]._terms.items()}
-            _mul_into(terms, left, G[l][j]._terms, {})
+    weights = V.weights
+    for l, j in pairs:  # zeta(K) e_j = q^w e_j
+        left = {mon: r.shift(weights[j]) for mon, r in head[j][l]._terms.items()}
+        _mul_into(terms, left, G[l, j]._terms, {})
     out = UqElement._stored(terms)
     for mon, coeff in out.terms.items():
         if not coeff.is_laurent():

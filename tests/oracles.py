@@ -4,8 +4,11 @@ Each oracle computes what a library routine computes by another route, and
 shares no code with the routine it checks.  Membership in M+ is read off the
 root coordinates, not the congruence mod r; products of characters are
 full-support convolutions of ``{weight: coefficient}`` dicts, not the
-Brauer-Klimyk rule.  The positive roots are the Weyl closure of the simple
-roots, not built height by height; Freudenthal's recursion sums over every
+Brauer-Klimyk rule.  The dominant weight of an orbit is reached by
+reflecting at the first negative coordinate over dense Cartan columns, not
+from a stack over sparse ones, and -w_0 by one such walk per node, not by
+one walk for all nodes.  The positive roots are the Weyl closure of the
+simple roots, not built height by height; Freudenthal's recursion sums over every
 positive root, not over stabiliser orbits, and reads the library's dominant
 weights below lam (``_dominant_weights_below``).  The oracles may read the
 library's Freudenthal tables (``weight_multiplicities``,
@@ -173,6 +176,37 @@ def diagram_involution(family, n):
         sigma[0], sigma[5] = 5, 0
         sigma[2], sigma[4] = 4, 2
     return tuple(sigma)
+
+
+def dominant_by_first_negative(rsys, w):
+    """The dominant weight in the orbit of ``w``, reflecting at the first negative coordinate.
+
+    Every reflection runs over all rank coordinates of the dense Cartan column.
+    """
+    v = list(w)
+    A = rsys.cartan
+    while True:
+        for i in range(rsys.rank):
+            if v[i] < 0:
+                vi = v[i]
+                for k in range(rsys.rank):
+                    v[k] -= vi * A[k][i]
+                break
+        else:
+            return tuple(v)
+
+
+def involution_by_nodes(rsys):
+    """-w_0 node by node: sigma(i) is the node of the dominant weight in the orbit of -w_i.
+
+    One walk (:func:`dominant_by_first_negative`) per node; raises
+    ``ArithmeticError`` if a walk does not end at a fundamental weight.
+    """
+    fund = [rsys.fundamental_weight(i) for i in range(rsys.rank)]
+    dom = [dominant_by_first_negative(rsys, tuple(-x for x in w)) for w in fund]
+    if not all(d in fund for d in dom):
+        raise ArithmeticError(f"-w_0 of {rsys} maps the fundamental weights to {dom}")
+    return tuple(fund.index(d) for d in dom)
 
 
 def centre_type(family, n):

@@ -31,6 +31,7 @@ from oracles import (
     centre_type,
     diagram_involution,
     in_half_lattice,
+    involution_by_nodes,
     min_multiplier_search,
     type_A_membership,
     type_A_multiplier,
@@ -213,6 +214,21 @@ def test_involution_and_type_match_the_tables(fam, n):
     # one source for the dichotomy: r > 1 iff -w_0 is not the identity
     r, _ = half_lattice_monoid.residue_classes(rsys)
     assert (r > 1) == (sigma != tuple(range(n))) == (classify_type(rsys) == TYPE_II)
+
+
+INVOLUTION_TYPES = (
+    [("A", n) for n in range(1, 21)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(3, 9)]
+    + [("D", n) for n in range(4, 21)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("fam,n", INVOLUTION_TYPES)
+def test_one_walk_involution_matches_the_walk_per_node(fam, n):
+    rsys = build_root_system(fam, n)
+    assert involution(rsys) == involution_by_nodes(rsys) == diagram_involution(fam, n)
 
 
 def test_involution_guard_raises_under_python_O(monkeypatch):
