@@ -31,7 +31,6 @@ from .half_lattice_monoid import (
 from .monoid_presentation import (
     BinomialRelation,
     Presentation,
-    factorisation_counts,
     generation_check,
     phi,
     presentation,
@@ -40,7 +39,6 @@ from .monoid_presentation import (
 from .character_ring import (
     CharacterTable,
     independence_check,
-    unitriangularity_check,
     verify_centre_relations,
     weight_multiplicities,
     xi_simple,

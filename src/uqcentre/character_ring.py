@@ -1,4 +1,4 @@
-"""Characters, Harish-Chandra images and products in the character ring.
+"""Characters and Harish-Chandra images in the character ring.
 
 The image of the central element attached to a module is its character, a
 combination of the even torus elements ``K_2mu``: ``xi([V]) = sum m_V(mu)
@@ -8,16 +8,19 @@ Weight multiplicities come from Freudenthal's recursion over stabiliser
 orbits, run entirely in integer arithmetic.  What the orbits are depends
 only on the zero pattern J = {j : mu_j = 0} of the dominant weight mu, so a
 table build forms the roots supported on J, the W_J-dominant roots and
-their orbit counts once per J, not once per mu.  Characters are multiplied in
-one way only: in the basis of simple modules, one fundamental character at
-a time, by the Brauer-Klimyk rule.  That product serves the
-unitriangularity report, which walks the members of M+ in the box that the
-generation check reads; the algebraic-independence report reads leading
-terms off the dominant tables and multiplies nothing.  The second
+their orbit counts once per J, not once per mu.
+
+The library multiplies no characters.  The algebraic-independence report
+reads leading terms off the dominant tables, and the unitriangularity of
+the tensor modules follows from the same certificate (see
+:func:`independence_check`): [T(lam)] = [L(lam)] + sum_(mu < lam) c_mu
+[L(mu)] with integers c_mu >= 0, for every lam at once.  The second
 implementations that the tests check these against (Freudenthal over every
-positive root, the full-support product of multiplicity maps, the av basis,
-triangular expansions, the Weyl dimension formula and the exact rank of the
-monomials in the fundamental characters) live in ``tests/oracles.py``.
+positive root, the full-support product of multiplicity maps, the
+Brauer-Klimyk product in the basis of simple modules with the
+unitriangularity run over a box of M+, the av basis, triangular
+expansions, the Weyl dimension formula and the exact rank of the monomials
+in the fundamental characters) live in ``tests/oracles.py``.
 The memoised tables are handed out as read-only ``MappingProxyType`` views.
 """
 
@@ -30,7 +33,7 @@ from types import MappingProxyType
 
 from .errors import DomainError
 from .half_lattice_monoid import TYPE_I, classify_type, in_monoid, residue
-from .monoid_presentation import _add_balance, _box_members, presentation
+from .monoid_presentation import _add_balance, presentation
 from .report import Report
 from .root_system import (
     RootSystem,
@@ -238,84 +241,7 @@ def _order_key(rsys: RootSystem):
     return key
 
 
-# -- products in the basis of simple modules -----------------------------------
-
-
-def _times_fundamental(
-    rsys: RootSystem, decomp: dict[Weight, int], i: int
-) -> dict[Weight, int]:
-    """The Brauer-Klimyk rule: sum c [L(lam)] times [L(w_i)], in the same basis.
-
-    [L(lam)][L(w_i)] = sum over the weights nu of L(w_i), with multiplicity
-    m(nu), of sign(w) [L(w(lam+nu+rho) - rho)], where w reflects lam+nu+rho
-    into the dominant chamber; a term whose lam+nu+rho lies on a wall is
-    fixed by a reflection and cancels.
-    """
-    roots = [rsys.simple_root(j) for j in range(rsys.rank)]
-    shifted = [
-        (add_weights(nu, rsys.rho()), m)
-        for nu, m in full_character(rsys, rsys.fundamental_weight(i)).items()
-    ]
-    out: dict[Weight, int] = {}
-    for lam, c in decomp.items():
-        for nu_rho, m in shifted:
-            v = add_weights(lam, nu_rho)
-            term = c * m
-            while min(v) < 0:
-                j = v.index(min(v))
-                vj = v[j]
-                v = tuple(x - vj * a for x, a in zip(v, roots[j]))
-                term = -term
-            if 0 not in v:
-                mu = tuple(x - 1 for x in v)
-                out[mu] = out.get(mu, 0) + term
-    return {mu: c for mu, c in out.items() if c}
-
-
-def _tensor_decomposition(rsys: RootSystem, lam: Weight) -> dict[Weight, int]:
-    """[T(lam)] = prod_i [L(w_i)]^(lam_i) in the basis of simple modules."""
-    decomp = {rsys.zero(): 1}
-    for i, a in enumerate(lam):
-        for _ in range(a):
-            decomp = _times_fundamental(rsys, decomp, i)
-    return decomp
-
-
 # -- verification reports ------------------------------------------------------
-
-
-def unitriangularity_check(rsys: RootSystem, bound: int):
-    """Expand [T(lam)] over the [L(mu)] for all lam in M+ with coords <= bound.
-
-    The members come from :func:`_box_members`, so a negative bound raises
-    :class:`DomainError` and an oversized box :class:`ResourceLimitError`.  The
-    expansion multiplies by one fundamental character at a time with the
-    Brauer-Klimyk rule.
-
-    Asserts the diagonal coefficient 1 and nonnegative integer multiplicities
-    supported strictly below lam.  Returns ``(report, multiplicities)``.
-    """
-    rep = Report(title=f"unitriangularity {rsys.family}{rsys.rank} bound {bound}")
-    mults: dict[Weight, dict[Weight, int]] = {}
-    for w in _box_members(rsys, bound):
-        decomp = _tensor_decomposition(rsys, w)
-        ok = decomp.get(w) == 1
-        entry: dict[Weight, int] = {}
-        for mu, c in decomp.items():
-            if c < 0:
-                ok = False
-                break
-            entry[mu] = c
-            if mu != w and not rsys.dominates(w, mu):
-                ok = False
-                break
-        mults[w] = entry
-        rep.add(
-            f"[T{w}] = [L{w}] + lower",
-            ok,
-            " + ".join(f"{c}[L{mu}]" for mu, c in sorted(entry.items())),
-        )
-    return rep, mults
 
 
 def verify_centre_relations(rsys: RootSystem) -> Report:
@@ -353,6 +279,18 @@ def independence_check(rsys: RootSystem, degree_bound: int) -> Report:
     report counts the C(n + degree_bound, n) monomials of degree <=
     degree_bound; it fails, naming w_i and the leading term found, when a
     fundamental character does not lead with 1*K_2w_i.
+
+    Corollary (unitriangularity): let T(lam) be the tensor product of lam_i
+    copies of each L(w_i).  Then [T(lam)] = [L(lam)] + sum_(mu < lam) c_mu
+    [L(mu)] with integers c_mu >= 0, for every dominant lam, and no box of
+    M+ need be walked to see it:
+
+    * the certificate gives the coefficient 1 at [L(lam)]: the character of
+      T(lam) leads with 1*K_2lam, and no L(mu) with mu != lam has the
+      weight lam;
+    * every weight of L(w_i) lies below w_i, so every weight of T(lam) lies
+      below lam; hence every other [L(mu)] has mu < lam;
+    * complete reducibility makes every coefficient a nonnegative integer.
     """
     if degree_bound < 0:
         raise DomainError("degree bound must be >= 0")

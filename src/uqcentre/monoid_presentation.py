@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, islice, product
-from operator import sub
 
 from .errors import DomainError
 from .half_lattice_monoid import (
@@ -300,32 +299,6 @@ def _reach_bits(generators, bound: int) -> int:
     return reach
 
 
-def _box_members(rsys: RootSystem, bound: int) -> list[Weight]:
-    """The members of M+ with coords <= bound in lexicographic order; the cap is checked first."""
-    radix = _box_radix(rsys, bound)
-    r, c = residue_classes(rsys)
-    return list(_cell_weights(_member_bits(r, c, bound), radix, rsys.rank))
-
-
-def factorisation_counts(rsys: RootSystem, bound: int) -> dict[Weight, int]:
-    """The number of Hilbert-basis factorisations of every member of M+ with coords <= bound.
-
-    Keys are the members of :func:`_box_members`, in lexicographic order;
-    factorisations are counted as multisets of generators.  One pass per
-    generator g over the members, in that order, adds the count of w - g,
-    which comes earlier, to that of w; a w - g outside the box is no key.
-    """
-    members = _box_members(rsys, bound)
-    counts = dict.fromkeys(members, 0)
-    counts[members[0]] = 1  # the zero weight, cell 0
-    for g in hilbert_basis(rsys).elements:
-        for w in members:
-            k = counts.get(tuple(map(sub, w, g)))
-            if k:
-                counts[w] += k
-    return counts
-
-
 def generation_check(rsys: RootSystem, bound: int) -> Report:
     """Check that every member of M+ with coords <= bound factors over Hilb(M+).
 
@@ -333,7 +306,6 @@ def generation_check(rsys: RootSystem, bound: int) -> Report:
     reachability on bitsets over the cells of the box: the members of
     :func:`_member_bits` less the sums of :func:`_reach_bits`.  Only when
     that leaves a cell are the first five decoded by :func:`_cell_weights`.
-    :func:`factorisation_counts` gives the counts themselves.
     """
     radix = _box_radix(rsys, bound)
     r, c = residue_classes(rsys)

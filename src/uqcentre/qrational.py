@@ -20,21 +20,19 @@ have equal (k, N, B, stride).  Every value in the rank-1 Casimir pipeline
 has stride 2, so its N is half the length of the stride-1 packing, which
 would hold a zero digit at every odd offset.
 
-- A product of two values of one stride is the big-integer product N1*N2,
+- A product of two stride-2 values is the big-integer product N1*N2,
   with bound h1*h2 (the l1 norm is submultiplicative).
-- A sum of two values of one stride s, whose valuations differ by a
-  multiple of s, left-shifts the N of larger valuation by B/s bits per
-  power of q and adds, with bound h1 + h2; trailing zero digits, which only
-  equal valuations can leave, move into ``k``.
-- A stride-1 result whose odd-offset digits all vanish, such as
-  (1 + q)(1 - q), is moved to stride 2; ``_one_parity`` decides that with a
-  few big-integer operations, without unpacking.
+- A sum of two stride-2 values whose valuations have one parity
+  left-shifts the N of larger valuation by B/2 bits per power of q and
+  adds, with bound h1 + h2; trailing zero digits, which only equal
+  valuations can leave, move into ``k``.
 - A shift by q^k changes only ``k``, and a negation only the sign of N;
   neither changes the bound or the stride.
-- Any other mix (operands of different strides, or stride-2 summands of
-  valuations of opposite parity) falls back to stride 1: a stride-2 N is
-  spread to stride 1 by evaluating its digits at 2^(2B), the two are
-  combined, and the result is unpacked and packed again canonically.
+- Any other pair (a stride-1 operand, or stride-2 summands of valuations
+  of opposite parity) is combined at stride 1: a stride-2 N is spread to
+  stride 1 by evaluating its digits at 2^(2B), the two are combined, and
+  the result is unpacked and packed again canonically, so one whose
+  odd-offset digits all vanish, such as (1 + q)(1 - q), moves to stride 2.
 
 While h < 2^(B-1) every coefficient is below 2^(B-1) in absolute value, so
 N has one balanced digit expansion, and N = 0 iff the value is 0.  Every
@@ -68,10 +66,6 @@ from .errors import DomainError
 _B = 64  # the digit width of every value whose l1 norm is below 2^63
 _LIMIT = 1 << (_B - 1)
 _MASK = (1 << _B) - 1
-# one 128-bit block each, little-endian: 2^63 in the even 64-bit word, and
-# all ones in the odd word
-_EVEN_OFFSETS = bytes(7) + b"\x80" + bytes(8)
-_ODD_WORDS = bytes(8) + b"\xff" * 8
 
 
 def _trim(p):
@@ -164,22 +158,6 @@ def _evaluate(coeffs, b: int) -> int:
     return n
 
 
-def _one_parity(n: int) -> bool:
-    """Whether every odd-offset digit of n, a valid packing at B = 64, is zero.
-
-    Let C add 2^63 at every even offset of L = (bits of n) // 128 + 2 blocks
-    of 128 bits; then n + C is positive and below 2^(128 L).  If the odd
-    digits of n vanish, each even digit plus 2^63 lies in [0, 2^64), so every
-    odd 64-bit word of n + C is zero.  Conversely, if those words are all
-    zero, n + C = sum w_i 2^(128 i) with 0 <= w_i < 2^64 gives n the digits
-    w_i - 2^63 at even offsets and 0 at odd ones, and the balanced expansion
-    is unique.
-    """
-    words = abs(n).bit_length() // 128 + 2
-    m = n + int.from_bytes(_EVEN_OFFSETS * words, "little")
-    return not m & int.from_bytes(_ODD_WORDS * words, "little")
-
-
 def _stored(qpow: int, n, h, s) -> "QRat":
     """The QRat with the given slots, which must already be canonical."""
     out = _new(QRat)
@@ -231,8 +209,8 @@ def _at(x: "QRat", b: int, s: int) -> int:
 def _combine(x: "QRat", y: "QRat", product: bool) -> "QRat":
     """x*y or x + y, for nonzero packed x, y that the one-operation path cannot combine.
 
-    That path needs operands of one stride (for a stride-2 sum, with
-    valuations of one parity) and a result bound below 2^(B-1).  If the bound reaches the
+    That path needs two stride-2 operands (for a sum, with valuations of
+    one parity) and a result bound below 2^(B-1).  If the bound reaches the
     limit, the operands' bounds are refreshed first.  The result is formed
     at the width of the bound: at stride 2 if that path's stride condition
     holds, else with both operands spread to stride 1.  It is unpacked and
@@ -365,24 +343,21 @@ class QRat:
         if self._h is not None and other._h is not None:
             h = self._h + other._h
             k1, k2 = self.qpow, other.qpow
-            s = self._s
-            if h >= _LIMIT or s != other._s or (k1 - k2) % s:
+            if h >= _LIMIT or not self._s == other._s == 2 or (k1 - k2) & 1:
                 return _combine(self, other, False)
-            # the N of larger valuation moves up one digit per power of q^s
+            # the N of larger valuation moves up one digit per power of q^2
             if k1 < k2:
-                n = self._n + (other._n << _B * (k2 - k1) // s)
+                n = self._n + (other._n << _B * (k2 - k1) // 2)
             elif k2 < k1:
-                k1, n = k2, other._n + (self._n << _B * (k1 - k2) // s)
+                k1, n = k2, other._n + (self._n << _B * (k1 - k2) // 2)
             else:
                 n = self._n + other._n
                 if not n:
                     return Q_ZERO
                 if not n & _MASK:  # trailing zero digits move into the valuation
                     z = (n & -n).bit_length() // _B
-                    k1, n = k1 + s * z, n >> (_B * z)
-            if s == 1 and _one_parity(n):
-                return _from_coefficients(k1, _digits(n, _B))
-            return _stored(k1, n, h, s)
+                    k1, n = k1 + 2 * z, n >> (_B * z)
+            return _stored(k1, n, h, 2)
         n1, d1 = _parts(self)
         n2, d2 = _parts(other)
         return _fraction(n1 * d2 + n2 * d1, d1 * d2)
@@ -414,19 +389,15 @@ class QRat:
     __rmul__ = __mul__
 
     def mul_shift(self, other: "QRat", k: int) -> "QRat":
-        """q^k * self * other: for Laurent values of one stride, one packed product and one new value."""
+        """q^k * self * other: for stride-2 Laurent values, one packed product and one new value."""
         if not self._n or not other._n:
             return Q_ZERO
         if self._h is not None and other._h is not None:
             # a product of polynomials with nonzero constant terms has one too
             h = self._h * other._h
-            s = self._s
-            if h >= _LIMIT or s != other._s:
+            if h >= _LIMIT or not self._s == other._s == 2:
                 return _combine(self, other, True).shift(k)
-            n = self._n * other._n
-            if s == 1 and _one_parity(n):
-                return _from_coefficients(self.qpow + other.qpow + k, _digits(n, _B))
-            return _stored(self.qpow + other.qpow + k, n, h, s)
+            return _stored(self.qpow + other.qpow + k, self._n * other._n, h, 2)
         n1, d1 = _parts(self)
         n2, d2 = _parts(other)
         return _fraction(n1 * n2, d1 * d2).shift(k)

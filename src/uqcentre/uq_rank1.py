@@ -509,8 +509,9 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     formed, as that of Gamma_V^(k-1) Gamma_V, from the entries (l, j) of
     Gamma_V met by a nonzero entry (j, l) of Gamma_V^(k-1).  For k = 1 these
     are the diagonal entries alone, and no other entry of Gamma_V is formed.
-    The coefficients of the result are Laurent polynomials; ArithmeticError is
-    raised if one is not.
+    The coefficients of the result in the F^a K^b E'^c basis are Laurent
+    polynomials, and so are those in the F^a K^b E^c basis, which are them
+    times (q - q^-1)^c; ArithmeticError is raised if one of the former is not.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -526,13 +527,12 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     for l, j in pairs:  # zeta(K) e_j = q^w e_j
         left = {mon: r.shift(weights[j]) for mon, r in head[j][l]._terms.items()}
         _mul_into(terms, left, G[l, j]._terms, {})
-    out = UqElement._stored(terms)
-    for mon, coeff in out.terms.items():
+    for (a, b, c), coeff in terms.items():
         if not coeff.is_laurent():
             raise ArithmeticError(
-                f"non-Laurent Casimir coefficient {coeff.render()} at {mon}"
+                f"non-Laurent Casimir coefficient {coeff.render()} at F^{a} K^{b} E'^{c}"
             )
-    return out
+    return UqElement._stored(terms)
 
 
 def _check_zero_grade(x: UqElement) -> None:

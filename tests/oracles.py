@@ -2,9 +2,14 @@
 
 Each oracle computes what a library routine computes by another route, and
 shares no code with the routine it checks.  Membership in M+ is read off the
-root coordinates, not the congruence mod r; products of characters are
-full-support convolutions of ``{weight: coefficient}`` dicts, not the
-Brauer-Klimyk rule.  The dominant weight of an orbit is reached by
+root coordinates, not the congruence mod r; factorisations are counted with
+a dict keyed by weight, where the library decides only whether one exists.
+The library multiplies no characters.  Here they are multiplied in two ways:
+as full-support convolutions of ``{weight: coefficient}`` dicts, and in the
+basis of simple modules by the Brauer-Klimyk rule
+(:func:`times_fundamental`), with which :func:`unitriangularity_check` walks
+a box of M+ and checks the corollary of the leading-term certificate that
+the library states instead.  The dominant weight of an orbit is reached by
 reflecting at the first negative coordinate over dense Cartan columns, not
 from a stack over sparse ones, and -w_0 by one such walk per node, not by
 one walk for all nodes.  The positive roots are the Weyl closure of the
@@ -12,10 +17,10 @@ simple roots, not built height by height; Freudenthal's recursion sums over ever
 positive root, not over stabiliser orbits, and reads the library's dominant
 weights below lam (``_dominant_weights_below``).  The oracles may read the
 library's Freudenthal tables (``weight_multiplicities``,
-``full_character``), its total order on weights
-(``_order_key``) and its Brauer-Klimyk product (``_times_fundamental``), with
-which the exact rank of the monomials in the fundamental characters expands
-them; the library certifies their independence by leading terms instead.
+``full_character``) and its total order on weights (``_order_key``); the
+exact rank of the monomials in the fundamental characters expands them by
+the Brauer-Klimyk rule, where the library certifies their independence by
+leading terms.
 The product in U_q(sl2) is formed one straightening triple at a time; it
 reads the stored terms and the straightening table ``_straighten``.  The
 matrices of zeta(E), zeta(F) and zeta(K) on the simple module are built here
@@ -49,7 +54,6 @@ from uqcentre.character_ring import (
     CharacterTable,
     _dominant_weights_below,
     _order_key,
-    _times_fundamental,
     full_character,
 )
 from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_factorial, q_int, q_power
@@ -477,12 +481,92 @@ def expand_in_simples(rsys, t):
     return out
 
 
+# -- products in the basis of simple modules -----------------------------------
+
+
+def times_fundamental(rsys, decomp, i):
+    """The Brauer-Klimyk rule: sum c [L(lam)] times [L(w_i)], in the same basis.
+
+    [L(lam)][L(w_i)] = sum over the weights nu of L(w_i), with multiplicity
+    m(nu), of sign(w) [L(w(lam+nu+rho) - rho)], where w reflects lam+nu+rho
+    into the dominant chamber; a term whose lam+nu+rho lies on a wall is
+    fixed by a reflection and cancels.
+    """
+    roots = [rsys.simple_root(j) for j in range(rsys.rank)]
+    rho = rsys.rho()
+    shifted = [
+        (tuple(map(add, nu, rho)), m)
+        for nu, m in full_character(rsys, rsys.fundamental_weight(i)).items()
+    ]
+    out = {}
+    for lam, c in decomp.items():
+        for nu_rho, m in shifted:
+            v = tuple(map(add, lam, nu_rho))
+            term = c * m
+            while min(v) < 0:
+                j = v.index(min(v))
+                vj = v[j]
+                v = tuple(x - vj * a for x, a in zip(v, roots[j]))
+                term = -term
+            if 0 not in v:
+                mu = tuple(x - 1 for x in v)
+                out[mu] = out.get(mu, 0) + term
+    return {mu: c for mu, c in out.items() if c}
+
+
+def tensor_decomposition(rsys, lam):
+    """[T(lam)] = prod_i [L(w_i)]^(lam_i) in the basis of simple modules."""
+    decomp = {rsys.zero(): 1}
+    for i, a in enumerate(lam):
+        for _ in range(a):
+            decomp = times_fundamental(rsys, decomp, i)
+    return decomp
+
+
+def unitriangularity_check(rsys, bound):
+    """Expand [T(lam)] over the [L(mu)] for all lam in M+ with coords <= bound.
+
+    The members are the vectors of the box (:func:`bounded_vectors`) that
+    :func:`in_half_lattice` accepts, in lexicographic order; a negative
+    bound, whose box is empty, raises :class:`DomainError`.  Each expansion
+    is :func:`tensor_decomposition`.  Asserts the diagonal coefficient 1 and
+    nonnegative integer multiplicities supported on dominant weights
+    strictly below lam.
+    Returns ``(report, multiplicities)``.
+    """
+    if bound < 0:
+        raise DomainError("bound must be >= 0")
+    rep = Report(title=f"unitriangularity {rsys.family}{rsys.rank} bound {bound}")
+    mults = {}
+    for w in bounded_vectors([bound] * rsys.rank, bound * rsys.rank):
+        if not in_half_lattice(rsys, w):
+            continue
+        decomp = tensor_decomposition(rsys, w)
+        ok = decomp.get(w) == 1
+        entry = {}
+        for mu, c in decomp.items():
+            if c < 0:
+                ok = False
+                break
+            entry[mu] = c
+            if mu != w and not (rsys.is_dominant(mu) and rsys.dominates(w, mu)):
+                ok = False
+                break
+        mults[w] = entry
+        rep.add(
+            f"[T{w}] = [L{w}] + lower",
+            ok,
+            " + ".join(f"{c}[L{mu}]" for mu, c in sorted(entry.items())),
+        )
+    return rep, mults
+
+
 def independence_rank(rsys, degree_bound):
     """The exact rank of the monomials of degree <= degree_bound in the xi([L(w_i)]).
 
     Expands each monomial in the basis of simple characters, as a monomial
-    of one degree less times one fundamental character by the library's
-    Brauer-Klimyk rule (``_times_fundamental``), then eliminates over
+    of one degree less times one fundamental character by the
+    Brauer-Klimyk rule (:func:`times_fundamental`), then eliminates over
     ``Fraction``.  The simple characters are linearly independent, so this
     is the rank of the monomials themselves.
     """
@@ -496,7 +580,7 @@ def independence_rank(rsys, degree_bound):
             decomps[e] = {rsys.zero(): 1}
         else:
             lower = e[:i] + (e[i] - 1,) + e[i + 1:]
-            decomps[e] = _times_fundamental(rsys, decomps[lower], i)
+            decomps[e] = times_fundamental(rsys, decomps[lower], i)
 
     order_key = _order_key(rsys)
     live = [

@@ -9,7 +9,6 @@ from uqcentre import (
     build_root_system,
     in_monoid,
     independence_check,
-    unitriangularity_check,
     verify_centre_relations,
     weight_multiplicities,
     xi_simple,
@@ -18,6 +17,7 @@ import uqcentre.character_ring as character_ring
 from uqcentre.character_ring import _dominant_weights_below, full_character
 from uqcentre.cli import main
 from uqcentre.monoid_presentation import presentation
+import oracles
 from oracles import (
     av_basis_element,
     expand_in_av,
@@ -25,9 +25,11 @@ from oracles import (
     freudenthal_by_roots,
     independence_rank,
     is_w_invariant,
+    tensor_decomposition,
     torus_power,
     torus_product,
     total,
+    unitriangularity_check,
     weyl_dim,
     xi_tensor,
 )
@@ -255,7 +257,7 @@ def test_unitriangularity_single_fundamental_factor():
 
 
 def test_unitriangularity_rejects_a_negative_bound():
-    # the bound the generation check and the factorisation counts reject
+    # an empty box would pass vacuously
     a2 = build_root_system("A", 2)
     with pytest.raises(DomainError, match="bound must be >= 0"):
         unitriangularity_check(a2, -1)
@@ -270,6 +272,26 @@ def test_unitriangularity_a2():
     assert mults[(0, 0)] == {(0, 0): 1}
     # dimension sanity: 27 = 10 + 2*8 + 1
     assert weyl_dim(a2, (3, 0)) + 2 * 8 + 1 == 27
+
+
+@pytest.mark.parametrize("fam,n,bound", [
+    ("A", 2, 3), ("B", 2, 2), ("G", 2, 2), ("C", 3, 2), ("A", 3, 2)
+])
+def test_oracle_unitriangularity(fam, n, bound):
+    # the corollary of the leading-term certificate, member by member
+    rsys = build_root_system(fam, n)
+    D = rsys.root_coord_scale
+    rep, mults = unitriangularity_check(rsys, bound)
+    assert rep.ok and mults
+    for lam, entry in mults.items():
+        assert entry[lam] == 1, lam
+        assert all(isinstance(c, int) and c >= 1 for c in entry.values()), lam
+        for mu in entry:
+            # a dominant mu, with lam - mu a nonnegative integer combination
+            # of simple roots
+            assert min(mu) >= 0, (lam, mu)
+            coords = rsys.scaled_root_coords(tuple(a - b for a, b in zip(lam, mu)))
+            assert all(x >= 0 and x % D == 0 for x in coords), (lam, mu)
 
 
 def test_verify_centre_relations():
@@ -387,7 +409,7 @@ def test_brauer_klimyk_matches_full_support_product(fam, n, bound):
     for lam in product(range(bound + 1), repeat=n):
         if in_monoid(rsys, lam):
             oracle = expand_in_simples(rsys, xi_tensor(rsys, lam))
-            assert character_ring._tensor_decomposition(rsys, lam) == oracle, lam
+            assert tensor_decomposition(rsys, lam) == oracle, lam
 
 
 def test_independence_check_fails_for_equal_fundamental_characters(monkeypatch):
@@ -424,9 +446,9 @@ def test_independence_check_fails_for_a_doubled_highest_weight(monkeypatch):
 def test_independence_rank_drops_for_equal_fundamental_characters(monkeypatch):
     b2 = build_root_system("B", 2)
     w1, w2 = b2.fundamental_weight(0), b2.fundamental_weight(1)
-    real = character_ring.full_character
+    real = oracles.full_character
     monkeypatch.setattr(
-        character_ring, "full_character",
+        oracles, "full_character",
         lambda rsys, lam: real(rsys, w1 if tuple(lam) == w2 else lam),
     )
     assert independence_rank(b2, 2) == 3
@@ -442,8 +464,6 @@ def test_xi_simple_rejects_a_key_outside_M(monkeypatch):
 def test_reports_multiply_without_full_support_products(capsys):
     assert main(["verify", "--type", "F", "--rank", "4"]) == 0
     assert "all checks passed" in capsys.readouterr().out
-    rep, _ = unitriangularity_check(build_root_system("A", 2), 3)
-    assert rep.ok
 
 
 def test_a_returned_table_cannot_change_the_memoised_one():

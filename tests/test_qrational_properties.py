@@ -29,7 +29,6 @@ from oracles import poly_product_by_dict  # noqa: E402
 from uqcentre.qrational import (  # noqa: E402
     _B,
     QRat,
-    _one_parity,
     _width,
     laurent_quotient,
     q_power,
@@ -460,13 +459,3 @@ def test_integer_constants_from_stride_1_hash_like_the_int(n, mixed):
     for x in ((mixed + n) - mixed, (n - mixed) + mixed):
         assert x == n and n == x and hash(x) == hash(n)
         assert {n: "int"}.get(x) == "int"
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**63 + 1, 2**63 - 1)),
-                min_size=1, max_size=9), st.booleans())
-def test_odd_digit_test_matches_the_digits(digits, even):
-    if even:
-        digits[1::2] = [0] * len(digits[1::2])
-    n = sum(d << (64 * i) for i, d in enumerate(digits))
-    assert _one_parity(n) == (not any(digits[1::2]))
