@@ -46,6 +46,17 @@ that exceeds its bit length, so an integer constant of any size is valid.
 ``laurent_quotient`` divides the packed integers and certifies the quotient
 by the same bound; a quotient of two stride-2 values has stride 2.
 
+A sum of products, sum q^k x y, is built by ``mul_add`` into one running
+sum per key and read by ``finished``.  While the terms are stride-2 values
+of one valuation parity, a running sum is the bare (valuation, N, bound)
+at B = 64: a term adds its product N_x N_y, shifted as in a sum, and its
+bound h_x h_y; the trailing zero digits that cancellation leaves move into
+the valuation once, in ``finished``.  When a bound would reach the limit,
+the running sum's bound is refreshed to its exact l1 norm (its digits are
+valid, since its bound stayed below the limit), as are the factors'; only
+a sum still too large, or any other term, goes through ``+`` and
+``mul_shift``, which widen B as above.
+
 A value with a true denominator is the same packed form twice: its
 numerator and denominator are packed Laurent values at q-valuation 0, and
 ``k`` holds the valuation.  ``+``, ``*`` and ``/`` on such values combine the
@@ -347,17 +358,10 @@ class QRat:
                 return _combine(self, other, False)
             # the N of larger valuation moves up one digit per power of q^2
             if k1 < k2:
-                n = self._n + (other._n << _B * (k2 - k1) // 2)
-            elif k2 < k1:
-                k1, n = k2, other._n + (self._n << _B * (k1 - k2) // 2)
-            else:
-                n = self._n + other._n
-                if not n:
-                    return Q_ZERO
-                if not n & _MASK:  # trailing zero digits move into the valuation
-                    z = (n & -n).bit_length() // _B
-                    k1, n = k1 + 2 * z, n >> (_B * z)
-            return _stored(k1, n, h, 2)
+                return _stored(k1, self._n + (other._n << _B * (k2 - k1) // 2), h, 2)
+            if k2 < k1:
+                return _stored(k2, other._n + (self._n << _B * (k1 - k2) // 2), h, 2)
+            return _packed_sum(k1, self._n + other._n, h)
         n1, d1 = _parts(self)
         n2, d2 = _parts(other)
         return _fraction(n1 * d2 + n2 * d1, d1 * d2)
@@ -570,6 +574,95 @@ def laurent_quotient(x: QRat, y: QRat) -> QRat:
         if hz * y._h < _LIMIT:
             return _stored(x.qpow - y.qpow, n, hz, 2)
     return _quotient_certified(x, y)
+
+
+def _packed_sum(k: int, n: int, h: int) -> QRat:
+    """The stride-2 value with valuation k, N = n and bound h < 2^(B-1), made canonical.
+
+    Cancellation can leave n with trailing zero digits; they move into the
+    valuation.
+    """
+    if not n:
+        return Q_ZERO
+    if not n & _MASK:
+        z = (n & -n).bit_length() // _B
+        k, n = k + 2 * z, n >> (_B * z)
+    return _stored(k, n, h, 2)
+
+
+# -- sums of products, made canonical once -----------------------------------
+
+
+def mul_add(acc: dict, key, x: QRat, y: QRat, k: int = 0) -> None:
+    """Add q^k x y to the running sum ``acc[key]``; :func:`finished` reads the sums.
+
+    While x and y are stride-2 Laurent values and every term of the sum has
+    valuations of one parity, the running sum is the list [valuation, N,
+    bound] at B = 64: a term adds its N (the N of larger valuation moved up
+    B/2 bits per power of q) and its bound h_x h_y, and nothing is made
+    canonical until :func:`finished`.  A term that would lift the bound to
+    2^(B-1) goes to ``_mul_add_slow``, as does any other term.
+    """
+    if x._s == 2 == y._s:
+        h = x._h * y._h
+        e = acc.get(key)
+        if e is None:
+            if h < _LIMIT:
+                acc[key] = [x.qpow + y.qpow + k, x._n * y._n, h]
+                return
+        elif e.__class__ is list:
+            v = x.qpow + y.qpow + k
+            d = v - e[0]
+            if not d & 1 and e[2] + h < _LIMIT:
+                if d > 0:
+                    e[1] += x._n * y._n << (_B // 2 * d)
+                elif d:
+                    e[0], e[1] = v, x._n * y._n + (e[1] << (_B // 2 * -d))
+                else:
+                    e[1] += x._n * y._n
+                e[2] += h
+                return
+    _mul_add_slow(acc, key, x, y, k)
+
+
+def _mul_add_slow(acc: dict, key, x: QRat, y: QRat, k: int) -> None:
+    """:func:`mul_add` for a term or a sum that the packed path does not take.
+
+    If x, y and the running sum are stride-2 values of one valuation parity,
+    only a bound was too large.  Each bound over the limit is refreshed to
+    its exact l1 norm (the sum's digits are valid, as its bound stayed below
+    2^(B-1)); if the bounds now fit, the packed path takes the term.
+    Otherwise the sum is made a ``QRat`` and q^k x y is added by
+    ``QRat.mul_shift`` and ``QRat.__add__``, which widen B if need be; a
+    result that fits the packed path is kept in its form again.
+    """
+    e = acc.get(key)
+    if x._s == 2 == y._s and (
+            e is None or e.__class__ is list and not (x.qpow + y.qpow + k - e[0]) & 1):
+        h = x._h * y._h
+        if h >= _LIMIT:
+            h = _refresh(x) * _refresh(y)
+        if e is not None and e[2] + h >= _LIMIT:
+            e[2] = sum(map(abs, _digits(e[1], _B)))
+        if h + (0 if e is None else e[2]) < _LIMIT:
+            mul_add(acc, key, x, y, k)
+            return
+    if e.__class__ is list:
+        e = _packed_sum(*e)
+    v = x.mul_shift(y, k)
+    v = v if e is None else e + v
+    acc[key] = [v.qpow, v._n, v._h] if v._s == 2 and v._h < _LIMIT else v
+
+
+def finished(acc: dict) -> dict:
+    """The nonzero sums of ``acc`` (filled by :func:`mul_add`), each made canonical once."""
+    out = {}
+    for key, e in acc.items():
+        if e.__class__ is list:
+            e = _packed_sum(*e)
+        if e._n:
+            out[key] = e
+    return out
 
 
 def q_power(k: int) -> QRat:

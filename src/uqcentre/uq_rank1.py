@@ -30,7 +30,10 @@ after the table is built, and r1, the large coefficient in Gamma_V^k, is
 multiplied once per output monomial.  A matrix product shares the tables
 of each right entry down its column, so every row reuses them.  Powers of
 q are applied as shifts, never as products: each term of a product is one
-packed multiply-and-shift (:meth:`QRat.mul_shift`).
+packed multiply-accumulate (:func:`qrational.mul_add`) into the running
+sum of its output monomial, and each product, matrix entry or Casimir
+trace is made canonical once, when it is finished
+(:func:`qrational.finished`).
 
 From the (m+1)-dimensional simple module V the three operators
 
@@ -76,7 +79,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import DomainError
-from .qrational import Q_ONE, Q_ZERO, QRat, q_int, q_power
+from .qrational import Q_ONE, Q_ZERO, QRat, finished, mul_add, q_int, q_power
 
 Mon = tuple[int, int, int]  # exponents (a, b, c) of F^a K^b E^c
 
@@ -101,13 +104,14 @@ class UqElement:
     def __init__(self, terms=None):
         """The element sum coeff * F^a K^b E^c over ``{(a, b, c): coeff}``.
 
-        Each key must be a triple of ints with a, c >= 0; DomainError otherwise.
+        Each key must be a triple of ints (not bools) with a, c >= 0;
+        DomainError otherwise.
         """
         clean = {}
         if terms:
             for mon, coeff in terms.items():
                 if not (isinstance(mon, tuple) and len(mon) == 3
-                        and all(isinstance(e, int) for e in mon)):
+                        and all(type(e) is int for e in mon)):
                     raise DomainError(f"a monomial is a triple of int exponents, not {mon!r}")
                 if mon[0] < 0 or mon[2] < 0:
                     raise DomainError("F and E exponents must be nonnegative")
@@ -192,9 +196,9 @@ class UqElement:
             return self.scale(other)
         if not isinstance(other, UqElement):
             return NotImplemented
-        out: dict[Mon, QRat] = {}
+        out: dict = {}
         _mul_into(out, self._terms, other._terms, {})
-        return UqElement._stored(out)
+        return UqElement._stored(finished(out))
 
     def __rmul__(self, other):
         if isinstance(other, (int, QRat)):
@@ -253,7 +257,6 @@ GEN_E = UqElement({(0, 0, 1): 1})
 GEN_F = UqElement({(1, 0, 0): 1})
 GEN_K = UqElement({(0, 1, 0): 1})
 GEN_KINV = UqElement({(0, -1, 0): 1})
-GEN_EP = UqElement._stored({(0, 0, 1): Q_ONE})  # E' = (q - q^-1) E
 
 
 @cache
@@ -265,18 +268,14 @@ def _straighten(c: int, a: int) -> UqElement:
     """
     if c == 0 or a == 0:
         return UqElement._stored({(a, 0, c): Q_ONE})
-    out = {(x, y, z + 1): s for (x, y, z), s in _straighten(c - 1, a)._terms.items()}
+    acc: dict = {}
+    for (x, y, z), s in _straighten(c - 1, a)._terms.items():
+        mul_add(acc, (x, y, z + 1), s, Q_ONE)
     coef = q_int(a)
-    for dy in (1, -1):
+    for dy, sc in ((1, coef), (-1, -coef)):
         for (x, y, z), s in _straighten(c - 1, a - 1)._terms.items():
-            t = s.mul_shift(coef, dy * (1 - a - 2 * z))
-            mon = (x, y + dy, z)
-            v = out.get(mon, Q_ZERO) + (t if dy > 0 else -t)
-            if v.is_zero():
-                out.pop(mon, None)
-            else:
-                out[mon] = v
-    return UqElement._stored(out)
+            mul_add(acc, (x, y + dy, z), s, sc, dy * (1 - a - 2 * z))
+    return UqElement._stored(finished(acc))
 
 
 def _table(c: int, right: dict) -> list:
@@ -285,51 +284,61 @@ def _table(c: int, right: dict) -> list:
     ``right`` holds the stored terms of R; moving K^b2 left past E'^z gives
     q^(-2 z b2).
     """
-    acc: dict[Mon, QRat] = {}
+    acc: dict = {}
     for (a2, b2, c2), r2 in right.items():
         for (x, y, z), s in _straighten(c, a2)._terms.items():
-            mon = (x, y + b2, z + c2)
-            coeff = r2.mul_shift(s, -2 * z * b2)
-            prev = acc.get(mon)
-            acc[mon] = coeff if prev is None else prev + coeff
-    return [(mon, p) for mon, p in acc.items() if not p.is_zero()]
+            mul_add(acc, (x, y + b2, z + c2), r2, s, -2 * z * b2)
+    return list(finished(acc).items())
 
 
-def _mul_into(out: dict, left: dict, right: dict, tables: dict) -> None:
-    """Add the product of stored terms ``left`` and ``right`` into ``out``.
+def _mul_into(out: dict, left: dict, right: dict, tables: dict, shift: int = 0) -> None:
+    """Add q^shift times the product of stored terms ``left`` and ``right`` into ``out``.
 
-    ``tables`` maps an E'-exponent c to ``_table(c, right)``, built on first
-    use; it belongs to ``right`` and may be shared by every product with the
-    same right factor.  Moving K^b1 right past F^x gives q^(-2 b1 x).
+    ``out`` holds running sums of :func:`mul_add`; ``finished(out)`` gives the
+    product.  ``tables`` maps an E'-exponent c to ``_table(c, right)``, built
+    on first use; it belongs to ``right`` and may be shared by every product
+    with the same right factor.  Moving K^b1 right past F^x gives q^(-2 b1 x).
     """
     for (a1, b1, c1), r1 in left.items():
         table = tables.get(c1)
         if table is None:
             table = tables[c1] = _table(c1, right)
         for (x, y, z), p in table:
-            mon = (a1 + x, b1 + y, z)
-            v = r1.mul_shift(p, -2 * b1 * x)
-            prev = out.get(mon)
-            if prev is not None:
-                v = prev + v
-                if v.is_zero():
-                    del out[mon]
-                    continue
-            out[mon] = v
+            mul_add(out, (a1 + x, b1 + y, z), r1, p, shift - 2 * b1 * x)
 
 
 def is_central(x: UqElement) -> bool:
-    """Whether x commutes with E, F and K (E enters as E' = (q - q^-1) E).
+    """Whether x commutes with E, F and K, by closed-form commutators.
 
-    x g and (-g) x are summed into one dict, free of zero terms: the commutator.
+    E enters as E' = (q - q^-1) E.  For a term t F^a K^b E'^c,
+
+        [K, t F^a K^b E'^c]  = (q^(-2a) - q^(-2c)) t F^a K^(b+1) E'^c,
+        [E', t F^a K^b E'^c] = (q^(-2b) - 1) t F^a K^b E'^(c+1)
+                               + [a] q^(1-a) t F^(a-1) K^(b+1) E'^c
+                               - [a] q^(a-1) t F^(a-1) K^(b-1) E'^c,
+
+    the second by the straightening rule of E' F^a and E' K^b = q^(-2b) K^b E'.
+    The first sends distinct terms to distinct monomials, so x commutes
+    with K iff every term has a = c.  Such an x that commutes with E'
+    commutes with F too.  By the rule, E' F - F E' = K - K^-1, so
+    y = [F, x] has [E', y] = [K - K^-1, x] + [F, [E', x]] = 0, and every term
+    of y has a = c + 1.  Let a0 be the least F-exponent of y and Y(K) its
+    part F^a0 Y(K) E'^(a0-1).  By the second formula, the monomials
+    F^(a0-1) K^b E'^(a0-1) of [E', y] come from that part alone, and sum to
+    F^(a0-1) [a0] (q^(1-a0) K - q^(a0-1) K^-1) Y(K) E'^(a0-1); Laurent
+    polynomials in K over Q(q) form a domain, so Y = 0, and hence y = 0.
     """
-    for g in (GEN_EP, GEN_F, GEN_K):
-        out: dict[Mon, QRat] = {}
-        _mul_into(out, x._terms, g._terms, {})
-        _mul_into(out, (-g)._terms, x._terms, {})
-        if out:
-            return False
-    return True
+    if any(a != c for a, _, c in x._terms):
+        return False
+    acc: dict = {}
+    for (a, b, c), t in x._terms.items():
+        if b:
+            mul_add(acc, (a, b, c + 1), t, q_power(-2 * b) - Q_ONE)
+        if a:
+            qa = q_int(a)
+            mul_add(acc, (a - 1, b + 1, c), t, qa, 1 - a)
+            mul_add(acc, (a - 1, b - 1, c), t, -qa, a - 1)
+    return not finished(acc)
 
 
 # -- the operators on V (x) U_q(sl2) -----------------------------------------
@@ -375,10 +384,10 @@ class UqMatrix:
                 tables = [{} for _ in range(d)]
                 column = []
                 for row in self.rows:
-                    out: dict[Mon, QRat] = {}
+                    out: dict = {}
                     for k in range(d):
                         _mul_into(out, row[k]._terms, right[k], tables[k])
-                    column.append(UqElement._stored(out))
+                    column.append(UqElement._stored(finished(out)))
                 columns.append(column)
             return UqMatrix(zip(*columns))
         return NotImplemented
@@ -481,13 +490,13 @@ def _gamma_entries(V: SimpleModule, pairs) -> list[UqElement]:
         if j not in rows:
             rows[j] = []
             for t in range(V.dim):
-                kr: dict[Mon, QRat] = {}
+                kr: dict = {}
                 _mul_into(kr, K[j][j]._terms, Rt[j][t]._terms, {})
-                rows[j].append(kr)
-        terms: dict[Mon, QRat] = {}
+                rows[j].append(finished(kr))
+        terms: dict = {}
         for t, kr in enumerate(rows[j]):
             _mul_into(terms, kr, R[t][l]._terms, {})
-        out.append(UqElement._stored(terms))
+        out.append(UqElement._stored(finished(terms)))
     return out
 
 
@@ -522,11 +531,11 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     else:
         rows = _gamma_power(V, 1).rows
         G = {(l, j): rows[l][j] for l, j in pairs}
-    terms: dict[Mon, QRat] = {}
+    acc: dict = {}
     weights = V.weights
     for l, j in pairs:  # zeta(K) e_j = q^w e_j
-        left = {mon: r.shift(weights[j]) for mon, r in head[j][l]._terms.items()}
-        _mul_into(terms, left, G[l, j]._terms, {})
+        _mul_into(acc, head[j][l]._terms, G[l, j]._terms, {}, weights[j])
+    terms = finished(acc)
     for (a, b, c), coeff in terms.items():
         if not coeff.is_laurent():
             raise ArithmeticError(

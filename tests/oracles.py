@@ -57,7 +57,7 @@ from uqcentre.character_ring import (
     full_character,
 )
 from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_factorial, q_int, q_power
-from uqcentre.uq_rank1 import GEN_EP, GEN_F, GEN_K, GEN_KINV, UQ_ONE, UQ_ZERO, _straighten
+from uqcentre.uq_rank1 import GEN_F, GEN_K, GEN_KINV, UQ_ONE, UQ_ZERO, _straighten
 
 
 # -- membership in M+ ---------------------------------------------------------
@@ -652,6 +652,7 @@ def uq_product_by_triples(x, y):
 
 
 QMQ = q_power(1) - q_power(-1)  # q - q^-1
+GEN_EP = UqElement._stored({(0, 0, 1): Q_ONE})  # E' = (q - q^-1) E
 
 
 def _matrix_product(A, B):

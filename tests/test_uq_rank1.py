@@ -651,8 +651,10 @@ def test_negative_f_or_e_exponents_raise_domain_error(mon):
     assert UqElement({(0, -1, 0): 1}) == GEN_KINV
 
 
-@pytest.mark.parametrize("mon", [(1.5, 0, 0), (0, 0.5, 0), (0, 0), (0, 0, 0, 0), "abc"])
+@pytest.mark.parametrize("mon", [(1.5, 0, 0), (0, 0.5, 0), (0, 0), (0, 0, 0, 0), "abc",
+                                 (True, 0, 0), (0, False, 0), (0, 0, True)])
 def test_malformed_monomials_raise_domain_error(mon):
-    # F^1.5 and K^0.5 would render, and a short key would raise IndexError
+    # F^1.5 and K^0.5 would render, a short key would raise IndexError, and a
+    # bool exponent would be written as true or false by to_json
     with pytest.raises(DomainError, match="triple of int exponents"):
         UqElement({mon: 1})

@@ -1,4 +1,4 @@
-"""Property tests of the product in U_q(sl2).
+"""Property tests of the product and the centrality check in U_q(sl2).
 
 The library straightens E'^c R once per E'-exponent c of the left factor,
 keyed by c alone, and applies each left term's K-shift q^(-2 b1 x)
@@ -9,6 +9,19 @@ in [-4, 4]; their stored coefficients are Laurent polynomials, or come from
 the E-basis constructor, which stores coeff / (q - q^-1)^c and so is not
 Laurent when c > 0.  Left factors of up to 8 terms with E'-exponents in
 {0, 1, 2} reuse each table several times.
+
+Every output coefficient is a running sum of ``qrational.mul_add``, packed
+while its terms are stride-2 values of one valuation parity within the
+bound.  The running-sum tests draw few monomials, so that many terms meet at
+one output monomial, and coefficients that leave the packed path: l1 norms
+up to 2^62 (a product or a sum passes 2^63, and the exact norm does too),
+values with a loose bound (a refresh to the exact norm lets the sum go on
+packed), stride-1 values, true fractions, and stride-2 values of both
+valuation parities at one monomial.
+
+``is_central`` is checked against x g == g x for g = E', F, K, by the
+triple loop, on elements whose terms mostly have a = c, so that zero-grade
+elements that are not central are common, and on central elements.
 """
 
 import pytest
@@ -17,9 +30,10 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oracles import uq_product_by_triples  # noqa: E402
-from uqcentre import UqElement, UqMatrix  # noqa: E402
-from uqcentre.qrational import QRat  # noqa: E402
+from oracles import GEN_EP, uq_product_by_triples  # noqa: E402
+from uqcentre import SimpleModule, UqElement, UqMatrix, casimir, is_central  # noqa: E402
+from uqcentre.qrational import Q_ONE, QRat, _width, q_power  # noqa: E402
+from uqcentre.uq_rank1 import GEN_F, GEN_K, UQ_ONE  # noqa: E402
 
 monomials = st.tuples(st.integers(0, 4), st.integers(-4, 4), st.integers(0, 4))
 left_monomials = st.tuples(st.integers(0, 4), st.integers(-4, 4), st.integers(0, 2))
@@ -72,3 +86,158 @@ def test_matrix_product_matches_sums_of_the_triple_loop(A, B):
                 UqElement(),
             )
             assert rows[i][j]._terms == expected._terms
+
+
+# -- running sums that leave the packed path --------------------------------------
+
+
+def _even(k, coeffs):
+    """q^k P(q^2) with the little-endian coefficients of P: a stride-2 value."""
+    spread = [0] * (2 * len(coeffs))
+    spread[::2] = coeffs
+    return QRat(k, tuple(spread), (1,))
+
+
+_k = st.integers(-4, 4)
+small_even = st.builds(_even, _k, st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+# +-1 and 0 only: terms that meet at a monomial often cancel their low digits
+unit_even = st.builds(_even, _k, st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=3))
+
+
+def _near(e):
+    """Integers of either sign with magnitude in [2^(e-1), 2^e]."""
+    return st.builds(lambda m, neg: -m if neg else m, st.integers(2 ** (e - 1), 2**e),
+                     st.booleans())
+
+
+# near 2^31 a product of two is near 2^62, and two such terms pass 2^63; near
+# 2^62 any product or sum passes 2^63
+wide_even = st.builds(_even, _k, st.lists(st.one_of(_near(31), _near(62)), min_size=1,
+                                          max_size=2))
+# c + c M - c M is c with the bound h_c (1 + 2 M): a refresh finds it far smaller
+loose_even = st.builds(lambda c, m: c + c * m - c * m, small_even,
+                       st.integers(2**20, 2**60))
+fractions = st.builds(lambda k, num, den: QRat(k, tuple(num), den), _k,
+                      st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+                      st.sampled_from([(1, 1), (2, 0, 1), (1, -1, 1)]))
+mixed_coefficients = st.one_of(small_even, unit_even, wide_even, loose_even, coefficients,
+                                fractions)
+# few monomials, so that many terms of a product meet at one
+close_monomials = st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2))
+
+
+@st.composite
+def crowded_elements(draw, max_size=4):
+    terms = draw(st.dictionaries(close_monomials, mixed_coefficients, max_size=max_size))
+    return UqElement._stored({m: c for m, c in terms.items() if not c.is_zero()})
+
+
+def _valid(c: QRat) -> bool:
+    """c carries a bound on its l1 norm below 2^(B-1), at the width of that norm."""
+    if not c.is_laurent():
+        return True
+    l1 = sum(map(abs, c.num))
+    return l1 <= c._h < 2 ** (_width(c._h) - 1) and _width(c._h) == _width(l1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(crowded_elements(), crowded_elements())
+def test_running_sums_off_the_packed_path_match_the_triple_loop(x, y):
+    product = x * y
+    assert product._terms == uq_product_by_triples(x, y)._terms
+    assert all(_valid(c) for c in product._terms.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(crowded_elements(3), min_size=8, max_size=8))
+def test_matrix_running_sums_off_the_packed_path_match_the_triple_loop(entries):
+    A, B = UqMatrix([entries[0:2], entries[2:4]]), UqMatrix([entries[4:6], entries[6:8]])
+    rows = (A * B).rows
+    for i in range(2):
+        for j in range(2):
+            expected = sum(
+                (uq_product_by_triples(A.rows[i][k], B.rows[k][j]) for k in range(2)),
+                UqElement(),
+            )
+            assert rows[i][j]._terms == expected._terms
+            assert all(_valid(c) for c in rows[i][j]._terms.values())
+
+
+@pytest.mark.parametrize("f_coeff, one_coeff, expected", [
+    ((0, (1,)), (1, (1,)), {0: 1, 1: 1}),  # (F + q)(1 + F): F gets 1 and q
+    ((0, (1, 0, 1)), (0, (-1,)), {2: 1}),  # (F (1 + q^2) - 1)(1 + F): the low digit cancels
+    ((0, (1,)), (0, (-1,)), None),  # (F - 1)(1 + F): F cancels
+])
+def test_terms_meeting_at_one_monomial(f_coeff, one_coeff, expected):
+    x = UqElement._stored({(1, 0, 0): QRat(*f_coeff, (1,)), (0, 0, 0): QRat(*one_coeff, (1,))})
+    y = UqElement._stored({(0, 0, 0): Q_ONE, (1, 0, 0): Q_ONE})
+    product = x * y
+    assert product._terms == uq_product_by_triples(x, y)._terms
+    if expected is None:
+        assert (1, 0, 0) not in product._terms
+    else:
+        assert product._terms[(1, 0, 0)].as_laurent() == expected
+
+
+@pytest.mark.parametrize("u, v", [
+    # two terms near 2^62 at F: their exact sum passes 2^63, and B widens
+    (_even(0, [2**31 + 5]), _even(0, [2**31 + 7])),
+    (_even(1, [-(2**31) - 5, 3]), _even(-1, [-(2**31) - 7])),
+    # bounds near 2^62 on the value 1: a refresh lets the sum go on packed
+    (Q_ONE + 2**61 - 2**61, Q_ONE),
+    # a product bound past 2^63 on small values: the factors are refreshed
+    (q_power(2) + 2**61 - 2**61, Q_ONE * 3 + 2**61 - 2**61),
+])
+def test_sums_past_the_bound(u, v):
+    x = UqElement._stored({(1, 0, 0): u, (0, 0, 0): u})
+    y = UqElement._stored({(0, 0, 0): v, (1, 0, 0): v})
+    product = x * y
+    assert product._terms == uq_product_by_triples(x, y)._terms
+    assert all(_valid(c) for c in product._terms.values())
+
+
+# -- centrality ---------------------------------------------------------------------
+
+zero_grade_monomials = st.builds(lambda a, b: (a, b, a), st.integers(0, 3), st.integers(-3, 3))
+
+
+@st.composite
+def mostly_zero_grade(draw):
+    """An element whose terms mostly have a = c, or a central element plus such terms."""
+    mons = st.one_of(*[zero_grade_monomials] * 9, monomials)
+    terms = draw(st.dictionaries(mons, st.one_of(coefficients, fractions), max_size=3))
+    x = UqElement._stored({m: c for m, c in terms.items() if not c.is_zero()})
+    if draw(st.booleans()):
+        m, k = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        central = casimir(SimpleModule(m), k).scale(draw(coefficients)) + draw(coefficients)
+        x = central if draw(st.booleans()) else central + x
+    return x
+
+
+def _commutes(x, g) -> bool:
+    return uq_product_by_triples(x, g) == uq_product_by_triples(g, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mostly_zero_grade())
+def test_is_central_matches_commutation_with_each_generator(x):
+    assert is_central(x) == all(_commutes(x, g) for g in (GEN_EP, GEN_F, GEN_K))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.builds(lambda a, b: (a + 1, b, a), st.integers(0, 3),
+                                 st.integers(-3, 3)),
+                       coefficients, min_size=1, max_size=4))
+def test_no_nonzero_element_with_a_equal_to_c_plus_one_commutes_with_e(terms):
+    # the lemma by which is_central leaves out [F, x]: [F, x] has a = c + 1
+    y = UqElement._stored({m: c for m, c in terms.items() if not c.is_zero()})
+    assert _commutes(y, GEN_EP) == (not y)
+
+
+def test_zero_grade_elements_that_are_not_central():
+    # they commute with K, and fail on E' (and so on F)
+    C = casimir(SimpleModule(1), 1)
+    for x in (UqElement.monomial(1, 0, 1), C + GEN_K, C * GEN_K * GEN_K, GEN_F * GEN_EP):
+        assert _commutes(x, GEN_K) and not _commutes(x, GEN_EP) and not _commutes(x, GEN_F)
+        assert not is_central(x)
+    assert is_central(C * C + C.scale(q_power(3)) + UQ_ONE)
