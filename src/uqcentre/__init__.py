@@ -43,7 +43,7 @@ from .character_ring import (
     weight_multiplicities,
     xi_simple,
 )
-from .qrational import QRat, q_factorial, q_int, q_power
+from .qrational import QRat, q_int, q_power
 from .uq_rank1 import (
     SimpleModule,
     UqElement,

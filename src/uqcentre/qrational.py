@@ -41,8 +41,10 @@ zero-tested.  When the bound of a sum or product reaches the limit, the
 operands' bounds are refreshed to their exact l1 norms (unpacking them is
 exact, since they are valid); if the bound is still too large, the operands
 are repacked at a wider B and the result is normalised.  B is a function of
-the value: 64 while its l1 norm is below 2^63, else the least multiple of 64
-that exceeds its bit length, so an integer constant of any size is valid.
+the value, the least multiple of 64 above the bit length of its l1 norm (64
+below 2^63), so an integer constant of any size is valid.  At every B one
+codec, linear in the length of N, reads the digits off the bytes of N and
+packs digits d by joining the B-bit words d + 2^(B-1) into one integer.
 ``laurent_quotient`` divides the packed integers and certifies the quotient
 by the same bound; a quotient of two stride-2 values has stride 2.
 
@@ -130,43 +132,47 @@ def _pgcd(a, b):
 
 def _width(h: int) -> int:
     """The digit width B of a packed value with l1 bound h: h < 2^(B-1)."""
-    return _B if h < _LIMIT else _B * ((h.bit_length() + _B) // _B)
+    return _B * ((h.bit_length() + _B) // _B)
 
 
 def _digits(n: int, b: int) -> list[int]:
-    """The balanced base-2^b digits of n, little-endian, with no trailing zero."""
+    """The balanced base-2^b digits of n, little-endian, with no trailing zero.
+
+    They are the b-bit words of the two's complement of n, with a carry into
+    the next word wherever a word reads as negative; the top word is sign only.
+    """
+    size = b // 8
+    raw = n.to_bytes((abs(n).bit_length() // b + 2) * size, "little", signed=True)
+    words = memoryview(raw).cast("Q") if b == _B else [
+        int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
     half, full = 1 << (b - 1), 1 << b
     out = []
-    if b == 64:
-        # the two's complement words of n, with a carry into the next word
-        # wherever a word is read as negative; the top word is sign only
-        words = n.to_bytes((abs(n).bit_length() // 64 + 2) * 8, "little", signed=True)
-        carry = 0
-        for d in memoryview(words).cast("Q"):
-            d += carry
-            carry = d >= half
-            if carry:
-                d -= full
-            out.append(d)
-        while out and not out[-1]:
-            out.pop()
-        return out
-    mask = full - 1
-    while n:
-        d = n & mask
-        if d >= half:
+    carry = 0
+    for d in words:
+        d += carry
+        carry = d >= half
+        if carry:
             d -= full
         out.append(d)
-        n = (n - d) >> b
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
 def _evaluate(coeffs, b: int) -> int:
-    """The polynomial with little-endian ``coeffs`` at q = 2^b."""
-    n = 0
-    for c in reversed(coeffs):
-        n = (n << b) + c
-    return n
+    """The polynomial with little-endian ``coeffs`` in [-2^(b-1), 2^(b-1)) at q = 2^b.
+
+    It is read off the joined b-bit words c + 2^(b-1), less their offsets.
+    """
+    size, half = b // 8, 1 << (b - 1)
+    words = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(words, "little") - int.from_bytes(
+        half.to_bytes(size, "little") * len(coeffs), "little")
+
+
+def _l1(n: int, b: int) -> int:
+    """The l1 norm of the balanced base-2^b digits of n."""
+    return sum(map(abs, _digits(n, b)))
 
 
 def _stored(qpow: int, n, h, s) -> "QRat":
@@ -201,7 +207,7 @@ def _refresh(x: "QRat") -> int:
     The width is unchanged: it is a function of the l1 norm, which the old
     bound already shared.
     """
-    x._h = h = sum(map(abs, _digits(x._n, _width(x._h))))
+    x._h = h = _l1(x._n, _width(x._h))
     return h
 
 
@@ -281,6 +287,9 @@ class QRat:
     __slots__ = ("qpow", "_n", "_h", "_s")
 
     def __init__(self, qpow, num, den):
+        num, den = tuple(num), tuple(den)
+        if any(type(x) is not int for x in (qpow, *num, *den)):
+            raise DomainError(f"exponents and coefficients are ints, not {(qpow, num, den)!r}")
         x = _fraction(_from_coefficients(qpow, num), _from_coefficients(0, den))
         self.qpow, self._n, self._h, self._s = x.qpow, x._n, x._h, x._s
 
@@ -408,6 +417,8 @@ class QRat:
 
     def shift(self, k: int) -> "QRat":
         """q^k * self, by moving the q-valuation; no polynomial product."""
+        if type(k) is not int:
+            raise DomainError(f"exponents and coefficients are ints, not {k!r}")
         if not self._n or not k:
             return self
         return _stored(self.qpow + k, self._n, self._h, self._s)
@@ -570,7 +581,7 @@ def laurent_quotient(x: QRat, y: QRat) -> QRat:
         n, r = divmod(x._n, y._n)
         if r:
             raise ArithmeticError("inexact polynomial division")
-        hz = sum(map(abs, _digits(n, _B)))
+        hz = _l1(n, _B)
         if hz * y._h < _LIMIT:
             return _stored(x.qpow - y.qpow, n, hz, 2)
     return _quotient_certified(x, y)
@@ -643,7 +654,7 @@ def _mul_add_slow(acc: dict, key, x: QRat, y: QRat, k: int) -> None:
         if h >= _LIMIT:
             h = _refresh(x) * _refresh(y)
         if e is not None and e[2] + h >= _LIMIT:
-            e[2] = sum(map(abs, _digits(e[1], _B)))
+            e[2] = _l1(e[1], _B)
         if h + (0 if e is None else e[2]) < _LIMIT:
             mul_add(acc, key, x, y, k)
             return
@@ -667,21 +678,13 @@ def finished(acc: dict) -> dict:
 
 def q_power(k: int) -> QRat:
     """q^k."""
-    return _stored(k, 1, 1, 2)
+    return Q_ONE.shift(k)
 
 
 def q_int(m: int) -> QRat:
-    """The balanced q-integer [m] = (q^m - q^-m)/(q - q^-1)."""
+    """The balanced q-integer [m] = (q^m - q^-m)/(q - q^-1) = q^(1-m) sum_{i<m} q^(2i)."""
     if m == 0:
         return Q_ZERO
     if m < 0:
         return -q_int(-m)
-    return _from_coefficients(1 - m, [1] * m, 2)
-
-
-def q_factorial(m: int) -> QRat:
-    """[m]! = [1][2]...[m]."""
-    out = Q_ONE
-    for j in range(2, m + 1):
-        out = out * q_int(j)
-    return out
+    return _stored(1 - m, ((1 << _B * m) - 1) // ((1 << _B) - 1), m, 2)  # a base-2^B repunit

@@ -253,10 +253,6 @@ class UqElement:
 
 UQ_ZERO = UqElement()
 UQ_ONE = UqElement({(0, 0, 0): 1})
-GEN_E = UqElement({(0, 0, 1): 1})
-GEN_F = UqElement({(1, 0, 0): 1})
-GEN_K = UqElement({(0, 1, 0): 1})
-GEN_KINV = UqElement({(0, -1, 0): 1})
 
 
 @cache
@@ -411,8 +407,8 @@ class SimpleModule:
     """
 
     def __init__(self, m: int):
-        if m < 0:
-            raise DomainError("highest weight label must be >= 0")
+        if type(m) is not int or m < 0:
+            raise DomainError(f"highest weight label must be an int >= 0, not {m!r}")
         self.m = m
         self.dim = m + 1
 

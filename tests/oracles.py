@@ -30,10 +30,14 @@ The intertwining lemmas on the way to the centrality of C^(k)_V (Gamma_V
 commutes with the coproduct; K_V twists it by phi^2) are checked here on the
 library's Gamma_V and K_V, with the coproducts as sums of matrix (x) element
 terms.
-Polynomial products are dict convolutions.  The inverse Cartan matrix is
-Gauss-Jordan over ``Fraction``; the Hilbert basis is a scan of the Davenport
-box (:func:`bounded_vectors`, which shares no code with the library's box)
-that tests each member on its own for minimality.
+Polynomial products are dict convolutions.  The packed form of a Laurent
+coefficient is decoded by one mask and one shift per digit and encoded by
+Horner's rule, where the library reads and joins the bytes of the integer.
+The inverse Cartan matrix is Gauss-Jordan over ``Fraction``; the Hilbert
+basis is a scan of the Davenport box (:func:`bounded_vectors`, which shares
+no code with the library's box) that tests each member on its own for
+minimality.  The generators E, F, K, K^-1 and E' and the q-factorial [m]!
+live here: only tests and the divided-power oracle use them.
 """
 
 from fractions import Fraction
@@ -56,8 +60,8 @@ from uqcentre.character_ring import (
     _order_key,
     full_character,
 )
-from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_factorial, q_int, q_power
-from uqcentre.uq_rank1 import GEN_F, GEN_K, GEN_KINV, UQ_ONE, UQ_ZERO, _straighten
+from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_int, q_power
+from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO, _straighten
 
 
 # -- membership in M+ ---------------------------------------------------------
@@ -612,6 +616,30 @@ def independence_rank(rsys, degree_bound):
     return rank
 
 
+# -- the packed form's codec, by shifts ----------------------------------------
+
+
+def digits_by_shifts(n, b):
+    """The balanced base-2^b digits of n, little-endian: one mask and one shift per digit."""
+    half, full = 1 << (b - 1), 1 << b
+    out = []
+    while n:
+        d = n & (full - 1)
+        if d >= half:
+            d -= full
+        out.append(d)
+        n = (n - d) >> b
+    return out
+
+
+def evaluate_by_horner(coeffs, b):
+    """The polynomial with little-endian ``coeffs`` at q = 2^b, by Horner's rule."""
+    n = 0
+    for c in reversed(coeffs):
+        n = (n << b) + c
+    return n
+
+
 # -- products of polynomials and in U_q(sl2) ----------------------------------
 
 
@@ -652,7 +680,19 @@ def uq_product_by_triples(x, y):
 
 
 QMQ = q_power(1) - q_power(-1)  # q - q^-1
+GEN_E = UqElement({(0, 0, 1): 1})
+GEN_F = UqElement({(1, 0, 0): 1})
+GEN_K = UqElement({(0, 1, 0): 1})
+GEN_KINV = UqElement({(0, -1, 0): 1})
 GEN_EP = UqElement._stored({(0, 0, 1): Q_ONE})  # E' = (q - q^-1) E
+
+
+def q_factorial(m):
+    """[m]! = [1][2]...[m]."""
+    out = Q_ONE
+    for j in range(2, m + 1):
+        out = out * q_int(j)
+    return out
 
 
 def _matrix_product(A, B):

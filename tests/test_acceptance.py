@@ -32,11 +32,9 @@ from uqcentre import (
     xi_simple,
 )
 from uqcentre.qrational import q_power
-from uqcentre.uq_rank1 import (
-    GEN_F, GEN_E, GEN_K, GEN_KINV, _gamma_power, _q_binomial, _straighten,
-)
+from uqcentre.uq_rank1 import _gamma_power, _q_binomial, _straighten
 from uqcentre.cli import main
-from oracles import check_K_intertwining, check_gamma_intertwines
+from oracles import GEN_E, GEN_F, GEN_K, GEN_KINV, check_K_intertwining, check_gamma_intertwines
 from oracles import factorisation_counts_by_dict, unitriangularity_check
 from oracles import independence_rank, type_A_membership, weyl_dim
 from test_casimir_golden import JSON_SHA256, LARGE_JSON_SHA256
@@ -409,3 +407,20 @@ def test_criterion_18_casimir_m30_time_gate(capsys):
     ok = code == 0 and hashlib.sha256(out).hexdigest() == LARGE_JSON_SHA256[(30, 1)]
     ok &= elapsed < 3.0
     _report(f"criterion 18: casimir m=30 k=1 in process ({elapsed:.2f}s < 3s)", ok)
+
+
+def test_criterion_19_casimir_m60_time_gate(capsys):
+    # casimir m = 60, k = 1 from cold caches, on a 2-vCPU host: ~38 s with
+    # coefficients past l1 norm 2^63 split and joined one digit at a time,
+    # ~5.5 s with every digit width read off and joined from the bytes
+    _gamma_power.cache_clear()
+    _straighten.cache_clear()
+    _q_binomial.cache_clear()
+    t0 = time.perf_counter()
+    code = main(["casimir", "--m", "60", "--k", "1", "--format", "json"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out.encode()
+    ok = code == 0 and hashlib.sha256(out).hexdigest() == (
+        "c877774582b0c5a9721133f7a1217691d1e6994d36dcb1a376146ab181e3a0e4")
+    ok &= elapsed < 15.0
+    _report(f"criterion 19: casimir m=60 k=1 in process ({elapsed:.2f}s < 15s)", ok)

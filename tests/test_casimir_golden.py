@@ -72,6 +72,7 @@ LARGE_JSON_SHA256 = {
     (20, 1): "1e6bf30b0843e5edb720a22dc7ba83a5054ae49cc88941b416829e64f5168c33",
     (26, 1): "43cb8b1b90fc1cf7168c67f664e60eb89b17a6c506dfa16ab332765d42ed8557",
     (30, 1): "b7aa192b88ae62cceb5205747a49573ed6543030e03ef232b500b0b9d046bd89",
+    (48, 1): "96e469e0dbbe141eb5aadd26556f248ed0e9c9278267144f49178b12f024e16d",
 }
 
 DIGESTS = {"json": JSON_SHA256, "text": TEXT_SHA256}

@@ -16,6 +16,13 @@ A Laurent value whose exponents share one parity is packed in q^2 (stride
 2), any other at stride 1: operands of both kinds, and values that pass
 through stride 1 and cancel back to a polynomial in q^2, must be packed at
 the stride their value decides, hash alike and carry a valid bound.
+
+The codec of the packed form, ``_digits`` and ``_evaluate``, is checked
+against the reference codec of the oracles (a mask and a shift per digit,
+and Horner's rule) at widths B = 64, 128, 192 and 256, with digits at both
+ends of the balanced range; and ``+``, ``*`` and ``laurent_quotient`` are
+checked against sympy on values whose l1 norms lie just below and just
+above 2^63, 2^127 and 2^191, where the width steps up.
 """
 
 import pytest
@@ -26,10 +33,12 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy.polys.polyerrors import HeuristicGCDFailed  # noqa: E402
 
-from oracles import poly_product_by_dict  # noqa: E402
+from oracles import digits_by_shifts, evaluate_by_horner, poly_product_by_dict  # noqa: E402
 from uqcentre.qrational import (  # noqa: E402
     _B,
     QRat,
+    _digits,
+    _evaluate,
     _width,
     laurent_quotient,
     q_power,
@@ -489,3 +498,101 @@ def test_integer_constants_from_stride_1_hash_like_the_int(n, mixed):
     for x in ((mixed + n) - mixed, (n - mixed) + mixed):
         assert x == n and n == x and hash(x) == hash(n)
         assert {n: "int"}.get(x) == "int"
+
+
+# -- the codec, and l1 norms at the steps of the width --------------------------------
+
+WIDTHS = (64, 128, 192, 256)
+
+
+def trimmed(digits):
+    digits = list(digits)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
+@st.composite
+def digit_lists(draw):
+    """(B, digits): balanced base-2^B digits, often at -2^(B-1), 2^(B-1) - 1 or 0."""
+    b = draw(st.sampled_from(WIDTHS))
+    half = 1 << (b - 1)
+    digit = st.one_of(st.sampled_from((-half, half - 1, 0)), st.integers(-half, half - 1),
+                      st.integers(-3, 3))
+    return b, draw(st.lists(digit, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_lists())
+def test_codec_round_trips_and_agrees_with_the_reference_codec(pair):
+    b, digits = pair
+    n = _evaluate(digits, b)
+    assert n == evaluate_by_horner(digits, b)
+    assert _digits(n, b) == digits_by_shifts(n, b) == trimmed(digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WIDTHS), st.integers(-2**1200, 2**1200))
+def test_digits_of_any_integer_agree_with_the_reference_codec(b, n):
+    digits = _digits(n, b)
+    assert digits == digits_by_shifts(n, b)
+    assert _evaluate(digits, b) == n
+
+
+@pytest.mark.parametrize("b", WIDTHS)
+def test_codec_at_the_ends_of_the_digit_range(b):
+    half = 1 << (b - 1)
+    for digits in ([], [0, 0], [-half], [half - 1], [-half, half - 1, 0, -half, 0, 0],
+                   [half - 1] * 5 + [-half] * 5, [0, 0, 0, -1]):
+        n = _evaluate(digits, b)
+        assert n == sum(d << (b * i) for i, d in enumerate(digits))
+        assert _digits(n, b) == trimmed(digits)
+
+
+STEPS = (2**63, 2**127, 2**191)
+
+
+@st.composite
+def laurents_near_a_step(draw):
+    """A Laurent value whose l1 norm is within 3 of 2^63, 2^127 or 2^191, on either side.
+
+    A few small coefficients and one or two large ones make up the norm; half
+    the values are polynomials in q^2 times a power of q.
+    """
+    norm = draw(st.sampled_from(STEPS)) + draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(st.integers(-4, 4), max_size=4))
+    rest = norm - sum(map(abs, coeffs))
+    cut = draw(st.integers(0, rest))
+    for c in (cut, rest - cut):
+        if c:
+            sign = draw(st.sampled_from((1, -1)))
+            coeffs.insert(draw(st.integers(0, len(coeffs))), sign * c)
+    if draw(st.booleans()):
+        spread = [0] * (2 * len(coeffs))
+        spread[::2] = coeffs
+        coeffs = spread
+    x = QRat(draw(exponents), tuple(coeffs), (1,))
+    assert sum(map(abs, x.num)) == norm
+    return x
+
+
+near_a_step = st.one_of(laurents_near_a_step(), big_laurents())
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents_near_a_step(), near_a_step)
+def test_arithmetic_agrees_with_sympy_at_norms_near_a_step_of_the_width(x, y):
+    sx, sy = to_sympy(x), to_sympy(y)
+    assert valid(x) and valid(y)
+    results = [(x + y, sx + sy), (y + x, sx + sy), (x - y, sx - sy), (x + x, 2 * sx),
+               (x * y, sx * sy), (y * x, sx * sy), (x * x, sx * sx),
+               (laurent_quotient(x * y, x), sy)]
+    if not y.is_zero():
+        results.append((laurent_quotient(x * y, y), sx))
+    for result, expr in results:
+        assert valid(result) and is_canonical_laurent(result)
+        assert packed_canonically(result)
+        assert same_value(result, expr)
+        rebuilt = QRat(result.qpow, result.num, (1,))
+        assert fields(result) == fields(rebuilt) and result == rebuilt
+        assert hash(result) == hash(rebuilt)

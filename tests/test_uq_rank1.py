@@ -19,24 +19,21 @@ from uqcentre import (
     xi_simple,
 )
 from uqcentre import qrational, uq_rank1
-from uqcentre.qrational import Q_ONE, Q_ZERO, QRat, laurent_quotient, q_factorial, q_int, q_power
-from uqcentre.uq_rank1 import (
+from uqcentre.qrational import Q_ONE, Q_ZERO, QRat, laurent_quotient, q_int, q_power
+from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO, _q_binomial
+import oracles
+from oracles import (
     GEN_E,
     GEN_F,
     GEN_K,
     GEN_KINV,
-    UQ_ONE,
-    UQ_ZERO,
-    _q_binomial,
-)
-import oracles
-from oracles import (
     _matrix_power,
     _matrix_product,
     check_K_intertwining,
     check_gamma_intertwines,
     coproduct_matrix,
     module_matrices,
+    q_factorial,
     quasi_R_by_matrix_powers,
     quasi_R_tilde_T_by_matrix_powers,
     uq_product_by_triples,
@@ -87,6 +84,8 @@ def test_q_integers():
     assert q_int(3) == q_power(2) + Q_ONE + q_power(-2)
     assert q_int(2) * QMQ == q_power(2) - q_power(-2)
     assert q_factorial(3) == q_int(2) * q_int(3)
+    for m in range(1, 40):  # q^(1-m) + q^(3-m) + ... + q^(m-1), from its coefficients
+        assert q_int(m) == QRat(1 - m, (1,) + (0, 1) * (m - 1), (1,)) == -q_int(-m)
 
 
 def test_qrat_laurent_interface():
@@ -658,3 +657,32 @@ def test_malformed_monomials_raise_domain_error(mon):
     # bool exponent would be written as true or false by to_json
     with pytest.raises(DomainError, match="triple of int exponents"):
         UqElement({mon: 1})
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1", None])
+def test_qrat_constructor_rejects_an_exponent_or_coefficient_that_is_not_an_int(bad):
+    # q^0.5 would render and reach to_json; a float coefficient would fail inside the codec
+    for qpow, num, den in ((bad, (1,), (1,)), (0, (1, bad), (1,)), (0, (1,), (bad, 1))):
+        with pytest.raises(DomainError, match="ints"):
+            QRat(qpow, num, den)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1", None])
+def test_q_power_rejects_an_exponent_that_is_not_an_int(bad):
+    # q_power(0.5) + q_power(1) would fail with a bare TypeError
+    with pytest.raises(DomainError, match="ints"):
+        q_power(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1", None])
+def test_shift_rejects_an_exponent_that_is_not_an_int(bad):
+    for x in (q_power(1), Q_ZERO, Q_ONE / (q_power(1) + 1)):
+        with pytest.raises(DomainError, match="ints"):
+            x.shift(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1", None])
+def test_simple_module_rejects_a_label_that_is_not_an_int(bad):
+    # SimpleModule(True) would equal SimpleModule(1)
+    with pytest.raises(DomainError, match="int >= 0"):
+        SimpleModule(bad)

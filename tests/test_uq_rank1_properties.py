@@ -30,10 +30,10 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oracles import GEN_EP, uq_product_by_triples  # noqa: E402
+from oracles import GEN_EP, GEN_F, GEN_K, uq_product_by_triples  # noqa: E402
 from uqcentre import SimpleModule, UqElement, UqMatrix, casimir, is_central  # noqa: E402
 from uqcentre.qrational import Q_ONE, QRat, _width, q_power  # noqa: E402
-from uqcentre.uq_rank1 import GEN_F, GEN_K, UQ_ONE  # noqa: E402
+from uqcentre.uq_rank1 import UQ_ONE  # noqa: E402
 
 monomials = st.tuples(st.integers(0, 4), st.integers(-4, 4), st.integers(0, 4))
 left_monomials = st.tuples(st.integers(0, 4), st.integers(-4, 4), st.integers(0, 2))
