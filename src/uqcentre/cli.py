@@ -15,8 +15,8 @@ reads a command line against it and ``_help`` prints it.  The command line
 follows argparse's conventions: ``--opt value`` or ``--opt=value``, a unique
 prefix of an option, the last value of a repeated option, and a usage line
 plus one ``error:`` line on stderr for a malformed command line.  JSON output
-is byte-for-byte ``json.dumps(obj, sort_keys=True, indent=2)``, written by
-``_json_dump`` without the standard library's pure-Python encoder.
+is byte-for-byte ``json.dumps(obj, sort_keys=True, indent=2)``, written in
+chunks by ``_json_write`` without the standard library's pure-Python encoder.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
 (including output that cannot be written), 3 resource cap exceeded.
@@ -54,21 +54,26 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str | None = None, payload=None) -> None:
+    """Write ``text``, or the JSON of ``payload``, and a newline to ``--out`` or stdout.
+
+    JSON goes out chunk by chunk as :func:`_json_write` forms it, so the
+    whole document is never held as one string.
+    """
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+                _write(fh.write, text, payload)
         except OSError as exc:
             raise DomainError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
-        _print(text)
+        _print(text, payload)
 
 
-def _print(text: str) -> None:
-    """Write ``text`` and a newline to stdout; DomainError if it cannot be written."""
+def _print(text: str | None, payload=None) -> None:
+    """:func:`_emit` to stdout; DomainError if it cannot be written."""
     try:
-        sys.stdout.write(text + "\n")
+        _write(sys.stdout.write, text, payload)
         sys.stdout.flush()
     except OSError as exc:  # a closed pipe (``| head``) or a full disk
         # the interpreter flushes stdout again at exit: let that go to devnull
@@ -78,20 +83,23 @@ def _print(text: str) -> None:
         raise DomainError(f"cannot write standard output: {exc.strerror or exc}") from exc
 
 
-def _json_dump(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
-
-    Accepts what the commands emit: dicts with str keys, lists, str, int,
-    bool and None.  Any other type raises TypeError, where ``json.dumps``
-    might render it in some other way.
-    """
-    chunks: list[str] = []
-    _json_write(obj, "\n", chunks.append)
-    return "".join(chunks)
+def _write(put, text: str | None, payload) -> None:
+    """Pass ``text``, or the JSON of ``payload``, then a newline to ``put``."""
+    if text is None:
+        _json_write(payload, "\n", put)
+    else:
+        put(text)
+    put("\n")
 
 
 def _json_write(obj, newline: str, put) -> None:
-    """Pass the JSON of ``obj`` to ``put``; ``newline`` starts a line at obj's indent."""
+    """Pass ``json.dumps(obj, sort_keys=True, indent=2)`` to ``put`` in chunks, byte for byte.
+
+    ``newline`` starts a line at obj's indent ("\\n" at the top).  Accepts
+    what the commands emit: dicts with str keys, lists, str, int, bool and
+    None.  Any other type raises TypeError, where ``json.dumps`` might
+    render it in some other way.
+    """
     cls = type(obj)
     if cls is str:
         put(encode_basestring_ascii(obj))
@@ -138,7 +146,7 @@ def cmd_hilb(args) -> int:
     rsys = build_root_system(args.family, args.rank)
     basis = hilbert_basis(rsys)
     if args.format == "json":
-        _emit(args, _json_dump(basis.to_json()))
+        _emit(args, payload=basis.to_json())
         return EXIT_OK
     lines = [
         f"Hilbert basis of M+ for {rsys.family}{rsys.rank} "
@@ -155,7 +163,7 @@ def cmd_presentation(args) -> int:
     rsys = build_root_system(args.family, args.rank)
     pres = presentation(rsys)
     if args.format == "json":
-        _emit(args, _json_dump(pres.to_json()))
+        _emit(args, payload=pres.to_json())
         return EXIT_OK
     lines = [
         f"presentation of the centre for {rsys.family}{rsys.rank}: "
@@ -181,7 +189,7 @@ def cmd_verify(args) -> int:
         reports.append(verify_centre_relations(rsys))
     ok = all(r.ok for r in reports)
     if args.format == "json":
-        _emit(args, _json_dump({"ok": ok, "reports": [r.to_json() for r in reports]}))
+        _emit(args, payload={"ok": ok, "reports": [r.to_json() for r in reports]})
     else:
         lines = []
         for r in reports:
@@ -215,7 +223,7 @@ def cmd_casimir(args) -> int:
             payload["hc_image"] = sorted([b, v] for b, v in hc.items())
         if in_base is not None:
             payload["powers_of_C1"] = [x.to_json() for x in in_base]
-        _emit(args, _json_dump(payload))
+        _emit(args, payload=payload)
         return EXIT_OK if central else EXIT_VERIFY_FAILED
     lines = [
         f"C^({args.k}) of the {args.m + 1}-dimensional simple module:",

@@ -41,17 +41,23 @@ From the (m+1)-dimensional simple module V the three operators
     Rt_V     = sum_n c_n  zeta(E^n K^n) (x) K^-n F^n,
     K_V      = sum_eta P_eta (x) K_2eta   (diagonal),
 
-with c_n = q^(n(n+1)/2) (1-q^-2)^n / [n]!, are assembled into
+with c_n = q^(n(n+1)/2) (1-q^-2)^n / [n]!, define
 Gamma_V = K_V Rt_V R_V, whose weighted partial traces
 
     C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k)
 
-are central.  The library shows centrality by direct commutation
-(:func:`is_central`); the intertwining identities of Gamma_V and K_V, steps
-of the proof, are checked by ``tests/oracles.py``, which builds the module
-matrices of zeta(E), zeta(F) and zeta(K) itself.  The truncation of the
-quasi R-matrix at n = dim V is exact (zeta(F)^dim V = 0), not an
-approximation.  Since c_n E^n = q^(n(n-1)/2) E'^n / [n]!, R_V and Rt_V are
+are central.  Each term K^(w_l) kappa F^n K^-n rho E'^n' of an entry of
+Gamma_V is already the normally ordered monomial
+q^(-2n w_l) kappa rho F^n K^(w_l - n) E'^n', and the terms of one entry
+fall on distinct monomials, so Gamma_V is written down in closed form, one
+coefficient product per term and no product of elements; C^(1)_V is read
+off its diagonal the same way.  The product K_V Rt_V R_V is formed only by
+the tests, as the oracle of that closed form.  The library shows
+centrality by direct commutation (:func:`is_central`); the intertwining
+identities of Gamma_V and K_V, steps of the proof, are checked by
+``tests/oracles.py``, which builds the module matrices of zeta(E), zeta(F)
+and zeta(K) itself.  The truncation of the quasi R-matrix at n = dim V is
+exact (zeta(F)^dim V = 0), not an approximation.  Since c_n E^n = q^(n(n-1)/2) E'^n / [n]!, R_V and Rt_V are
 built from the divided powers F^(n) e_j = [m-j choose n] e_(j+n) and
 E^(n) e_j = [j choose n] e_(j-n), one balanced q-binomial per nonzero
 entry, so every entry of R_V, Rt_V, K_V and Gamma_V^k has stored
@@ -324,16 +330,20 @@ def is_central(x: UqElement) -> bool:
     F^(a0-1) [a0] (q^(1-a0) K - q^(a0-1) K^-1) Y(K) E'^(a0-1); Laurent
     polynomials in K over Q(q) form a domain, so Y = 0, and hence y = 0.
     """
-    if any(a != c for a, _, c in x._terms):
+    terms = x._terms
+    if any(a != c for a, _, c in terms):
         return False
+    # q^(-2b) - 1 and +-[a], once per distinct exponent
+    lowered = {b: q_power(-2 * b) - Q_ONE for b in {b for _, b, _ in terms} if b}
+    qints = {a: (q_int(a), -q_int(a)) for a in {a for a, _, _ in terms} if a}
     acc: dict = {}
-    for (a, b, c), t in x._terms.items():
+    for (a, b, c), t in terms.items():
         if b:
-            mul_add(acc, (a, b, c + 1), t, q_power(-2 * b) - Q_ONE)
+            mul_add(acc, (a, b, c + 1), t, lowered[b])
         if a:
-            qa = q_int(a)
+            qa, minus_qa = qints[a]
             mul_add(acc, (a - 1, b + 1, c), t, qa, 1 - a)
-            mul_add(acc, (a - 1, b - 1, c), t, -qa, a - 1)
+            mul_add(acc, (a - 1, b - 1, c), t, minus_qa, a - 1)
     return not finished(acc)
 
 
@@ -426,36 +436,52 @@ class SimpleModule:
         return f"SimpleModule(m={self.m})"
 
 
-def quasi_R(V: SimpleModule) -> UqMatrix:
-    """(zeta (x) id) of the quasi R-matrix, truncated exactly at n = dim V.
+def _r_entry(m: int, t: int, j: int) -> QRat:
+    """The coefficient of E'^n in entry (t, j) of R_V, n = t - j >= 0.
 
     The n-th term c_n zeta(F^n) (x) E^n is zeta(F^(n)) (x) q^(n(n-1)/2) E'^n,
     and the divided power F^(n) sends e_j to [m-j choose n] e_(j+n).
     """
+    n = t - j
+    return _q_binomial(m - j, n).shift(n * (n - 1) // 2)
+
+
+def _rt_entry(m: int, l: int, t: int) -> QRat:
+    """The coefficient of F^n K^-n in entry (l, t) of Rt_V, n = t - l >= 0.
+
+    Here c_n = q^(n(n-1)/2) (q - q^-1)^n / [n]!.  zeta(E^n K^n) / [n]! sends
+    e_t to q^(n(m-2t)) [t choose n] e_(t-n), and K^-n F^n normal-ordered is
+    q^(2n^2) F^n K^-n.
+    """
+    n = t - l
+    return _qmq_power(n).mul_shift(
+        _q_binomial(t, n), n * (m - 2 * t) + n * (n - 1) // 2 + 2 * n * n
+    )
+
+
+def quasi_R(V: SimpleModule) -> UqMatrix:
+    """(zeta (x) id) of the quasi R-matrix, truncated exactly at n = dim V.
+
+    Entry (j+n, j) is :func:`_r_entry` times E'^n.
+    """
     m, d = V.m, V.dim
     rows = [[UQ_ZERO] * d for _ in range(d)]
     for j in range(d):
-        for n in range(d - j):
-            coeff = _q_binomial(m - j, n).shift(n * (n - 1) // 2)
-            rows[j + n][j] = UqElement._stored({(0, 0, n): coeff})
+        for t in range(j, d):
+            rows[t][j] = UqElement._stored({(0, 0, t - j): _r_entry(m, t, j)})
     return UqMatrix(rows)
 
 
 def quasi_R_tilde_T(V: SimpleModule) -> UqMatrix:
     """(zeta (x) id) phi(R^T): sum_n c_n zeta(E^n K^n) (x) K^-n F^n.
 
-    Here c_n = q^(n(n-1)/2) (q - q^-1)^n / [n]!.  zeta(E^n K^n) / [n]! sends
-    e_j to q^(n(m-2j)) [j choose n] e_(j-n), and K^-n F^n normal-ordered is
-    q^(2n^2) F^n K^-n.
+    Entry (j-n, j) is :func:`_rt_entry` times F^n K^-n.
     """
     m, d = V.m, V.dim
     rows = [[UQ_ZERO] * d for _ in range(d)]
     for j in range(d):
-        for n in range(j + 1):
-            coeff = _qmq_power(n).mul_shift(
-                _q_binomial(j, n), n * (m - 2 * j) + n * (n - 1) // 2 + 2 * n * n
-            )
-            rows[j - n][j] = UqElement._stored({(n, -n, 0): coeff})
+        for l in range(j + 1):
+            rows[l][j] = UqElement._stored({(j - l, l - j, 0): _rt_entry(m, l, j)})
     return UqMatrix(rows)
 
 
@@ -473,65 +499,79 @@ def gamma(V: SimpleModule) -> UqMatrix:
     return _gamma_power(V, 1)
 
 
-def _gamma_entries(V: SimpleModule, pairs) -> list[UqElement]:
-    """The entries (j, l) of Gamma_V = K_V Rt_V R_V, for each (j, l) in ``pairs``.
+def _gamma_factors(V: SimpleModule) -> tuple[list, list]:
+    """The tables kappa, rho of the closed form of Gamma_V (:func:`_gamma_power`).
 
-    K_V is diagonal, so entry (j, l) is sum_t (K_jj Rt_jt) R_tl; the row
-    K_jj Rt_j is formed once for every j that ``pairs`` names.
+    kappa[l][n] is the coefficient of Rt_V at (l, l+n), rho[j][n] that of
+    R_V at (j+n, j), for every nonzero entry.
     """
-    K, Rt, R = K_operator(V).rows, quasi_R_tilde_T(V).rows, quasi_R(V).rows
-    rows: dict[int, list] = {}
-    out = []
-    for j, l in pairs:
-        if j not in rows:
-            rows[j] = []
-            for t in range(V.dim):
-                kr: dict = {}
-                _mul_into(kr, K[j][j]._terms, Rt[j][t]._terms, {})
-                rows[j].append(finished(kr))
-        terms: dict = {}
-        for t, kr in enumerate(rows[j]):
-            _mul_into(terms, kr, R[t][l]._terms, {})
-        out.append(UqElement._stored(finished(terms)))
-    return out
+    m, d = V.m, V.dim
+    kappa = [[_rt_entry(m, l, t) for t in range(l, d)] for l in range(d)]
+    rho = [[_r_entry(m, t, j) for t in range(j, d)] for j in range(d)]
+    return kappa, rho
 
 
 @cache
 def _gamma_power(V: SimpleModule, k: int) -> UqMatrix:
+    """Gamma_V^k; Gamma_V itself in closed form, with no product of elements.
+
+    K_V is diagonal, Rt_V upper and R_V lower triangular, so entry (l, j)
+    of Gamma_V = K_V Rt_V R_V is the sum over t >= max(l, j) of
+    K^(w_l) kappa F^n K^-n rho E'^n' with n = t - l, n' = t - j, w_l = m - 2l,
+    and kappa, rho the coefficients of Rt_V at (l, t) and R_V at (t, j).
+    K^w F^n = q^(-2nw) F^n K^w, so each term is already the normally ordered
+    monomial kappa rho q^(-2 n w_l) F^n K^(w_l - n) E'^n': one packed product
+    of coefficients.  Distinct t give distinct F-powers n, so the terms fall
+    on distinct monomials and no sum is formed.
+    """
     if k == 0:
         return UqMatrix.identity(V.dim)
-    if k == 1:
-        d = V.dim
-        entries = _gamma_entries(V, [(j, l) for j in range(d) for l in range(d)])
-        return UqMatrix(entries[j * d : (j + 1) * d] for j in range(d))
-    return _gamma_power(V, k - 1) * _gamma_power(V, 1)
+    if k > 1:
+        return _gamma_power(V, k - 1) * _gamma_power(V, 1)
+    m, d = V.m, V.dim
+    kappa, rho = _gamma_factors(V)
+    rows = [[None] * d for _ in range(d)]
+    for l in range(d):
+        w = m - 2 * l
+        for j in range(d):
+            terms = {}
+            for t in range(max(l, j), d):
+                n, n2 = t - l, t - j
+                terms[n, w - n, n2] = kappa[l][n].mul_shift(rho[j][n2], -2 * n * w)
+            rows[l][j] = UqElement._stored(terms)
+    return UqMatrix(rows)
 
 
 def casimir(V: SimpleModule, k: int) -> UqElement:
     """C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k); central for every k >= 1.
 
-    K_2rho acts as zeta(K) in rank 1.  Only the diagonal of Gamma_V^k is
-    formed, as that of Gamma_V^(k-1) Gamma_V, from the entries (l, j) of
-    Gamma_V met by a nonzero entry (j, l) of Gamma_V^(k-1).  For k = 1 these
-    are the diagonal entries alone, and no other entry of Gamma_V is formed.
-    The coefficients of the result in the F^a K^b E'^c basis are Laurent
-    polynomials, and so are those in the F^a K^b E^c basis, which are them
-    times (q - q^-1)^c; ArithmeticError is raised if one of the former is not.
+    K_2rho acts as zeta(K) in rank 1, so C^(k)_V = sum_j q^(w_j) (Gamma_V^k)_jj.
+    For k = 1 the sum is read off the closed form of Gamma_V
+    (:func:`_gamma_power`): the diagonal entry (j, j) has one term
+    F^n K^(w_j - n) E'^n per n, and distinct (j, n) give distinct monomials,
+    so C^(1)_V is formed term by term, one packed product of coefficients
+    each, with no product of elements.  For k >= 2 only the diagonal of
+    Gamma_V^k is formed, as that of Gamma_V^(k-1) Gamma_V.  The coefficients
+    of the result in the F^a K^b E'^c basis are Laurent polynomials, and so
+    are those in the F^a K^b E^c basis, which are them times (q - q^-1)^c;
+    ArithmeticError is raised if one of the former is not.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    head = _gamma_power(V, k - 1).rows
-    pairs = [(l, j) for j in range(V.dim) for l in range(V.dim) if head[j][l]]
-    if k == 1:  # head is the identity: only the diagonal of Gamma_V is read
-        G = dict(zip(pairs, _gamma_entries(V, pairs)))
+    if k == 1:
+        kappa, rho = _gamma_factors(V)
+        terms = {
+            (n, w - n, n): kappa[j][n].mul_shift(rho[j][n], w - 2 * n * w)
+            for j, w in enumerate(V.weights)
+            for n in range(V.dim - j)
+        }
     else:
-        rows = _gamma_power(V, 1).rows
-        G = {(l, j): rows[l][j] for l, j in pairs}
-    acc: dict = {}
-    weights = V.weights
-    for l, j in pairs:  # zeta(K) e_j = q^w e_j
-        _mul_into(acc, head[j][l]._terms, G[l, j]._terms, {}, weights[j])
-    terms = finished(acc)
+        head, G = _gamma_power(V, k - 1).rows, _gamma_power(V, 1).rows
+        acc: dict = {}
+        for j, w in enumerate(V.weights):  # zeta(K) e_j = q^w e_j
+            for l in range(V.dim):
+                _mul_into(acc, head[j][l]._terms, G[l][j]._terms, {}, w)
+        terms = finished(acc)
     for (a, b, c), coeff in terms.items():
         if not coeff.is_laurent():
             raise ArithmeticError(

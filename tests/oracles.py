@@ -22,7 +22,9 @@ exact rank of the monomials in the fundamental characters expands them by
 the Brauer-Klimyk rule, where the library certifies their independence by
 leading terms.
 The product in U_q(sl2) is formed one straightening triple at a time; it
-reads the stored terms and the straightening table ``_straighten``.  The
+reads the stored terms and the straightening table ``_straighten``.  With it
+Gamma_V is the matrix product K_V Rt_V R_V (:func:`gamma_by_products`), where
+the library writes each entry down in closed form.  The
 matrices of zeta(E), zeta(F) and zeta(K) on the simple module are built here
 from its label m.  R_V and the transposed R~_V are sums of QRat matrix
 powers, each divided entrywise by [n]!, tensored with U_q(sl2) monomials.
@@ -52,6 +54,8 @@ from uqcentre import (
     UqElement,
     UqMatrix,
     gamma,
+    quasi_R,
+    quasi_R_tilde_T,
     weight_multiplicities,
 )
 from uqcentre.character_ring import (
@@ -674,6 +678,29 @@ def uq_product_by_triples(x, y):
                 else:
                     out[mon] = total
     return UqElement._stored(out)
+
+
+
+def uq_matrix_product_by_triples(A, B):
+    """A B for UqMatrix A, B, every entry product by :func:`uq_product_by_triples`."""
+    d = A.dim
+    return UqMatrix(
+        [
+            [
+                sum((uq_product_by_triples(A.rows[i][k], B.rows[k][j]) for k in range(d)),
+                    UQ_ZERO)
+                for j in range(d)
+            ]
+            for i in range(d)
+        ]
+    )
+
+
+def gamma_by_products(V):
+    """Gamma_V = K_V Rt_V R_V, both matrix products by :func:`uq_matrix_product_by_triples`."""
+    return uq_matrix_product_by_triples(
+        uq_matrix_product_by_triples(K_operator(V), quasi_R_tilde_T(V)), quasi_R(V)
+    )
 
 
 # -- the simple module, its coproduct operators and the quasi R-matrix --------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqcentre
-from uqcentre.cli import COMMANDS, Option, _json_dump, _parse, main
+from uqcentre.cli import COMMANDS, Option, _json_write, _parse, main
 
 SRC = os.path.dirname(os.path.dirname(uqcentre.__file__))
 
@@ -304,6 +304,13 @@ _JSON = st.recursive(
     ),
     max_leaves=24,
 )
+
+
+def _json_dump(value):
+    """The chunks that ``_json_write`` passes on for ``value``, joined."""
+    chunks = []
+    _json_write(value, "\n", chunks.append)
+    return "".join(chunks)
 
 
 @settings(max_examples=300, deadline=None)

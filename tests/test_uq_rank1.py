@@ -32,10 +32,12 @@ from oracles import (
     check_K_intertwining,
     check_gamma_intertwines,
     coproduct_matrix,
+    gamma_by_products,
     module_matrices,
     q_factorial,
     quasi_R_by_matrix_powers,
     quasi_R_tilde_T_by_matrix_powers,
+    uq_matrix_product_by_triples,
     uq_product_by_triples,
 )
 
@@ -324,49 +326,64 @@ def test_casimir_trivial_module():
         casimir(SimpleModule(1), 0)
 
 
-def _matrix_product_by_triples(A, B):
-    d = A.dim
-    return UqMatrix(
-        [
-            [
-                sum(
-                    (uq_product_by_triples(A.rows[i][k], B.rows[k][j]) for k in range(d)),
-                    UQ_ZERO,
-                )
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-    )
+def _weighted_trace(V, M):
+    """sum_j q^(m-2j) M_jj."""
+    return sum((M.rows[j][j].scale(q_power(w)) for j, w in enumerate(V.weights)), UQ_ZERO)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_closed_form_gamma_matches_oracle_products(m):
+    # Gamma_V and C^(1) = sum_j q^(m-2j) (Gamma_V)_jj, each in closed form,
+    # against the triple product K_V Rt_V R_V
+    V = SimpleModule(m)
+    G = gamma_by_products(V)
+    assert gamma(V) == G
+    assert casimir(V, 1) == _weighted_trace(V, G)
+
+
+def test_casimir_k1_forms_no_element_product(monkeypatch):
+    expected = [casimir(SimpleModule(m), 1) for m in range(6)]
+
+    def refuse(*args):
+        raise AssertionError("C^(1) formed a product of elements")
+
+    monkeypatch.setattr(uq_rank1, "_mul_into", refuse)
+    uq_rank1._gamma_power.cache_clear()
+    assert [casimir(SimpleModule(m), 1) for m in range(6)] == expected
+    with pytest.raises(AssertionError, match="product of elements"):
+        casimir(SimpleModule(1), 2)
 
 
 @pytest.mark.parametrize("m", range(4))
 def test_casimir_matches_the_trace_of_oracle_products(m):
     # C^(k)_V = sum_j q^(m-2j) (Gamma_V^k)_jj, every product by the oracle
     V = SimpleModule(m)
-    G = _matrix_product_by_triples(
-        _matrix_product_by_triples(K_operator(V), quasi_R_tilde_T(V)), quasi_R(V)
-    )
-    assert G == gamma(V)
+    G = gamma_by_products(V)
     power = G
     for k in range(1, 4):
         if k > 1:
-            power = _matrix_product_by_triples(power, G)
-        trace = sum(
-            (power.rows[j][j].scale(q_power(w)) for j, w in enumerate(V.weights)), UQ_ZERO
-        )
-        assert casimir(V, k) == trace
+            power = uq_matrix_product_by_triples(power, G)
+        assert casimir(V, k) == _weighted_trace(V, power)
 
 
 def test_casimir_raises_on_non_laurent_coefficient(monkeypatch):
-    # a Gamma_V whose entries are 1/[2]: the trace has non-Laurent coefficients
-    half = UQ_ONE.scale(Q_ONE / q_int(2))
+    # coefficients 1/[2] where each path reads Gamma_V: the trace has
+    # non-Laurent coefficients.  k = 1 reads the closed-form factors of
+    # Gamma_V, k >= 2 the matrix powers.
+    half = Q_ONE / q_int(2)
     monkeypatch.setattr(
-        uq_rank1, "_gamma_power",
-        lambda V, k: UqMatrix([[half, UQ_ZERO], [UQ_ZERO, half]]),
+        uq_rank1, "_gamma_factors",
+        lambda V: ([[half] * (V.dim - j) for j in range(V.dim)],) * 2,
     )
     with pytest.raises(ArithmeticError, match="non-Laurent Casimir"):
         casimir(SimpleModule(1), 1)
+    entry = UQ_ONE.scale(half)
+    monkeypatch.setattr(
+        uq_rank1, "_gamma_power",
+        lambda V, k: UqMatrix([[entry, UQ_ZERO], [UQ_ZERO, entry]]),
+    )
+    with pytest.raises(ArithmeticError, match="non-Laurent Casimir"):
+        casimir(SimpleModule(1), 2)
 
 
 def test_internal_basis_round_trip():
