@@ -28,23 +28,23 @@ would hold a zero digit at every odd offset.
   valuations can leave, move into ``k``.
 - A shift by q^k changes only ``k``, and a negation only the sign of N;
   neither changes the bound or the stride.
-- Any other pair (a stride-1 operand, or stride-2 summands of valuations
-  of opposite parity) is combined at stride 1: a stride-2 N is spread to
-  stride 1 by evaluating its digits at 2^(2B), the two are combined, and
-  the result is unpacked and packed again canonically, so one whose
-  odd-offset digits all vanish, such as (1 + q)(1 - q), moves to stride 2.
+- Any other pair (a stride-1 operand, stride-2 summands of valuations of
+  opposite parity, or a bound past the limit below) is a one- or two-term
+  sum of ``mul_add``, below; at stride 1 a stride-2 N is spread by
+  evaluating its digits at 2^(2B), and a result whose odd-offset digits
+  all vanish, such as (1 + q)(1 - q), is packed again at stride 2.
 
 While h < 2^(B-1) every coefficient is below 2^(B-1) in absolute value, so
 N has one balanced digit expansion, and N = 0 iff the value is 0.  Every
 stored value keeps that invariant, so any value may be unpacked or
 zero-tested.  When the bound of a sum or product reaches the limit, the
-operands' bounds are refreshed to their exact l1 norms (unpacking them is
-exact, since they are valid); if the bound is still too large, the operands
-are repacked at a wider B and the result is normalised.  B is a function of
-the value, the least multiple of 64 above the bit length of its l1 norm (64
-below 2^63), so an integer constant of any size is valid.  At every B one
-codec, linear in the length of N, reads the digits off the bytes of N and
-packs digits d by joining the B-bit words d + 2^(B-1) into one integer.
+one slow path below refreshes bounds to exact l1 norms (unpacking a valid
+value is exact); if the bound is still too large, it repacks the operands
+at a wider B.  B is a function of the value, the least multiple of 64
+above the bit length of its l1 norm (64 below 2^63), so an integer
+constant of any size is valid.  At every B one codec, linear in the
+length of N, reads the digits off the bytes of N and packs digits d by
+joining the B-bit words d + 2^(B-1) into one integer.
 ``laurent_quotient`` divides the packed integers and certifies the quotient
 by the same bound; a quotient of two stride-2 values has stride 2.
 
@@ -53,11 +53,10 @@ sum per key and read by ``finished``.  While the terms are stride-2 values
 of one valuation parity, a running sum is the bare (valuation, N, bound)
 at B = 64: a term adds its product N_x N_y, shifted as in a sum, and its
 bound h_x h_y; the trailing zero digits that cancellation leaves move into
-the valuation once, in ``finished``.  When a bound would reach the limit,
-the running sum's bound is refreshed to its exact l1 norm (its digits are
-valid, since its bound stayed below the limit), as are the factors'; only
-a sum still too large, or any other term, goes through ``+`` and
-``mul_shift``, which widen B as above.
+the valuation once, in ``finished``.  Every other term, and the slow
+branches of ``+`` and ``mul_shift``, go to ``_mul_add_slow``, the one slow
+path: it keeps the sum packed at its own B and stride, refreshes a bound
+only where it would pass 2^(B-1), and leaves the sum to ``finished``.
 
 A value with a true denominator is the same packed form twice: its
 numerator and denominator are packed Laurent values at q-valuation 0, and
@@ -226,26 +225,16 @@ def _at(x: "QRat", b: int, s: int) -> int:
 def _combine(x: "QRat", y: "QRat", product: bool) -> "QRat":
     """x*y or x + y, for nonzero packed x, y that the one-operation path cannot combine.
 
-    That path needs two stride-2 operands (for a sum, with valuations of
-    one parity) and a result bound below 2^(B-1).  If the bound reaches the
-    limit, the operands' bounds are refreshed first.  The result is formed
-    at the width of the bound: at stride 2 if that path's stride condition
-    holds, else with both operands spread to stride 1.  It is unpacked and
-    packed again, canonically, at the width of its exact l1 norm.
+    It is the one- or two-term sum of :func:`mul_add`, made canonical by
+    :func:`finished`, so it widens B and changes stride by their one rule.
     """
-    h = x._h * y._h if product else x._h + y._h
-    if h >= _LIMIT:
-        hx, hy = _refresh(x), _refresh(y)
-        h = hx * hy if product else hx + hy
-    b = _width(h)
-    s = 2 if x._s == y._s == 2 and (product or not (x.qpow - y.qpow) & 1) else 1
-    nx, ny = _at(x, b, s), _at(y, b, s)
+    acc: dict = {}
     if product:
-        qpow, n = x.qpow + y.qpow, nx * ny
+        mul_add(acc, 0, x, y)
     else:
-        qpow = min(x.qpow, y.qpow)
-        n = (nx << b * ((x.qpow - qpow) // s)) + (ny << b * ((y.qpow - qpow) // s))
-    return _from_coefficients(qpow, _digits(n, b), s)
+        mul_add(acc, 0, x, Q_ONE)
+        mul_add(acc, 0, y, Q_ONE)
+    return finished(acc).get(0, Q_ZERO)
 
 
 def _quotient_certified(x: "QRat", y: "QRat") -> "QRat":
@@ -639,30 +628,36 @@ def mul_add(acc: dict, key, x: QRat, y: QRat, k: int = 0) -> None:
 def _mul_add_slow(acc: dict, key, x: QRat, y: QRat, k: int) -> None:
     """:func:`mul_add` for a term or a sum that the packed path does not take.
 
-    If x, y and the running sum are stride-2 values of one valuation parity,
-    only a bound was too large.  Each bound over the limit is refreshed to
-    its exact l1 norm (the sum's digits are valid, as its bound stayed below
-    2^(B-1)); if the bounds now fit, the packed path takes the term.
-    Otherwise the sum is made a ``QRat`` and q^k x y is added by
-    ``QRat.mul_shift`` and ``QRat.__add__``, which widen B if need be; a
-    result that fits the packed path is kept in its form again.
+    A fraction, as a term or as the sum, goes through ``QRat`` arithmetic.
+    Any other sum stays packed as (valuation, N, bound, B, stride), and the
+    term joins it at its B, at stride 2 only if all three have it at one
+    valuation parity.  A bound that would reach 2^(B-1) is refreshed: the
+    factors' while both are at B = 64 (a wider value's norm is at least
+    2^63), then the sum's, by the one unpack that repacks it when its B
+    grows or its stride drops.  At B = 64 and stride 2 it is a list again.
     """
     e = acc.get(key)
-    if x._s == 2 == y._s and (
-            e is None or e.__class__ is list and not (x.qpow + y.qpow + k - e[0]) & 1):
-        h = x._h * y._h
-        if h >= _LIMIT:
-            h = _refresh(x) * _refresh(y)
-        if e is not None and e[2] + h >= _LIMIT:
-            e[2] = _l1(e[1], _B)
-        if h + (0 if e is None else e[2]) < _LIMIT:
-            mul_add(acc, key, x, y, k)
-            return
-    if e.__class__ is list:
-        e = _packed_sum(*e)
-    v = x.mul_shift(y, k)
-    v = v if e is None else e + v
-    acc[key] = [v.qpow, v._n, v._h] if v._s == 2 and v._h < _LIMIT else v
+    if x._h is None or y._h is None or e.__class__ is QRat:
+        t = x.mul_shift(y, k)
+        acc[key] = t if e is None else finished({key: e}).get(key, Q_ZERO) + t
+        return
+    if not (x._n and y._n):
+        return
+    v, h = x.qpow + y.qpow + k, x._h * y._h
+    ve, n, he, b, se = (
+        (v, 0, 0, _B, min(x._s, y._s)) if e is None else (*e, _B, 2) if e.__class__ is list else e)
+    s = 1 if (v - ve) & 1 else min(x._s, y._s, se)
+    if he + h >= 1 << (b - 1) and h >= _LIMIT and x._h < _LIMIT and y._h < _LIMIT:
+        h = _refresh(x) * _refresh(y)
+    if s != se or he + h >= 1 << (b - 1):
+        digits = _digits(n, b)
+        he = sum(map(abs, digits))
+        nb = max(b, _width(he + h))
+        if nb != b or s != se:
+            b, n = nb, _evaluate(digits, nb * se // s)
+    lo = min(v, ve)
+    n = (n << b * ((ve - lo) // s)) + (_at(x, b, s) * _at(y, b, s) << b * ((v - lo) // s))
+    acc[key] = [lo, n, he + h] if b == _B and s == 2 else (lo, n, he + h, b, s)
 
 
 def finished(acc: dict) -> dict:
@@ -671,6 +666,8 @@ def finished(acc: dict) -> dict:
     for key, e in acc.items():
         if e.__class__ is list:
             e = _packed_sum(*e)
+        elif e.__class__ is tuple:
+            e = _from_coefficients(e[0], _digits(e[1], e[3]), e[4])
         if e._n:
             out[key] = e
     return out

@@ -513,7 +513,7 @@ def _gamma_factors(V: SimpleModule) -> tuple[list, list]:
 
 @cache
 def _gamma_power(V: SimpleModule, k: int) -> UqMatrix:
-    """Gamma_V^k; Gamma_V itself in closed form, with no product of elements.
+    """Gamma_V^k for k >= 1, by a loop of products by Gamma_V, itself in closed form.
 
     K_V is diagonal, Rt_V upper and R_V lower triangular, so entry (l, j)
     of Gamma_V = K_V Rt_V R_V is the sum over t >= max(l, j) of
@@ -524,10 +524,11 @@ def _gamma_power(V: SimpleModule, k: int) -> UqMatrix:
     of coefficients.  Distinct t give distinct F-powers n, so the terms fall
     on distinct monomials and no sum is formed.
     """
-    if k == 0:
-        return UqMatrix.identity(V.dim)
     if k > 1:
-        return _gamma_power(V, k - 1) * _gamma_power(V, 1)
+        G = out = _gamma_power(V, 1)
+        for _ in range(k - 1):
+            out = out * G
+        return out
     m, d = V.m, V.dim
     kappa, rho = _gamma_factors(V)
     rows = [[None] * d for _ in range(d)]

@@ -174,6 +174,15 @@ def test_casimir_m0(capsys):
     assert "1" in out
 
 
+def test_casimir_high_power_needs_no_deep_recursion(capsys):
+    # Gamma_V^k is built by a loop, so k far past the recursion limit runs
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "casimir", "--m", "0", "--k", "1500")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "\n  1\n" in out and "central: yes" in out
+
+
 def test_casimir_json_round_trip(capsys):
     code, out, _ = run(capsys, "casimir", "--m", "1", "--k", "2", "--format", "json")
     assert code == 0

@@ -265,9 +265,11 @@ def test_straightening_coefficients_lie_in_q_squared():
 def test_casimir_pipeline_is_packed_in_q_squared(monkeypatch):
     # every coefficient is q^e P(q^2), held at stride 2, and up to m = 4 every
     # product and sum is one packed operation: a fall-back to the stride-1
-    # packing, or to the general path, fails here, not only in the benchmark
+    # packing, or to the slow path of a sum or a product, fails here, not only
+    # in the benchmark
     general = []
     monkeypatch.setattr(qrational, "_combine", lambda *args: general.append(args))
+    monkeypatch.setattr(qrational, "_mul_add_slow", lambda *args: general.append(args))
     for cached in (uq_rank1._gamma_power, uq_rank1._straighten, _q_binomial):
         cached.cache_clear()
     for m in range(5):

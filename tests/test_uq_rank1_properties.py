@@ -17,7 +17,12 @@ one output monomial, and coefficients that leave the packed path: l1 norms
 up to 2^62 (a product or a sum passes 2^63, and the exact norm does too),
 values with a loose bound (a refresh to the exact norm lets the sum go on
 packed), stride-1 values, true fractions, and stride-2 values of both
-valuation parities at one monomial.
+valuation parities at one monomial.  Past the packed path every sum takes
+one slow path, and wide sums are checked against sympy or by hand: one
+whose bound passes 2^127 and then 2^191, a wide one that a term of the
+other valuation parity drops to stride 1, wide terms that cancel to zero,
+and a fraction after wide terms.  A wide sum of many terms keeps the width
+of its exact norm and is made canonical once, by ``finished``.
 
 ``is_central`` is checked against x g == g x for g = E', F, K, by the
 triple loop, on elements whose terms mostly have a = c, so that zero-grade
@@ -30,9 +35,13 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+sympy = pytest.importorskip("sympy")
+
 from oracles import GEN_EP, GEN_F, GEN_K, uq_product_by_triples  # noqa: E402
 from uqcentre import SimpleModule, UqElement, UqMatrix, casimir, is_central  # noqa: E402
-from uqcentre.qrational import Q_ONE, QRat, _width, q_power  # noqa: E402
+from uqcentre import qrational  # noqa: E402
+from uqcentre.qrational import (  # noqa: E402
+    Q_ONE, Q_ZERO, QRat, _width, finished, mul_add, q_power)
 from uqcentre.uq_rank1 import UQ_ONE  # noqa: E402
 
 monomials = st.tuples(st.integers(0, 4), st.integers(-4, 4), st.integers(0, 4))
@@ -99,6 +108,7 @@ def _even(k, coeffs):
 
 
 _k = st.integers(-4, 4)
+_q = sympy.Symbol("q")
 small_even = st.builds(_even, _k, st.lists(st.integers(-3, 3), min_size=1, max_size=3))
 # +-1 and 0 only: terms that meet at a monomial often cancel their low digits
 unit_even = st.builds(_even, _k, st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=3))
@@ -167,6 +177,10 @@ def test_matrix_running_sums_off_the_packed_path_match_the_triple_loop(entries):
     ((0, (1,)), (1, (1,)), {0: 1, 1: 1}),  # (F + q)(1 + F): F gets 1 and q
     ((0, (1, 0, 1)), (0, (-1,)), {2: 1}),  # (F (1 + q^2) - 1)(1 + F): the low digit cancels
     ((0, (1,)), (0, (-1,)), None),  # (F - 1)(1 + F): F cancels
+    # a wide sum, then a term of odd valuation: the sum drops to stride 1
+    ((0, (2**130, 0, 5)), (1, (2**130,)), {0: 2**130, 1: 2**130, 2: 5}),
+    # two wide terms that cancel to zero
+    ((0, (2**130, 0, 1)), (0, (-(2**130), 0, -1)), None),
 ])
 def test_terms_meeting_at_one_monomial(f_coeff, one_coeff, expected):
     x = UqElement._stored({(1, 0, 0): QRat(*f_coeff, (1,)), (0, 0, 0): QRat(*one_coeff, (1,))})
@@ -179,21 +193,68 @@ def test_terms_meeting_at_one_monomial(f_coeff, one_coeff, expected):
         assert product._terms[(1, 0, 0)].as_laurent() == expected
 
 
+def _f_series(coeffs):
+    """sum_i coeffs[i] F^i."""
+    return UqElement._stored({(i, 0, 0): c for i, c in enumerate(coeffs)})
+
+
+def _sympy(c: QRat):
+    num, den = (sum(a * _q**i for i, a in enumerate(p)) for p in (c.num, c.den))
+    return _q**c.qpow * num / den
+
+
+# l1 norms 2^126 + 1, 2^126 + 1 and 2^191 - 2^127
+_a = _even(0, [2**125, 2**125 + 1])
+_b = _even(2, [2**125 + 1, 2**125])
+_c = _even(0, [2**190, 2**190 - 2**127])
+
+
 @pytest.mark.parametrize("u, v", [
     # two terms near 2^62 at F: their exact sum passes 2^63, and B widens
-    (_even(0, [2**31 + 5]), _even(0, [2**31 + 7])),
-    (_even(1, [-(2**31) - 5, 3]), _even(-1, [-(2**31) - 7])),
+    ([_even(0, [2**31 + 5])] * 2, [_even(0, [2**31 + 7])] * 2),
+    ([_even(1, [-(2**31) - 5, 3])] * 2, [_even(-1, [-(2**31) - 7])] * 2),
     # bounds near 2^62 on the value 1: a refresh lets the sum go on packed
-    (Q_ONE + 2**61 - 2**61, Q_ONE),
+    ([Q_ONE + 2**61 - 2**61] * 2, [Q_ONE] * 2),
     # a product bound past 2^63 on small values: the factors are refreshed
-    (q_power(2) + 2**61 - 2**61, Q_ONE * 3 + 2**61 - 2**61),
+    ([q_power(2) + 2**61 - 2**61] * 2, [Q_ONE * 3 + 2**61 - 2**61] * 2),
+    # at F^2 one running sum a + b + c passes 2^127, then 2^191
+    ([_a, _b, _c], [Q_ONE] * 3),
+    # a fraction after two wide terms
+    ([_a, _b, QRat(1, (1, 1), (1, 0, 1))], [Q_ONE] * 3),
 ])
 def test_sums_past_the_bound(u, v):
-    x = UqElement._stored({(1, 0, 0): u, (0, 0, 0): u})
-    y = UqElement._stored({(0, 0, 0): v, (1, 0, 0): v})
+    # x = sum_i u[i] F^i and y = sum_j v[j] F^j: the coefficient of F^n is
+    # sum_i u[i] v[n - i]
+    x, y = _f_series(u), _f_series(v)
     product = x * y
     assert product._terms == uq_product_by_triples(x, y)._terms
     assert all(_valid(c) for c in product._terms.values())
+    for n in range(len(u) + len(v) - 1):
+        expected = sum(_sympy(ui) * _sympy(v[n - i]) for i, ui in enumerate(u)
+                       if 0 <= n - i < len(v))
+        got = product._terms.get((n, 0, 0), Q_ZERO)
+        assert sympy.cancel(_sympy(got) - expected) == 0, n
+
+
+def test_a_wide_running_sum_is_made_canonical_once(monkeypatch):
+    # +-w cancel in pairs, so refreshes keep the sum at the width of its
+    # exact norm, where its summed bound would pass 2^127; q w drops it to
+    # stride 1
+    w, one, minus_one, q = _even(0, [2**124, -3]), Q_ONE, -Q_ONE, q_power(1)
+    expected = QRat(0, (2**124, 2**124, -3, -3), (1,))
+    pairs = [(w, one), (w, minus_one)] * 100
+    terms = [(w, one)] + pairs + [(w, q)] + pairs
+    canonicalised = []
+    real = qrational._from_coefficients
+    monkeypatch.setattr(qrational, "_from_coefficients",
+                        lambda *args: canonicalised.append(args) or real(*args))
+    acc: dict = {}
+    for x, y in terms:
+        mul_add(acc, "key", x, y)
+    assert not canonicalised
+    assert acc["key"][3] == _width(2**124) == 128
+    assert finished(acc) == {"key": expected}
+    assert len(canonicalised) == 1
 
 
 # -- centrality ---------------------------------------------------------------------
