@@ -62,11 +62,14 @@ A value with a true denominator is the same packed form twice: its
 numerator and denominator are packed Laurent values at q-valuation 0, and
 ``k`` holds the valuation.  ``+``, ``*`` and ``/`` on such values combine the
 packed parts with the packed product and sum, and one reducer, ``_fraction``,
-brings the result to canonical form: it unpacks both parts once for their
-primitive gcd (``_pgcd``) and integer contents, divides both by that factor
-with ``laurent_quotient``, and returns a Laurent value when the denominator
-becomes 1.  The Gamma_V powers and Casimirs of the rank-1 code stay in
-Z[q, q^-1] and never reach the reducer.
+brings the result to canonical form: it unpacks both parts once, for their
+integer contents and to pack them at a width 2^w past their coefficients;
+the balanced digits of the integer gcd of the two packed values are, up to
+their content, the primitive polynomial gcd (the heuristic gcd), which
+``laurent_quotient`` certifies by dividing both parts by it, at a wider w
+if it does not divide them.  A denominator of 1 gives a Laurent value.
+The Gamma_V powers and Casimirs of the rank-1 code stay in Z[q, q^-1] and
+never reach the reducer.
 """
 
 from __future__ import annotations
@@ -85,45 +88,6 @@ def _trim(p):
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
-
-
-def _pcontent(a):
-    g = 0
-    for x in a:
-        g = gcd(g, x)
-    return g
-
-
-def _pprimitive(a):
-    c = _pcontent(a)
-    return a if c in (0, 1) else tuple(x // c for x in a)
-
-
-def _pseudo_rem(a, b):
-    """Pseudo-remainder of a by b (b nonzero, deg a >= deg b)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        shift = len(a) - 1 - db
-        la = a[-1]
-        a = [x * lb for x in a]
-        for j, y in enumerate(b):
-            a[shift + j] -= la * y
-    return _trim(a)
-
-
-def _pgcd(a, b):
-    """Primitive gcd in Z[q] (positive leading coefficient) of nonzero trimmed a, b."""
-    a, b = _pprimitive(a), _pprimitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _pprimitive(_pseudo_rem(a, b))
-    return a if a[-1] > 0 else tuple(-x for x in a)
 
 
 # -- the packed Laurent form ---------------------------------------------------
@@ -169,11 +133,6 @@ def _evaluate(coeffs, b: int) -> int:
         half.to_bytes(size, "little") * len(coeffs), "little")
 
 
-def _l1(n: int, b: int) -> int:
-    """The l1 norm of the balanced base-2^b digits of n."""
-    return sum(map(abs, _digits(n, b)))
-
-
 def _stored(qpow: int, n, h, s) -> "QRat":
     """The QRat with the given slots, which must already be canonical."""
     out = _new(QRat)
@@ -200,26 +159,28 @@ def _from_coefficients(qpow: int, coeffs, s: int = 1) -> "QRat":
     return _stored(qpow, _evaluate(coeffs, _width(h)), h, s)
 
 
-def _refresh(x: "QRat") -> int:
-    """Tighten the bound of packed x to its exact l1 norm, and return it.
+def _refresh(x: "QRat") -> list[int]:
+    """Tighten the bound of packed x to its exact l1 norm; return the digits it was read off.
 
     The width is unchanged: it is a function of the l1 norm, which the old
     bound already shared.
     """
-    x._h = h = _l1(x._n, _width(x._h))
-    return h
+    digits = _digits(x._n, _width(x._h))
+    x._h = sum(map(abs, digits))
+    return digits
 
 
-def _at(x: "QRat", b: int, s: int) -> int:
+def _at(x: "QRat", b: int, s: int, digits=None) -> int:
     """N of packed x repacked at width b (at least the width of x) and stride s (at most that of x).
 
     Spreading stride 2 to stride 1 puts digit i at offset 2i: the digits
-    are evaluated at 2^(2b).
+    are evaluated at 2^(2b).  ``digits``, if given, are those of x, as
+    :func:`_refresh` returns them, so x is not unpacked again.
     """
     w = _width(x._h)
     if w == b and x._s == s:
         return x._n
-    return _evaluate(_digits(x._n, w), b * x._s // s)
+    return _evaluate(_digits(x._n, w) if digits is None else digits, b * x._s // s)
 
 
 def _combine(x: "QRat", y: "QRat", product: bool) -> "QRat":
@@ -248,14 +209,15 @@ def _quotient_certified(x: "QRat", y: "QRat") -> "QRat":
     valid coefficients; it then equals x exactly iff it evaluates to N_x.
     """
     s = 2 if x._s == y._s == 2 else 1
-    hx, hy = _refresh(x), _refresh(y)
+    ux, uy = _refresh(x), _refresh(y)
+    hx, hy = x._h, y._h
     # a valid N with d + 1 digits at width w has d*w <= bit length < (d+1)*w
     dx = abs(x._n).bit_length() // _width(hx) * (x._s // s)
     dz = dx - abs(y._n).bit_length() // _width(hy) * (y._s // s)
     if dz < 0:
         raise ArithmeticError("inexact polynomial division")
     b = max(_width(hx), _width(hy), _width((hx << dz) * hy))
-    n, r = divmod(_at(x, b, s), _at(y, b, s))
+    n, r = divmod(_at(x, b, s, ux), _at(y, b, s, uy))
     if r:
         raise ArithmeticError("inexact polynomial division")
     z = _digits(n, b)
@@ -493,9 +455,31 @@ def _quotient(x: QRat, y: QRat) -> QRat:
 def _fraction(n: QRat, d: QRat) -> QRat:
     """n / d in canonical form, for packed Laurent n and d.
 
-    Both are unpacked once, for the primitive gcd g of the polynomials and
-    the gcd c of their integer contents, then divided by c*g, signed so that
-    the denominator leads positive.  A denominator of 1 gives a Laurent value.
+    Both are shifted to valuation 0 and unpacked once, for the gcd c of
+    their integer contents, signed so that the denominator leads positive.
+    The primitive gcd g* of the polynomials A = n and B = d is found by the
+    heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput.
+    1989), on their packed values, as polynomials in q^s (s = 2 if both have
+    stride 2, else s = 1): at xi = 2^w, where w is the width of 2M + 4 for M
+    the largest |coefficient| of A and B, the balanced base-xi digits H of
+    gamma = gcd(A(xi), B(xi)) are read, and both are divided by c pp(H) with
+    ``laurent_quotient``.  If either division is inexact, w grows by 64 and
+    the step is repeated.  A denominator of 1 gives a Laurent value.
+
+    (i) Exactness.  Let g* lead positive.  xi does not divide gamma, since
+    0 < |A(0)| < xi, so H has a nonzero constant digit; gamma > 0, so H and
+    pp(H) lead positive.  If pp(H) divides A and B, write g* = pp(H) K.
+    Then cont(H) = delta |K(xi)| with delta = gamma / g*(xi).  If deg K >= 1,
+    the roots of K are roots of A, of modulus at most 1 + |A|_inf < 1 +
+    xi/4 (Cauchy's bound), so |K(xi)| >= (xi - 1 - |A|_inf)^deg K > xi/2.
+    That is impossible: cont(H) divides the nonzero constant digit of H,
+    which is at most xi/2.  So K = 1, and c pp(H) = c g* is the gcd.
+
+    (ii) Termination.  With A = c_A g* u and B = c_B g* v, gamma = g*(xi)
+    delta where delta = gcd(c_A u(xi), c_B v(xi)) divides c_A c_B Res(u, v),
+    since Res(u, v) lies in the ideal (u, v) of Z[q].  That bound does not
+    depend on xi, so once xi > 2 delta |g*|_inf the digits H are exactly
+    delta g*, and the divisions are exact.
     """
     if not d._n:
         raise ZeroDivisionError("zero denominator")
@@ -503,15 +487,22 @@ def _fraction(n: QRat, d: QRat) -> QRat:
         return Q_ZERO
     if d._n in (1, -1):  # d = +-q^k
         return (n if d._n == 1 else -n).shift(-d.qpow)
-    num, den = n.num, d.num
-    c = gcd(_pcontent(num), _pcontent(den))
-    c = -c if den[-1] < 0 else c
-    g = _pgcd(num, den)
+    a, b = _digits(n._n, _width(n._h)), _digits(d._n, _width(d._h))
+    c = gcd(*a, *b)
+    c = -c if b[-1] < 0 else c
+    s = 2 if n._s == d._s == 2 else 1
     qpow = n.qpow - d.qpow
     n, d = n.shift(-n.qpow), d.shift(-d.qpow)
-    if c != 1 or len(g) > 1:
-        cg = _from_coefficients(0, [c * x for x in g])
-        n, d = laurent_quotient(n, cg), laurent_quotient(d, cg)
+    w = _width(2 * max(map(abs, a + b)) + 4)
+    while True:
+        digits = _digits(gcd(_evaluate(a, w * n._s // s), _evaluate(b, w * d._s // s)), w)
+        cont = gcd(*digits)
+        g = _from_coefficients(0, [c * x // cont for x in digits], s)
+        try:
+            n, d = laurent_quotient(n, g), laurent_quotient(d, g)
+            break
+        except ArithmeticError:
+            w += _B
     if d.is_one():
         return n.shift(qpow)
     return _stored(qpow, (n, d), None, None)
@@ -570,7 +561,7 @@ def laurent_quotient(x: QRat, y: QRat) -> QRat:
         n, r = divmod(x._n, y._n)
         if r:
             raise ArithmeticError("inexact polynomial division")
-        hz = _l1(n, _B)
+        hz = sum(map(abs, _digits(n, _B)))
         if hz * y._h < _LIMIT:
             return _stored(x.qpow - y.qpow, n, hz, 2)
     return _quotient_certified(x, y)
@@ -633,8 +624,9 @@ def _mul_add_slow(acc: dict, key, x: QRat, y: QRat, k: int) -> None:
     term joins it at its B, at stride 2 only if all three have it at one
     valuation parity.  A bound that would reach 2^(B-1) is refreshed: the
     factors' while both are at B = 64 (a wider value's norm is at least
-    2^63), then the sum's, by the one unpack that repacks it when its B
-    grows or its stride drops.  At B = 64 and stride 2 it is a list again.
+    2^63), each by one unpack whose digits also repack it, then the sum's,
+    by the one unpack that repacks it when its B grows or its stride drops.
+    At B = 64 and stride 2 it is a list again.
     """
     e = acc.get(key)
     if x._h is None or y._h is None or e.__class__ is QRat:
@@ -647,8 +639,10 @@ def _mul_add_slow(acc: dict, key, x: QRat, y: QRat, k: int) -> None:
     ve, n, he, b, se = (
         (v, 0, 0, _B, min(x._s, y._s)) if e is None else (*e, _B, 2) if e.__class__ is list else e)
     s = 1 if (v - ve) & 1 else min(x._s, y._s, se)
+    ux = uy = None
     if he + h >= 1 << (b - 1) and h >= _LIMIT and x._h < _LIMIT and y._h < _LIMIT:
-        h = _refresh(x) * _refresh(y)
+        ux, uy = _refresh(x), _refresh(y)
+        h = x._h * y._h
     if s != se or he + h >= 1 << (b - 1):
         digits = _digits(n, b)
         he = sum(map(abs, digits))
@@ -656,7 +650,7 @@ def _mul_add_slow(acc: dict, key, x: QRat, y: QRat, k: int) -> None:
         if nb != b or s != se:
             b, n = nb, _evaluate(digits, nb * se // s)
     lo = min(v, ve)
-    n = (n << b * ((ve - lo) // s)) + (_at(x, b, s) * _at(y, b, s) << b * ((v - lo) // s))
+    n = (n << b * ((ve - lo) // s)) + (_at(x, b, s, ux) * _at(y, b, s, uy) << b * ((v - lo) // s))
     acc[key] = [lo, n, he + h] if b == _B and s == 2 else (lo, n, he + h, b, s)
 
 

@@ -648,11 +648,11 @@ def express_in_powers(
         e = max(image) if max(image) > 0 else min(image)
         powers = [{0: Q_ONE}]
         for _ in range(max_degree):
-            acc: dict[int, QRat] = {}
+            acc: dict = {}
             for b1, c1 in powers[-1].items():
                 for b2, c2 in image.items():
-                    acc[b1 + b2] = acc.get(b1 + b2, Q_ZERO) + c1 * c2
-            powers.append({b: c for b, c in acc.items() if not c.is_zero()})
+                    mul_add(acc, b1 + b2, c1, c2)
+            powers.append(finished(acc))
         sol = [Q_ZERO] * (max_degree + 1)
         for j in range(max_degree, -1, -1):
             if j * e in rest:

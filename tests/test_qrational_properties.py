@@ -23,7 +23,20 @@ and Horner's rule) at widths B = 64, 128, 192 and 256, with digits at both
 ends of the balanced range; and ``+``, ``*`` and ``laurent_quotient`` are
 checked against sympy on values whose l1 norms lie just below and just
 above 2^63, 2^127 and 2^191, where the width steps up.
+
+The reducer reads the gcd of a fraction's numerator and denominator off
+the integer gcd of their packed values.  It is checked against sympy on
+n = c_A G u and d = c_B G v, with contents that are powers of 2 or
+negative, cofactors whose resultants are large, coefficients near 2^63 and
+2^127, and operands of either stride; on a fixed pair whose first width
+gives a divisor that fails the exact-division certificate, so that the
+reducer widens once; and on a fraction of degree 60 with 100-bit
+coefficients, which must reduce in under half a second.
 """
+
+import random
+import time
+from math import gcd
 
 import pytest
 
@@ -34,6 +47,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy.polys.polyerrors import HeuristicGCDFailed  # noqa: E402
 
 from oracles import digits_by_shifts, evaluate_by_horner, poly_product_by_dict  # noqa: E402
+from uqcentre import qrational  # noqa: E402
 from uqcentre.qrational import (  # noqa: E402
     _B,
     QRat,
@@ -104,10 +118,13 @@ def quotient(n, d):
         return _K.raw_new(num, den)
 
 
+def polynomial(coeffs):
+    """The sympy field element sum_i coeffs[i] q^i."""
+    return sum((c * Q**i for i, c in enumerate(coeffs)), _K(0))
+
+
 def to_sympy(x: QRat):
-    num = sum((c * Q**i for i, c in enumerate(x.num)), _K(0))
-    den = sum((c * Q**i for i, c in enumerate(x.den)), _K(0))
-    return quotient(Q**x.qpow * num, den)
+    return quotient(Q**x.qpow * polynomial(x.num), polynomial(x.den))
 
 
 def same_value(x: QRat, expr) -> bool:
@@ -411,6 +428,110 @@ def test_fraction_arithmetic_on_fractions_agrees_with_sympy(pair, e):
         assert fields(rebuilt) == fields(result) and rebuilt == result
         assert hash(rebuilt) == hash(result)
     assert (x == y) == (sx == sy)
+
+
+# -- the reducer: one integer gcd of the packed values --------------------------------
+
+# contents of the operands: powers of 2, negative, or both
+content_factors = st.sampled_from((1, -1, 2, -6, 2**63, -2**64, 3 * 2**127, -2**130))
+
+# small, and near the steps 2^63 and 2^127 of the width
+step_coefficients = st.one_of(
+    st.integers(-4, 4),
+    signed(st.integers(2**62, 2**64)),
+    signed(st.integers(2**126, 2**128)),
+)
+
+
+@st.composite
+def common_factor_pairs(draw):
+    """(n, d) = (c_A G u, c_B G v) as coefficient tuples, with v = u + 2^j r.
+
+    Each of G, u and r is a polynomial in q or in q^2, so n and d have
+    stride 2, stride 1 or one of each.  u and v agree modulo 2^j, so their
+    resultant is large and, in general, a multiple of 2^j; a large common
+    factor of u(xi) and v(xi) is what makes the reducer's digits of
+    gcd(n(xi), d(xi)) differ from those of the gcd.
+    """
+    def factor(max_size):
+        p = draw(coefficient_lists(step_coefficients, 1, max_size))
+        if not draw(st.booleans()):
+            return p
+        spread = [0] * (2 * len(p) - 1)
+        spread[::2] = p
+        return tuple(spread)
+
+    g, u, r = factor(3), factor(4), factor(4)
+    j = draw(st.sampled_from((0, 1, 40, 64, 100)))
+    v = [0] * max(len(u), len(r))
+    for i, c in enumerate(u):
+        v[i] += c
+    for i, c in enumerate(r):
+        v[i] += c << j
+    hypothesis.assume(any(v))
+    n = tuple(draw(content_factors) * c for c in poly_product_by_dict(g, u))
+    d = tuple(draw(content_factors) * c for c in poly_product_by_dict(g, v))
+    return n, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(common_factor_pairs(), exponents)
+def test_reducer_divides_out_the_common_factor_as_sympy_does(pair, k):
+    n, d = pair
+    x = QRat(k, n, d)
+    assert is_canonical(x)
+    assert same_value(x, Q**k * quotient(polynomial(n), polynomial(d)))
+
+
+# u and v are a reduced basis of the lattice of linear polynomials that
+# vanish at 2^64 modulo the 70-bit prime P: u(2^64) and v(2^64) share the
+# factor P = |Res(u, v)| > 2^63, so at xi = 2^64 the digits of
+# gcd(n(xi), d(xi)) are not a multiple of the gcd of n and d, 2 (1 + q)
+P = 773801536743419589829
+U = (12832044628, 14138020115)
+V = (-31745405831, 25325999088)
+
+
+def test_a_width_that_fails_the_certificate_is_widened(monkeypatch):
+    assert U[0] * V[1] - U[1] * V[0] == P  # = -Res(u, v)
+    assert gcd(U[0] + (U[1] << 64), V[0] + (V[1] << 64)) % P == 0
+    n = tuple(6 * c for c in poly_product_by_dict((1, 1), U))
+    d = tuple(-4 * c for c in poly_product_by_dict((1, 1), V))
+    divisions = []
+
+    def recorded(x, y):
+        assert len(divisions) < 6, "the reducer did not settle at the second width"
+        try:
+            z = laurent_quotient(x, y)
+        except ArithmeticError:
+            divisions.append("inexact")
+            raise
+        divisions.append("exact")
+        return z
+
+    monkeypatch.setattr(qrational, "laurent_quotient", recorded)
+    x = QRat(0, n, d)
+    # the first width's divisor does not divide n; the second divides both
+    assert divisions == ["inexact", "exact", "exact"]
+    assert fields(x) == (0, tuple(-3 * c for c in U), tuple(2 * c for c in V))
+    assert same_value(x, quotient(polynomial(n), polynomial(d)))
+
+
+def test_a_degree_60_fraction_with_100_bit_coefficients_reduces_in_half_a_second():
+    rng = random.Random(60)
+
+    def part():
+        return [rng.randrange(-2**100, 2**100) for _ in range(30)] + [rng.randrange(1, 2**100)]
+
+    x, y = QRat(0, part(), part()), QRat(0, part(), part())
+    # the sum's numerator and denominator have degree 60: one reduction
+    start = time.perf_counter()
+    total = x + y
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5
+    assert len(total.den) == 61
+    assert is_canonical(total)
+    assert same_value(total, to_sympy(x) + to_sympy(y))
 
 
 # -- the packing in q^2 ---------------------------------------------------------------
