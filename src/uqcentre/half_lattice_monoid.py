@@ -21,6 +21,7 @@ from collections import namedtuple
 from functools import cache, cached_property
 from itertools import accumulate
 from math import gcd, lcm, prod
+from types import MappingProxyType
 
 from .errors import DomainError, ResourceLimitError
 from .root_system import (
@@ -132,10 +133,11 @@ class HilbertBasis(namedtuple(
     """The irreducible elements of M+, with their classification.
 
     ``elements`` is a tuple of weights and ``s`` a tuple of ints.
-    ``self_conjugate`` maps the smaller index of each sigma-orbit (1-based)
-    to the element mu_i; ``scaled_fundamentals`` lists nu_i = s_i w_i for
-    every node; ``pairs`` holds the non-self-conjugate elements grouped as
-    (lambda, conjugate) with lambda the lexicographically larger member.
+    ``self_conjugate`` is a read-only map from the smaller index of each
+    sigma-orbit (1-based) to the element mu_i; ``scaled_fundamentals``
+    lists nu_i = s_i w_i for every node; ``pairs`` holds the
+    non-self-conjugate elements grouped as (lambda, conjugate) with lambda
+    the lexicographically larger member.
     For type I all three views coincide with the fundamental weights.
     """
 
@@ -304,7 +306,7 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
         family=rsys.family,
         rank=n,
         elements=elements,
-        self_conjugate=self_conj,
+        self_conjugate=MappingProxyType(self_conj),
         scaled_fundamentals=scaled,
         s=s,
         pairs=tuple(sorted(pairs)),

@@ -11,24 +11,24 @@ and Procesi), where the straightening rule
 
     E' F^a = F^a E' + [a] (q^(1-a) F^(a-1) K - q^(a-1) F^(a-1) K^-1)
 
-has Laurent-polynomial coefficients; products are straightened into normal
-order by an induction on ``E'^c F^a``, memoized in a module-level table.
-The coefficient of ``F^a K^b E^c`` is ``(q - q^-1)^c`` times the stored
-coefficient of ``F^a K^b E'^c``.  Conversion happens only at the public
+has Laurent-polynomial coefficients.  With E' K^b = q^(-2b) K^b E' it gives
+E' times a normally ordered monomial (:func:`_left_e`), the one rule from
+which every product and the centrality test are built.  The coefficient
+of ``F^a K^b E^c`` is ``(q - q^-1)^c`` times the stored coefficient of
+``F^a K^b E'^c``.  Conversion happens only at the public
 boundary: the constructor and ``monomial`` take E-basis coefficients, and
 ``terms``, ``coefficient``, ``sorted_terms``, ``render`` and ``to_json``
 give them back, so callers never see the E' basis.
 
-A product L R is formed from tables of E'^c R, one per E'-exponent c of
-the left factor.  Every right term r2 F^a2 K^b2 E'^c2 and every term
-s F^x K^y E'^z of the straightened E'^c F^a2 contribute r2 s q^(-2 z b2)
-to the monomial F^x K^(y+b2) E'^(z+c2) of E'^c R; the table keeps the
-nonzero sums, and it depends on c and R alone.  The left term
-r1 F^a1 K^b1 E'^c then adds r1 p q^(-2 b1 x) to F^(a1+x) K^(b1+y) E'^z for
-every table entry p F^x K^y E'^z: moving K^b1 past F^x is a shift applied
-after the table is built, and r1, the large coefficient in Gamma_V^k, is
-multiplied once per output monomial.  A matrix product shares the tables
-of each right entry down its column, so every row reuses them.  Powers of
+A product L R is formed from the levels R, E' R, E'^2 R, ..., each the
+normal form of E' times the one before, built up to the largest
+E'-exponent of the left factor; a level depends on its exponent and R
+alone.  The left term r1 F^a1 K^b1 E'^c then adds r1 p q^(-2 b1 x) to
+F^(a1+x) K^(b1+y) E'^z for every term p F^x K^y E'^z of level c: moving
+K^b1 past F^x is a shift applied after the level is built, and r1, the
+large coefficient in Gamma_V^k, is multiplied once per output monomial.
+A matrix product shares the levels of each right entry down its column,
+so every row reuses them, and nothing outlives the product.  Powers of
 q are applied as shifts, never as products: each term of a product is one
 packed multiply-accumulate (:func:`qrational.mul_add`) into the running
 sum of its output monomial, and each product, matrix entry or Casimir
@@ -62,13 +62,16 @@ built from the divided powers F^(n) e_j = [m-j choose n] e_(j+n) and
 E^(n) e_j = [j choose n] e_(j-n), one balanced q-binomial per nonzero
 entry, so every entry of R_V, Rt_V, K_V and Gamma_V^k has stored
 coefficients in Z[q, q^-1]: the whole Casimir pipeline runs on Laurent
-polynomials and never needs a polynomial gcd.
+polynomials and never needs a polynomial gcd.  Gamma_V^k is formed by a
+loop of products by Gamma_V, and nothing of it is kept between calls.
 
 Every such coefficient is moreover q^e P(q^2), with exponents of one
 parity, which ``qrational`` packs in q^2 at half the length.  [a] lies in
-q^(1-a) Z[q^2]; the straightening rule multiplies it by q^(+-(1-a)), and
-moving K^(+-1) left past E'^z by q^(-+2z), so every coefficient of the
-straightened E'^c F^a lies in Z[q^(+-2)].  The q-Pascal rule
+q^(1-a) Z[q^2], so the factors [a] q^(+-(1-a)) and q^(-2b) of
+:func:`_left_e` lie in Z[q^(+-2)], and each coefficient of E' X is a sum of
+coefficients of X times such factors.  So when the coefficients of R have
+exponents of one parity, those of every level E'^c R do too, and E'^c F^a
+lies in Z[q^(+-2)].  The q-Pascal rule
 [n k] = q^k [n-1 k] + q^(k-n) [n-1 k-1] adds two terms of valuation
 -k(n-k), so by induction [n k] lies in q^(-k(n-k)) Z[q^2].  For the
 matrices: q -> -q together with K -> -K and F -> -F (E' fixed) preserves
@@ -203,7 +206,7 @@ class UqElement:
         if not isinstance(other, UqElement):
             return NotImplemented
         out: dict = {}
-        _mul_into(out, self._terms, other._terms, {})
+        _mul_into(out, self._terms, [list(other._terms.items())])
         return UqElement._stored(finished(out))
 
     def __rmul__(self, other):
@@ -261,89 +264,69 @@ UQ_ZERO = UqElement()
 UQ_ONE = UqElement({(0, 0, 0): 1})
 
 
-@cache
-def _straighten(c: int, a: int) -> UqElement:
-    """Normal form of E'^c F^a.
+def _left_e(acc: dict, terms) -> None:
+    """Add E' X to the running sums ``acc``, X given by its stored (monomial, coeff) pairs.
 
-    E' F^a = F^a E' + [a] (q^(1-a) F^(a-1) K - q^(a-1) F^(a-1) K^-1),
-    applied inductively in c.  Moving K^(+-1) left past E'^z gives q^(-+2z).
+    By the straightening rule and E' K^b = q^(-2b) K^b E',
+
+        E' F^a K^b E'^c = q^(-2b) F^a K^b E'^(c+1)
+                          + [a] q^(1-a) F^(a-1) K^(b+1) E'^c
+                          - [a] q^(a-1) F^(a-1) K^(b-1) E'^c.
     """
-    if c == 0 or a == 0:
-        return UqElement._stored({(a, 0, c): Q_ONE})
-    acc: dict = {}
-    for (x, y, z), s in _straighten(c - 1, a)._terms.items():
-        mul_add(acc, (x, y, z + 1), s, Q_ONE)
-    coef = q_int(a)
-    for dy, sc in ((1, coef), (-1, -coef)):
-        for (x, y, z), s in _straighten(c - 1, a - 1)._terms.items():
-            mul_add(acc, (x, y + dy, z), s, sc, dy * (1 - a - 2 * z))
-    return UqElement._stored(finished(acc))
+    for (a, b, c), t in terms:
+        mul_add(acc, (a, b, c + 1), t, Q_ONE, -2 * b)
+        if a:
+            qa = q_int(a)
+            mul_add(acc, (a - 1, b + 1, c), t, qa, 1 - a)
+            mul_add(acc, (a - 1, b - 1, c), t, -qa, a - 1)
 
 
-def _table(c: int, right: dict) -> list:
-    """The nonzero ((x, y, z), p) with E'^c R = sum p F^x K^y E'^z.
-
-    ``right`` holds the stored terms of R; moving K^b2 left past E'^z gives
-    q^(-2 z b2).
-    """
-    acc: dict = {}
-    for (a2, b2, c2), r2 in right.items():
-        for (x, y, z), s in _straighten(c, a2)._terms.items():
-            mul_add(acc, (x, y + b2, z + c2), r2, s, -2 * z * b2)
-    return list(finished(acc).items())
-
-
-def _mul_into(out: dict, left: dict, right: dict, tables: dict, shift: int = 0) -> None:
-    """Add q^shift times the product of stored terms ``left`` and ``right`` into ``out``.
+def _mul_into(out: dict, left: dict, levels: list, shift: int = 0) -> None:
+    """Add q^shift times the product L R of stored terms into ``out``.
 
     ``out`` holds running sums of :func:`mul_add`; ``finished(out)`` gives the
-    product.  ``tables`` maps an E'-exponent c to ``_table(c, right)``, built
-    on first use; it belongs to ``right`` and may be shared by every product
-    with the same right factor.  Moving K^b1 right past F^x gives q^(-2 b1 x).
+    product.  ``left`` holds the stored terms of L, and ``levels`` is the list
+    [R, E' R, E'^2 R, ...] of stored (monomial, coefficient) pairs, started as
+    ``[list(R._terms.items())]``; level c + 1 is E' times level c
+    (:func:`_left_e`), added when a left E'-exponent first needs it.  It
+    belongs to R and may be shared by every product with the same right
+    factor.  Moving K^b1 right past F^x gives q^(-2 b1 x).
     """
     for (a1, b1, c1), r1 in left.items():
-        table = tables.get(c1)
-        if table is None:
-            table = tables[c1] = _table(c1, right)
-        for (x, y, z), p in table:
+        while len(levels) <= c1:
+            acc: dict = {}
+            _left_e(acc, levels[-1])
+            levels.append(list(finished(acc).items()))
+        for (x, y, z), p in levels[c1]:
             mul_add(out, (a1 + x, b1 + y, z), r1, p, shift - 2 * b1 * x)
 
 
 def is_central(x: UqElement) -> bool:
-    """Whether x commutes with E, F and K, by closed-form commutators.
+    """Whether x commutes with E, F and K.
 
     E enters as E' = (q - q^-1) E.  For a term t F^a K^b E'^c,
 
-        [K, t F^a K^b E'^c]  = (q^(-2a) - q^(-2c)) t F^a K^(b+1) E'^c,
-        [E', t F^a K^b E'^c] = (q^(-2b) - 1) t F^a K^b E'^(c+1)
-                               + [a] q^(1-a) t F^(a-1) K^(b+1) E'^c
-                               - [a] q^(a-1) t F^(a-1) K^(b-1) E'^c,
+        [K, t F^a K^b E'^c] = (q^(-2a) - q^(-2c)) t F^a K^(b+1) E'^c,
 
-    the second by the straightening rule of E' F^a and E' K^b = q^(-2b) K^b E'.
-    The first sends distinct terms to distinct monomials, so x commutes
-    with K iff every term has a = c.  Such an x that commutes with E'
-    commutes with F too.  By the rule, E' F - F E' = K - K^-1, so
-    y = [F, x] has [E', y] = [K - K^-1, x] + [F, [E', x]] = 0, and every term
-    of y has a = c + 1.  Let a0 be the least F-exponent of y and Y(K) its
-    part F^a0 Y(K) E'^(a0-1).  By the second formula, the monomials
-    F^(a0-1) K^b E'^(a0-1) of [E', y] come from that part alone, and sum to
-    F^(a0-1) [a0] (q^(1-a0) K - q^(a0-1) K^-1) Y(K) E'^(a0-1); Laurent
-    polynomials in K over Q(q) form a domain, so Y = 0, and hence y = 0.
+    which sends distinct terms to distinct monomials, so x commutes with K
+    iff every term has a = c.  Then [E', x] is E' x (:func:`_left_e`) minus
+    the terms t F^a K^b E'^(c+1) of x E'.  Such an x that commutes with E'
+    commutes with F too.  By the straightening rule, E' F - F E' = K - K^-1,
+    so y = [F, x] has [E', y] = [K - K^-1, x] + [F, [E', x]] = 0, and every
+    term of y has a = c + 1.  Let a0 be the least F-exponent of y and Y(K)
+    its part F^a0 Y(K) E'^(a0-1).  By the rule for E' F^a K^b E'^c, the
+    monomials F^(a0-1) K^b E'^(a0-1) of [E', y] come from that part alone,
+    and sum to F^(a0-1) [a0] (q^(1-a0) K - q^(a0-1) K^-1) Y(K) E'^(a0-1);
+    Laurent polynomials in K over Q(q) form a domain, so Y = 0, and hence
+    y = 0.
     """
     terms = x._terms
     if any(a != c for a, _, c in terms):
         return False
-    # q^(-2b) - 1 and +-[a], once per distinct exponent
-    lowered = {b: q_power(-2 * b) - Q_ONE for b in {b for _, b, _ in terms} if b}
-    qints = {a: (q_int(a), -q_int(a)) for a in {a for a, _, _ in terms} if a}
     acc: dict = {}
+    _left_e(acc, terms.items())
     for (a, b, c), t in terms.items():
-        if b:
-            mul_add(acc, (a, b, c + 1), t, lowered[b])
-        if a:
-            qa, minus_qa = qints[a]
-            mul_add(acc, (a - 1, b + 1, c), t, qa, 1 - a)
-            mul_add(acc, (a - 1, b - 1, c), t, minus_qa, a - 1)
+        mul_add(acc, (a, b, c + 1), -t, Q_ONE)
     return not finished(acc)
 
 
@@ -382,17 +365,16 @@ class UqMatrix:
 
     def __mul__(self, other):
         if isinstance(other, UqMatrix):
-            # one column at a time: the tables of entry (k, j) serve every row
+            # one column at a time: the levels of entry (k, j) serve every row
             d = self.dim
             columns = []
             for j in range(d):
-                right = [other.rows[k][j]._terms for k in range(d)]
-                tables = [{} for _ in range(d)]
+                levels = [[list(other.rows[k][j]._terms.items())] for k in range(d)]
                 column = []
                 for row in self.rows:
                     out: dict = {}
                     for k in range(d):
-                        _mul_into(out, row[k]._terms, right[k], tables[k])
+                        _mul_into(out, row[k]._terms, levels[k])
                     column.append(UqElement._stored(finished(out)))
                 columns.append(column)
             return UqMatrix(zip(*columns))
@@ -413,7 +395,7 @@ class SimpleModule:
     Basis e_0..e_m with K e_j = q^(m-2j) e_j, E e_j = [j] e_(j-1) and
     F e_j = [m-j] e_(j+1); the operators below are built from these
     actions entry by entry, so no module matrix is stored.  Modules with
-    the same m compare equal, so the powers of Gamma_V are cached once per m.
+    the same m compare equal.
     """
 
     def __init__(self, m: int):
@@ -494,13 +476,8 @@ def K_operator(V: SimpleModule) -> UqMatrix:
     return UqMatrix(rows)
 
 
-def gamma(V: SimpleModule) -> UqMatrix:
-    """Gamma_V = K_V Rt_V R_V; commutes with the coproduct image of U_q(sl2)."""
-    return _gamma_power(V, 1)
-
-
 def _gamma_factors(V: SimpleModule) -> tuple[list, list]:
-    """The tables kappa, rho of the closed form of Gamma_V (:func:`_gamma_power`).
+    """The tables kappa, rho of the closed form of Gamma_V (:func:`gamma`).
 
     kappa[l][n] is the coefficient of Rt_V at (l, l+n), rho[j][n] that of
     R_V at (j+n, j), for every nonzero entry.
@@ -511,9 +488,8 @@ def _gamma_factors(V: SimpleModule) -> tuple[list, list]:
     return kappa, rho
 
 
-@cache
-def _gamma_power(V: SimpleModule, k: int) -> UqMatrix:
-    """Gamma_V^k for k >= 1, by a loop of products by Gamma_V, itself in closed form.
+def gamma(V: SimpleModule) -> UqMatrix:
+    """Gamma_V = K_V Rt_V R_V, in closed form; commutes with the coproduct image of U_q(sl2).
 
     K_V is diagonal, Rt_V upper and R_V lower triangular, so entry (l, j)
     of Gamma_V = K_V Rt_V R_V is the sum over t >= max(l, j) of
@@ -524,11 +500,6 @@ def _gamma_power(V: SimpleModule, k: int) -> UqMatrix:
     of coefficients.  Distinct t give distinct F-powers n, so the terms fall
     on distinct monomials and no sum is formed.
     """
-    if k > 1:
-        G = out = _gamma_power(V, 1)
-        for _ in range(k - 1):
-            out = out * G
-        return out
     m, d = V.m, V.dim
     kappa, rho = _gamma_factors(V)
     rows = [[None] * d for _ in range(d)]
@@ -548,11 +519,12 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
 
     K_2rho acts as zeta(K) in rank 1, so C^(k)_V = sum_j q^(w_j) (Gamma_V^k)_jj.
     For k = 1 the sum is read off the closed form of Gamma_V
-    (:func:`_gamma_power`): the diagonal entry (j, j) has one term
+    (:func:`gamma`): the diagonal entry (j, j) has one term
     F^n K^(w_j - n) E'^n per n, and distinct (j, n) give distinct monomials,
     so C^(1)_V is formed term by term, one packed product of coefficients
-    each, with no product of elements.  For k >= 2 only the diagonal of
-    Gamma_V^k is formed, as that of Gamma_V^(k-1) Gamma_V.  The coefficients
+    each, with no product of elements.  For k >= 2, Gamma_V^(k-1) is formed
+    by k - 2 products by Gamma_V, and only the diagonal of Gamma_V^k, as
+    that of Gamma_V^(k-1) Gamma_V.  The coefficients
     of the result in the F^a K^b E'^c basis are Laurent polynomials, and so
     are those in the F^a K^b E^c basis, which are them times (q - q^-1)^c;
     ArithmeticError is raised if one of the former is not.
@@ -567,11 +539,13 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
             for n in range(V.dim - j)
         }
     else:
-        head, G = _gamma_power(V, k - 1).rows, _gamma_power(V, 1).rows
+        G = head = gamma(V)
+        for _ in range(k - 2):
+            head = head * G
         acc: dict = {}
         for j, w in enumerate(V.weights):  # zeta(K) e_j = q^w e_j
             for l in range(V.dim):
-                _mul_into(acc, head[j][l]._terms, G[l][j]._terms, {}, w)
+                _mul_into(acc, head.rows[j][l]._terms, [list(G.rows[l][j]._terms.items())], w)
         terms = finished(acc)
     for (a, b, c), coeff in terms.items():
         if not coeff.is_laurent():

@@ -21,8 +21,10 @@ library's Freudenthal tables (``weight_multiplicities``,
 exact rank of the monomials in the fundamental characters expands them by
 the Brauer-Klimyk rule, where the library certifies their independence by
 leading terms.
-The product in U_q(sl2) is formed one straightening triple at a time; it
-reads the stored terms and the straightening table ``_straighten``.  With it
+The product in U_q(sl2) is formed one straightening triple at a time, from
+the normal forms of E'^c F^a by a two-term induction on c
+(:func:`straighten_by_induction`), where the library applies E' to a whole
+element at a time; it reads only the stored terms.  With it
 Gamma_V is the matrix product K_V Rt_V R_V (:func:`gamma_by_products`), where
 the library writes each entry down in closed form.  The
 matrices of zeta(E), zeta(F) and zeta(K) on the simple module are built here
@@ -43,6 +45,7 @@ live here: only tests and the divided-power oracle use them.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 from operator import add
@@ -65,7 +68,7 @@ from uqcentre.character_ring import (
     full_character,
 )
 from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_int, q_power
-from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO, _straighten
+from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO
 
 
 # -- membership in M+ ---------------------------------------------------------
@@ -659,6 +662,31 @@ def poly_product_by_dict(a, b):
     return tuple(coeffs)
 
 
+@cache
+def straighten_by_induction(c, a):
+    """The stored terms {(u, v, w): s} of the normal form of E'^c F^a.
+
+    E' F^a = F^a E' + [a] (q^(1-a) F^(a-1) K - q^(a-1) F^(a-1) K^-1),
+    applied inductively in c: E'^c F^a = E'^(c-1) F^a E' plus the two terms
+    of E'^(c-1) F^(a-1) K^(+-1), and moving K^(+-1) left past E'^w gives
+    q^(-+2w).
+    """
+    if c == 0 or a == 0:
+        return {(a, 0, c): Q_ONE}
+    out = {}
+    for (u, v, w), s in straighten_by_induction(c - 1, a).items():
+        out[u, v, w + 1] = s
+    for dy in (1, -1):  # +-[a] q^(+-(1-a)) F^(a-1) K^(+-1)
+        for (u, v, w), s in straighten_by_induction(c - 1, a - 1).items():
+            mon = (u, v + dy, w)
+            total = out.get(mon, Q_ZERO) + (s * q_int(dy * a)).shift(dy * (1 - a - 2 * w))
+            if total.is_zero():
+                out.pop(mon, None)
+            else:
+                out[mon] = total
+    return out
+
+
 def uq_product_by_triples(x, y):
     """x * y in U_q(sl2), one coefficient product r1 r2 s q^e per triple.
 
@@ -669,7 +697,7 @@ def uq_product_by_triples(x, y):
     out = {}
     for (a1, b1, c1), r1 in x._terms.items():
         for (a2, b2, c2), r2 in y._terms.items():
-            for (u, v, w), s in _straighten(c1, a2)._terms.items():
+            for (u, v, w), s in straighten_by_induction(c1, a2).items():
                 mon = (a1 + u, b1 + v + b2, w + c2)
                 coeff = r1 * r2 * s * q_power(-2 * (b1 * u + w * b2))
                 total = out.get(mon, Q_ZERO) + coeff

@@ -32,7 +32,7 @@ from uqcentre import (
     xi_simple,
 )
 from uqcentre.qrational import q_power
-from uqcentre.uq_rank1 import _gamma_power, _q_binomial, _straighten
+from uqcentre.uq_rank1 import _q_binomial
 from uqcentre.cli import main
 from oracles import GEN_E, GEN_F, GEN_K, GEN_KINV, check_K_intertwining, check_gamma_intertwines
 from oracles import factorisation_counts_by_dict, unitriangularity_check
@@ -382,8 +382,6 @@ def test_criterion_17_casimir_time_gate(capsys):
     # casimir m = 6, k = 3 from cold caches, on a 2-vCPU host: ~0.3 s with
     # Laurent coefficients packed at stride 1 (a zero digit at every odd
     # offset), ~0.14 s packed in q^2, at half the length
-    _gamma_power.cache_clear()
-    _straighten.cache_clear()
     t0 = time.perf_counter()
     code = main(["casimir", "--m", "6", "--k", "3", "--format", "json"])
     elapsed = time.perf_counter() - t0
@@ -397,8 +395,6 @@ def test_criterion_18_casimir_m30_time_gate(capsys):
     # casimir m = 30, k = 1 from cold caches, on a 2-vCPU host: ~16 s with
     # q-binomials divided out of [30]!-sized q-factorials, ~0.27 s with
     # q-binomials by the q-Pascal rule and coefficients packed in q^2
-    _gamma_power.cache_clear()
-    _straighten.cache_clear()
     _q_binomial.cache_clear()
     t0 = time.perf_counter()
     code = main(["casimir", "--m", "30", "--k", "1", "--format", "json"])
@@ -413,8 +409,6 @@ def test_criterion_19_casimir_m60_time_gate(capsys):
     # casimir m = 60, k = 1 from cold caches, on a 2-vCPU host: ~38 s with
     # coefficients past l1 norm 2^63 split and joined one digit at a time,
     # ~5.5 s with every digit width read off and joined from the bytes
-    _gamma_power.cache_clear()
-    _straighten.cache_clear()
     _q_binomial.cache_clear()
     t0 = time.perf_counter()
     code = main(["casimir", "--m", "60", "--k", "1", "--format", "json"])

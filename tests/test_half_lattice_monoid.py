@@ -21,6 +21,7 @@ from uqcentre import (
     in_monoid,
     involution,
     min_multipliers,
+    presentation,
     rel1,
     rel2,
 )
@@ -413,6 +414,26 @@ def test_walk_matches_box_scan(fam, n):
     assert hilbert_basis(rsys).elements == atoms_in_box(
         *half_lattice_monoid.residue_classes(rsys)
     )
+
+
+def test_a_returned_basis_cannot_change_the_memoised_one():
+    # hilbert_basis is memoised, so a writable self_conjugate would let one
+    # caller change every later presentation in the process
+    e6 = build_root_system("E", 6)
+    want = presentation(e6).to_json()
+    basis = hilbert_basis(e6)
+    try:
+        with pytest.raises(TypeError):
+            basis.self_conjugate[1] = basis.elements[0]
+        with pytest.raises(TypeError):
+            del basis.self_conjugate[1]
+        assert presentation(e6).to_json() == want
+        assert hilbert_basis(e6).self_conjugate == {
+            1: (1, 0, 0, 0, 0, 1), 2: (0, 1, 0, 0, 0, 0),
+            3: (0, 0, 1, 0, 1, 0), 4: (0, 0, 0, 1, 0, 0),
+        }
+    finally:
+        hilbert_basis.cache_clear()
 
 
 def test_safety_checks_raise_under_python_O(monkeypatch):

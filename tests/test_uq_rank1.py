@@ -256,10 +256,42 @@ def test_q_binomials_are_factorial_quotients_in_q_squared():
 
 
 def test_straightening_coefficients_lie_in_q_squared():
+    # the library's own product E'^c F^a, straightened by its levels
     for c in range(5):
         for a in range(5):
-            for coeff in uq_rank1._straighten(c, a)._terms.values():
+            ep_c, f_a = (UqElement._stored({mon: Q_ONE}) for mon in ((0, 0, c), (a, 0, 0)))
+            product = ep_c * f_a
+            assert product._terms, (c, a)
+            for coeff in product._terms.values():
                 assert coeff.qpow % 2 == 0 and coeff._s == 2, (c, a)
+
+
+def test_levels_of_a_right_factor_are_built_once(monkeypatch):
+    # x y applies E' to a level once per level, c_max(x) times in all, and a
+    # matrix product builds the levels of each right entry once, not per row
+    calls = []
+    real = uq_rank1._left_e
+
+    def counting(acc, terms):
+        calls.append(None)
+        return real(acc, terms)
+
+    monkeypatch.setattr(uq_rank1, "_left_e", counting)
+    y = GEN_F * GEN_F + GEN_K
+    for x, c_max in ((GEN_E ** 5 + GEN_E, 5), (GEN_F * GEN_E ** 3, 3), (GEN_K + GEN_F, 0),
+                     (UQ_ZERO, 0)):
+        calls.clear()
+        x * y
+        assert len(calls) == c_max, x
+    # the columns of A have largest E'-exponents 2, 4 and 2: each right entry
+    # (k, j) builds its levels up to that of column k once, for all three
+    # rows; levels built afresh for each row would take 3 * (2 + 6 + 3)
+    e2, e4 = GEN_E ** 2, GEN_E ** 4
+    A = UqMatrix([[e2, GEN_K, UQ_ONE], [GEN_E, e4, GEN_E], [UQ_ONE, GEN_F * GEN_E, e2]])
+    B = UqMatrix([[y, GEN_F, UQ_ONE], [GEN_F ** 3, y, GEN_K], [GEN_F, UQ_ONE, y]])
+    calls.clear()
+    A * B
+    assert len(calls) == 3 * (2 + 4 + 2)
 
 
 def test_casimir_pipeline_is_packed_in_q_squared(monkeypatch):
@@ -270,8 +302,7 @@ def test_casimir_pipeline_is_packed_in_q_squared(monkeypatch):
     general = []
     monkeypatch.setattr(qrational, "_combine", lambda *args: general.append(args))
     monkeypatch.setattr(qrational, "_mul_add_slow", lambda *args: general.append(args))
-    for cached in (uq_rank1._gamma_power, uq_rank1._straighten, _q_binomial):
-        cached.cache_clear()
+    _q_binomial.cache_clear()
     for m in range(5):
         V = SimpleModule(m)
         C = casimir(V, 3)
@@ -350,7 +381,6 @@ def test_casimir_k1_forms_no_element_product(monkeypatch):
         raise AssertionError("C^(1) formed a product of elements")
 
     monkeypatch.setattr(uq_rank1, "_mul_into", refuse)
-    uq_rank1._gamma_power.cache_clear()
     assert [casimir(SimpleModule(m), 1) for m in range(6)] == expected
     with pytest.raises(AssertionError, match="product of elements"):
         casimir(SimpleModule(1), 2)
@@ -381,8 +411,7 @@ def test_casimir_raises_on_non_laurent_coefficient(monkeypatch):
         casimir(SimpleModule(1), 1)
     entry = UQ_ONE.scale(half)
     monkeypatch.setattr(
-        uq_rank1, "_gamma_power",
-        lambda V, k: UqMatrix([[entry, UQ_ZERO], [UQ_ZERO, entry]]),
+        uq_rank1, "gamma", lambda V: UqMatrix([[entry, UQ_ZERO], [UQ_ZERO, entry]])
     )
     with pytest.raises(ArithmeticError, match="non-Laurent Casimir"):
         casimir(SimpleModule(1), 2)
