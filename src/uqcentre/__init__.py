@@ -53,9 +53,6 @@ from .uq_rank1 import (
     gamma,
     hc_project,
     is_central,
-    K_operator,
-    quasi_R,
-    quasi_R_tilde_T,
 )
 
 __version__ = "0.1.0"

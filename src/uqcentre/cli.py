@@ -28,6 +28,7 @@ import os
 import sys
 from _json import encode_basestring_ascii  # json.encoder's C escaper, without json
 from collections import namedtuple
+from collections.abc import Iterator
 from types import SimpleNamespace
 
 from .character_ring import independence_check, verify_centre_relations
@@ -97,8 +98,9 @@ def _json_write(obj, newline: str, put) -> None:
 
     ``newline`` starts a line at obj's indent ("\\n" at the top).  Accepts
     what the commands emit: dicts with str keys, lists, str, int, bool and
-    None.  Any other type raises TypeError, where ``json.dumps`` might
-    render it in some other way.
+    None, and an iterator, written as the list of its items without
+    holding them all.  Any other type raises TypeError, where ``json.dumps``
+    might render it in some other way.
     """
     cls = type(obj)
     if cls is str:
@@ -138,6 +140,14 @@ def _json_write(obj, newline: str, put) -> None:
         put("true")
     elif obj is False:
         put("false")
+    elif isinstance(obj, Iterator):  # a list handed over one item at a time
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            put(sep)
+            _json_write(item, inner, put)
+            sep = "," + inner
+        put("[]" if sep[0] == "[" else newline + "]")
     else:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
@@ -216,7 +226,7 @@ def cmd_casimir(args) -> int:
         payload = {
             "m": args.m,
             "k": args.k,
-            "element": c.to_json(),
+            "element": c.iter_json(),
             "central": central,
         }
         if hc is not None:

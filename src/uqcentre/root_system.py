@@ -268,17 +268,6 @@ class RootSystem:
 
     # -- Weyl group --------------------------------------------------------
 
-    def simple_reflection(self, i: int, w: Weight) -> Weight:
-        """s_i(w) = w - w_i * alpha_i, in fundamental-weight coordinates; 0 <= i < rank."""
-        if not 0 <= i < self.rank:
-            raise DomainError(f"node index {i} is outside 0..{self.rank - 1}")
-        self._check_weight(w)
-        wi = w[i]
-        if wi == 0:
-            return tuple(w)
-        A = self.cartan
-        return tuple(w[k] - wi * A[k][i] for k in range(self.rank))
-
     def weyl_orbit(self, w: Weight) -> set[Weight]:
         """The Weyl orbit of ``w``, as a set of weights.
 

@@ -17,8 +17,8 @@ which every product and the centrality test are built.  The coefficient
 of ``F^a K^b E^c`` is ``(q - q^-1)^c`` times the stored coefficient of
 ``F^a K^b E'^c``.  Conversion happens only at the public
 boundary: the constructor and ``monomial`` take E-basis coefficients, and
-``terms``, ``coefficient``, ``sorted_terms``, ``render`` and ``to_json``
-give them back, so callers never see the E' basis.
+``terms``, ``coefficient``, ``sorted_terms``, ``render``, ``to_json`` and
+``iter_json`` give them back, so callers never see the E' basis.
 
 A product L R is formed from the levels R, E' R, E'^2 R, ..., each the
 normal form of E' times the one before, built up to the largest
@@ -26,7 +26,7 @@ E'-exponent of the left factor; a level depends on its exponent and R
 alone.  The left term r1 F^a1 K^b1 E'^c then adds r1 p q^(-2 b1 x) to
 F^(a1+x) K^(b1+y) E'^z for every term p F^x K^y E'^z of level c: moving
 K^b1 past F^x is a shift applied after the level is built, and r1, the
-large coefficient in Gamma_V^k, is multiplied once per output monomial.
+large coefficient in M^(k-1), is multiplied once per output monomial.
 A matrix product shares the levels of each right entry down its column,
 so every row reuses them, and nothing outlives the product.  Powers of
 q are applied as shifts, never as products: each term of a product is one
@@ -51,19 +51,27 @@ Gamma_V is already the normally ordered monomial
 q^(-2n w_l) kappa rho F^n K^(w_l - n) E'^n', and the terms of one entry
 fall on distinct monomials, so Gamma_V is written down in closed form, one
 coefficient product per term and no product of elements; C^(1)_V is read
-off its diagonal the same way.  The product K_V Rt_V R_V is formed only by
-the tests, as the oracle of that closed form.  The library shows
+off its diagonal the same way.  For k >= 2 the same factors are
+regrouped, Gamma_V^k = K_V Rt_V M^(k-1) R_V with M = R_V K_V Rt_V.  This
+only reassociates the product, so it is exact.  Each term of
+E'^a K^w F^b K^-b in M is a term of E'^a F^b, which is level a of F^b
+under the one straightening rule, moved to a new monomial with a shift of
+q; so M too is written down with no product of elements.  M^(k-1) takes
+k - 2 matrix products, and the outer factors K_V Rt_V and R_V are applied
+to it by re-keying its terms.  The products K_V Rt_V R_V and
+R_V K_V Rt_V are formed only by the tests, as the oracles of these closed
+forms; R_V, Rt_V and K_V as matrices are built only there.  The library shows
 centrality by direct commutation (:func:`is_central`); the intertwining
 identities of Gamma_V and K_V, steps of the proof, are checked by
 ``tests/oracles.py``, which builds the module matrices of zeta(E), zeta(F)
 and zeta(K) itself.  The truncation of the quasi R-matrix at n = dim V is
-exact (zeta(F)^dim V = 0), not an approximation.  Since c_n E^n = q^(n(n-1)/2) E'^n / [n]!, R_V and Rt_V are
+exact (zeta(F)^dim V = 0), not an approximation.  Since c_n E^n = q^(n(n-1)/2) E'^n / [n]!, the entries of R_V and Rt_V are
 built from the divided powers F^(n) e_j = [m-j choose n] e_(j+n) and
 E^(n) e_j = [j choose n] e_(j-n), one balanced q-binomial per nonzero
-entry, so every entry of R_V, Rt_V, K_V and Gamma_V^k has stored
+entry, so every entry of R_V, Rt_V, K_V, Gamma_V and M^(k-1) has stored
 coefficients in Z[q, q^-1]: the whole Casimir pipeline runs on Laurent
-polynomials and never needs a polynomial gcd.  Gamma_V^k is formed by a
-loop of products by Gamma_V, and nothing of it is kept between calls.
+polynomials and never needs a polynomial gcd.  Nothing of M or its powers
+is kept between calls.
 
 Every such coefficient is moreover q^e P(q^2), with exponents of one
 parity, which ``qrational`` packs in q^2 at half the length.  [a] lies in
@@ -79,8 +87,8 @@ the relations, so it is a ring automorphism psi, and psi multiplies a
 coefficient c(q) of F^a K^b E'^c by (-1)^(a+b) as it takes it to c(-q).  It
 sends R_V and Rt_V to D R_V D^-1 and D Rt_V D^-1, for the sign matrix
 D = diag((-1)^(i(i-1)/2 + i(m+1))), and K_V to (-1)^m K_V.  So every
-entry of Gamma_V^k and C^(k) is fixed by psi up to one sign, and each of
-its coefficients has exponents of one parity.
+entry of Gamma_V^k, M^(k-1) and C^(k) is fixed by psi up to one sign, and
+each of its coefficients has exponents of one parity.
 """
 
 from __future__ import annotations
@@ -256,8 +264,13 @@ class UqElement:
 
     __repr__ = render
 
+    def iter_json(self):
+        """The items of :meth:`to_json` in order, each coefficient converted when it is reached."""
+        for mon in sorted(self._terms):
+            yield [list(mon), self.coefficient(mon).to_json()]
+
     def to_json(self) -> list:
-        return [[list(m), c.to_json()] for m, c in self.sorted_terms()]
+        return list(self.iter_json())
 
 
 UQ_ZERO = UqElement()
@@ -281,24 +294,30 @@ def _left_e(acc: dict, terms) -> None:
             mul_add(acc, (a - 1, b - 1, c), t, -qa, a - 1)
 
 
-def _mul_into(out: dict, left: dict, levels: list, shift: int = 0) -> None:
-    """Add q^shift times the product L R of stored terms into ``out``.
+def _grow(levels: list, c: int) -> None:
+    """Extend the levels [R, E' R, E'^2 R, ...] up to E'^c R, each E' times the one before."""
+    while len(levels) <= c:
+        acc: dict = {}
+        _left_e(acc, levels[-1])
+        levels.append(list(finished(acc).items()))
+
+
+def _mul_into(out: dict, left: dict, levels: list) -> None:
+    """Add the product L R of stored terms into ``out``.
 
     ``out`` holds running sums of :func:`mul_add`; ``finished(out)`` gives the
     product.  ``left`` holds the stored terms of L, and ``levels`` is the list
     [R, E' R, E'^2 R, ...] of stored (monomial, coefficient) pairs, started as
-    ``[list(R._terms.items())]``; level c + 1 is E' times level c
-    (:func:`_left_e`), added when a left E'-exponent first needs it.  It
+    ``[list(R._terms.items())]``; level c + 1 is E' times level c, added by
+    :func:`_grow` when a left E'-exponent first needs it.  It
     belongs to R and may be shared by every product with the same right
     factor.  Moving K^b1 right past F^x gives q^(-2 b1 x).
     """
     for (a1, b1, c1), r1 in left.items():
-        while len(levels) <= c1:
-            acc: dict = {}
-            _left_e(acc, levels[-1])
-            levels.append(list(finished(acc).items()))
+        if len(levels) <= c1:
+            _grow(levels, c1)
         for (x, y, z), p in levels[c1]:
-            mul_add(out, (a1 + x, b1 + y, z), r1, p, shift - 2 * b1 * x)
+            mul_add(out, (a1 + x, b1 + y, z), r1, p, -2 * b1 * x)
 
 
 def is_central(x: UqElement) -> bool:
@@ -352,12 +371,6 @@ class UqMatrix:
 
     def __init__(self, rows):
         self.rows = tuple(tuple(row) for row in rows)
-
-    @classmethod
-    def identity(cls, d: int) -> "UqMatrix":
-        return cls(
-            [[UQ_ONE if i == j else UQ_ZERO for j in range(d)] for i in range(d)]
-        )
 
     @property
     def dim(self) -> int:
@@ -441,43 +454,8 @@ def _rt_entry(m: int, l: int, t: int) -> QRat:
     )
 
 
-def quasi_R(V: SimpleModule) -> UqMatrix:
-    """(zeta (x) id) of the quasi R-matrix, truncated exactly at n = dim V.
-
-    Entry (j+n, j) is :func:`_r_entry` times E'^n.
-    """
-    m, d = V.m, V.dim
-    rows = [[UQ_ZERO] * d for _ in range(d)]
-    for j in range(d):
-        for t in range(j, d):
-            rows[t][j] = UqElement._stored({(0, 0, t - j): _r_entry(m, t, j)})
-    return UqMatrix(rows)
-
-
-def quasi_R_tilde_T(V: SimpleModule) -> UqMatrix:
-    """(zeta (x) id) phi(R^T): sum_n c_n zeta(E^n K^n) (x) K^-n F^n.
-
-    Entry (j-n, j) is :func:`_rt_entry` times F^n K^-n.
-    """
-    m, d = V.m, V.dim
-    rows = [[UQ_ZERO] * d for _ in range(d)]
-    for j in range(d):
-        for l in range(j + 1):
-            rows[l][j] = UqElement._stored({(j - l, l - j, 0): _rt_entry(m, l, j)})
-    return UqMatrix(rows)
-
-
-def K_operator(V: SimpleModule) -> UqMatrix:
-    """The diagonal operator sum_eta P_eta (x) K_2eta (here K^(m-2j))."""
-    d = V.dim
-    rows = [[UQ_ZERO] * d for _ in range(d)]
-    for j, w in enumerate(V.weights):
-        rows[j][j] = UqElement.monomial(0, w, 0)
-    return UqMatrix(rows)
-
-
 def _gamma_factors(V: SimpleModule) -> tuple[list, list]:
-    """The tables kappa, rho of the closed form of Gamma_V (:func:`gamma`).
+    """The tables kappa, rho of the closed forms of Gamma_V (:func:`gamma`) and M (:func:`_middle`).
 
     kappa[l][n] is the coefficient of Rt_V at (l, l+n), rho[j][n] that of
     R_V at (j+n, j), for every nonzero entry.
@@ -514,6 +492,37 @@ def gamma(V: SimpleModule) -> UqMatrix:
     return UqMatrix(rows)
 
 
+def _middle(V: SimpleModule, kappa: list, rho: list) -> UqMatrix:
+    """M = R_V K_V Rt_V in closed form, from the tables of :func:`_gamma_factors`.
+
+    Entry (t, t') of M is the sum over s <= min(t, t') of
+    rho E'^a K^(w_s) kappa F^b K^-b, with a = t - s, b = t' - s and
+    rho, kappa the coefficients of R_V at (t, s) and Rt_V at (s, t').
+    E'^a K^w = q^(-2aw) K^w E'^a, and E'^a F^b is level a of F^b
+    (:func:`_grow`).  Moving K^(w_s) left past F^x and K^-b right past E'^z
+    turns its term p F^x K^y E'^z into
+    q^(-2a w_s - 2x w_s + 2zb) p F^x K^(y + w_s - b) E'^z: one
+    :func:`qrational.mul_add` of rho kappa and p per term, and no product of
+    elements.  The levels of each F^b serve every entry.
+    """
+    m, d = V.m, V.dim
+    f_levels = [[[((b, 0, 0), Q_ONE)]] for b in range(d)]
+    rows = [[None] * d for _ in range(d)]
+    for t in range(d):
+        for t2 in range(d):
+            acc: dict = {}
+            for s in range(min(t, t2) + 1):
+                a, b, w = t - s, t2 - s, m - 2 * s
+                levels = f_levels[b]
+                if len(levels) <= a:
+                    _grow(levels, a)
+                c = rho[s][a].mul_shift(kappa[s][b], -2 * a * w)
+                for (x, y, z), p in levels[a]:
+                    mul_add(acc, (x, y + w - b, z), c, p, 2 * (z * b - x * w))
+            rows[t][t2] = UqElement._stored(finished(acc))
+    return UqMatrix(rows)
+
+
 def casimir(V: SimpleModule, k: int) -> UqElement:
     """C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k); central for every k >= 1.
 
@@ -522,30 +531,41 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     (:func:`gamma`): the diagonal entry (j, j) has one term
     F^n K^(w_j - n) E'^n per n, and distinct (j, n) give distinct monomials,
     so C^(1)_V is formed term by term, one packed product of coefficients
-    each, with no product of elements.  For k >= 2, Gamma_V^(k-1) is formed
-    by k - 2 products by Gamma_V, and only the diagonal of Gamma_V^k, as
-    that of Gamma_V^(k-1) Gamma_V.  The coefficients
+    each, with no product of elements.  For k >= 2 the same three factors
+    are regrouped, Gamma_V^k = K_V Rt_V M^(k-1) R_V with M = R_V K_V Rt_V;
+    this only reassociates the product, so it is exact.  M is written down
+    in closed form (:func:`_middle`), and M^(k-1) takes k - 2 matrix
+    products, none for k = 2.  The outer factors are applied by re-keying:
+    a term p F^x K^y E'^z of (M^(k-1))_(t t') adds
+    q^(w_j + 2nx - 2 w_j (n + x)) kappa rho p to F^(n+x) K^(y - n + w_j) E'^(z + n')
+    for each j <= min(t, t'), with n = t - j, n' = t' - j, and kappa, rho
+    the coefficients of Rt_V at (j, t) and R_V at (t', j): one
+    :func:`qrational.mul_add` per term and j.  The coefficients
     of the result in the F^a K^b E'^c basis are Laurent polynomials, and so
     are those in the F^a K^b E^c basis, which are them times (q - q^-1)^c;
     ArithmeticError is raised if one of the former is not.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
+    kappa, rho = _gamma_factors(V)
     if k == 1:
-        kappa, rho = _gamma_factors(V)
         terms = {
             (n, w - n, n): kappa[j][n].mul_shift(rho[j][n], w - 2 * n * w)
             for j, w in enumerate(V.weights)
             for n in range(V.dim - j)
         }
     else:
-        G = head = gamma(V)
+        M = head = _middle(V, kappa, rho)
         for _ in range(k - 2):
-            head = head * G
+            head = head * M
         acc: dict = {}
-        for j, w in enumerate(V.weights):  # zeta(K) e_j = q^w e_j
-            for l in range(V.dim):
-                _mul_into(acc, head.rows[j][l]._terms, [list(G.rows[l][j]._terms.items())], w)
+        for t, row in enumerate(head.rows):
+            for t2, entry in enumerate(row):
+                for j in range(min(t, t2) + 1):
+                    n, n2, w = t - j, t2 - j, V.m - 2 * j
+                    c = kappa[j][n].mul_shift(rho[j][n2], w - 2 * n * w)
+                    for (x, y, z), p in entry._terms.items():
+                        mul_add(acc, (n + x, y + w - n, z + n2), c, p, 2 * x * (n - w))
         terms = finished(acc)
     for (a, b, c), coeff in terms.items():
         if not coeff.is_laurent():

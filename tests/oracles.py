@@ -25,8 +25,12 @@ The product in U_q(sl2) is formed one straightening triple at a time, from
 the normal forms of E'^c F^a by a two-term induction on c
 (:func:`straighten_by_induction`), where the library applies E' to a whole
 element at a time; it reads only the stored terms.  With it
-Gamma_V is the matrix product K_V Rt_V R_V (:func:`gamma_by_products`), where
-the library writes each entry down in closed form.  The
+Gamma_V is the matrix product K_V Rt_V R_V (:func:`gamma_by_products`), and
+the middle factor M of Gamma_V^k = K_V Rt_V M^(k-1) R_V the product
+R_V K_V Rt_V (:func:`middle_by_products`), where the library writes each
+entry of both down in closed form.  The matrices R_V, Rt_V and K_V are
+built only here (:func:`quasi_R`, :func:`quasi_R_tilde_T`,
+:func:`K_operator`), entry by entry from the library's coefficients.  The
 matrices of zeta(E), zeta(F) and zeta(K) on the simple module are built here
 from its label m.  R_V and the transposed R~_V are sums of QRat matrix
 powers, each divided entrywise by [n]!, tensored with U_q(sl2) monomials.
@@ -40,8 +44,9 @@ Horner's rule, where the library reads and joins the bytes of the integer.
 The inverse Cartan matrix is Gauss-Jordan over ``Fraction``; the Hilbert
 basis is a scan of the Davenport box (:func:`bounded_vectors`, which shares
 no code with the library's box) that tests each member on its own for
-minimality.  The generators E, F, K, K^-1 and E' and the q-factorial [m]!
-live here: only tests and the divided-power oracle use them.
+minimality.  The generators E, F, K, K^-1 and E', the q-factorial [m]!,
+the identity matrix and the simple reflections live here: only tests and
+oracles use them.
 """
 
 from fractions import Fraction
@@ -52,13 +57,10 @@ from operator import add
 
 from uqcentre import (
     DomainError,
-    K_operator,
     Report,
     UqElement,
     UqMatrix,
     gamma,
-    quasi_R,
-    quasi_R_tilde_T,
     weight_multiplicities,
 )
 from uqcentre.character_ring import (
@@ -68,7 +70,7 @@ from uqcentre.character_ring import (
     full_character,
 )
 from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_int, q_power
-from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO
+from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO, _r_entry, _rt_entry
 
 
 # -- membership in M+ ---------------------------------------------------------
@@ -301,6 +303,14 @@ def weyl_dim(rsys, lam):
     return int(out)
 
 
+def simple_reflection(rsys, i, w):
+    """s_i(w) = w - w_i * alpha_i, in fundamental-weight coordinates; 0 <= i < rank."""
+    if not 0 <= i < rsys.rank:
+        raise DomainError(f"node index {i} is outside 0..{rsys.rank - 1}")
+    rsys._check_weight(w)
+    return tuple(x - w[i] * row[i] for x, row in zip(w, rsys.cartan))
+
+
 def weyl_closure(rsys, *seeds):
     """Closure of the set of ``seeds`` under simple reflections (breadth-first)."""
     seen = set(seeds)
@@ -311,7 +321,7 @@ def weyl_closure(rsys, *seeds):
             for i in range(rsys.rank):
                 if u[i] == 0:
                     continue
-                v = rsys.simple_reflection(i, u)
+                v = simple_reflection(rsys, i, u)
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
@@ -408,7 +418,7 @@ def total(t):
 def is_w_invariant(rsys, t):
     """``t`` is fixed by every simple reflection."""
     return all(
-        t.get(rsys.simple_reflection(i, w), 0) == c
+        t.get(simple_reflection(rsys, i, w), 0) == c
         for w, c in t.items()
         for i in range(rsys.rank)
     )
@@ -724,10 +734,57 @@ def uq_matrix_product_by_triples(A, B):
     )
 
 
+def identity_matrix(d):
+    """The d x d identity UqMatrix."""
+    return UqMatrix([[UQ_ONE if i == j else UQ_ZERO for j in range(d)] for i in range(d)])
+
+
+def quasi_R(V):
+    """(zeta (x) id) of the quasi R-matrix, truncated exactly at n = dim V.
+
+    Entry (j+n, j) is the library's coefficient ``_r_entry`` times E'^n.
+    """
+    m, d = V.m, V.dim
+    rows = [[UQ_ZERO] * d for _ in range(d)]
+    for j in range(d):
+        for t in range(j, d):
+            rows[t][j] = UqElement._stored({(0, 0, t - j): _r_entry(m, t, j)})
+    return UqMatrix(rows)
+
+
+def quasi_R_tilde_T(V):
+    """(zeta (x) id) phi(R^T): sum_n c_n zeta(E^n K^n) (x) K^-n F^n.
+
+    Entry (j-n, j) is the library's coefficient ``_rt_entry`` times F^n K^-n.
+    """
+    m, d = V.m, V.dim
+    rows = [[UQ_ZERO] * d for _ in range(d)]
+    for j in range(d):
+        for l in range(j + 1):
+            rows[l][j] = UqElement._stored({(j - l, l - j, 0): _rt_entry(m, l, j)})
+    return UqMatrix(rows)
+
+
+def K_operator(V):
+    """The diagonal operator sum_eta P_eta (x) K_2eta (here K^(m-2j))."""
+    d = V.dim
+    rows = [[UQ_ZERO] * d for _ in range(d)]
+    for j, w in enumerate(V.weights):
+        rows[j][j] = UqElement.monomial(0, w, 0)
+    return UqMatrix(rows)
+
+
 def gamma_by_products(V):
     """Gamma_V = K_V Rt_V R_V, both matrix products by :func:`uq_matrix_product_by_triples`."""
     return uq_matrix_product_by_triples(
         uq_matrix_product_by_triples(K_operator(V), quasi_R_tilde_T(V)), quasi_R(V)
+    )
+
+
+def middle_by_products(V):
+    """M = R_V K_V Rt_V, both matrix products by :func:`uq_matrix_product_by_triples`."""
+    return uq_matrix_product_by_triples(
+        uq_matrix_product_by_triples(quasi_R(V), K_operator(V)), quasi_R_tilde_T(V)
     )
 
 

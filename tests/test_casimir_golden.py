@@ -2,7 +2,8 @@
 
 The digests pin ``casimir --m M --k K`` for M <= 6 and K <= 3, in both
 output formats, and in JSON for M = 7, 8 with K <= 3, for (M, K) = (10, 3)
-and (12, 2), and for M = 20, 26, 30 with K = 1, as standard output
+and (12, 2), for M = 20, 26, 30, 48 with K = 1, and for the higher orders
+(1, 8), (2, 6), (3, 5), (4, 4), (4, 5) and (5, 4), as standard output
 (the rendered text and a trailing newline).  Any drift in a coefficient, its canonical form, the term order or
 the rendering changes a digest.
 """
@@ -73,6 +74,12 @@ LARGE_JSON_SHA256 = {
     (26, 1): "43cb8b1b90fc1cf7168c67f664e60eb89b17a6c506dfa16ab332765d42ed8557",
     (30, 1): "b7aa192b88ae62cceb5205747a49573ed6543030e03ef232b500b0b9d046bd89",
     (48, 1): "96e469e0dbbe141eb5aadd26556f248ed0e9c9278267144f49178b12f024e16d",
+    (1, 8): "07219ae49e96f3981f142bc9326fc594ad737fe4294f1028b5b5790851026444",
+    (2, 6): "b78bb3dd3b36354087dff7a4ad29d3601e5a773114caa5dc3a136386997943d2",
+    (3, 5): "65327f827b60ce9c505f4f1df3c44731ec2e3c32e7bfa4a77aee318ab7aeb7e2",
+    (4, 4): "2fd53426cfc6a28a3cf2c84466114d5f97ff29ae3b78e654984f55476c3a0642",
+    (4, 5): "17727e9cdfb7cd57af0ec1917b1a55c729f53d795a5ee76286c08951ca260dfc",
+    (5, 4): "34c4b2dd9fc878b24f4a33849e0b94ab0651e38893f386379b1eab4239192a23",
 }
 
 DIGESTS = {"json": JSON_SHA256, "text": TEXT_SHA256}

@@ -328,6 +328,27 @@ def test_json_dump_is_json_dumps(value):
     assert _json_dump(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_JSON, max_size=4))
+def test_json_dump_of_an_iterator_is_json_dumps_of_its_list(items):
+    assert _json_dump(iter(items)) == json.dumps(items, sort_keys=True, indent=2)
+    assert _json_dump({"a": iter(items)}) == json.dumps({"a": items}, sort_keys=True, indent=2)
+
+
+def test_json_write_takes_an_iterator_one_item_at_a_time():
+    chunks, written = [], []
+
+    def items():
+        for i in range(3):
+            written.append("".join(chunks).count('"i"'))
+            yield {"i": [i, "x"]}
+
+    _json_write({"a": items()}, "\n", chunks.append)
+    want = {"a": [{"i": [i, "x"]} for i in range(3)]}
+    assert "".join(chunks) == json.dumps(want, sort_keys=True, indent=2)
+    assert written == [0, 1, 2]  # each item is written before the next is made
+
+
 @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "one"}, [{"a": [0.5]}], {"b": 1, 2: 0}])
 def test_json_dump_rejects_what_it_cannot_match(value):
     with pytest.raises(TypeError):

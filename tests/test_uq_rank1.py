@@ -5,7 +5,6 @@ import pytest
 
 from uqcentre import (
     DomainError,
-    K_operator,
     SimpleModule,
     UqElement,
     UqMatrix,
@@ -14,8 +13,6 @@ from uqcentre import (
     gamma,
     hc_project,
     is_central,
-    quasi_R,
-    quasi_R_tilde_T,
     xi_simple,
 )
 from uqcentre import qrational, uq_rank1
@@ -27,15 +24,20 @@ from oracles import (
     GEN_F,
     GEN_K,
     GEN_KINV,
+    K_operator,
     _matrix_power,
     _matrix_product,
     check_K_intertwining,
     check_gamma_intertwines,
     coproduct_matrix,
     gamma_by_products,
+    identity_matrix,
+    middle_by_products,
     module_matrices,
     q_factorial,
+    quasi_R,
     quasi_R_by_matrix_powers,
+    quasi_R_tilde_T,
     quasi_R_tilde_T_by_matrix_powers,
     uq_matrix_product_by_triples,
     uq_product_by_triples,
@@ -206,7 +208,7 @@ def test_quasi_R_dim2():
     assert R.rows[0][0] == UQ_ONE and R.rows[1][1] == UQ_ONE
     assert R.rows[1][0] == GEN_E.scale(QMQ)  # (q - q^-1) zeta(F) (x) E
     assert R.rows[0][1] == UQ_ZERO
-    assert quasi_R(SimpleModule(0)) == UqMatrix.identity(1)
+    assert quasi_R(SimpleModule(0)) == identity_matrix(1)
 
 
 def test_quasi_R_dim3_coefficient():
@@ -224,7 +226,7 @@ def test_quasi_R_tilde_dim2():
     # K^-1 F = q^2 F K^-1
     assert Rt.rows[0][1] == UqElement.monomial(1, -1, 0, QMQ * q_power(-1) * q_power(2))
     assert Rt.rows[1][0] == UQ_ZERO
-    assert quasi_R_tilde_T(SimpleModule(0)) == UqMatrix.identity(1)
+    assert quasi_R_tilde_T(SimpleModule(0)) == identity_matrix(1)
 
 
 def test_quasi_R_tilde_dim3_top_corner():
@@ -323,7 +325,7 @@ def test_K_operator():
     V = SimpleModule(1)
     KV = K_operator(V)
     assert KV.rows[0][0] == GEN_K and KV.rows[1][1] == GEN_KINV
-    assert K_operator(SimpleModule(0)) == UqMatrix.identity(1)
+    assert K_operator(SimpleModule(0)) == identity_matrix(1)
     V2 = SimpleModule(2)
     KV2 = K_operator(V2)
     assert KV2.rows[1][1] == UQ_ONE
@@ -339,7 +341,7 @@ def test_gamma_m1_matches_worked_example():
     assert G.rows[1][1] == GEN_KINV
     assert G.rows[1][0] == (GEN_KINV * GEN_E).scale(QMQ)
     assert G.rows[0][1] == GEN_F.scale(Q_ONE - q_power(-2))
-    assert gamma(SimpleModule(0)) == UqMatrix.identity(1)
+    assert gamma(SimpleModule(0)) == identity_matrix(1)
 
 
 def test_casimir_k1_matches_worked_example():
@@ -375,33 +377,44 @@ def test_closed_form_gamma_matches_oracle_products(m):
 
 
 def test_casimir_k1_forms_no_element_product(monkeypatch):
-    expected = [casimir(SimpleModule(m), 1) for m in range(6)]
+    # C^(1) and C^(2) are read off closed forms; C^(3) needs the product M M
+    expected = {k: [casimir(SimpleModule(m), k) for m in range(6)] for k in (1, 2)}
 
     def refuse(*args):
-        raise AssertionError("C^(1) formed a product of elements")
+        raise AssertionError("C^(k) formed a product of elements")
 
     monkeypatch.setattr(uq_rank1, "_mul_into", refuse)
-    assert [casimir(SimpleModule(m), 1) for m in range(6)] == expected
+    for k in (1, 2):
+        assert [casimir(SimpleModule(m), k) for m in range(6)] == expected[k], k
     with pytest.raises(AssertionError, match="product of elements"):
-        casimir(SimpleModule(1), 2)
+        casimir(SimpleModule(1), 3)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_closed_form_middle_factor_matches_oracle_products(m):
+    # M = R_V K_V Rt_V of Gamma_V^k = K_V Rt_V M^(k-1) R_V, in closed form,
+    # against the triple product
+    V = SimpleModule(m)
+    assert uq_rank1._middle(V, *uq_rank1._gamma_factors(V)) == middle_by_products(V)
 
 
 @pytest.mark.parametrize("m", range(4))
 def test_casimir_matches_the_trace_of_oracle_products(m):
-    # C^(k)_V = sum_j q^(m-2j) (Gamma_V^k)_jj, every product by the oracle
+    # C^(k)_V = sum_j q^(m-2j) (Gamma_V^k)_jj, every product by the oracle;
+    # k = 4 for m <= 2
     V = SimpleModule(m)
     G = gamma_by_products(V)
     power = G
-    for k in range(1, 4):
+    for k in range(1, 4 if m > 2 else 5):
         if k > 1:
             power = uq_matrix_product_by_triples(power, G)
         assert casimir(V, k) == _weighted_trace(V, power)
 
 
 def test_casimir_raises_on_non_laurent_coefficient(monkeypatch):
-    # coefficients 1/[2] where each path reads Gamma_V: the trace has
+    # coefficients 1/[2] where each path reads its closed form: the trace has
     # non-Laurent coefficients.  k = 1 reads the closed-form factors of
-    # Gamma_V, k >= 2 the matrix powers.
+    # Gamma_V, k >= 2 the middle factor M = R_V K_V Rt_V.
     half = Q_ONE / q_int(2)
     monkeypatch.setattr(
         uq_rank1, "_gamma_factors",
@@ -409,12 +422,15 @@ def test_casimir_raises_on_non_laurent_coefficient(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="non-Laurent Casimir"):
         casimir(SimpleModule(1), 1)
+    monkeypatch.undo()
     entry = UQ_ONE.scale(half)
     monkeypatch.setattr(
-        uq_rank1, "gamma", lambda V: UqMatrix([[entry, UQ_ZERO], [UQ_ZERO, entry]])
+        uq_rank1, "_middle",
+        lambda V, kappa, rho: UqMatrix([[entry, UQ_ZERO], [UQ_ZERO, entry]]),
     )
-    with pytest.raises(ArithmeticError, match="non-Laurent Casimir"):
-        casimir(SimpleModule(1), 2)
+    for k in (2, 3):
+        with pytest.raises(ArithmeticError, match="non-Laurent Casimir"):
+            casimir(SimpleModule(1), k)
 
 
 def test_internal_basis_round_trip():
