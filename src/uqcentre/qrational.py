@@ -1,24 +1,22 @@
-"""Exact rational functions in the quantum parameter q.
+"""Exact Laurent polynomials in the quantum parameter q: the ring Z[q, q^-1].
 
-An element is ``q^k * num(q) / den(q)`` in canonical form: ``num`` and
-``den`` are integer-coefficient polynomials with nonzero constant terms
-(powers of q are factored into ``k``), the polynomial gcd of ``num`` and
-``den`` is trivial, the integer contents of ``num`` and ``den`` are coprime,
-and ``den`` has positive leading coefficient.  The canonical form is unique,
-so equality is structural.  ``qpow``, ``num`` and ``den`` give it back, the
-polynomials as little-endian integer tuples (the zero polynomial is ``()``).
+An element is ``q^k * num(q)`` in canonical form: ``num`` is an
+integer-coefficient polynomial with a nonzero constant term (powers of q are
+factored into ``k``).  The canonical form is unique, so equality is
+structural.  ``qpow`` and ``num`` give it back, the polynomial as a
+little-endian integer tuple (the zero polynomial is ``()``).  A quotient is
+taken only where it is exact, by ``laurent_quotient``.
 
-Laurent polynomials (``den == (1,)``) are stored packed, by Kronecker
-substitution.  A value whose exponents all share one parity is
-q^k P(q^2), and it is held at stride 2: as the one integer N = P(2^B).
-Any other Laurent value is held at stride 1, as N = num(2^B).  In both, the
-balanced base-2^B digits of N, each in [-2^(B-1), 2^(B-1)), are the
-coefficients, and a proven bound h on their l1 norm is kept with N.  The
-stride is a function of the value, so the form stays canonical:
-(1 + q)(1 - q) and 1 - q^2 are both stored at stride 2, and equal values
-have equal (k, N, B, stride).  Every value in the rank-1 Casimir pipeline
-has stride 2, so its N is half the length of the stride-1 packing, which
-would hold a zero digit at every odd offset.
+Values are stored packed, by Kronecker substitution.  A value whose
+exponents all share one parity is q^k P(q^2), and it is held at stride 2:
+as the one integer N = P(2^B).  Any other value is held at stride 1, as
+N = num(2^B).  In both, the balanced base-2^B digits of N, each in
+[-2^(B-1), 2^(B-1)), are the coefficients, and a proven bound h on their
+l1 norm is kept with N.  The stride is a function of the value, so the
+form stays canonical: (1 + q)(1 - q) and 1 - q^2 are both stored at
+stride 2, and equal values have equal (k, N, B, stride).  Every value in
+the rank-1 Casimir pipeline has stride 2, so its N is half the length of
+the stride-1 packing, which would hold a zero digit at every odd offset.
 
 - A product of two stride-2 values is the big-integer product N1*N2,
   with bound h1*h2 (the l1 norm is submultiplicative).
@@ -57,24 +55,9 @@ the valuation once, in ``finished``.  Every other term, and the slow
 branches of ``+`` and ``mul_shift``, go to ``_mul_add_slow``, the one slow
 path: it keeps the sum packed at its own B and stride, refreshes a bound
 only where it would pass 2^(B-1), and leaves the sum to ``finished``.
-
-A value with a true denominator is the same packed form twice: its
-numerator and denominator are packed Laurent values at q-valuation 0, and
-``k`` holds the valuation.  ``+``, ``*`` and ``/`` on such values combine the
-packed parts with the packed product and sum, and one reducer, ``_fraction``,
-brings the result to canonical form: it unpacks both parts once, for their
-integer contents and to pack them at a width 2^w past their coefficients;
-the balanced digits of the integer gcd of the two packed values are, up to
-their content, the primitive polynomial gcd (the heuristic gcd), which
-``laurent_quotient`` certifies by dividing both parts by it, at a wider w
-if it does not divide them.  A denominator of 1 gives a Laurent value.
-The Gamma_V powers and Casimirs of the rank-1 code stay in Z[q, q^-1] and
-never reach the reducer.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .errors import DomainError
 
@@ -227,37 +210,33 @@ def _quotient_certified(x: "QRat", y: "QRat") -> "QRat":
 
 
 class QRat:
-    """An exact element of the field of rational functions in q.
+    """An exact element of Z[q, q^-1].
 
-    A Laurent value keeps its packed N in ``_n``, its l1 bound in ``_h`` and
-    its stride, 2 or 1, in ``_s``; any other value keeps ``_h = _s = None``
-    and in ``_n`` the pair of packed Laurent values (numerator, denominator),
-    both at q-valuation 0.
+    It keeps its packed N in ``_n``, its l1 bound in ``_h`` and its stride,
+    2 or 1, in ``_s``.
     """
 
     __slots__ = ("qpow", "_n", "_h", "_s")
 
     def __init__(self, qpow, num, den):
+        """q^qpow num(q) / den(q), which must lie in Z[q, q^-1]; DomainError otherwise."""
         num, den = tuple(num), tuple(den)
         if any(type(x) is not int for x in (qpow, *num, *den)):
             raise DomainError(f"exponents and coefficients are ints, not {(qpow, num, den)!r}")
-        x = _fraction(_from_coefficients(qpow, num), _from_coefficients(0, den))
+        try:
+            x = laurent_quotient(_from_coefficients(qpow, num), _from_coefficients(0, den))
+        except ArithmeticError:
+            raise DomainError(f"{den!r} does not divide {num!r} in Z[q, q^-1]") from None
         self.qpow, self._n, self._h, self._s = x.qpow, x._n, x._h, x._s
 
     @property
     def num(self) -> tuple:
-        if self._h is None:
-            return self._n[0].num
         digits = _digits(self._n, _width(self._h))
         if self._s == 1:
             return tuple(digits)
         spread = [0] * (2 * len(digits) - 1)
         spread[::2] = digits
         return tuple(spread)
-
-    @property
-    def den(self) -> tuple:
-        return (1,) if self._h is not None else self._n[1].num
 
     # -- constructors -------------------------------------------------------
 
@@ -281,14 +260,8 @@ class QRat:
     def is_one(self) -> bool:
         return self.qpow == 0 and self._n == 1
 
-    def is_laurent(self) -> bool:
-        """Whether the element is a Laurent polynomial in q."""
-        return self._h is not None
-
     def as_laurent(self) -> dict[int, int]:
-        """Exponent -> coefficient map; raises if not a Laurent polynomial."""
-        if self._h is None:
-            raise DomainError(f"{self} is not a Laurent polynomial")
+        """Exponent -> coefficient map."""
         return {self.qpow + i: c for i, c in enumerate(self.num) if c}
 
     def constant_value(self) -> int:
@@ -311,27 +284,21 @@ class QRat:
             return other
         if not other._n:
             return self
-        if self._h is not None and other._h is not None:
-            h = self._h + other._h
-            k1, k2 = self.qpow, other.qpow
-            if h >= _LIMIT or not self._s == other._s == 2 or (k1 - k2) & 1:
-                return _combine(self, other, False)
-            # the N of larger valuation moves up one digit per power of q^2
-            if k1 < k2:
-                return _stored(k1, self._n + (other._n << _B * (k2 - k1) // 2), h, 2)
-            if k2 < k1:
-                return _stored(k2, other._n + (self._n << _B * (k1 - k2) // 2), h, 2)
-            return _packed_sum(k1, self._n + other._n, h)
-        n1, d1 = _parts(self)
-        n2, d2 = _parts(other)
-        return _fraction(n1 * d2 + n2 * d1, d1 * d2)
+        h = self._h + other._h
+        k1, k2 = self.qpow, other.qpow
+        if h >= _LIMIT or not self._s == other._s == 2 or (k1 - k2) & 1:
+            return _combine(self, other, False)
+        # the N of larger valuation moves up one digit per power of q^2
+        if k1 < k2:
+            return _stored(k1, self._n + (other._n << _B * (k2 - k1) // 2), h, 2)
+        if k2 < k1:
+            return _stored(k2, other._n + (self._n << _B * (k1 - k2) // 2), h, 2)
+        return _packed_sum(k1, self._n + other._n, h)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._h is not None:
-            return _stored(self.qpow, -self._n, self._h, self._s)
-        return _stored(self.qpow, (-self._n[0], self._n[1]), None, None)
+        return _stored(self.qpow, -self._n, self._h, self._s)
 
     def __sub__(self, other):
         if not isinstance(other, (int, QRat)):
@@ -353,18 +320,14 @@ class QRat:
     __rmul__ = __mul__
 
     def mul_shift(self, other: "QRat", k: int) -> "QRat":
-        """q^k * self * other: for stride-2 Laurent values, one packed product and one new value."""
+        """q^k * self * other: for stride-2 values, one packed product and one new value."""
         if not self._n or not other._n:
             return Q_ZERO
-        if self._h is not None and other._h is not None:
-            # a product of polynomials with nonzero constant terms has one too
-            h = self._h * other._h
-            if h >= _LIMIT or not self._s == other._s == 2:
-                return _combine(self, other, True).shift(k)
-            return _stored(self.qpow + other.qpow + k, self._n * other._n, h, 2)
-        n1, d1 = _parts(self)
-        n2, d2 = _parts(other)
-        return _fraction(n1 * n2, d1 * d2).shift(k)
+        # a product of polynomials with nonzero constant terms has one too
+        h = self._h * other._h
+        if h >= _LIMIT or not self._s == other._s == 2:
+            return _combine(self, other, True).shift(k)
+        return _stored(self.qpow + other.qpow + k, self._n * other._n, h, 2)
 
     def shift(self, k: int) -> "QRat":
         """q^k * self, by moving the q-valuation; no polynomial product."""
@@ -374,18 +337,9 @@ class QRat:
             return self
         return _stored(self.qpow + k, self._n, self._h, self._s)
 
-    def inverse(self) -> "QRat":
-        return _quotient(Q_ONE, self)
-
-    def __truediv__(self, other):
-        return _quotient(self, QRat.coerce(other))
-
-    def __rtruediv__(self, other):
-        return _quotient(QRat.coerce(other), self)
-
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise DomainError("negative powers are not taken; q^-k is q_power(-k)")
         out = Q_ONE
         base = self
         while n:
@@ -404,14 +358,12 @@ class QRat:
         return (
             self.qpow == other.qpow
             and self._n == other._n
-            and (self._h is None
-                 or (self._s == other._s and _width(self._h) == _width(other._h)))
+            and self._s == other._s
+            and _width(self._h) == _width(other._h)
         )
 
     def __hash__(self):
         # an integer constant equals that int, and its N is that int
-        if self._h is None:
-            return hash((self.qpow, self._n))
         return hash((self.qpow, self._n)) if self.qpow else hash(self._n)
 
     # -- rendering -----------------------------------------------------------
@@ -420,92 +372,13 @@ class QRat:
         return self.render()
 
     def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        if self.is_laurent():
-            return _laurent_str(self.as_laurent())
-        num = _poly_str(self.num)
-        den = _poly_str(self.den)
-        s = f"({num})/({den})"
-        if self.qpow:
-            s = f"q^{self.qpow}*" + s
-        return s
+        return _laurent_str(self.as_laurent())
 
     def to_json(self) -> dict:
-        return {"qpow": self.qpow, "num": list(self.num), "den": list(self.den)}
+        return {"qpow": self.qpow, "num": list(self.num), "den": [1]}
 
 
 _new = object.__new__
-
-
-def _parts(x: QRat) -> tuple[QRat, QRat]:
-    """Packed Laurent (numerator, denominator) whose quotient is x."""
-    if x._h is not None:
-        return x, Q_ONE
-    n, d = x._n
-    return n.shift(x.qpow), d
-
-
-def _quotient(x: QRat, y: QRat) -> QRat:
-    n1, d1 = _parts(x)
-    n2, d2 = _parts(y)
-    return _fraction(n1 * d2, d1 * n2)
-
-
-def _fraction(n: QRat, d: QRat) -> QRat:
-    """n / d in canonical form, for packed Laurent n and d.
-
-    Both are shifted to valuation 0 and unpacked once, for the gcd c of
-    their integer contents, signed so that the denominator leads positive.
-    The primitive gcd g* of the polynomials A = n and B = d is found by the
-    heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput.
-    1989), on their packed values, as polynomials in q^s (s = 2 if both have
-    stride 2, else s = 1): at xi = 2^w, where w is the width of 2M + 4 for M
-    the largest |coefficient| of A and B, the balanced base-xi digits H of
-    gamma = gcd(A(xi), B(xi)) are read, and both are divided by c pp(H) with
-    ``laurent_quotient``.  If either division is inexact, w grows by 64 and
-    the step is repeated.  A denominator of 1 gives a Laurent value.
-
-    (i) Exactness.  Let g* lead positive.  xi does not divide gamma, since
-    0 < |A(0)| < xi, so H has a nonzero constant digit; gamma > 0, so H and
-    pp(H) lead positive.  If pp(H) divides A and B, write g* = pp(H) K.
-    Then cont(H) = delta |K(xi)| with delta = gamma / g*(xi).  If deg K >= 1,
-    the roots of K are roots of A, of modulus at most 1 + |A|_inf < 1 +
-    xi/4 (Cauchy's bound), so |K(xi)| >= (xi - 1 - |A|_inf)^deg K > xi/2.
-    That is impossible: cont(H) divides the nonzero constant digit of H,
-    which is at most xi/2.  So K = 1, and c pp(H) = c g* is the gcd.
-
-    (ii) Termination.  With A = c_A g* u and B = c_B g* v, gamma = g*(xi)
-    delta where delta = gcd(c_A u(xi), c_B v(xi)) divides c_A c_B Res(u, v),
-    since Res(u, v) lies in the ideal (u, v) of Z[q].  That bound does not
-    depend on xi, so once xi > 2 delta |g*|_inf the digits H are exactly
-    delta g*, and the divisions are exact.
-    """
-    if not d._n:
-        raise ZeroDivisionError("zero denominator")
-    if not n._n:
-        return Q_ZERO
-    if d._n in (1, -1):  # d = +-q^k
-        return (n if d._n == 1 else -n).shift(-d.qpow)
-    a, b = _digits(n._n, _width(n._h)), _digits(d._n, _width(d._h))
-    c = gcd(*a, *b)
-    c = -c if b[-1] < 0 else c
-    s = 2 if n._s == d._s == 2 else 1
-    qpow = n.qpow - d.qpow
-    n, d = n.shift(-n.qpow), d.shift(-d.qpow)
-    w = _width(2 * max(map(abs, a + b)) + 4)
-    while True:
-        digits = _digits(gcd(_evaluate(a, w * n._s // s), _evaluate(b, w * d._s // s)), w)
-        cont = gcd(*digits)
-        g = _from_coefficients(0, [c * x // cont for x in digits], s)
-        try:
-            n, d = laurent_quotient(n, g), laurent_quotient(d, g)
-            break
-        except ArithmeticError:
-            w += _B
-    if d.is_one():
-        return n.shift(qpow)
-    return _stored(qpow, (n, d), None, None)
 
 
 def _monomial_str(c: int, e: int) -> str:
@@ -531,16 +404,12 @@ def _laurent_str(lau: dict[int, int]) -> str:
     return " ".join(parts)
 
 
-def _poly_str(p) -> str:
-    return _laurent_str({i: c for i, c in enumerate(p) if c})
-
-
 Q_ZERO = _stored(0, 0, 0, 2)
 Q_ONE = _stored(0, 1, 1, 2)
 
 
 def laurent_quotient(x: QRat, y: QRat) -> QRat:
-    """x / y for Laurent polynomials x, y where y divides x in Z[q, q^-1].
+    """x / y where y divides x in Z[q, q^-1].
 
     One division of the packed integers, with no gcd: a remainder proves the
     polynomial division inexact, since q^2 -> 2^B (q -> 2^B at stride 1) is
@@ -551,8 +420,6 @@ def laurent_quotient(x: QRat, y: QRat) -> QRat:
     stride 1 unless both operands have stride 2.  Raises ArithmeticError
     when the quotient is not a Laurent polynomial.
     """
-    if x._h is None or y._h is None:
-        raise ArithmeticError("laurent_quotient needs Laurent polynomials")
     if not y._n:
         raise ZeroDivisionError
     if not x._n:
@@ -587,7 +454,7 @@ def _packed_sum(k: int, n: int, h: int) -> QRat:
 def mul_add(acc: dict, key, x: QRat, y: QRat, k: int = 0) -> None:
     """Add q^k x y to the running sum ``acc[key]``; :func:`finished` reads the sums.
 
-    While x and y are stride-2 Laurent values and every term of the sum has
+    While x and y are stride-2 values and every term of the sum has
     valuations of one parity, the running sum is the list [valuation, N,
     bound] at B = 64: a term adds its N (the N of larger valuation moved up
     B/2 bits per power of q) and its bound h_x h_y, and nothing is made
@@ -619,9 +486,8 @@ def mul_add(acc: dict, key, x: QRat, y: QRat, k: int = 0) -> None:
 def _mul_add_slow(acc: dict, key, x: QRat, y: QRat, k: int) -> None:
     """:func:`mul_add` for a term or a sum that the packed path does not take.
 
-    A fraction, as a term or as the sum, goes through ``QRat`` arithmetic.
-    Any other sum stays packed as (valuation, N, bound, B, stride), and the
-    term joins it at its B, at stride 2 only if all three have it at one
+    The sum stays packed as (valuation, N, bound, B, stride), and the term
+    joins it at its B, at stride 2 only if all three have it at one
     valuation parity.  A bound that would reach 2^(B-1) is refreshed: the
     factors' while both are at B = 64 (a wider value's norm is at least
     2^63), each by one unpack whose digits also repack it, then the sum's,
@@ -629,10 +495,6 @@ def _mul_add_slow(acc: dict, key, x: QRat, y: QRat, k: int) -> None:
     At B = 64 and stride 2 it is a list again.
     """
     e = acc.get(key)
-    if x._h is None or y._h is None or e.__class__ is QRat:
-        t = x.mul_shift(y, k)
-        acc[key] = t if e is None else finished({key: e}).get(key, Q_ZERO) + t
-        return
     if not (x._n and y._n):
         return
     v, h = x.qpow + y.qpow + k, x._h * y._h
@@ -660,7 +522,7 @@ def finished(acc: dict) -> dict:
     for key, e in acc.items():
         if e.__class__ is list:
             e = _packed_sum(*e)
-        elif e.__class__ is tuple:
+        else:
             e = _from_coefficients(e[0], _digits(e[1], e[3]), e[4])
         if e._n:
             out[key] = e

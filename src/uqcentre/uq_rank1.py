@@ -1,13 +1,13 @@
 """Symbolic U_q(sl2): normal ordering, modules, quasi R-matrix, Casimirs.
 
-Elements are finite sums of normally ordered monomials ``F^a K^b E^c`` with
-exact rational-function coefficients.  The defining relations are
+Elements are finite sums of normally ordered monomials ``F^a K^b E'^c``
+of the rescaled generator E' = (q - q^-1) E, with coefficients in
+Z[q, q^-1]: the integral form of De Concini, Kac and Procesi.  The defining
+relations are
 
-    K E = q^2 E K,   K F = q^-2 F K,   E F - F E = (K - K^-1)/(q - q^-1).
+    K E' = q^2 E' K,   K F = q^-2 F K,   E' F - F E' = K - K^-1,
 
-Internally an element is stored in the basis ``F^a K^b E'^c`` of the
-rescaled generator E' = (q - q^-1) E (the integral form of De Concini, Kac
-and Procesi), where the straightening rule
+and the straightening rule
 
     E' F^a = F^a E' + [a] (q^(1-a) F^(a-1) K - q^(a-1) F^(a-1) K^-1)
 
@@ -16,8 +16,10 @@ E' times a normally ordered monomial (:func:`_left_e`), the one rule from
 which every product and the centrality test are built.  The coefficient
 of ``F^a K^b E^c`` is ``(q - q^-1)^c`` times the stored coefficient of
 ``F^a K^b E'^c``.  Conversion happens only at the public
-boundary: the constructor and ``monomial`` take E-basis coefficients, and
-``terms``, ``coefficient``, ``sorted_terms``, ``render``, ``to_json`` and
+boundary: the constructor and ``monomial`` take E-basis coefficients and
+divide them by (q - q^-1)^c, which must leave them in Z[q, q^-1] (so E
+itself cannot be written, and E' = (q - q^-1) E can), and ``terms``,
+``coefficient``, ``sorted_terms``, ``render``, ``to_json`` and
 ``iter_json`` give them back, so callers never see the E' basis.
 
 A product L R is formed from the levels R, E' R, E'^2 R, ..., each the
@@ -96,7 +98,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import DomainError
-from .qrational import Q_ONE, Q_ZERO, QRat, finished, mul_add, q_int, q_power
+from .qrational import Q_ONE, Q_ZERO, QRat, finished, laurent_quotient, mul_add, q_int, q_power
 
 Mon = tuple[int, int, int]  # exponents (a, b, c) of F^a K^b E^c
 
@@ -121,8 +123,9 @@ class UqElement:
     def __init__(self, terms=None):
         """The element sum coeff * F^a K^b E^c over ``{(a, b, c): coeff}``.
 
-        Each key must be a triple of ints (not bools) with a, c >= 0;
-        DomainError otherwise.
+        Each key must be a triple of ints (not bools) with a, c >= 0, and
+        (q - q^-1)^c must divide each coeff in Z[q, q^-1]; DomainError
+        otherwise.
         """
         clean = {}
         if terms:
@@ -133,8 +136,14 @@ class UqElement:
                 if mon[0] < 0 or mon[2] < 0:
                     raise DomainError("F and E exponents must be nonnegative")
                 coeff = QRat.coerce(coeff)
+                if mon[2]:
+                    try:
+                        coeff = laurent_quotient(coeff, _qmq_power(mon[2]))
+                    except ArithmeticError:
+                        raise DomainError(f"(q - q^-1)^{mon[2]} does not divide {coeff} "
+                                          f"at {mon!r} in Z[q, q^-1]") from None
                 if not coeff.is_zero():
-                    clean[mon] = coeff * _qmq_power(-mon[2]) if mon[2] else coeff
+                    clean[mon] = coeff
         self._terms = clean
 
     @classmethod
@@ -251,12 +260,12 @@ class UqElement:
                 factors.append("E" if c == 1 else f"E^{c}")
             cs = coeff.render()
             if not factors:
-                parts.append(f"({cs})" if (" " in cs or "/" in cs) else cs)
+                parts.append(f"({cs})" if " " in cs else cs)
                 continue
             mono = "·".join(factors)
             if coeff.is_one():
                 parts.append(mono)
-            elif (" " in cs) or ("/" in cs) or cs.startswith("-"):
+            elif " " in cs or cs.startswith("-"):
                 parts.append(f"({cs})·{mono}")
             else:
                 parts.append(f"{cs}·{mono}")
@@ -540,10 +549,7 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     q^(w_j + 2nx - 2 w_j (n + x)) kappa rho p to F^(n+x) K^(y - n + w_j) E'^(z + n')
     for each j <= min(t, t'), with n = t - j, n' = t' - j, and kappa, rho
     the coefficients of Rt_V at (j, t) and R_V at (t', j): one
-    :func:`qrational.mul_add` per term and j.  The coefficients
-    of the result in the F^a K^b E'^c basis are Laurent polynomials, and so
-    are those in the F^a K^b E^c basis, which are them times (q - q^-1)^c;
-    ArithmeticError is raised if one of the former is not.
+    :func:`qrational.mul_add` per term and j.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -567,11 +573,6 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
                     for (x, y, z), p in entry._terms.items():
                         mul_add(acc, (n + x, y + w - n, z + n2), c, p, 2 * x * (n - w))
         terms = finished(acc)
-    for (a, b, c), coeff in terms.items():
-        if not coeff.is_laurent():
-            raise ArithmeticError(
-                f"non-Laurent Casimir coefficient {coeff.render()} at F^{a} K^{b} E'^{c}"
-            )
     return UqElement._stored(terms)
 
 
@@ -615,7 +616,9 @@ def express_in_powers(
       are linearly independent and the solution is unique: for j =
       ``max_degree`` down to 0, c_j is the coefficient of K^(j e) left in the target's image,
       divided by that of K^e in p to the j-th power, and c_j p^j is
-      subtracted.  The system is consistent iff nothing is left.
+      subtracted.  The system is consistent iff nothing is left.  If a
+      division is inexact, the one solution over Q(q) has a coefficient
+      outside Z[q, q^-1], so no solution exists and None is returned.
     * When the image of the base is a scalar, every power of it is, so the
       image system is consistent iff the target's image is a scalar t_0;
       the answer is then (t_0, 0, ..., 0), the higher unknowns being free
@@ -650,7 +653,10 @@ def express_in_powers(
         sol = [Q_ZERO] * (max_degree + 1)
         for j in range(max_degree, -1, -1):
             if j * e in rest:
-                sol[j] = c = rest[j * e] / powers[j][j * e]
+                try:
+                    sol[j] = c = laurent_quotient(rest[j * e], powers[j][j * e])
+                except ArithmeticError:
+                    return None
                 for b, coeff in powers[j].items():
                     v = rest.get(b, Q_ZERO) - c * coeff
                     if v.is_zero():

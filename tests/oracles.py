@@ -44,9 +44,10 @@ Horner's rule, where the library reads and joins the bytes of the integer.
 The inverse Cartan matrix is Gauss-Jordan over ``Fraction``; the Hilbert
 basis is a scan of the Davenport box (:func:`bounded_vectors`, which shares
 no code with the library's box) that tests each member on its own for
-minimality.  The generators E, F, K, K^-1 and E', the q-factorial [m]!,
+minimality.  The generators F, K, K^-1 and E', the q-factorial [m]!,
 the identity matrix and the simple reflections live here: only tests and
-oracles use them.
+oracles use them.  E itself lies outside the integral form in which the
+library works, so E' = (q - q^-1) E stands in for it.
 """
 
 from fractions import Fraction
@@ -792,7 +793,6 @@ def middle_by_products(V):
 
 
 QMQ = q_power(1) - q_power(-1)  # q - q^-1
-GEN_E = UqElement({(0, 0, 1): 1})
 GEN_F = UqElement({(1, 0, 0): 1})
 GEN_K = UqElement({(0, 1, 0): 1})
 GEN_KINV = UqElement({(0, -1, 0): 1})

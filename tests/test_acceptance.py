@@ -34,7 +34,7 @@ from uqcentre import (
 from uqcentre.qrational import q_power
 from uqcentre.uq_rank1 import _q_binomial
 from uqcentre.cli import main
-from oracles import GEN_E, GEN_F, GEN_K, GEN_KINV, check_K_intertwining, check_gamma_intertwines
+from oracles import GEN_EP, GEN_F, GEN_K, GEN_KINV, check_K_intertwining, check_gamma_intertwines
 from oracles import factorisation_counts_by_dict, unitriangularity_check
 from oracles import independence_rank, type_A_membership, weyl_dim
 from test_casimir_golden import JSON_SHA256, LARGE_JSON_SHA256
@@ -185,11 +185,11 @@ def test_criterion_05_generation():
 def test_criterion_06_rank1_worked_example():
     t0 = time.perf_counter()
     V = SimpleModule(1)
-    qmq2 = (q_power(1) - q_power(-1)) ** 2
+    qmq = q_power(1) - q_power(-1)
     C = casimir(V, 1)
     ok = C == (
         GEN_K.scale(q_power(1)) + GEN_KINV.scale(q_power(-1))
-        + (GEN_F * GEN_E).scale(qmq2)
+        + (GEN_F * GEN_EP).scale(qmq)
     )
     C2, C3, C4 = casimir(V, 2), casimir(V, 3), casimir(V, 4)
     ok &= C2 == (C * C).scale(q_power(-1)) - q_power(-1) - q_power(-3)

@@ -6,12 +6,12 @@ and applies each left term's K-shift q^(-2 b1 x) afterwards; a matrix
 product shares these levels down a column of the right factor.  The oracle
 forms r1 r2 s q^e for every (left term, right term, straightening term)
 triple, with E'^c F^a straightened by its own induction.  Elements have F
-and E powers <= 4 and K powers in [-4, 4]; their stored coefficients are
-Laurent polynomials, or come from the E-basis constructor, which stores
-coeff / (q - q^-1)^c and so is not Laurent when c > 0.  Left factors of up
-to 8 terms with E'-exponents in {0, 1, 3, 6} reuse each level several
-times, and build levels 2, 4 and 5, which no left term reads; left matrix
-entries have E'-exponents in {0, 1, 2}.
+and E powers <= 4 and K powers in [-4, 4]; their stored coefficients are Laurent
+polynomials, given as they are stored or to the E-basis constructor as
+(q - q^-1)^c times them, which it divides out.  Left factors of up to 8
+terms with E'-exponents in {0, 1, 3, 6} reuse each level several times,
+and build levels 2, 4 and 5, which no left term reads; left matrix entries
+have E'-exponents in {0, 1, 2}.
 
 Every output coefficient is a running sum of ``qrational.mul_add``, packed
 while its terms are stride-2 values of one valuation parity within the
@@ -19,12 +19,12 @@ bound.  The running-sum tests draw few monomials, so that many terms meet at
 one output monomial, and coefficients that leave the packed path: l1 norms
 up to 2^62 (a product or a sum passes 2^63, and the exact norm does too),
 values with a loose bound (a refresh to the exact norm lets the sum go on
-packed), stride-1 values, true fractions, and stride-2 values of both
-valuation parities at one monomial.  Past the packed path every sum takes
-one slow path, and wide sums are checked against sympy or by hand: one
-whose bound passes 2^127 and then 2^191, a wide one that a term of the
-other valuation parity drops to stride 1, wide terms that cancel to zero,
-and a fraction after wide terms.  A wide sum of many terms keeps the width
+packed), stride-1 values, and stride-2 values of both valuation parities
+at one monomial.  Past the packed path every sum takes one slow path, and
+wide sums are checked against sympy or by hand: one whose bound passes
+2^127 and then 2^191, a wide one that a term of the other valuation parity
+drops to stride 1, wide terms that cancel to zero, and a stride-1 term
+after wide terms.  A wide sum of many terms keeps the width
 of its exact norm and is made canonical once, by ``finished``.
 
 ``is_central`` is checked against x g == g x for g = E', F, K, by the
@@ -40,7 +40,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 sympy = pytest.importorskip("sympy")
 
-from oracles import GEN_EP, GEN_F, GEN_K, uq_product_by_triples  # noqa: E402
+from oracles import GEN_EP, GEN_F, GEN_K, QMQ, uq_product_by_triples  # noqa: E402
 from uqcentre import SimpleModule, UqElement, UqMatrix, casimir, is_central  # noqa: E402
 from uqcentre import qrational  # noqa: E402
 from uqcentre.qrational import (  # noqa: E402
@@ -62,8 +62,8 @@ coefficients = st.builds(
 @st.composite
 def elements(draw, mons=monomials, max_size=3):
     terms = draw(st.dictionaries(mons, coefficients, max_size=max_size))
-    if draw(st.booleans()):
-        return UqElement(terms)  # E-basis coefficients: non-Laurent stored ones
+    if draw(st.booleans()):  # E-basis coefficients, divided by (q - q^-1)^c on the way in
+        return UqElement({m: c * QMQ ** m[2] for m, c in terms.items()})
     return UqElement._stored({m: c for m, c in terms.items() if not c.is_zero()})
 
 
@@ -133,11 +133,7 @@ wide_even = st.builds(_even, _k, st.lists(st.one_of(_near(31), _near(62)), min_s
 # c + c M - c M is c with the bound h_c (1 + 2 M): a refresh finds it far smaller
 loose_even = st.builds(lambda c, m: c + c * m - c * m, small_even,
                        st.integers(2**20, 2**60))
-fractions = st.builds(lambda k, num, den: QRat(k, tuple(num), den), _k,
-                      st.lists(st.integers(-3, 3), min_size=1, max_size=3),
-                      st.sampled_from([(1, 1), (2, 0, 1), (1, -1, 1)]))
-mixed_coefficients = st.one_of(small_even, unit_even, wide_even, loose_even, coefficients,
-                                fractions)
+mixed_coefficients = st.one_of(small_even, unit_even, wide_even, loose_even, coefficients)
 # few monomials, so that many terms of a product meet at one
 close_monomials = st.tuples(st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2))
 
@@ -150,8 +146,6 @@ def crowded_elements(draw, max_size=4):
 
 def _valid(c: QRat) -> bool:
     """c carries a bound on its l1 norm below 2^(B-1), at the width of that norm."""
-    if not c.is_laurent():
-        return True
     l1 = sum(map(abs, c.num))
     return l1 <= c._h < 2 ** (_width(c._h) - 1) and _width(c._h) == _width(l1)
 
@@ -205,8 +199,7 @@ def _f_series(coeffs):
 
 
 def _sympy(c: QRat):
-    num, den = (sum(a * _q**i for i, a in enumerate(p)) for p in (c.num, c.den))
-    return _q**c.qpow * num / den
+    return _q**c.qpow * sum(a * _q**i for i, a in enumerate(c.num))
 
 
 # l1 norms 2^126 + 1, 2^126 + 1 and 2^191 - 2^127
@@ -225,8 +218,8 @@ _c = _even(0, [2**190, 2**190 - 2**127])
     ([q_power(2) + 2**61 - 2**61] * 2, [Q_ONE * 3 + 2**61 - 2**61] * 2),
     # at F^2 one running sum a + b + c passes 2^127, then 2^191
     ([_a, _b, _c], [Q_ONE] * 3),
-    # a fraction after two wide terms
-    ([_a, _b, QRat(1, (1, 1), (1, 0, 1))], [Q_ONE] * 3),
+    # a stride-1 term after two wide terms
+    ([_a, _b, QRat(1, (1, 1), (1,))], [Q_ONE] * 3),
 ])
 def test_sums_past_the_bound(u, v):
     # x = sum_i u[i] F^i and y = sum_j v[j] F^j: the coefficient of F^n is
@@ -272,7 +265,7 @@ zero_grade_monomials = st.builds(lambda a, b: (a, b, a), st.integers(0, 3), st.i
 def mostly_zero_grade(draw):
     """An element whose terms mostly have a = c, or a central element plus such terms."""
     mons = st.one_of(*[zero_grade_monomials] * 9, monomials)
-    terms = draw(st.dictionaries(mons, st.one_of(coefficients, fractions), max_size=3))
+    terms = draw(st.dictionaries(mons, coefficients, max_size=3))
     x = UqElement._stored({m: c for m, c in terms.items() if not c.is_zero()})
     if draw(st.booleans()):
         m, k = draw(st.integers(0, 2)), draw(st.integers(1, 2))
@@ -304,7 +297,7 @@ def test_no_nonzero_element_with_a_equal_to_c_plus_one_commutes_with_e(terms):
 def test_zero_grade_elements_that_are_not_central():
     # they commute with K, and fail on E' (and so on F)
     C = casimir(SimpleModule(1), 1)
-    for x in (UqElement.monomial(1, 0, 1), C + GEN_K, C * GEN_K * GEN_K, GEN_F * GEN_EP):
+    for x in (UqElement.monomial(1, 1, 1, QMQ), C + GEN_K, C * GEN_K * GEN_K, GEN_F * GEN_EP):
         assert _commutes(x, GEN_K) and not _commutes(x, GEN_EP) and not _commutes(x, GEN_F)
         assert not is_central(x)
     assert is_central(C * C + C.scale(q_power(3)) + UQ_ONE)
