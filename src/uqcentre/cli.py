@@ -40,6 +40,7 @@ from .monoid_presentation import (
     presentation,
     verify_relations,
 )
+from .qrational import QRat
 from .root_system import build_root_system
 from .uq_rank1 import (
     SimpleModule,
@@ -98,9 +99,10 @@ def _json_write(obj, newline: str, put) -> None:
 
     ``newline`` starts a line at obj's indent ("\\n" at the top).  Accepts
     what the commands emit: dicts with str keys, lists, str, int, bool and
-    None, and an iterator, written as the list of its items without
-    holding them all.  Any other type raises TypeError, where ``json.dumps``
-    might render it in some other way.
+    None, a ``QRat``, written as its ``to_json`` dict by
+    :meth:`QRat.json_text`, and an iterator, written as the list of its
+    items without holding them all.  Any other type raises TypeError, where
+    ``json.dumps`` might render it in some other way.
     """
     cls = type(obj)
     if cls is str:
@@ -134,6 +136,8 @@ def _json_write(obj, newline: str, put) -> None:
             _json_write(obj[key], inner, put)
             sep = "," + inner
         put(newline + "}")
+    elif cls is QRat:
+        put(obj.json_text(newline))
     elif obj is None:
         put("null")
     elif obj is True:
@@ -232,7 +236,7 @@ def cmd_casimir(args) -> int:
         if hc is not None:
             payload["hc_image"] = sorted([b, v] for b, v in hc.items())
         if in_base is not None:
-            payload["powers_of_C1"] = [x.to_json() for x in in_base]
+            payload["powers_of_C1"] = in_base
         _emit(args, payload=payload)
         return EXIT_OK if central else EXIT_VERIFY_FAILED
     lines = [

@@ -41,8 +41,10 @@ value is exact); if the bound is still too large, it repacks the operands
 at a wider B.  B is a function of the value, the least multiple of 64
 above the bit length of its l1 norm (64 below 2^63), so an integer
 constant of any size is valid.  At every B one codec, linear in the
-length of N, reads the digits off the bytes of N and packs digits d by
-joining the B-bit words d + 2^(B-1) into one integer.
+length of N, packs digits d by joining the B-bit words d + 2^(B-1) into
+one integer and taking the offsets off, and reads them back with no carry
+between words: it puts the offsets on again, flips the top bit of every
+word and reads the words as signed.
 ``laurent_quotient`` divides the packed integers and certifies the quotient
 by the same bound; a quotient of two stride-2 values has stride 2.
 
@@ -84,22 +86,18 @@ def _width(h: int) -> int:
 def _digits(n: int, b: int) -> list[int]:
     """The balanced base-2^b digits of n, little-endian, with no trailing zero.
 
-    They are the b-bit words of the two's complement of n, with a carry into
-    the next word wherever a word reads as negative; the top word is sign only.
+    Adding 2^(b-1) to every b-bit word turns each digit d into the unsigned
+    word d + 2^(b-1), with no carry between words; flipping the top bit of
+    each word then leaves d as a b-bit two's-complement word.  Two words
+    more than the b-bit words of |n| hold every digit, with room to spare:
+    the words above the top digit read 0.
     """
     size = b // 8
-    raw = n.to_bytes((abs(n).bit_length() // b + 2) * size, "little", signed=True)
-    words = memoryview(raw).cast("Q") if b == _B else [
-        int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-    half, full = 1 << (b - 1), 1 << b
-    out = []
-    carry = 0
-    for d in words:
-        d += carry
-        carry = d >= half
-        if carry:
-            d -= full
-        out.append(d)
+    count = abs(n).bit_length() // b + 2
+    offset = int.from_bytes((1 << (b - 1)).to_bytes(size, "little") * count, "little")
+    raw = ((n + offset) ^ offset).to_bytes(count * size, "little")
+    out = memoryview(raw).cast("q").tolist() if b == _B else [
+        int.from_bytes(raw[i:i + size], "little", signed=True) for i in range(0, len(raw), size)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -376,6 +374,20 @@ class QRat:
 
     def to_json(self) -> dict:
         return {"qpow": self.qpow, "num": list(self.num), "den": [1]}
+
+    def json_text(self, newline: str) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True, indent=2)``, lines started by ``newline``.
+
+        The digits are read once off N; at stride 2 the literal ``0`` lines
+        of the spread ``num`` are joined in between.
+        """
+        inner = newline + "  "
+        item = "," + inner + "  "
+        digits = _digits(self._n, _width(self._h))
+        sep = item + "0" + item if self._s == 2 else item
+        num = "[" + inner + "  " + sep.join(map(str, digits)) + inner + "]" if digits else "[]"
+        return (f'{{{inner}"den": [{inner}  1{inner}],{inner}"num": {num},'
+                f'{inner}"qpow": {self.qpow}{newline}}}')
 
 
 _new = object.__new__

@@ -60,7 +60,24 @@ E'^a K^w F^b K^-b in M is a term of E'^a F^b, which is level a of F^b
 under the one straightening rule, moved to a new monomial with a shift of
 q; so M too is written down with no product of elements.  M^(k-1) takes
 k - 2 matrix products, and the outer factors K_V Rt_V and R_V are applied
-to it by re-keying its terms.  The products K_V Rt_V R_V and
+to it by re-keying its terms.
+
+Only half of the last factor is formed.  Let theta be the
+Z[q, q^-1]-linear anti-involution with theta(E') = F K^-1, theta(F) = K E'
+and theta(K) = K.  It takes F^a K^b E'^c to
+q^(c(c-1) - a(a-1)) F^c K^(b-c+a) E'^a, so it fixes the zero-grade
+subalgebra U^0 pointwise, and it takes (R_V)_(t j) to
+(D_j / D_t) (Rt_V)_(j t), with D_t = q^(t(m+1-t)) (q - q^-1)^t / [m choose t].
+Hence it takes (M^p)_(t t') to (D_t' / D_t) (M^p)_(t' t), and the D's
+cancel around each closed path j -> t -> t' -> j: the trace terms
+T_(j,t,t') = (K_V Rt_V)_(j t) (M^(k-1))_(t t') (R_V)_(t' j) and T_(j,t',t)
+lie in U^0 and are each other's theta-image, so they are equal (the steps
+are in :func:`casimir`).  So only the entries t <= t' of M for k = 2, or of
+the last product of M^(k-1) for k >= 3, are formed, each re-keyed into the
+trace as soon as it is finished, with coefficient 2 off the diagonal; that
+product is never held whole, and D enters no computation.
+
+The products K_V Rt_V R_V and
 R_V K_V Rt_V are formed only by the tests, as the oracles of these closed
 forms; R_V, Rt_V and K_V as matrices are built only there.  The library shows
 centrality by direct commutation (:func:`is_central`); the intertwining
@@ -274,12 +291,16 @@ class UqElement:
     __repr__ = render
 
     def iter_json(self):
-        """The items of :meth:`to_json` in order, each coefficient converted when it is reached."""
+        """The items of :meth:`to_json` in order, each with its E-basis coefficient as a ``QRat``.
+
+        Each coefficient is converted when it is reached; the JSON writer
+        of ``cli`` writes it with :meth:`QRat.json_text`.
+        """
         for mon in sorted(self._terms):
-            yield [list(mon), self.coefficient(mon).to_json()]
+            yield [list(mon), self.coefficient(mon)]
 
     def to_json(self) -> list:
-        return list(self.iter_json())
+        return [[mon, coeff.to_json()] for mon, coeff in self.iter_json()]
 
 
 UQ_ZERO = UqElement()
@@ -387,19 +408,7 @@ class UqMatrix:
 
     def __mul__(self, other):
         if isinstance(other, UqMatrix):
-            # one column at a time: the levels of entry (k, j) serve every row
-            d = self.dim
-            columns = []
-            for j in range(d):
-                levels = [[list(other.rows[k][j]._terms.items())] for k in range(d)]
-                column = []
-                for row in self.rows:
-                    out: dict = {}
-                    for k in range(d):
-                        _mul_into(out, row[k]._terms, levels[k])
-                    column.append(UqElement._stored(finished(out)))
-                columns.append(column)
-            return UqMatrix(zip(*columns))
+            return _assembled(self.dim, _products(self, other))
         return NotImplemented
 
     def __eq__(self, other):
@@ -409,6 +418,31 @@ class UqMatrix:
         return "UqMatrix(%s)" % "; ".join(
             "[" + ", ".join(e.render() for e in row) + "]" for row in self.rows
         )
+
+
+def _products(left: UqMatrix, right: UqMatrix, upper: bool = False):
+    """Yield (i, j, stored terms) for the entries of left right, one column j at a time.
+
+    The levels of right entry (k, j) serve every row of column j
+    (:func:`_mul_into`), and each entry is made canonical as it is
+    finished.  With ``upper`` only the entries i <= j are formed.
+    """
+    d = right.dim
+    for j in range(d):
+        levels = [[list(right.rows[k][j]._terms.items())] for k in range(d)]
+        for i, row in enumerate(left.rows[:j + 1] if upper else left.rows):
+            out: dict = {}
+            for k in range(d):
+                _mul_into(out, row[k]._terms, levels[k])
+            yield i, j, finished(out)
+
+
+def _assembled(d: int, entries) -> UqMatrix:
+    """The d x d UqMatrix of the (i, j, stored terms) ``entries``, every entry given."""
+    rows = [[None] * d for _ in range(d)]
+    for i, j, terms in entries:
+        rows[i][j] = UqElement._stored(terms)
+    return UqMatrix(rows)
 
 
 class SimpleModule:
@@ -502,7 +536,12 @@ def gamma(V: SimpleModule) -> UqMatrix:
 
 
 def _middle(V: SimpleModule, kappa: list, rho: list) -> UqMatrix:
-    """M = R_V K_V Rt_V in closed form, from the tables of :func:`_gamma_factors`.
+    """M = R_V K_V Rt_V in closed form, from the tables of :func:`_gamma_factors`."""
+    return _assembled(V.dim, _middle_entries(V, kappa, rho))
+
+
+def _middle_entries(V: SimpleModule, kappa: list, rho: list, upper: bool = False):
+    """Yield (t, t', stored terms) for the entries of M = R_V K_V Rt_V; only t <= t' if ``upper``.
 
     Entry (t, t') of M is the sum over s <= min(t, t') of
     rho E'^a K^(w_s) kappa F^b K^-b, with a = t - s, b = t' - s and
@@ -516,9 +555,8 @@ def _middle(V: SimpleModule, kappa: list, rho: list) -> UqMatrix:
     """
     m, d = V.m, V.dim
     f_levels = [[[((b, 0, 0), Q_ONE)]] for b in range(d)]
-    rows = [[None] * d for _ in range(d)]
     for t in range(d):
-        for t2 in range(d):
+        for t2 in range(t if upper else 0, d):
             acc: dict = {}
             for s in range(min(t, t2) + 1):
                 a, b, w = t - s, t2 - s, m - 2 * s
@@ -528,8 +566,7 @@ def _middle(V: SimpleModule, kappa: list, rho: list) -> UqMatrix:
                 c = rho[s][a].mul_shift(kappa[s][b], -2 * a * w)
                 for (x, y, z), p in levels[a]:
                     mul_add(acc, (x, y + w - b, z), c, p, 2 * (z * b - x * w))
-            rows[t][t2] = UqElement._stored(finished(acc))
-    return UqMatrix(rows)
+            yield t, t2, finished(acc)
 
 
 def casimir(V: SimpleModule, k: int) -> UqElement:
@@ -543,13 +580,45 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     each, with no product of elements.  For k >= 2 the same three factors
     are regrouped, Gamma_V^k = K_V Rt_V M^(k-1) R_V with M = R_V K_V Rt_V;
     this only reassociates the product, so it is exact.  M is written down
-    in closed form (:func:`_middle`), and M^(k-1) takes k - 2 matrix
+    in closed form (:func:`_middle_entries`), and M^(k-1) takes k - 2 matrix
     products, none for k = 2.  The outer factors are applied by re-keying:
     a term p F^x K^y E'^z of (M^(k-1))_(t t') adds
     q^(w_j + 2nx - 2 w_j (n + x)) kappa rho p to F^(n+x) K^(y - n + w_j) E'^(z + n')
     for each j <= min(t, t'), with n = t - j, n' = t' - j, and kappa, rho
     the coefficients of Rt_V at (j, t) and R_V at (t', j): one
     :func:`qrational.mul_add` per term and j.
+
+    That re-keyed term is q^(w_j) T_(j,t,t'), with the path term
+    T_(j,t,t') = (K_V Rt_V)_(j t) (M^(k-1))_(t t') (R_V)_(t' j), and
+    T_(j,t,t') = T_(j,t',t).  So only the entries t <= t' of the last
+    factor, M for k = 2 and the last product of M^(k-1) for k >= 3, are
+    formed (:func:`_products`), each re-keyed for j <= t as soon as it is
+    finished, an entry off the diagonal with coefficient 2.  The proof:
+
+    * theta, the Z[q, q^-1]-linear anti-involution with theta(E') = F K^-1,
+      theta(F) = K E' and theta(K) = K, keeps the defining relations.  As
+      (F K^-1)^c = q^(c(c-1)) F^c K^-c and (K E')^a = q^(-a(a-1)) K^a E'^a,
+      theta(F^a K^b E'^c) = q^(c(c-1) - a(a-1)) F^c K^(b-c+a) E'^a, so theta
+      needs no straightening, and it fixes the zero-grade subalgebra U^0
+      (a = c) pointwise.
+    * With n = t - j, (R_V)_(t j) = rho E'^n and (Rt_V)_(j t) = kappa F^n K^-n
+      (:func:`_r_entry`, :func:`_rt_entry`), and
+      theta(E'^n) = q^(n(n-1)) F^n K^-n.  So theta((R_V)_(t j)) =
+      (D_j / D_t) (Rt_V)_(j t), with
+      D_t = q^(t(m+1-t)) (q - q^-1)^t / [m choose t]: the q-binomials agree
+      as [m choose j] [m-j choose n] = [m choose t] [t choose n], the powers
+      of q - q^-1 as t = j + n, and the powers of q as
+      n(n-1) + t(m+1-t) - j(m+1-j) = n(m-2t) + 2n^2.
+    * theta fixes K^(w_s) and reverses products, so
+      theta(M_(t t')) = sum_s theta((Rt_V)_(s t')) K^(w_s) theta((R_V)_(t s))
+      = (D_t' / D_t) M_(t' t), and the same holds for every power of M.
+    * Around the closed path j -> t -> t' -> j the D's cancel:
+      theta(T_(j,t,t')) = (Rt_V)_(j t') (M^(k-1))_(t' t) (R_V)_(t j) K^(w_j).
+      That product lies in U^0, so it commutes with K^(w_j) and is
+      T_(j,t',t); and T_(j,t,t') lies in U^0, which theta fixes.
+
+    D enters only the proof: no division is made, and every coefficient
+    stays in Z[q, q^-1].
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -561,17 +630,22 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
             for n in range(V.dim - j)
         }
     else:
-        M = head = _middle(V, kappa, rho)
-        for _ in range(k - 2):
-            head = head * M
+        if k == 2:
+            last = _middle_entries(V, kappa, rho, upper=True)
+        else:
+            M = head = _middle(V, kappa, rho)
+            for _ in range(k - 3):
+                head = head * M
+            last = _products(head, M, upper=True)
         acc: dict = {}
-        for t, row in enumerate(head.rows):
-            for t2, entry in enumerate(row):
-                for j in range(min(t, t2) + 1):
-                    n, n2, w = t - j, t2 - j, V.m - 2 * j
-                    c = kappa[j][n].mul_shift(rho[j][n2], w - 2 * n * w)
-                    for (x, y, z), p in entry._terms.items():
-                        mul_add(acc, (n + x, y + w - n, z + n2), c, p, 2 * x * (n - w))
+        for t, t2, entry in last:
+            for j in range(t + 1):
+                n, n2, w = t - j, t2 - j, V.m - 2 * j
+                c = kappa[j][n].mul_shift(rho[j][n2], w - 2 * n * w)
+                if t < t2:  # T_(j,t,t') = T_(j,t',t)
+                    c = 2 * c
+                for (x, y, z), p in entry.items():
+                    mul_add(acc, (n + x, y + w - n, z + n2), c, p, 2 * x * (n - w))
         terms = finished(acc)
     return UqElement._stored(terms)
 

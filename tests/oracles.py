@@ -44,10 +44,12 @@ Horner's rule, where the library reads and joins the bytes of the integer.
 The inverse Cartan matrix is Gauss-Jordan over ``Fraction``; the Hilbert
 basis is a scan of the Davenport box (:func:`bounded_vectors`, which shares
 no code with the library's box) that tests each member on its own for
-minimality.  The generators F, K, K^-1 and E', the q-factorial [m]!,
-the identity matrix and the simple reflections live here: only tests and
-oracles use them.  E itself lies outside the integral form in which the
-library works, so E' = (q - q^-1) E stands in for it.
+minimality.  The anti-involution theta of U_q(sl2) (:func:`theta`), under
+which the two halves of the library's Casimir trace agree, is applied to
+monomials by its closed form.  The generators F, K, K^-1 and E', the
+q-factorial [m]!, the identity matrix and the simple reflections live
+here: only tests and oracles use them.  E itself lies outside the integral
+form in which the library works, so E' = (q - q^-1) E stands in for it.
 """
 
 from fractions import Fraction
@@ -733,6 +735,21 @@ def uq_matrix_product_by_triples(A, B):
             for i in range(d)
         ]
     )
+
+
+def theta(x):
+    """The anti-involution theta of U_q(sl2): theta(E') = F K^-1, theta(F) = K E', theta(K) = K.
+
+    It is Z[q, q^-1]-linear and reverses products, so on a normally ordered
+    monomial it is theta(E')^c theta(K)^b theta(F)^a, and with
+    (F K^-1)^c = q^(c(c-1)) F^c K^-c and (K E')^a = q^(-a(a-1)) K^a E'^a
+    that is q^(c(c-1) - a(a-1)) F^c K^(b-c+a) E'^a: one shift per term and
+    no straightening.  It reads and writes the stored terms.
+    """
+    return UqElement._stored({
+        (c, b - c + a, a): coeff.shift(c * (c - 1) - a * (a - 1))
+        for (a, b, c), coeff in x._terms.items()
+    })
 
 
 def identity_matrix(d):

@@ -5,11 +5,13 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uqcentre
+from uqcentre import SimpleModule, UqElement
 from uqcentre.cli import COMMANDS, Option, _json_write, _parse, main
+from uqcentre.qrational import Q_ZERO, QRat, q_int
 
 SRC = os.path.dirname(os.path.dirname(uqcentre.__file__))
 
@@ -349,10 +351,40 @@ def test_json_write_takes_an_iterator_one_item_at_a_time():
     assert written == [0, 1, 2]  # each item is written before the next is made
 
 
-@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "one"}, [{"a": [0.5]}], {"b": 1, 2: 0}])
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "one"}, [{"a": [0.5]}], {"b": 1, 2: 0},
+                                   UqElement.monomial(0, 1, 0), [SimpleModule(1)]])
 def test_json_dump_rejects_what_it_cannot_match(value):
     with pytest.raises(TypeError):
         _json_dump(value)
+
+
+def test_json_dump_takes_a_qrat_as_its_json_dict():
+    x = q_int(3).shift(-5)
+    value = {"c": [x, Q_ZERO], "k": 1, "e": iter([[[1, 0, 1], x]])}
+    want = {"c": [x.to_json(), Q_ZERO.to_json()], "k": 1, "e": [[[1, 0, 1], x.to_json()]]}
+    assert _json_dump(value) == json.dumps(want, sort_keys=True, indent=2)
+
+
+_WIDE = st.integers(-2**200, 2**200)
+# a stride-2 value when its coefficients are spread over even offsets only
+_QRATS = st.builds(
+    lambda k, num, spread: QRat(k, [c for x in num for c in (x, 0)] if spread else num, (1,)),
+    st.integers(-40, 40),
+    st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63) | _WIDE, max_size=6),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_QRATS, st.integers(0, 5))
+@example(Q_ZERO, 0)
+@example(QRat(-7, (2**70, 0, -1), (1,)), 2)  # wider than B = 64, stride 2
+@example(QRat(-3, (1, 2**64, 3), (1,)), 3)  # wider than B = 64, stride 1
+def test_json_text_is_the_written_to_json(x, depth):
+    newline = "\n" + "  " * depth
+    chunks = []
+    _json_write(x.to_json(), newline, chunks.append)
+    assert x.json_text(newline) == "".join(chunks)
 
 
 DEFAULTS = {"format": "text", "out": None}

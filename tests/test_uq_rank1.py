@@ -40,6 +40,7 @@ from oracles import (
     quasi_R_by_matrix_powers,
     quasi_R_tilde_T,
     quasi_R_tilde_T_by_matrix_powers,
+    theta,
     uq_matrix_product_by_triples,
     uq_product_by_triples,
 )
@@ -403,6 +404,80 @@ def test_casimir_matches_the_trace_of_oracle_products(m):
         if k > 1:
             power = uq_matrix_product_by_triples(power, G)
         assert casimir(V, k) == _weighted_trace(V, power)
+
+
+def _q_binomial_by_factorials(m, t):
+    return laurent_quotient(q_factorial(m), q_factorial(t) * q_factorial(m - t))
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_theta_takes_R_to_Rt_up_to_the_scalars_D(m):
+    # theta((R_V)_(t j)) D_t = D_j (Rt_V)_(j t) with
+    # D_t = q^(t(m+1-t)) (q - q^-1)^t / [m choose t]; multiplied through by
+    # [m choose t] [m choose j], both sides are Laurent
+    V = SimpleModule(m)
+    R, Rt = quasi_R(V), quasi_R_tilde_T(V)
+    for j in range(V.dim):
+        for t in range(V.dim):
+            left = theta(R.rows[t][j]).scale(
+                q_power(t * (m + 1 - t)) * QMQ ** t * _q_binomial_by_factorials(m, j))
+            right = Rt.rows[j][t].scale(
+                q_power(j * (m + 1 - j)) * QMQ ** j * _q_binomial_by_factorials(m, t))
+            assert left == right, (j, t)
+            assert (not left) == (t < j)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_the_trace_terms_of_t_t_prime_and_t_prime_t_agree(m):
+    # T_(j,t,t') = (K_V Rt_V)_(j t) (M^(k-1))_(t t') (R_V)_(t' j) equals
+    # T_(j,t',t), so casimir forms only t <= t'; the weighted sum of all of
+    # them is C^(k)
+    V = SimpleModule(m)
+    d = V.dim
+    KRt = uq_matrix_product_by_triples(K_operator(V), quasi_R_tilde_T(V))
+    R, M = quasi_R(V), middle_by_products(V)
+    power = M
+    for k in (2, 3):
+        if k > 2:
+            power = uq_matrix_product_by_triples(power, M)
+        T = {
+            (j, t, t2): uq_product_by_triples(
+                uq_product_by_triples(KRt.rows[j][t], power.rows[t][t2]), R.rows[t2][j])
+            for j in range(d) for t in range(d) for t2 in range(d)
+        }
+        for (j, t, t2), x in T.items():
+            assert x == T[j, t2, t], (k, j, t, t2)
+        trace = sum((x.scale(q_power(m - 2 * j)) for (j, _, _), x in T.items()), UQ_ZERO)
+        assert casimir(V, k) == trace, k
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_casimir_finishes_only_the_upper_half_of_its_last_product(monkeypatch, m):
+    # k = 3: the last product M M is formed entry by entry for t <= t' only,
+    # d(d+1)/2 entries; k = 2: likewise the entries of M itself
+    formed = {}
+
+    def counting(name):
+        entries = getattr(uq_rank1, name)
+
+        def counted(*args, **kwargs):
+            for entry in entries(*args, **kwargs):
+                formed.setdefault(name, []).append(entry[:2])
+                yield entry
+        return counted
+
+    V = SimpleModule(m)
+    d = V.dim
+    upper = sorted((t, t2) for t in range(d) for t2 in range(t, d))
+    expected = {k: casimir(V, k) for k in (2, 3)}
+    monkeypatch.setattr(uq_rank1, "_products", counting("_products"))
+    monkeypatch.setattr(uq_rank1, "_middle_entries", counting("_middle_entries"))
+    assert casimir(V, 2) == expected[2]
+    assert list(formed) == ["_middle_entries"] and sorted(formed["_middle_entries"]) == upper
+    formed.clear()
+    assert casimir(V, 3) == expected[3]
+    assert sorted(formed["_products"]) == upper
+    assert len(formed["_middle_entries"]) == d * d  # M whole, as the right factor
 
 
 def test_internal_basis_round_trip():

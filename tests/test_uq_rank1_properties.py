@@ -30,6 +30,11 @@ of its exact norm and is made canonical once, by ``finished``.
 ``is_central`` is checked against x g == g x for g = E', F, K, by the
 triple loop, on elements whose terms mostly have a = c, so that zero-grade
 elements that are not central are common, and on central elements.
+
+The anti-involution theta of the oracles, under which the two halves of the
+Casimir trace agree, is checked to keep the defining relations, to agree
+with theta(E')^c theta(K)^b theta(F)^a on monomials, to reverse products,
+to be an involution and to fix zero-grade elements.
 """
 
 import pytest
@@ -40,7 +45,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 sympy = pytest.importorskip("sympy")
 
-from oracles import GEN_EP, GEN_F, GEN_K, QMQ, uq_product_by_triples  # noqa: E402
+from oracles import (  # noqa: E402
+    GEN_EP, GEN_F, GEN_K, GEN_KINV, QMQ, theta, uq_product_by_triples)
 from uqcentre import SimpleModule, UqElement, UqMatrix, casimir, is_central  # noqa: E402
 from uqcentre import qrational  # noqa: E402
 from uqcentre.qrational import (  # noqa: E402
@@ -301,3 +307,45 @@ def test_zero_grade_elements_that_are_not_central():
         assert _commutes(x, GEN_K) and not _commutes(x, GEN_EP) and not _commutes(x, GEN_F)
         assert not is_central(x)
     assert is_central(C * C + C.scale(q_power(3)) + UQ_ONE)
+
+
+# -- the anti-involution theta ----------------------------------------------------
+
+
+def test_theta_keeps_the_defining_relations():
+    # theta reverses products: K E' = q^2 E' K, K F = q^-2 F K,
+    # E' F - F E' = K - K^-1 and K K^-1 = 1 go to relations that hold
+    tE, tF, tK, tKinv = theta(GEN_EP), theta(GEN_F), theta(GEN_K), theta(GEN_KINV)
+    assert (tE, tF, tK) == (GEN_F * GEN_KINV, GEN_K * GEN_EP, GEN_K)
+    assert tE * tK == (tK * tE).scale(q_power(2))
+    assert tF * tK == (tK * tF).scale(q_power(-2))
+    assert tF * tE - tE * tF == tK - tKinv
+    assert tKinv * tK == UQ_ONE == tK * tKinv
+
+
+def test_theta_of_a_monomial_is_the_reversed_product_of_generator_images():
+    for a in range(4):
+        for b in range(-3, 4):
+            for c in range(4):
+                tK = theta(GEN_K) ** b if b >= 0 else theta(GEN_KINV) ** -b
+                image = theta(GEN_EP) ** c * tK * theta(GEN_F) ** a
+                assert theta(UqElement._stored({(a, b, c): Q_ONE})) == image, (a, b, c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(), elements())
+def test_theta_reverses_products(x, y):
+    assert theta(x * y) == theta(y) * theta(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements())
+def test_theta_is_an_involution(x):
+    assert theta(theta(x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(zero_grade_monomials, coefficients, max_size=4))
+def test_theta_fixes_zero_grade_elements(terms):
+    x = UqElement._stored({m: c for m, c in terms.items() if not c.is_zero()})
+    assert theta(x) == x
