@@ -6,9 +6,12 @@ K_2mu``, held as the multiplicity map ``{mu: m_V(mu)}``.
 
 Weight multiplicities come from Freudenthal's recursion over stabiliser
 orbits, run entirely in integer arithmetic.  What the orbits are depends
-only on the zero pattern J = {j : mu_j = 0} of the dominant weight mu, so a
-table build forms the roots supported on J, the W_J-dominant roots and
-their orbit counts once per J, not once per mu.
+only on the zero pattern J = {j : mu_j = 0} of the dominant weight mu, a
+node bitmask.  A table build forms the roots supported on J, the
+W_J-dominant roots and their orbit counts once per J, not once per mu, by
+mask tests on the root table of :class:`RootSystem`, and its ``dim`` takes
+one orbit size |W| / |W_J| per J.  The descent to the dominant weights
+below lam skips every root that is positive at a node where mu is 0.
 
 The library multiplies no characters.  The algebraic-independence report
 reads leading terms off the dominant tables, and the unitriangularity of
@@ -40,6 +43,7 @@ from .root_system import (
     Weight,
     add_weights,
     height_product,
+    node_mask,
     sub_weights,
 )
 
@@ -65,21 +69,26 @@ def _dominant_weights_below(rsys: RootSystem, lam: Weight) -> list[Weight]:
     keeping the dominant results.  This reaches every such mu: two dominant
     weights mu < lam are joined by a chain of dominant weights, each a
     positive root below the previous one (Stembridge, "The partial order of
-    dominant weights", 1998).
+    dominant weights", 1998).  mu - alpha can be dominant only if alpha is
+    positive only at nodes where mu is, so a root whose ``pos`` mask leaves
+    supp(mu) is skipped before mu - alpha is formed.
     """
+    roots = rsys.positive_root_table()
     found = [lam]
     seen = {lam}
     for mu in found:  # grows while it is walked: breadth-first
-        for alpha in rsys.positive_roots():
-            nu = sub_weights(mu, alpha)
-            if nu not in seen and rsys.is_dominant(nu):
-                seen.add(nu)
-                found.append(nu)
+        outside = ~node_mask(mu)
+        for alpha, _, _, _, pos, _ in roots:
+            if not pos & outside:
+                nu = sub_weights(mu, alpha)
+                if min(nu) >= 0 and nu not in seen:
+                    seen.add(nu)
+                    found.append(nu)
     return found
 
 
 def _check_integral(lam) -> None:
-    if not all(isinstance(x, int) for x in lam):
+    if not all(type(x) is int for x in lam):
         raise DomainError(f"highest weight {lam} has a coordinate that is not an int")
 
 
@@ -119,8 +128,9 @@ def _freudenthal_table(rsys: RootSystem, lam: Weight) -> CharacterTable:
     n = rsys.rank
     d = rsys.sym
     D = rsys.root_coord_scale
-    pos = rsys.positive_root_data()
+    table = rsys.positive_root_table()
     rho = rsys.rho()
+    full = (1 << n) - 1
 
     def form_with_root(x, calpha) -> int:
         return sum(x[j] * d[j] * calpha[j] for j in range(n))
@@ -136,24 +146,19 @@ def _freudenthal_table(rsys: RootSystem, lam: Weight) -> CharacterTable:
 
     mult: dict[Weight, int] = {lam: 1}
     lam_rho = add_weights(lam, rho)
-    orbits = {}  # zero pattern J of mu -> (Phi_J+, the W_J-dominant roots)
-    counts = {}  # (J, alpha) -> c_alpha
-    for mu in doms[1:]:
-        zero = tuple(m == 0 for m in mu)
-        if zero not in orbits:
-            orbits[zero] = _stabiliser_orbits(pos, zero)
-        sub, roots = orbits[zero]
+    patterns = {}  # zero pattern J of mu -> _stabiliser_orbits(table, J)
+    zeros = [full & ~node_mask(mu) for mu in doms]
+    for mu, zero in zip(doms[1:], zeros[1:]):
+        if zero not in patterns:
+            patterns[zero] = _stabiliser_orbits(table, zero)
+        roots = patterns[zero]
         num = 0
-        for alpha, calpha, den in roots:
+        for alpha, calpha, c_alpha in roots:
             s, nu = 0, add_weights(mu, alpha)
             while m := mult.get(rsys.dominant_representative(nu), 0):
                 s += m * form_with_root(nu, calpha)
                 nu = add_weights(nu, alpha)
-            if s:  # times c_alpha, formed once per J
-                c_alpha = counts.get((zero, alpha))
-                if c_alpha is None:
-                    c_alpha = counts[zero, alpha] = height_product(sub, alpha, den)
-                num += s * c_alpha
+            num += s * c_alpha
         diff = sub_weights(lam, mu)
         cdiff = tuple(x // D for x in rsys.scaled_root_coords(diff))
         den = form_with_root(add_weights(lam_rho, add_weights(mu, rho)), cdiff)
@@ -165,30 +170,38 @@ def _freudenthal_table(rsys: RootSystem, lam: Weight) -> CharacterTable:
             )
         mult[mu] = q
 
-    dim = sum(m * rsys.orbit_size(mu) for mu, m in mult.items())
+    sizes = _orbit_sizes(table, zeros)
+    dim = sum(mult[mu] * sizes[zero] for mu, zero in zip(doms, zeros))
     return CharacterTable(highest=lam, mult=MappingProxyType(mult), dim=dim)
 
 
-def _stabiliser_orbits(pos, zero: tuple[bool, ...]):
-    """What the Freudenthal step at a dominant mu reads off J = {j : zero[j]}.
+def _orbit_sizes(table, zeros) -> dict[int, int]:
+    """{J: |W| / |W_J|} over the zero patterns J in ``zeros``.
 
-    Returns Phi_J+, the positive roots supported on J, and the W_J-dominant
-    positive roots alpha, each with its calpha and the divisor of its count
-    c_alpha: 2 when alpha is in Phi_J, 1 when not.  For dominant mu,
-    (mu, alpha) = 0 exactly when alpha is supported on J, so all of it
-    depends on J alone and a table build forms it once per J.
+    |W| / |W_J| is the size of the Weyl orbit of every dominant weight whose
+    zero nodes are J: one :func:`height_product` over the roots whose
+    support leaves J, per pattern rather than per weight.
     """
+    return {zero: height_product(table, ~zero) for zero in set(zeros)}
 
-    def on_j(cbeta) -> bool:
-        return not any(c for c, z in zip(cbeta, zero) if not z)
 
-    sub = [(b, cb) for b, cb in pos if on_j(cb)]
-    roots = [
-        (alpha, calpha, 2 if on_j(calpha) else 1)
-        for alpha, calpha in pos
-        if not any(a < 0 for a, z in zip(alpha, zero) if z)
+def _stabiliser_orbits(table, zero: int):
+    """The W_J-dominant positive roots, J = {j : bit j of ``zero``}, with their counts.
+
+    The W_J-dominant roots are those with ``neg & J == 0``, and Phi_J+, the
+    positive roots supported on J, those with ``supp & ~J == 0``.  Each
+    alpha comes with its calpha and its count c_alpha = |W_J alpha|, halved
+    when alpha is in Phi_J: :func:`height_product` over Phi_J+ at the nodes
+    where alpha is positive, which on J are the nodes where it is nonzero.
+    For dominant mu, (mu, alpha) = 0 exactly when alpha is supported on J,
+    so all of it depends on J alone and a table build forms it once per J.
+    """
+    sub = [root for root in table if not root.supp & ~zero]
+    return [
+        (alpha, calpha, height_product(sub, pos, 1 if supp & ~zero else 2))
+        for alpha, calpha, _, supp, pos, neg in table
+        if not neg & zero
     ]
-    return sub, roots
 
 
 def full_character(rsys: RootSystem, lam: Weight) -> MappingProxyType:

@@ -8,7 +8,12 @@ A-D it is written down from the closed forms of Bourbaki's plates I-IV in
 O(n^2), so that a large rank reaches the resource caps at once; for E, F and
 G it is computed by fraction-free Gauss-Jordan elimination.
 The positive roots are built height by height from the simple roots, in
-root coordinates, by the alpha_i-string rule, and must sum to 2 rho.
+root coordinates, by the alpha_i-string rule, each root carrying the lengths
+p_i of its alpha_i-strings up to the level above, and must sum to 2 rho.
+Each positive root is kept with its height and three node bitmasks (the
+support of its root coordinates, and the nodes where its weight is > 0 and
+< 0), so that orbit sizes, stabiliser subsystems and the descent through
+dominant weights test masks, not coordinate tuples.
 Only ``weight_to_root_coords`` and ``bilinear_form`` return rational values,
 as ``fractions.Fraction``; they import ``fractions`` themselves, so that
 importing this module does not load it.
@@ -30,6 +35,7 @@ Conventions, fixed here once and consumed by every other module:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 
@@ -40,6 +46,15 @@ RationalVector = tuple  # of fractions.Fraction
 
 # Weyl orbits of more points than this raise ResourceLimitError
 ORBIT_CAP = 10_000_000
+
+
+class PositiveRoot(namedtuple("PositiveRoot", "weight coords height supp pos neg")):
+    """One positive root: its weight, root coordinates and height, and three
+    node bitmasks (bit j for node j): ``supp`` where its root coordinates are
+    > 0, ``pos`` and ``neg`` where its weight coordinates are > 0 and < 0."""
+
+    __slots__ = ()
+
 
 # the valid ranks of each family, and how the error message states them
 _RANKS = {
@@ -174,6 +189,8 @@ class RootSystem:
             raise DomainError(
                 f"unknown family {family!r}; expected one of A, B, C, D, E, F, G"
             )
+        if type(rank) is not int:
+            raise DomainError(f"rank {rank!r} of type {family} is not an int")
         valid, rule = _RANKS[family]
         if not valid(rank):
             raise DomainError(f"invalid rank {rank} for type {family}: requires {rule}")
@@ -301,9 +318,11 @@ class RootSystem:
     def orbit_size(self, w: Weight) -> int:
         """|W w| = |W| / |W_mu| for the dominant mu in the orbit of ``w``.
 
-        This is :func:`height_product` over all positive roots.
+        This is :func:`height_product` over all positive roots, at the
+        nonzero nodes of mu.
         """
-        return height_product(self.positive_root_data(), self.dominant_representative(w))
+        mu = self.dominant_representative(w)
+        return height_product(self.positive_root_table(), node_mask(mu))
 
     def weyl_group_order(self) -> int:
         """|W|, the orbit size of the regular weight rho."""
@@ -366,7 +385,7 @@ class RootSystem:
 
     @cached_property
     def _positive(self) -> tuple[Weight, ...]:
-        return tuple(r for r, _ in self._positive_data)
+        return tuple(r.weight for r in self._root_table)
 
     def positive_root_data(self) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
         """Positive roots paired with their integer root-coordinate vectors."""
@@ -374,29 +393,44 @@ class RootSystem:
 
     @cached_property
     def _positive_data(self) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
+        return tuple((r.weight, r.coords) for r in self._root_table)
+
+    def positive_root_table(self) -> tuple[PositiveRoot, ...]:
+        """The positive roots as :class:`PositiveRoot` records, in the order of
+        :meth:`positive_root_data`: each with its height and node masks."""
+        return self._root_table
+
+    @cached_property
+    def _root_table(self) -> tuple[PositiveRoot, ...]:
         # Height by height from the simple roots, in root coordinates: the
-        # alpha_i-string beta - p alpha_i, ..., beta + q alpha_i has
-        # p - q = <beta, alpha_i^v> = w_i, so beta + alpha_i is a root iff
-        # p > w_i, with p read off the lower roots.  Every root of height h + 1
-        # is beta + alpha_i for one of height h.  The sum must be 2 rho.
+        # alpha_i-string beta - p_i alpha_i, ..., beta + q_i alpha_i has
+        # p_i - q_i = <beta, alpha_i^v> = w_i, so beta + alpha_i is a root iff
+        # p_i > w_i.  Each root carries its p-values up one level:
+        # p_i(beta + alpha_i) = p_i(beta) + 1, and p_j of a root gamma is 0
+        # unless gamma - alpha_j is a root one level down, which sets it.
+        # Every root of height h + 1 is beta + alpha_i for one of height h.
+        # The sum must be 2 rho.
         r = self.rank
         simple = [self.simple_root(i) for i in range(r)]
-        level = {tuple(int(j == i) for j in range(r)): simple[i] for i in range(r)}
-        roots = dict(level)  # root coordinates -> weight
+        level = {tuple(int(j == i) for j in range(r)): (simple[i], [0] * r) for i in range(r)}
+        roots = dict(level)  # root coordinates -> (weight, p-values)
         while level:
             above = {}
-            for c, w in level.items():
+            for c, (w, p) in level.items():
                 for i, alpha in enumerate(simple):
-                    p = 0
-                    while p < c[i] and c[:i] + (c[i] - p - 1,) + c[i + 1 :] in roots:
-                        p += 1
-                    if p > w[i]:
-                        above[c[:i] + (c[i] + 1,) + c[i + 1 :]] = add_weights(w, alpha)
+                    if p[i] > w[i]:
+                        up = c[:i] + (c[i] + 1,) + c[i + 1 :]
+                        if up not in above:
+                            above[up] = (add_weights(w, alpha), [0] * r)
+                        above[up][1][i] = p[i] + 1
             roots.update(above)
             level = above
-        if [sum(col) for col in zip(*roots.values())] != [2] * r:
+        if [sum(col) for col in zip(*(w for w, _ in roots.values()))] != [2] * r:
             raise ArithmeticError(f"the positive roots of {self} do not sum to 2 rho")
-        return tuple(sorted((w, c) for c, w in roots.items()))
+        return tuple(
+            PositiveRoot(w, c, sum(c), node_mask(c), node_mask(w), node_mask(-x for x in w))
+            for w, c in sorted((w, c) for c, (w, _) in roots.items())
+        )
 
     # -- serialization -----------------------------------------------------
 
@@ -417,26 +451,36 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank)
 
 
-def height_product(root_data, v: Weight, den: int = 1) -> int:
-    """prod (ht beta + 1) / ht beta over the roots beta with (v, beta) != 0, over ``den``.
+def node_mask(v) -> int:
+    """The bitmask of the nodes j with v_j > 0."""
+    mask = 0
+    for j, x in enumerate(v):
+        if x > 0:
+            mask |= 1 << j
+    return mask
 
-    ``root_data`` holds the (weight, root coordinates) pairs of the positive
-    roots of a subsystem spanned by simple roots, and ``v`` is dominant on
-    their support, so (v, beta) = sum_j beta_j v_j (alpha_j, alpha_j) / 2 has
-    no negative term.  The product over all of them is the order of their
-    Weyl group W', and the roots with (v, beta) = 0 form the root system of
-    the stabiliser of v in W', with the same heights; so the product is
-    |W' v|.  A remainder raises ArithmeticError.
+
+def height_product(roots, mask: int, den: int = 1) -> int:
+    """prod (ht beta + 1) / ht beta over the roots beta with supp beta & mask != 0, over ``den``.
+
+    ``roots`` holds the :class:`PositiveRoot` records of the positive roots
+    of a subsystem spanned by simple roots, and ``mask`` is the nonzero
+    pattern of a weight v that is dominant on their support, so
+    (v, beta) = sum_j beta_j v_j (alpha_j, alpha_j) / 2 has no negative term
+    and is nonzero exactly when supp beta meets ``mask``.  The product over
+    all of them is the order of their Weyl group W', and the roots with
+    (v, beta) = 0 form the root system of the stabiliser of v in W', with the
+    same heights; so the product is |W' v|.  A remainder raises
+    ArithmeticError.
     """
     num = 1
-    for _, cbeta in root_data:
-        if any(c and x for c, x in zip(cbeta, v)):
-            height = sum(cbeta)
+    for _, _, height, supp, _, _ in roots:
+        if supp & mask:
             num *= height + 1
             den *= height
     size, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"orbit count of {v} is {num}/{den}, not an integer")
+        raise ArithmeticError(f"orbit count of mask {mask:b} is {num}/{den}, not an integer")
     return size
 
 

@@ -14,8 +14,11 @@ reflecting at the first negative coordinate over dense Cartan columns, not
 from a stack over sparse ones, and -w_0 by one such walk per node, not by
 one walk for all nodes.  The positive roots are the Weyl closure of the
 simple roots, not built height by height; Freudenthal's recursion sums over every
-positive root, not over stabiliser orbits, and reads the library's dominant
-weights below lam (``_dominant_weights_below``).  The oracles may read the
+positive root, not over stabiliser orbits, descends to the dominant weights
+below lam by subtracting every positive root from every weight found
+(:func:`dominant_weights_below_by_roots`), and counts each orbit by the root
+heights over root-coordinate tuples (:func:`orbit_size_by_heights`), where
+the library tests node masks.  The oracles may read the
 library's Freudenthal tables (``weight_multiplicities``,
 ``full_character``) and its total order on weights (``_order_key``); the
 exact rank of the monomials in the fundamental characters expands them by
@@ -66,12 +69,7 @@ from uqcentre import (
     gamma,
     weight_multiplicities,
 )
-from uqcentre.character_ring import (
-    CharacterTable,
-    _dominant_weights_below,
-    _order_key,
-    full_character,
-)
+from uqcentre.character_ring import CharacterTable, _order_key, full_character
 from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_int, q_power
 from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO, _r_entry, _rt_entry
 
@@ -347,6 +345,34 @@ def positive_roots_by_closure(rsys):
     return tuple((r, tuple(x // D for x in c)) for r, c in pos)
 
 
+def dominant_weights_below_by_roots(rsys, lam):
+    """All dominant mu below lam, breadth-first: every positive root is
+    subtracted from every weight found, and the dominant results kept."""
+    found = [lam]
+    seen = {lam}
+    for mu in found:
+        for alpha in rsys.positive_roots():
+            nu = tuple(x - a for x, a in zip(mu, alpha))
+            if nu not in seen and min(nu) >= 0:
+                seen.add(nu)
+                found.append(nu)
+    return found
+
+
+def orbit_size_by_heights(rsys, mu):
+    """|W mu| for dominant ``mu``: prod (ht beta + 1) / ht beta over the positive
+    roots beta with (mu, beta) != 0, read off their root-coordinate tuples."""
+    num = den = 1
+    for _, cbeta in rsys.positive_root_data():
+        if any(c and x for c, x in zip(cbeta, mu)):
+            num *= sum(cbeta) + 1
+            den *= sum(cbeta)
+    size, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"orbit count of {mu} is {num}/{den}, not an integer")
+    return size
+
+
 def freudenthal_by_roots(rsys, lam):
     """The table of L(lam) by Freudenthal's recursion summed over every positive root.
 
@@ -359,7 +385,7 @@ def freudenthal_by_roots(rsys, lam):
     def form_with_root(x, calpha):
         return sum(x[j] * d[j] * calpha[j] for j in range(n))
 
-    doms = _dominant_weights_below(rsys, lam)
+    doms = dominant_weights_below_by_roots(rsys, lam)
     doms.sort(key=lambda w: sum(rsys.scaled_root_coords(w)), reverse=True)
     mult = {lam: 1}
     for mu in doms[1:]:
@@ -380,7 +406,7 @@ def freudenthal_by_roots(rsys, lam):
         if r or q <= 0:
             raise ArithmeticError(f"Freudenthal step at {mu} below {lam} gives {2 * num}/{den}")
         mult[mu] = q
-    dim = sum(m * rsys.orbit_size(mu) for mu, m in mult.items())
+    dim = sum(m * orbit_size_by_heights(rsys, mu) for mu, m in mult.items())
     return CharacterTable(highest=lam, mult=mult, dim=dim)
 
 

@@ -20,6 +20,7 @@ from uqcentre.monoid_presentation import presentation
 import oracles
 from oracles import (
     av_basis_element,
+    dominant_weights_below_by_roots,
     expand_in_av,
     expand_in_simples,
     freudenthal_by_roots,
@@ -118,10 +119,11 @@ def test_a_weight_of_the_wrong_length_raises_at_once():
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("lam", [(1.5, 0), (1.0, 0)])
+@pytest.mark.parametrize("lam", [(1.5, 0), (1.0, 0), (True, False)])
 def test_a_highest_weight_that_is_not_integral_raises(lam):
     a2 = build_root_system("A", 2)
-    full_character(a2, (1, 0))  # (1.0, 0) == (1, 0): a memoised table must not answer
+    # (1.0, 0) == (True, False) == (1, 0): a memoised table must not answer
+    full_character(a2, (1, 0))
     for compute in (weight_multiplicities, full_character):
         with pytest.raises(DomainError, match="not an int"):
             compute(a2, lam)
@@ -383,8 +385,11 @@ def test_inexact_character_arithmetic_raises(monkeypatch):
     # Without one positive root the Freudenthal step at (0, 0) below (1, 1)
     # is 8/6 and the Weyl dimension of (0, 1) is 3/2.  The errors are raised,
     # not asserted, so they survive python -O.
+    # The library reads the roots and their masks from the one root table,
+    # the Weyl dimension oracle reads the (weight, coordinates) pairs.
     a2 = build_root_system("A", 2)
-    data = a2.positive_root_data()
+    table, data = a2.positive_root_table(), a2.positive_root_data()
+    monkeypatch.setattr(a2, "positive_root_table", lambda: table[1:])
     monkeypatch.setattr(a2, "positive_root_data", lambda: data[1:])
     character_ring._freudenthal_table.cache_clear()
     try:
@@ -520,6 +525,16 @@ def test_dominant_weights_below_matches_box(fam, n):
 RANK_UP_TO_8 = RANK_UP_TO_6 + [
     (f, n) for f in "ABCD" for n in (7, 8)
 ] + [("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("fam,n", RANK_UP_TO_8)
+def test_masked_descent_matches_the_descent_by_every_root(fam, n):
+    rsys = build_root_system(fam, n)
+    for i in range(n):
+        lam = rsys.fundamental_weight(i)
+        found = _dominant_weights_below(rsys, lam)
+        assert len(found) == len(set(found)), lam
+        assert set(found) == set(dominant_weights_below_by_roots(rsys, lam)), lam
 
 
 @pytest.mark.parametrize("fam,n", RANK_UP_TO_8)

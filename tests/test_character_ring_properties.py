@@ -4,7 +4,8 @@
 binomial, which is sound because xi o T is multiplicative:
 xi([T(a)]) xi([T(b)]) = xi([T(a + b)]) for a, b in M+.  The Freudenthal
 tables, summed over orbits of the stabiliser of each weight, agree with the
-sum over every positive root.
+sum over every positive root, and the one orbit size that a table takes per
+zero pattern is the size of the Weyl orbit of each weight with that pattern.
 """
 
 import pytest
@@ -14,6 +15,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from uqcentre import build_root_system, hilbert_basis, weight_multiplicities  # noqa: E402
+from uqcentre.character_ring import _orbit_sizes  # noqa: E402
+from uqcentre.root_system import node_mask  # noqa: E402
 from oracles import freudenthal_by_roots, torus_product, xi_tensor  # noqa: E402
 
 SYSTEMS = {name: build_root_system(name[0], int(name[1:])) for name in ("A2", "A3", "D5")}
@@ -60,3 +63,32 @@ def small_dominant_weights(draw):
 def test_orbit_sums_match_the_sum_over_every_root(case):
     rsys, lam = case
     assert weight_multiplicities(rsys, lam) == freudenthal_by_roots(rsys, lam)
+
+
+RANK_UP_TO_4 = [
+    build_root_system(f, n)
+    for f, n in (
+        [("A", n) for n in range(1, 5)] + [("B", n) for n in range(2, 5)]
+        + [("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
+    )
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(RANK_UP_TO_4).flatmap(
+        lambda rsys: st.tuples(
+            st.just(rsys), st.tuples(*[st.integers(0, 2)] * rsys.rank)
+        )
+    )
+)
+def test_table_orbit_sizes_per_zero_pattern_are_the_orbit_sizes(case):
+    rsys, lam = case
+    table = weight_multiplicities(rsys, lam)
+    full = (1 << rsys.rank) - 1
+    zeros = {mu: full & ~node_mask(mu) for mu in table.mult}
+    sizes = _orbit_sizes(rsys.positive_root_table(), zeros.values())
+    orbits = {mu: len(rsys.weyl_orbit(mu)) for mu in table.mult}
+    for mu, zero in zeros.items():
+        assert sizes[zero] == orbits[mu], mu
+    assert table.dim == sum(m * orbits[mu] for mu, m in table.mult.items())

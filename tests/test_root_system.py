@@ -74,6 +74,14 @@ def test_invalid_types_rejected(family, rank):
         build_root_system(family, rank)
 
 
+@pytest.mark.parametrize("rank", [True, 2.0, "2", None])
+def test_a_rank_that_is_not_an_int_is_rejected(rank):
+    # RootSystem("A", True) would compare and hash equal to A1, so the
+    # memoised Hilbert basis would report "rank": true for every later A1
+    with pytest.raises(DomainError, match="not an int"):
+        build_root_system("A", rank)
+
+
 def test_a_weight_of_the_wrong_length_raises_domain_error():
     a2 = build_root_system("A", 2)
     checks = (a2.is_dominant, a2.dominant_representative,
@@ -380,6 +388,27 @@ def test_positive_root_data_is_cached_and_exact():
             assert all(c.denominator == 1 and c >= 0 for c in coords)
             fresh.append((r, tuple(int(c) for c in coords)))
         assert data == tuple(fresh)
+
+
+def test_positive_root_table_carries_heights_and_node_masks():
+    for fam, n in ALL_SMALL:
+        rsys = build_root_system(fam, n)
+        table = rsys.positive_root_table()
+        assert rsys.positive_root_table() is table
+        assert tuple((r.weight, r.coords) for r in table) == rsys.positive_root_data()
+
+        def bits(v, keep):
+            return {j for j, x in enumerate(v) if keep(x)}
+
+        for r in table:
+            assert r.height == sum(r.coords)
+            for mask, v, keep in (
+                (r.supp, r.coords, lambda x: x > 0),
+                (r.pos, r.weight, lambda x: x > 0),
+                (r.neg, r.weight, lambda x: x < 0),
+            ):
+                assert {j for j in range(n) if mask >> j & 1} == bits(v, keep), (fam, n, r)
+                assert mask >> n == 0
 
 
 def test_serialization_shape():
