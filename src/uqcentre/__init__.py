@@ -47,10 +47,8 @@ from .qrational import QRat, q_int, q_power
 from .uq_rank1 import (
     SimpleModule,
     UqElement,
-    UqMatrix,
     casimir,
     express_in_powers,
-    gamma,
     hc_project,
     is_central,
 )

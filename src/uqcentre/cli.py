@@ -109,20 +109,9 @@ def _json_write(obj, newline: str, put) -> None:
         put(encode_basestring_ascii(obj))
     elif cls is int:
         put(str(obj))
-    elif cls is list:
-        if not obj:
-            put("[]")
-            return
+    elif cls is list and obj and all(type(x) is int for x in obj):
         inner = newline + "  "
-        if all(type(x) is int for x in obj):
-            put("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in obj:
-            put(sep)
-            _json_write(item, inner, put)
-            sep = "," + inner
-        put(newline + "]")
+        put("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
     elif cls is dict:
         if not obj:
             put("{}")
@@ -144,7 +133,7 @@ def _json_write(obj, newline: str, put) -> None:
         put("true")
     elif obj is False:
         put("false")
-    elif isinstance(obj, Iterator):  # a list handed over one item at a time
+    elif cls is list or isinstance(obj, Iterator):  # an iterator is a list handed over lazily
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:

@@ -108,7 +108,7 @@ def residue(rsys: RootSystem, w: Weight) -> int:
 
 
 def in_monoid(rsys: RootSystem, w: Weight) -> bool:
-    """True iff ``w`` is dominant and its :func:`residue` is 0; the length is checked there."""
+    """True iff ``w`` is dominant and its :func:`residue` is 0; ``w`` is checked there."""
     return residue(rsys, w) == 0 and min(w) >= 0
 
 

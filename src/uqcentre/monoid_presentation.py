@@ -90,10 +90,10 @@ def phi(generators, monomial) -> Weight:
         raise DomainError("empty generator list")
     total = (0,) * len(gens[0])
     for i, e in dict(monomial).items():
-        if not 0 <= i < len(gens):
-            raise DomainError(f"unknown generator index {i}")
-        if e < 0:
-            raise DomainError(f"negative exponent {e}")
+        if type(i) is not int or not 0 <= i < len(gens):
+            raise DomainError(f"unknown generator index {i!r}")
+        if type(e) is not int or e < 0:
+            raise DomainError(f"exponent {e!r} is not an int >= 0")
         total = add_weights(total, scale_weight(e, gens[i]))
     return total
 

@@ -423,26 +423,15 @@ Q_ONE = _stored(0, 1, 1, 2)
 def laurent_quotient(x: QRat, y: QRat) -> QRat:
     """x / y where y divides x in Z[q, q^-1].
 
-    One division of the packed integers, with no gcd: a remainder proves the
-    polynomial division inexact, since q^2 -> 2^B (q -> 2^B at stride 1) is
-    a ring map.  For two stride-2 operands at B = 64, an exact integer
-    quotient is accepted when its digits z satisfy |z|_1 h_y < 2^(B-1), so
-    that y z has valid coefficients and equals x; otherwise the division is
-    decided by ``_quotient_certified``, at a wider B if need be, and at
-    stride 1 unless both operands have stride 2.  Raises ArithmeticError
-    when the quotient is not a Laurent polynomial.
+    One division of the packed integers, with no gcd, decided by
+    ``_quotient_certified``: a remainder proves the polynomial division
+    inexact, since q^2 -> 2^B (q -> 2^B at stride 1) is a ring map.  Raises
+    ArithmeticError when the quotient is not a Laurent polynomial.
     """
     if not y._n:
         raise ZeroDivisionError
     if not x._n:
         return Q_ZERO
-    if x._h < _LIMIT and y._h < _LIMIT and x._s == 2 == y._s:
-        n, r = divmod(x._n, y._n)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        hz = sum(map(abs, _digits(n, _B)))
-        if hz * y._h < _LIMIT:
-            return _stored(x.qpow - y.qpow, n, hz, 2)
     return _quotient_certified(x, y)
 
 

@@ -250,10 +250,13 @@ class RootSystem:
         return (1,) * self.rank
 
     def _check_weight(self, w) -> None:
+        """Raise DomainError unless ``w`` has ``rank`` coordinates, each an int (not a bool)."""
         if len(w) != self.rank:
             raise DomainError(
                 f"weight {w} has length {len(w)}, expected rank {self.rank}"
             )
+        if any(type(x) is not int for x in w):
+            raise DomainError(f"weight {w!r} has a coordinate that is not an int")
 
     def scaled_root_coords(self, w: Weight) -> tuple[int, ...]:
         """Root coordinates of ``w`` times ``self.root_coord_scale`` (exact integers)."""
@@ -370,6 +373,8 @@ class RootSystem:
 
         Reflexive: ``dominates(lam, lam)`` is true.
         """
+        self._check_weight(lam)
+        self._check_weight(mu)
         diff = tuple(a - b for a, b in zip(lam, mu))
         D = self._inv_den
         for x in self.scaled_root_coords(diff):

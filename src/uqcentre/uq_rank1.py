@@ -48,19 +48,20 @@ Gamma_V = K_V Rt_V R_V, whose weighted partial traces
 
     C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k)
 
-are central.  Each term K^(w_l) kappa F^n K^-n rho E'^n' of an entry of
-Gamma_V is already the normally ordered monomial
-q^(-2n w_l) kappa rho F^n K^(w_l - n) E'^n', and the terms of one entry
-fall on distinct monomials, so Gamma_V is written down in closed form, one
-coefficient product per term and no product of elements; C^(1)_V is read
-off its diagonal the same way.  For k >= 2 the same factors are
+are central.  Gamma_V itself is never formed.  Each term
+K^(w_l) kappa F^n K^-n rho E'^n' of an entry of Gamma_V is already the
+normally ordered monomial q^(-2n w_l) kappa rho F^n K^(w_l - n) E'^n', and
+the terms of one entry fall on distinct monomials, so C^(1)_V is read off
+the diagonal in closed form, one coefficient product per term and no
+product of elements.  For k >= 2 the same factors are
 regrouped, Gamma_V^k = K_V Rt_V M^(k-1) R_V with M = R_V K_V Rt_V.  This
 only reassociates the product, so it is exact.  Each term of
 E'^a K^w F^b K^-b in M is a term of E'^a F^b, which is level a of F^b
 under the one straightening rule, moved to a new monomial with a shift of
 q; so M too is written down with no product of elements.  M^(k-1) takes
-k - 2 matrix products, and the outer factors K_V Rt_V and R_V are applied
-to it by re-keying its terms.
+k - 2 matrix products of plain d x d tables of stored-term dicts
+(:func:`_products`, :func:`_table`), and the outer factors K_V Rt_V and
+R_V are applied to it by re-keying its terms.
 
 Only half of the last factor is formed.  Let theta be the
 Z[q, q^-1]-linear anti-involution with theta(E') = F K^-1, theta(F) = K E'
@@ -77,9 +78,9 @@ the last product of M^(k-1) for k >= 3, are formed, each re-keyed into the
 trace as soon as it is finished, with coefficient 2 off the diagonal; that
 product is never held whole, and D enters no computation.
 
-The products K_V Rt_V R_V and
-R_V K_V Rt_V are formed only by the tests, as the oracles of these closed
-forms; R_V, Rt_V and K_V as matrices are built only there.  The library shows
+The matrices R_V, Rt_V, K_V and Gamma_V, and the products K_V Rt_V R_V and
+R_V K_V Rt_V, are built only by the tests, as the oracles of these closed
+forms.  The library shows
 centrality by direct commutation (:func:`is_central`); the intertwining
 identities of Gamma_V and K_V, steps of the proof, are checked by
 ``tests/oracles.py``, which builds the module matrices of zeta(E), zeta(F)
@@ -394,55 +395,30 @@ def _q_binomial(n: int, k: int) -> QRat:
     return _q_binomial(n - 1, k).shift(k) + _q_binomial(n - 1, k - 1).shift(k - n)
 
 
-class UqMatrix:
-    """A matrix with UqElement entries: an element of End(V) (x) U_q(sl2)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(row) for row in rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def __mul__(self, other):
-        if isinstance(other, UqMatrix):
-            return _assembled(self.dim, _products(self, other))
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, UqMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return "UqMatrix(%s)" % "; ".join(
-            "[" + ", ".join(e.render() for e in row) + "]" for row in self.rows
-        )
-
-
-def _products(left: UqMatrix, right: UqMatrix, upper: bool = False):
+def _products(left: list, right: list, upper: bool = False):
     """Yield (i, j, stored terms) for the entries of left right, one column j at a time.
 
-    The levels of right entry (k, j) serve every row of column j
-    (:func:`_mul_into`), and each entry is made canonical as it is
-    finished.  With ``upper`` only the entries i <= j are formed.
+    ``left`` and ``right`` are d x d tables of stored-term dicts.  The levels
+    of right entry (k, j) serve every row of column j (:func:`_mul_into`),
+    and each entry is made canonical as it is finished.  With ``upper`` only
+    the entries i <= j are formed.
     """
-    d = right.dim
+    d = len(right)
     for j in range(d):
-        levels = [[list(right.rows[k][j]._terms.items())] for k in range(d)]
-        for i, row in enumerate(left.rows[:j + 1] if upper else left.rows):
+        levels = [[list(right[k][j].items())] for k in range(d)]
+        for i, row in enumerate(left[:j + 1] if upper else left):
             out: dict = {}
             for k in range(d):
-                _mul_into(out, row[k]._terms, levels[k])
+                _mul_into(out, row[k], levels[k])
             yield i, j, finished(out)
 
 
-def _assembled(d: int, entries) -> UqMatrix:
-    """The d x d UqMatrix of the (i, j, stored terms) ``entries``, every entry given."""
-    rows = [[None] * d for _ in range(d)]
+def _table(d: int, entries) -> list:
+    """The d x d table of the (i, j, stored terms) ``entries``, every entry given."""
+    table = [[None] * d for _ in range(d)]
     for i, j, terms in entries:
-        rows[i][j] = UqElement._stored(terms)
-    return UqMatrix(rows)
+        table[i][j] = terms
+    return table
 
 
 class SimpleModule:
@@ -498,46 +474,16 @@ def _rt_entry(m: int, l: int, t: int) -> QRat:
 
 
 def _gamma_factors(V: SimpleModule) -> tuple[list, list]:
-    """The tables kappa, rho of the closed forms of Gamma_V (:func:`gamma`) and M (:func:`_middle`).
+    """The coefficient tables kappa of Rt_V and rho of R_V.
 
     kappa[l][n] is the coefficient of Rt_V at (l, l+n), rho[j][n] that of
-    R_V at (j+n, j), for every nonzero entry.
+    R_V at (j+n, j), for every nonzero entry; :func:`casimir` and
+    :func:`_middle_entries` read them.
     """
     m, d = V.m, V.dim
     kappa = [[_rt_entry(m, l, t) for t in range(l, d)] for l in range(d)]
     rho = [[_r_entry(m, t, j) for t in range(j, d)] for j in range(d)]
     return kappa, rho
-
-
-def gamma(V: SimpleModule) -> UqMatrix:
-    """Gamma_V = K_V Rt_V R_V, in closed form; commutes with the coproduct image of U_q(sl2).
-
-    K_V is diagonal, Rt_V upper and R_V lower triangular, so entry (l, j)
-    of Gamma_V = K_V Rt_V R_V is the sum over t >= max(l, j) of
-    K^(w_l) kappa F^n K^-n rho E'^n' with n = t - l, n' = t - j, w_l = m - 2l,
-    and kappa, rho the coefficients of Rt_V at (l, t) and R_V at (t, j).
-    K^w F^n = q^(-2nw) F^n K^w, so each term is already the normally ordered
-    monomial kappa rho q^(-2 n w_l) F^n K^(w_l - n) E'^n': one packed product
-    of coefficients.  Distinct t give distinct F-powers n, so the terms fall
-    on distinct monomials and no sum is formed.
-    """
-    m, d = V.m, V.dim
-    kappa, rho = _gamma_factors(V)
-    rows = [[None] * d for _ in range(d)]
-    for l in range(d):
-        w = m - 2 * l
-        for j in range(d):
-            terms = {}
-            for t in range(max(l, j), d):
-                n, n2 = t - l, t - j
-                terms[n, w - n, n2] = kappa[l][n].mul_shift(rho[j][n2], -2 * n * w)
-            rows[l][j] = UqElement._stored(terms)
-    return UqMatrix(rows)
-
-
-def _middle(V: SimpleModule, kappa: list, rho: list) -> UqMatrix:
-    """M = R_V K_V Rt_V in closed form, from the tables of :func:`_gamma_factors`."""
-    return _assembled(V.dim, _middle_entries(V, kappa, rho))
 
 
 def _middle_entries(V: SimpleModule, kappa: list, rho: list, upper: bool = False):
@@ -573,11 +519,13 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     """C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k); central for every k >= 1.
 
     K_2rho acts as zeta(K) in rank 1, so C^(k)_V = sum_j q^(w_j) (Gamma_V^k)_jj.
-    For k = 1 the sum is read off the closed form of Gamma_V
-    (:func:`gamma`): the diagonal entry (j, j) has one term
-    F^n K^(w_j - n) E'^n per n, and distinct (j, n) give distinct monomials,
-    so C^(1)_V is formed term by term, one packed product of coefficients
-    each, with no product of elements.  For k >= 2 the same three factors
+    For k = 1 the sum is read off the diagonal of Gamma_V = K_V Rt_V R_V in
+    closed form: entry (j, j) is the sum over n of
+    K^(w_j) kappa F^n K^-n rho E'^n = q^(-2n w_j) kappa rho F^n K^(w_j - n) E'^n,
+    with kappa, rho the coefficients of Rt_V at (j, j+n) and R_V at (j+n, j).
+    Distinct (j, n) give distinct monomials, so C^(1)_V is formed term by
+    term, one packed product of coefficients each, with no product of
+    elements.  For k >= 2 the same three factors
     are regrouped, Gamma_V^k = K_V Rt_V M^(k-1) R_V with M = R_V K_V Rt_V;
     this only reassociates the product, so it is exact.  M is written down
     in closed form (:func:`_middle_entries`), and M^(k-1) takes k - 2 matrix
@@ -620,8 +568,8 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
     D enters only the proof: no division is made, and every coefficient
     stays in Z[q, q^-1].
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise DomainError(f"k must be >= 1 and an int, not {k!r}")
     kappa, rho = _gamma_factors(V)
     if k == 1:
         terms = {
@@ -633,9 +581,9 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
         if k == 2:
             last = _middle_entries(V, kappa, rho, upper=True)
         else:
-            M = head = _middle(V, kappa, rho)
+            M = head = _table(V.dim, _middle_entries(V, kappa, rho))
             for _ in range(k - 3):
-                head = head * M
+                head = _table(V.dim, _products(head, M))
             last = _products(head, M, upper=True)
         acc: dict = {}
         for t, t2, entry in last:
@@ -707,8 +655,8 @@ def express_in_powers(
     polynomials in the degree-one Casimir; on the centre the image is
     injective (Jantzen, Lectures on Quantum Groups, ch. 6).
     """
-    if max_degree < 0:
-        raise DomainError("max_degree must be >= 0")
+    if type(max_degree) is not int or max_degree < 0:
+        raise DomainError(f"max_degree must be >= 0 and an int, not {max_degree!r}")
     _check_zero_grade(base)
     image, rest = _hc_image(base), _hc_image(target)
     if image.keys() <= {0}:

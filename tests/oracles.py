@@ -30,16 +30,18 @@ the normal forms of E'^c F^a by a two-term induction on c
 element at a time; it reads only the stored terms.  With it
 Gamma_V is the matrix product K_V Rt_V R_V (:func:`gamma_by_products`), and
 the middle factor M of Gamma_V^k = K_V Rt_V M^(k-1) R_V the product
-R_V K_V Rt_V (:func:`middle_by_products`), where the library writes each
-entry of both down in closed form.  The matrices R_V, Rt_V and K_V are
-built only here (:func:`quasi_R`, :func:`quasi_R_tilde_T`,
-:func:`K_operator`), entry by entry from the library's coefficients.  The
+R_V K_V Rt_V (:func:`middle_by_products`), where the library writes the
+entries of M and the diagonal of Gamma_V down in closed form.  The matrices
+R_V, Rt_V, K_V and Gamma_V are built only here (:func:`quasi_R`,
+:func:`quasi_R_tilde_T`, :func:`K_operator`), entry by entry from the
+library's coefficients, in a :class:`UqMatrix` container whose product is
+the library's matrix product on tables of stored terms.  The
 matrices of zeta(E), zeta(F) and zeta(K) on the simple module are built here
 from its label m.  R_V and the transposed R~_V are sums of QRat matrix
 powers, each divided entrywise by [n]!, tensored with U_q(sl2) monomials.
 The intertwining lemmas on the way to the centrality of C^(k)_V (Gamma_V
-commutes with the coproduct; K_V twists it by phi^2) are checked here on the
-library's Gamma_V and K_V, with the coproducts as sums of matrix (x) element
+commutes with the coproduct; K_V twists it by phi^2) are checked here on
+Gamma_V and K_V, with the coproducts as sums of matrix (x) element
 terms.
 Polynomial products are dict convolutions.  The packed form of a Laurent
 coefficient is decoded by one mask and one shift per digit and encoded by
@@ -61,17 +63,10 @@ from itertools import product
 from math import gcd, lcm
 from operator import add
 
-from uqcentre import (
-    DomainError,
-    Report,
-    UqElement,
-    UqMatrix,
-    gamma,
-    weight_multiplicities,
-)
+from uqcentre import DomainError, Report, UqElement, weight_multiplicities
 from uqcentre.character_ring import CharacterTable, _order_key, full_character
 from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_int, q_power
-from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO, _r_entry, _rt_entry
+from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO, _products, _r_entry, _rt_entry, _table
 
 
 # -- membership in M+ ---------------------------------------------------------
@@ -747,6 +742,40 @@ def uq_product_by_triples(x, y):
     return UqElement._stored(out)
 
 
+class UqMatrix:
+    """A square matrix with UqElement entries: an element of End(V) (x) U_q(sl2).
+
+    Its product is the library's :func:`_products` on the tables of stored
+    terms, which :func:`uq_matrix_product_by_triples` checks.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(row) for row in rows)
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def table(self):
+        """The d x d table of stored-term dicts that the library multiplies."""
+        return [[e._terms for e in row] for row in self.rows]
+
+    def __mul__(self, other):
+        if not isinstance(other, UqMatrix):
+            return NotImplemented
+        table = _table(self.dim, _products(self.table(), other.table()))
+        return UqMatrix([[UqElement._stored(terms) for terms in row] for row in table])
+
+    def __eq__(self, other):
+        return isinstance(other, UqMatrix) and self.rows == other.rows
+
+    def __repr__(self):
+        return "UqMatrix(%s)" % "; ".join(
+            "[" + ", ".join(e.render() for e in row) + "]" for row in self.rows
+        )
+
 
 def uq_matrix_product_by_triples(A, B):
     """A B for UqMatrix A, B, every entry product by :func:`uq_product_by_triples`."""
@@ -949,7 +978,7 @@ def quasi_R_tilde_T_by_matrix_powers(V):
 def check_gamma_intertwines(V):
     """Commutators of Gamma_V with the coproduct images of E, F, K^(+-1)."""
     rep = Report(title=f"Gamma commutation, m={V.m}")
-    G = gamma(V)
+    G = gamma_by_products(V)
     for gen in ("E", "F", "K", "Kinv"):
         D = coproduct_matrix(V.m, gen)
         rep.add(f"[Gamma, Delta({gen})] = 0", G * D == D * G)

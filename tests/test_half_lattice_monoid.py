@@ -166,6 +166,14 @@ def test_in_monoid_checks_the_length_once(monkeypatch):
     assert seen == [(1, 1), (1, 0)]
 
 
+def test_in_monoid_rejects_a_coordinate_that_is_not_an_int():
+    # (0.0, 0.0) has residue 0.0 == 0 and was taken for the origin of M+
+    a2 = build_root_system("A", 2)
+    for w in ((0.0, 0.0), (1, 1.0), (True, True), (3.5, 0)):
+        with pytest.raises(DomainError, match="not an int"):
+            in_monoid(a2, w)
+
+
 def test_box_cap_and_count():
     size = half_lattice_monoid._box_size
     for limits, total in [([2, 3], 4), ([3, 0, 2], 9), ([1] * 5, 2), ([4, 4, 4], 6)]:

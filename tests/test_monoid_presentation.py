@@ -35,6 +35,14 @@ def test_phi_examples():
         phi((), {})
 
 
+def test_phi_rejects_an_exponent_that_is_not_an_int():
+    # {0: 1.5} gave (1.5, 0.0)
+    gens = hilbert_basis(build_root_system("A", 2)).elements
+    for bad in ({0: 1.5}, {0: 2.0}, {0: True}, {1.0: 1}):
+        with pytest.raises(DomainError):
+            phi(gens, bad)
+
+
 def test_monoid_algebra_laws():
     rng = random.Random(23)
 

@@ -302,6 +302,16 @@ def test_dominates():
     assert not a3.dominates((1, 0, 0), (0, 0, 0))
 
 
+def test_dominates_rejects_a_weight_of_the_wrong_length():
+    # zipped, (2, -1) - (0, 0, 7) was (2, -1), a nonnegative root sum
+    a2 = build_root_system("A", 2)
+    for lam, mu in (((2, -1), (0, 0, 7)), ((0, 0, 7), (2, -1)), ((1, 1), (0,))):
+        with pytest.raises(DomainError, match="expected rank 2"):
+            a2.dominates(lam, mu)
+    with pytest.raises(DomainError, match="not an int"):
+        a2.dominates((1.0, 1), (0, 0))
+
+
 def test_root_coord_round_trip():
     rng = random.Random(19)
     for fam, n in [("A", 3), ("B", 4), ("E", 6), ("G", 2)]:

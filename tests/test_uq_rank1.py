@@ -8,10 +8,8 @@ from uqcentre import (
     DomainError,
     SimpleModule,
     UqElement,
-    UqMatrix,
     build_root_system,
     casimir,
-    gamma,
     hc_project,
     is_central,
     xi_simple,
@@ -26,6 +24,7 @@ from oracles import (
     GEN_K,
     GEN_KINV,
     K_operator,
+    UqMatrix,
     _matrix_power,
     _matrix_product,
     check_K_intertwining,
@@ -303,7 +302,11 @@ def test_casimir_pipeline_is_packed_in_q_squared(monkeypatch):
     for m in range(5):
         V = SimpleModule(m)
         C = casimir(V, 3)
-        coeffs = [c for row in gamma(V).rows for e in row for c in e._terms.values()]
+        kappa, rho = uq_rank1._gamma_factors(V)
+        M = uq_rank1._table(V.dim, uq_rank1._middle_entries(V, kappa, rho))
+        coeffs = [c for table in (kappa, rho) for row in table for c in row]
+        coeffs += [c for row in M for e in row for c in e.values()]
+        coeffs += [c for _, _, e in uq_rank1._products(M, M) for c in e.values()]
         coeffs += list(C._terms.values()) + list(C.terms.values())
         assert coeffs and all(c._s == 2 for c in coeffs), m
     assert not general
@@ -328,15 +331,16 @@ def test_K_operator():
 
 
 def test_gamma_m1_matches_worked_example():
+    # the oracle's K_V Rt_V R_V, whose diagonal casimir reads in closed form
     V = SimpleModule(1)
-    G = gamma(V)
+    G = gamma_by_products(V)
     # Gamma = P_1 (x) K + P_-1 (x) K^-1 + (q-q^-1) zeta(F) (x) K^-1 E
     #       + (1-q^-2) zeta(E) (x) F + (q-q^-1)^2 q^-1 P_1 (x) F E
     assert G.rows[0][0] == GEN_K + (GEN_F * GEN_EP).scale(QMQ * q_power(-1))
     assert G.rows[1][1] == GEN_KINV
     assert G.rows[1][0] == GEN_KINV * GEN_EP
     assert G.rows[0][1] == GEN_F.scale(Q_ONE - q_power(-2))
-    assert gamma(SimpleModule(0)) == identity_matrix(1)
+    assert gamma_by_products(SimpleModule(0)) == identity_matrix(1)
 
 
 def test_casimir_k1_matches_worked_example():
@@ -356,6 +360,19 @@ def test_casimir_trivial_module():
         casimir(SimpleModule(1), 0)
 
 
+@pytest.mark.parametrize("k", [True, 2.0, 3.0])
+def test_casimir_and_express_in_powers_take_only_int_degrees(k):
+    # True gave C^(1), 2.0 gave C^(2), 3.0 raised TypeError
+    from uqcentre.uq_rank1 import express_in_powers
+
+    V = SimpleModule(1)
+    with pytest.raises(DomainError, match="k must be >= 1 and an int"):
+        casimir(V, k)
+    C1 = casimir(V, 1)
+    with pytest.raises(DomainError, match="max_degree must be >= 0 and an int"):
+        express_in_powers(casimir(V, 2), C1, k)
+
+
 def _weighted_trace(V, M):
     """sum_j q^(m-2j) M_jj."""
     return sum((M.rows[j][j].scale(q_power(w)) for j, w in enumerate(V.weights)), UQ_ZERO)
@@ -363,12 +380,10 @@ def _weighted_trace(V, M):
 
 @pytest.mark.parametrize("m", range(9))
 def test_closed_form_gamma_matches_oracle_products(m):
-    # Gamma_V and C^(1) = sum_j q^(m-2j) (Gamma_V)_jj, each in closed form,
-    # against the triple product K_V Rt_V R_V
+    # C^(1) = sum_j q^(m-2j) (Gamma_V)_jj, read off the diagonal of Gamma_V
+    # in closed form, against the triple product K_V Rt_V R_V
     V = SimpleModule(m)
-    G = gamma_by_products(V)
-    assert gamma(V) == G
-    assert casimir(V, 1) == _weighted_trace(V, G)
+    assert casimir(V, 1) == _weighted_trace(V, gamma_by_products(V))
 
 
 def test_casimir_k1_forms_no_element_product(monkeypatch):
@@ -390,7 +405,8 @@ def test_closed_form_middle_factor_matches_oracle_products(m):
     # M = R_V K_V Rt_V of Gamma_V^k = K_V Rt_V M^(k-1) R_V, in closed form,
     # against the triple product
     V = SimpleModule(m)
-    assert uq_rank1._middle(V, *uq_rank1._gamma_factors(V)) == middle_by_products(V)
+    entries = uq_rank1._middle_entries(V, *uq_rank1._gamma_factors(V))
+    assert uq_rank1._table(V.dim, entries) == middle_by_products(V).table()
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -513,7 +529,8 @@ def test_casimir_pipeline_stays_laurent():
     # which the E-basis constructor divides out again
     for m in range(5):
         V = SimpleModule(m)
-        mats = [quasi_R(V), quasi_R_tilde_T(V), K_operator(V), gamma(V), gamma(V) * gamma(V)]
+        G = gamma_by_products(V)
+        mats = [quasi_R(V), quasi_R_tilde_T(V), K_operator(V), G, G * G]
         for M in mats:
             for row in M.rows:
                 for e in row:
@@ -553,9 +570,9 @@ def test_lemma_checks_report_a_broken_operator(monkeypatch):
     failed = [item.name for item in check_K_intertwining(V).items if not item.passed]
     assert "K_V (zeta(E) (x) 1) twists by K^2" in failed
     # Gamma_V with one entry scaled by q: a scalar still commutes with Delta(K)
-    rows = [list(row) for row in gamma(V).rows]
+    rows = [list(row) for row in gamma_by_products(V).rows]
     rows[0][1] = rows[0][1].scale(q_power(1))
-    monkeypatch.setattr(oracles, "gamma", lambda V: UqMatrix(rows))
+    monkeypatch.setattr(oracles, "gamma_by_products", lambda V: UqMatrix(rows))
     rep = check_gamma_intertwines(V)
     failed = [item.name for item in rep.items if not item.passed]
     assert "[Gamma, Delta(E)] = 0" in failed

@@ -46,8 +46,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 sympy = pytest.importorskip("sympy")
 
 from oracles import (  # noqa: E402
-    GEN_EP, GEN_F, GEN_K, GEN_KINV, QMQ, theta, uq_product_by_triples)
-from uqcentre import SimpleModule, UqElement, UqMatrix, casimir, is_central  # noqa: E402
+    GEN_EP, GEN_F, GEN_K, GEN_KINV, QMQ, UqMatrix, theta, uq_product_by_triples)
+from uqcentre import SimpleModule, UqElement, casimir, is_central  # noqa: E402
 from uqcentre import qrational  # noqa: E402
 from uqcentre.qrational import (  # noqa: E402
     Q_ONE, Q_ZERO, QRat, _width, finished, mul_add, q_power)
