@@ -27,15 +27,12 @@ normal form of E' times the one before, built up to the largest
 E'-exponent of the left factor; a level depends on its exponent and R
 alone.  The left term r1 F^a1 K^b1 E'^c then adds r1 p q^(-2 b1 x) to
 F^(a1+x) K^(b1+y) E'^z for every term p F^x K^y E'^z of level c: moving
-K^b1 past F^x is a shift applied after the level is built, and r1, the
-large coefficient in M^(k-1), is multiplied once per output monomial.
-A matrix product shares the levels of each right entry down its column,
-so every row reuses them, and nothing outlives the product.  Powers of
-q are applied as shifts, never as products: each term of a product is one
-packed multiply-accumulate (:func:`qrational.mul_add`) into the running
-sum of its output monomial, and each product, matrix entry or Casimir
-trace is made canonical once, when it is finished
-(:func:`qrational.finished`).
+K^b1 past F^x is a shift applied after the level is built, and r1 is
+multiplied once per output monomial.  Powers of q are applied as shifts,
+never as products: each term of a product or a Casimir is one packed
+multiply-accumulate (:func:`qrational.mul_add`) into the running sum of
+its output monomial, and each product or Casimir is made canonical once,
+when it is finished (:func:`qrational.finished`).
 
 From the (m+1)-dimensional simple module V the three operators
 
@@ -53,45 +50,34 @@ K^(w_l) kappa F^n K^-n rho E'^n' of an entry of Gamma_V is already the
 normally ordered monomial q^(-2n w_l) kappa rho F^n K^(w_l - n) E'^n', and
 the terms of one entry fall on distinct monomials, so C^(1)_V is read off
 the diagonal in closed form, one coefficient product per term and no
-product of elements.  For k >= 2 the same factors are
-regrouped, Gamma_V^k = K_V Rt_V M^(k-1) R_V with M = R_V K_V Rt_V.  This
-only reassociates the product, so it is exact.  Each term of
-E'^a K^w F^b K^-b in M is a term of E'^a F^b, which is level a of F^b
-under the one straightening rule, moved to a new monomial with a shift of
-q; so M too is written down with no product of elements.  M^(k-1) takes
-k - 2 matrix products of plain d x d tables of stored-term dicts
-(:func:`_products`, :func:`_table`), and the outer factors K_V Rt_V and
-R_V are applied to it by re-keying its terms.
+product of elements.  Every higher Casimir is a signed sum of these closed
+forms, by a q-twisted Adams operation:
 
-Only half of the last factor is formed.  Let theta be the
-Z[q, q^-1]-linear anti-involution with theta(E') = F K^-1, theta(F) = K E'
-and theta(K) = K.  It takes F^a K^b E'^c to
-q^(c(c-1) - a(a-1)) F^c K^(b-c+a) E'^a, so it fixes the zero-grade
-subalgebra U^0 pointwise, and it takes (R_V)_(t j) to
-(D_j / D_t) (Rt_V)_(j t), with D_t = q^(t(m+1-t)) (q - q^-1)^t / [m choose t].
-Hence it takes (M^p)_(t t') to (D_t' / D_t) (M^p)_(t' t), and the D's
-cancel around each closed path j -> t -> t' -> j: the trace terms
-T_(j,t,t') = (K_V Rt_V)_(j t) (M^(k-1))_(t t') (R_V)_(t' j) and T_(j,t',t)
-lie in U^0 and are each other's theta-image, so they are equal (the steps
-are in :func:`casimir`).  So only the entries t <= t' of M for k = 2, or of
-the last product of M^(k-1) for k >= 3, are formed, each re-keyed into the
-trace as soon as it is finished, with coefficient 2 off the diagonal; that
-product is never held whole, and D enters no computation.
+    C^(k)_L(m) = q^(-k c(m)) sum_nu a_nu q^(c(nu)/k) C^(1)_L(nu),
 
-The matrices R_V, Rt_V, K_V and Gamma_V, and the products K_V Rt_V R_V and
-R_V K_V Rt_V, are built only by the tests, as the oracles of these closed
-forms.  The library shows
-centrality by direct commutation (:func:`is_central`); the intertwining
-identities of Gamma_V and K_V, steps of the proof, are checked by
-``tests/oracles.py``, which builds the module matrices of zeta(E), zeta(F)
-and zeta(K) itself.  The truncation of the quasi R-matrix at n = dim V is
-exact (zeta(F)^dim V = 0), not an approximation.  Since c_n E^n = q^(n(n-1)/2) E'^n / [n]!, the entries of R_V and Rt_V are
+with c(n) = n(n+2)/2 and psi^k[L(m)] = sum_nu a_nu [L(nu)] the k-th Adams
+operation in the simple characters.  At rank 1 the Racah-Speiser rule for
+the a_nu is a sign rule on the weights of L(m) (:func:`_adams_terms`), and
+every exponent is an integer.  The identity follows from Drinfeld's
+eigenvalues of Gamma_V on V (x) L(n) and Weyl's formula, as
+:func:`casimir` proves; so C^(k) is formed with one
+:func:`qrational.mul_add` per term of the C^(1)_L(nu), and no product of
+elements, for every k.
+
+The matrices R_V, Rt_V, K_V and Gamma_V, the products K_V Rt_V R_V and
+R_V K_V Rt_V, and the trace of Gamma_V^k as a product of matrices, are
+built only by the tests, as the oracles of these closed forms.  The
+library shows centrality by direct commutation (:func:`is_central`); the
+intertwining identities of Gamma_V and K_V, steps of the proof, are
+checked by ``tests/oracles.py``, which builds the module matrices of
+zeta(E), zeta(F) and zeta(K) itself.  The truncation of the quasi R-matrix
+at n = dim V is exact (zeta(F)^dim V = 0), not an approximation.  Since
+c_n E^n = q^(n(n-1)/2) E'^n / [n]!, the entries of R_V and Rt_V are
 built from the divided powers F^(n) e_j = [m-j choose n] e_(j+n) and
 E^(n) e_j = [j choose n] e_(j-n), one balanced q-binomial per nonzero
-entry, so every entry of R_V, Rt_V, K_V, Gamma_V and M^(k-1) has stored
+entry, so every entry of R_V, Rt_V, K_V and Gamma_V has stored
 coefficients in Z[q, q^-1]: the whole Casimir pipeline runs on Laurent
-polynomials and never needs a polynomial gcd.  Nothing of M or its powers
-is kept between calls.
+polynomials and never needs a polynomial gcd.
 
 Every such coefficient is moreover q^e P(q^2), with exponents of one
 parity, which ``qrational`` packs in q^2 at half the length.  [a] lies in
@@ -107,8 +93,8 @@ the relations, so it is a ring automorphism psi, and psi multiplies a
 coefficient c(q) of F^a K^b E'^c by (-1)^(a+b) as it takes it to c(-q).  It
 sends R_V and Rt_V to D R_V D^-1 and D Rt_V D^-1, for the sign matrix
 D = diag((-1)^(i(i-1)/2 + i(m+1))), and K_V to (-1)^m K_V.  So every
-entry of Gamma_V^k, M^(k-1) and C^(k) is fixed by psi up to one sign, and
-each of its coefficients has exponents of one parity.
+entry of Gamma_V^k and C^(k) is fixed by psi up to one sign, and each of
+its coefficients has exponents of one parity.
 """
 
 from __future__ import annotations
@@ -395,32 +381,6 @@ def _q_binomial(n: int, k: int) -> QRat:
     return _q_binomial(n - 1, k).shift(k) + _q_binomial(n - 1, k - 1).shift(k - n)
 
 
-def _products(left: list, right: list, upper: bool = False):
-    """Yield (i, j, stored terms) for the entries of left right, one column j at a time.
-
-    ``left`` and ``right`` are d x d tables of stored-term dicts.  The levels
-    of right entry (k, j) serve every row of column j (:func:`_mul_into`),
-    and each entry is made canonical as it is finished.  With ``upper`` only
-    the entries i <= j are formed.
-    """
-    d = len(right)
-    for j in range(d):
-        levels = [[list(right[k][j].items())] for k in range(d)]
-        for i, row in enumerate(left[:j + 1] if upper else left):
-            out: dict = {}
-            for k in range(d):
-                _mul_into(out, row[k], levels[k])
-            yield i, j, finished(out)
-
-
-def _table(d: int, entries) -> list:
-    """The d x d table of the (i, j, stored terms) ``entries``, every entry given."""
-    table = [[None] * d for _ in range(d)]
-    for i, j, terms in entries:
-        table[i][j] = terms
-    return table
-
-
 class SimpleModule:
     """The (m+1)-dimensional simple module L(m varpi), known by its label m.
 
@@ -473,129 +433,97 @@ def _rt_entry(m: int, l: int, t: int) -> QRat:
     )
 
 
-def _gamma_factors(V: SimpleModule) -> tuple[list, list]:
-    """The coefficient tables kappa of Rt_V and rho of R_V.
+def _gamma_factors(m: int) -> tuple[list, list]:
+    """The coefficient tables kappa of Rt_V and rho of R_V, V = L(m).
 
     kappa[l][n] is the coefficient of Rt_V at (l, l+n), rho[j][n] that of
-    R_V at (j+n, j), for every nonzero entry; :func:`casimir` and
-    :func:`_middle_entries` read them.
+    R_V at (j+n, j), for every nonzero entry; :func:`casimir` reads them.
     """
-    m, d = V.m, V.dim
+    d = m + 1
     kappa = [[_rt_entry(m, l, t) for t in range(l, d)] for l in range(d)]
     rho = [[_r_entry(m, t, j) for t in range(j, d)] for j in range(d)]
     return kappa, rho
 
 
-def _middle_entries(V: SimpleModule, kappa: list, rho: list, upper: bool = False):
-    """Yield (t, t', stored terms) for the entries of M = R_V K_V Rt_V; only t <= t' if ``upper``.
+def _adams_terms(m: int, k: int) -> list[tuple[int, int, int]]:
+    """The terms (nu, a, e) of C^(k)_L(m) = sum a q^e C^(1)_L(nu); see :func:`casimir`.
 
-    Entry (t, t') of M is the sum over s <= min(t, t') of
-    rho E'^a K^(w_s) kappa F^b K^-b, with a = t - s, b = t' - s and
-    rho, kappa the coefficients of R_V at (t, s) and Rt_V at (s, t').
-    E'^a K^w = q^(-2aw) K^w E'^a, and E'^a F^b is level a of F^b
-    (:func:`_grow`).  Moving K^(w_s) left past F^x and K^-b right past E'^z
-    turns its term p F^x K^y E'^z into
-    q^(-2a w_s - 2x w_s + 2zb) p F^x K^(y + w_s - b) E'^z: one
-    :func:`qrational.mul_add` of rho kappa and p per term, and no product of
-    elements.  The levels of each F^b serve every entry.
+    The a are the coefficients of the Adams operation psi^k[L(m)] in the
+    simple characters, by the Racah-Speiser rule: a weight mu of L(m) gives
+    nu = k mu with a = +1 when mu >= 0, and nu = k|mu| - 2 with a = -1 when
+    mu < 0, reflecting k mu + 1 to the dominant side; k mu + 1 = 0 lies on
+    the wall and gives nothing.  The exponent is
+    e = c(nu)/k - k c(m) = mu + k(mu^2 - m(m+2))/2, with c(n) = n(n+2)/2, an
+    integer as mu = m mod 2.  For k >= 2 no two mu give the same nu
+    (k mu and k|mu| - 2 differ mod 4 for k = 2 and mod k for k >= 3), and for
+    k = 1 every other term cancels, leaving (m, 1, 0): each a is +-1.
     """
-    m, d = V.m, V.dim
-    f_levels = [[[((b, 0, 0), Q_ONE)]] for b in range(d)]
-    for t in range(d):
-        for t2 in range(t if upper else 0, d):
-            acc: dict = {}
-            for s in range(min(t, t2) + 1):
-                a, b, w = t - s, t2 - s, m - 2 * s
-                levels = f_levels[b]
-                if len(levels) <= a:
-                    _grow(levels, a)
-                c = rho[s][a].mul_shift(kappa[s][b], -2 * a * w)
-                for (x, y, z), p in levels[a]:
-                    mul_add(acc, (x, y + w - b, z), c, p, 2 * (z * b - x * w))
-            yield t, t2, finished(acc)
+    coeff: dict = {}
+    shift = {}
+    for mu in range(m, -m - 1, -2):
+        if k * mu + 1:
+            nu, a = (k * mu, 1) if mu >= 0 else (-k * mu - 2, -1)
+            coeff[nu] = coeff.get(nu, 0) + a
+            shift[nu] = mu + k * (mu * mu - m * (m + 2)) // 2
+    return [(nu, a, shift[nu]) for nu, a in coeff.items() if a]
 
 
 def casimir(V: SimpleModule, k: int) -> UqElement:
     """C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k); central for every k >= 1.
 
-    K_2rho acts as zeta(K) in rank 1, so C^(k)_V = sum_j q^(w_j) (Gamma_V^k)_jj.
-    For k = 1 the sum is read off the diagonal of Gamma_V = K_V Rt_V R_V in
-    closed form: entry (j, j) is the sum over n of
+    K_2rho acts as zeta(K) in rank 1, so C^(1)_V = sum_j q^(w_j) (Gamma_V)_jj,
+    read off the diagonal of Gamma_V = K_V Rt_V R_V in closed form: entry
+    (j, j) is the sum over n of
     K^(w_j) kappa F^n K^-n rho E'^n = q^(-2n w_j) kappa rho F^n K^(w_j - n) E'^n,
     with kappa, rho the coefficients of Rt_V at (j, j+n) and R_V at (j+n, j).
-    Distinct (j, n) give distinct monomials, so C^(1)_V is formed term by
-    term, one packed product of coefficients each, with no product of
-    elements.  For k >= 2 the same three factors
-    are regrouped, Gamma_V^k = K_V Rt_V M^(k-1) R_V with M = R_V K_V Rt_V;
-    this only reassociates the product, so it is exact.  M is written down
-    in closed form (:func:`_middle_entries`), and M^(k-1) takes k - 2 matrix
-    products, none for k = 2.  The outer factors are applied by re-keying:
-    a term p F^x K^y E'^z of (M^(k-1))_(t t') adds
-    q^(w_j + 2nx - 2 w_j (n + x)) kappa rho p to F^(n+x) K^(y - n + w_j) E'^(z + n')
-    for each j <= min(t, t'), with n = t - j, n' = t' - j, and kappa, rho
-    the coefficients of Rt_V at (j, t) and R_V at (t', j): one
-    :func:`qrational.mul_add` per term and j.
+    Distinct (j, n) give distinct monomials, so C^(1)_V is one packed
+    product of coefficients per term, with no product of elements.
 
-    That re-keyed term is q^(w_j) T_(j,t,t'), with the path term
-    T_(j,t,t') = (K_V Rt_V)_(j t) (M^(k-1))_(t t') (R_V)_(t' j), and
-    T_(j,t,t') = T_(j,t',t).  So only the entries t <= t' of the last
-    factor, M for k = 2 and the last product of M^(k-1) for k >= 3, are
-    formed (:func:`_products`), each re-keyed for j <= t as soon as it is
-    finished, an entry off the diagonal with coefficient 2.  The proof:
+    Every higher Casimir is a signed sum of these closed forms, a q-twisted
+    Adams operation (:func:`_adams_terms`):
 
-    * theta, the Z[q, q^-1]-linear anti-involution with theta(E') = F K^-1,
-      theta(F) = K E' and theta(K) = K, keeps the defining relations.  As
-      (F K^-1)^c = q^(c(c-1)) F^c K^-c and (K E')^a = q^(-a(a-1)) K^a E'^a,
-      theta(F^a K^b E'^c) = q^(c(c-1) - a(a-1)) F^c K^(b-c+a) E'^a, so theta
-      needs no straightening, and it fixes the zero-grade subalgebra U^0
-      (a = c) pointwise.
-    * With n = t - j, (R_V)_(t j) = rho E'^n and (Rt_V)_(j t) = kappa F^n K^-n
-      (:func:`_r_entry`, :func:`_rt_entry`), and
-      theta(E'^n) = q^(n(n-1)) F^n K^-n.  So theta((R_V)_(t j)) =
-      (D_j / D_t) (Rt_V)_(j t), with
-      D_t = q^(t(m+1-t)) (q - q^-1)^t / [m choose t]: the q-binomials agree
-      as [m choose j] [m-j choose n] = [m choose t] [t choose n], the powers
-      of q - q^-1 as t = j + n, and the powers of q as
-      n(n-1) + t(m+1-t) - j(m+1-j) = n(m-2t) + 2n^2.
-    * theta fixes K^(w_s) and reverses products, so
-      theta(M_(t t')) = sum_s theta((Rt_V)_(s t')) K^(w_s) theta((R_V)_(t s))
-      = (D_t' / D_t) M_(t' t), and the same holds for every power of M.
-    * Around the closed path j -> t -> t' -> j the D's cancel:
-      theta(T_(j,t,t')) = (Rt_V)_(j t') (M^(k-1))_(t' t) (R_V)_(t j) K^(w_j).
-      That product lies in U^0, so it commutes with K^(w_j) and is
-      T_(j,t',t); and T_(j,t,t') lies in U^0, which theta fixes.
+        C^(k)_L(m) = q^(-k c(m)) sum_nu a_nu q^(c(nu)/k) C^(1)_L(nu),
 
-    D enters only the proof: no division is made, and every coefficient
-    stays in Z[q, q^-1].
+    with c(n) = n(n+2)/2 and psi^k[L(m)] = sum_nu a_nu [L(nu)]; each term of
+    each C^(1)_L(nu) is one :func:`qrational.mul_add` with the q-power as its
+    shift.  The proof compares the scalars by which both sides act on every
+    L(n); central elements that agree on every L(n) are equal, as the
+    Harish-Chandra map is injective on the centre (Jantzen, ch. 6).
+
+    * Gamma_V acts on the L(nu)-component of V (x) L(n) by
+      q^(c(nu) - c(n) - c(m)) (Drinfeld 1990), and the quantum partial trace
+      of the projection to it is [nu+1]/[n+1] times the identity.  So
+      C^(k)_V acts on L(n) by sum_nu q^(k(c(nu) - c(n) - c(m))) [nu+1]/[n+1]
+      over the Clebsch-Gordan components nu of V (x) L(n).
+    * The summand is odd in x = nu + 1, so by Brauer's cancellation that is
+      the sum over the weights mu of V of the same expression at
+      x = n + 1 + mu.  With Z = q^(n+1) and
+      g(x) = q^((x^2 - 1)/(2k)) Z^x, it is
+      q^(-k c(m)) sum_mu (g(k mu + 1) - g(k mu - 1)) / ((q - q^-1) [n+1]),
+      and as the weights are symmetric, mu -> -mu turns the second sum
+      into that of g(-(k mu + 1)).  So each mu gives A(k mu + 1), with A
+      the odd function A(x) = g(x) - g(-x).
+    * A(0) = 0 and A(-x) = -A(x): each weight gives a_nu A(nu + 1) by the
+      sign rule of :func:`_adams_terms`, and
+      A(nu + 1) = q^(c(nu)/k) (Z^(nu+1) - Z^(-nu-1)).  At k = 1 the same
+      computation shows that C^(1)_L(nu) acts on L(n) by
+      q^(-c(nu)) A_1(nu + 1) / ((q - q^-1) [n+1]) with
+      A_1(nu + 1) = q^(c(nu)) (Z^(nu+1) - Z^(-nu-1)), so each a_nu A(nu + 1)
+      is a_nu q^(c(nu)/k) times (q - q^-1) [n+1] times the scalar of
+      C^(1)_L(nu); the identity follows.
+
+    Every term is a Laurent coefficient, so no division is made.
     """
     if type(k) is not int or k < 1:
         raise DomainError(f"k must be >= 1 and an int, not {k!r}")
-    kappa, rho = _gamma_factors(V)
-    if k == 1:
-        terms = {
-            (n, w - n, n): kappa[j][n].mul_shift(rho[j][n], w - 2 * n * w)
-            for j, w in enumerate(V.weights)
-            for n in range(V.dim - j)
-        }
-    else:
-        if k == 2:
-            last = _middle_entries(V, kappa, rho, upper=True)
-        else:
-            M = head = _table(V.dim, _middle_entries(V, kappa, rho))
-            for _ in range(k - 3):
-                head = _table(V.dim, _products(head, M))
-            last = _products(head, M, upper=True)
-        acc: dict = {}
-        for t, t2, entry in last:
-            for j in range(t + 1):
-                n, n2, w = t - j, t2 - j, V.m - 2 * j
-                c = kappa[j][n].mul_shift(rho[j][n2], w - 2 * n * w)
-                if t < t2:  # T_(j,t,t') = T_(j,t',t)
-                    c = 2 * c
-                for (x, y, z), p in entry.items():
-                    mul_add(acc, (n + x, y + w - n, z + n2), c, p, 2 * x * (n - w))
-        terms = finished(acc)
-    return UqElement._stored(terms)
+    acc: dict = {}
+    for n, a, e in _adams_terms(V.m, k):
+        kappa, rho = _gamma_factors(n)
+        for j in range(n + 1):
+            w = n - 2 * j
+            for i, (x, y) in enumerate(zip(kappa[j], rho[j])):
+                mul_add(acc, (i, w - i, i), x if a > 0 else -x, y, e + w - 2 * i * w)
+    return UqElement._stored(finished(acc))
 
 
 def _check_zero_grade(x: UqElement) -> None:

@@ -31,11 +31,15 @@ element at a time; it reads only the stored terms.  With it
 Gamma_V is the matrix product K_V Rt_V R_V (:func:`gamma_by_products`), and
 the middle factor M of Gamma_V^k = K_V Rt_V M^(k-1) R_V the product
 R_V K_V Rt_V (:func:`middle_by_products`), where the library writes the
-entries of M and the diagonal of Gamma_V down in closed form.  The matrices
-R_V, Rt_V, K_V and Gamma_V are built only here (:func:`quasi_R`,
-:func:`quasi_R_tilde_T`, :func:`K_operator`), entry by entry from the
-library's coefficients, in a :class:`UqMatrix` container whose product is
-the library's matrix product on tables of stored terms.  The
+diagonal of Gamma_V down in closed form.  The trace of Gamma_V^k itself is
+formed here by that regrouping (:func:`casimir_by_gamma_trace`): M in
+closed form, M^(k-1) by products of tables of stored terms
+(:func:`_products`), and half of the last factor by the theta-symmetry of
+the trace, where the library sums the closed forms of C^(1) by a q-twisted
+Adams operation.  The matrices R_V, Rt_V, K_V and Gamma_V are built only
+here (:func:`quasi_R`, :func:`quasi_R_tilde_T`, :func:`K_operator`), entry
+by entry from the library's coefficients, in a :class:`UqMatrix`
+container whose product is :func:`_products`.  The
 matrices of zeta(E), zeta(F) and zeta(K) on the simple module are built here
 from its label m.  R_V and the transposed R~_V are sums of QRat matrix
 powers, each divided entrywise by [n]!, tensored with U_q(sl2) monomials.
@@ -65,8 +69,10 @@ from operator import add
 
 from uqcentre import DomainError, Report, UqElement, weight_multiplicities
 from uqcentre.character_ring import CharacterTable, _order_key, full_character
-from uqcentre.qrational import Q_ONE, Q_ZERO, laurent_quotient, q_int, q_power
-from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO, _products, _r_entry, _rt_entry, _table
+from uqcentre.qrational import Q_ONE, Q_ZERO, finished, laurent_quotient, mul_add, q_int, q_power
+from uqcentre.uq_rank1 import (
+    UQ_ONE, UQ_ZERO, _gamma_factors, _grow, _mul_into, _r_entry, _rt_entry,
+)
 
 
 # -- membership in M+ ---------------------------------------------------------
@@ -742,11 +748,131 @@ def uq_product_by_triples(x, y):
     return UqElement._stored(out)
 
 
+# -- the trace of Gamma_V^k by products of tables ------------------------------
+
+
+def _products(left, right, upper=False):
+    """Yield (i, j, stored terms) for the entries of left right, one column j at a time.
+
+    ``left`` and ``right`` are d x d tables of stored-term dicts.  The levels
+    of right entry (k, j) serve every row of column j (the library's
+    ``_mul_into``), and each entry is made canonical as it is finished.  With
+    ``upper`` only the entries i <= j are formed.
+    """
+    d = len(right)
+    for j in range(d):
+        levels = [[list(right[k][j].items())] for k in range(d)]
+        for i, row in enumerate(left[:j + 1] if upper else left):
+            out = {}
+            for k in range(d):
+                _mul_into(out, row[k], levels[k])
+            yield i, j, finished(out)
+
+
+def _table(d, entries):
+    """The d x d table of the (i, j, stored terms) ``entries``, every entry given."""
+    table = [[None] * d for _ in range(d)]
+    for i, j, terms in entries:
+        table[i][j] = terms
+    return table
+
+
+def _middle_entries(V, kappa, rho, upper=False):
+    """Yield (t, t', stored terms) for the entries of M = R_V K_V Rt_V; only t <= t' if ``upper``.
+
+    Entry (t, t') of M is the sum over s <= min(t, t') of
+    rho E'^a K^(w_s) kappa F^b K^-b, with a = t - s, b = t' - s and
+    rho, kappa the coefficients of R_V at (t, s) and Rt_V at (s, t').
+    E'^a K^w = q^(-2aw) K^w E'^a, and E'^a F^b is level a of F^b (the
+    library's ``_grow``).  Moving K^(w_s) left past F^x and K^-b right past
+    E'^z turns its term p F^x K^y E'^z into
+    q^(-2a w_s - 2x w_s + 2zb) p F^x K^(y + w_s - b) E'^z: one ``mul_add``
+    of rho kappa and p per term, and no product of elements.  The levels of
+    each F^b serve every entry.
+    """
+    m, d = V.m, V.dim
+    f_levels = [[[((b, 0, 0), Q_ONE)]] for b in range(d)]
+    for t in range(d):
+        for t2 in range(t if upper else 0, d):
+            acc = {}
+            for s in range(min(t, t2) + 1):
+                a, b, w = t - s, t2 - s, m - 2 * s
+                levels = f_levels[b]
+                if len(levels) <= a:
+                    _grow(levels, a)
+                c = rho[s][a].mul_shift(kappa[s][b], -2 * a * w)
+                for (x, y, z), p in levels[a]:
+                    mul_add(acc, (x, y + w - b, z), c, p, 2 * (z * b - x * w))
+            yield t, t2, finished(acc)
+
+
+def casimir_by_gamma_trace(V, k):
+    """C^(k)_V = sum_j q^(w_j) (Gamma_V^k)_jj, with Gamma_V^k regrouped as K_V Rt_V M^(k-1) R_V.
+
+    M = R_V K_V Rt_V: this only reassociates the product, so it is exact.
+    M is written down in closed form (:func:`_middle_entries`), M^(k-1)
+    takes k - 2 products of tables (:func:`_products`), none for k <= 2, and
+    M^0 is the identity.  The outer factors are applied by re-keying: a term
+    p F^x K^y E'^z of (M^(k-1))_(t t') adds
+    q^(w_j + 2nx - 2 w_j (n + x)) kappa rho p to F^(n+x) K^(y - n + w_j) E'^(z + n')
+    for each j <= min(t, t'), with n = t - j, n' = t' - j, and kappa, rho
+    the coefficients of Rt_V at (j, t) and R_V at (t', j).
+
+    That re-keyed term is q^(w_j) T_(j,t,t'), with the path term
+    T_(j,t,t') = (K_V Rt_V)_(j t) (M^(k-1))_(t t') (R_V)_(t' j), and
+    T_(j,t,t') = T_(j,t',t).  So only the entries t <= t' of the last
+    factor are formed, each re-keyed for j <= t as soon as it is finished,
+    an entry off the diagonal with coefficient 2.  The proof:
+
+    * theta (:func:`theta`), the Z[q, q^-1]-linear anti-involution with
+      theta(E') = F K^-1, theta(F) = K E' and theta(K) = K, keeps the
+      defining relations, needs no straightening, and fixes the zero-grade
+      subalgebra U^0 (a = c) pointwise.
+    * With n = t - j, (R_V)_(t j) = rho E'^n and (Rt_V)_(j t) = kappa F^n K^-n,
+      and theta(E'^n) = q^(n(n-1)) F^n K^-n.  So theta((R_V)_(t j)) =
+      (D_j / D_t) (Rt_V)_(j t), with
+      D_t = q^(t(m+1-t)) (q - q^-1)^t / [m choose t]: the q-binomials agree
+      as [m choose j] [m-j choose n] = [m choose t] [t choose n], the powers
+      of q - q^-1 as t = j + n, and the powers of q as
+      n(n-1) + t(m+1-t) - j(m+1-j) = n(m-2t) + 2n^2.
+    * theta fixes K^(w_s) and reverses products, so
+      theta(M_(t t')) = sum_s theta((Rt_V)_(s t')) K^(w_s) theta((R_V)_(t s))
+      = (D_t' / D_t) M_(t' t), and the same holds for every power of M.
+    * Around the closed path j -> t -> t' -> j the D's cancel:
+      theta(T_(j,t,t')) = (Rt_V)_(j t') (M^(k-1))_(t' t) (R_V)_(t j) K^(w_j).
+      That product lies in U^0, so it commutes with K^(w_j) and is
+      T_(j,t',t); and T_(j,t,t') lies in U^0, which theta fixes.
+
+    D enters only the proof: no division is made.
+    """
+    kappa, rho = _gamma_factors(V.m)
+    d = V.dim
+    if k == 1:
+        last = ((t, t, {(0, 0, 0): Q_ONE}) for t in range(d))
+    elif k == 2:
+        last = _middle_entries(V, kappa, rho, upper=True)
+    else:
+        M = head = _table(d, _middle_entries(V, kappa, rho))
+        for _ in range(k - 3):
+            head = _table(d, _products(head, M))
+        last = _products(head, M, upper=True)
+    acc = {}
+    for t, t2, entry in last:
+        for j in range(t + 1):
+            n, n2, w = t - j, t2 - j, V.m - 2 * j
+            c = kappa[j][n].mul_shift(rho[j][n2], w - 2 * n * w)
+            if t < t2:  # T_(j,t,t') = T_(j,t',t)
+                c = 2 * c
+            for (x, y, z), p in entry.items():
+                mul_add(acc, (n + x, y + w - n, z + n2), c, p, 2 * x * (n - w))
+    return UqElement._stored(finished(acc))
+
+
 class UqMatrix:
     """A square matrix with UqElement entries: an element of End(V) (x) U_q(sl2).
 
-    Its product is the library's :func:`_products` on the tables of stored
-    terms, which :func:`uq_matrix_product_by_triples` checks.
+    Its product is :func:`_products` on the tables of stored terms, which
+    :func:`uq_matrix_product_by_triples` checks.
     """
 
     __slots__ = ("rows",)

@@ -418,3 +418,17 @@ def test_criterion_19_casimir_m60_time_gate(capsys):
         "c877774582b0c5a9721133f7a1217691d1e6994d36dcb1a376146ab181e3a0e4")
     ok &= elapsed < 15.0
     _report(f"criterion 19: casimir m=60 k=1 in process ({elapsed:.2f}s < 15s)", ok)
+
+
+def test_criterion_20_casimir_m12_k3_time_gate(capsys):
+    # casimir m = 12, k = 3 from cold caches, on a 2-vCPU host: ~22 s as the
+    # trace of Gamma_V^3 by products of matrices over U_q(sl2), ~0.3 s as a
+    # signed sum of the closed forms C^(1)_L(nu) (a q-twisted Adams operation)
+    _q_binomial.cache_clear()
+    t0 = time.perf_counter()
+    code = main(["casimir", "--m", "12", "--k", "3", "--format", "json"])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out.encode()
+    ok = code == 0 and hashlib.sha256(out).hexdigest() == LARGE_JSON_SHA256[(12, 3)]
+    ok &= elapsed < 3.0
+    _report(f"criterion 20: casimir m=12 k=3 in process ({elapsed:.2f}s < 3s)", ok)

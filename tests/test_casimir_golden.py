@@ -1,11 +1,13 @@
 """Golden output of ``uqcentre casimir``: the sha256 of every output byte.
 
 The digests pin ``casimir --m M --k K`` for M <= 6 and K <= 3, in both
-output formats, and in JSON for M = 7, 8 with K <= 3, for (M, K) = (10, 3)
-and (12, 2), for M = 20, 26, 30, 48 with K = 1, and for the higher orders
-(1, 8), (2, 6), (3, 5), (4, 4), (4, 5) and (5, 4), as standard output
-(the rendered text and a trailing newline).  Any drift in a coefficient, its canonical form, the term order or
-the rendering changes a digest.
+output formats, and in JSON for M = 7, 8 with K <= 3, for (M, K) = (10, 3),
+(12, 2) and (12, 3), for M = 20, 26, 30, 48 with K = 1, and for the higher
+orders (1, 8), (2, 6), (3, 5), (4, 4), (4, 5) and (5, 4), as standard output
+(the rendered text and a trailing newline); (12, 3) is pinned as text too.
+The (12, 3) digests were recorded from the M^(k-1) product path, before
+higher Casimirs became sums of closed forms.  Any drift in a coefficient,
+its canonical form, the term order or the rendering changes a digest.
 """
 
 import hashlib
@@ -70,6 +72,7 @@ LARGE_JSON_SHA256 = {
     (8, 3): "6ecb288419f6195c86ee4bdc2c4bc954633804f54a538a631d8419d2d1732b54",
     (10, 3): "3a2769b72c180a3f5821b185f5a51be3ba1d97741ceb413ef362b6be5b723c0a",
     (12, 2): "123a497ceb1eed47c25a4ae37bbb91b6bb01c96a5536379095f985270ad1619e",
+    (12, 3): "c7dd5215997baa33501ecbaa7c8bbda7f6d1eedbf8bad8971980d6a2f8b2d1ad",
     (20, 1): "1e6bf30b0843e5edb720a22dc7ba83a5054ae49cc88941b416829e64f5168c33",
     (26, 1): "43cb8b1b90fc1cf7168c67f664e60eb89b17a6c506dfa16ab332765d42ed8557",
     (30, 1): "b7aa192b88ae62cceb5205747a49573ed6543030e03ef232b500b0b9d046bd89",
@@ -80,6 +83,9 @@ LARGE_JSON_SHA256 = {
     (4, 4): "2fd53426cfc6a28a3cf2c84466114d5f97ff29ae3b78e654984f55476c3a0642",
     (4, 5): "17727e9cdfb7cd57af0ec1917b1a55c729f53d795a5ee76286c08951ca260dfc",
     (5, 4): "34c4b2dd9fc878b24f4a33849e0b94ab0651e38893f386379b1eab4239192a23",
+}
+LARGE_TEXT_SHA256 = {
+    (12, 3): "89825d4a5ab0b64a74c9726e54a61df6f16ab46164d0b4a7b43fbed969c5f85d",
 }
 
 DIGESTS = {"json": JSON_SHA256, "text": TEXT_SHA256}
@@ -100,3 +106,11 @@ def test_large_casimir_json_digest(capsys, m, k):
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == LARGE_JSON_SHA256[(m, k)]
+
+
+@pytest.mark.parametrize("m,k", sorted(LARGE_TEXT_SHA256))
+def test_large_casimir_text_digest(capsys, m, k):
+    code = main(["casimir", "--m", str(m), "--k", str(k), "--format", "text"])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == LARGE_TEXT_SHA256[(m, k)]

@@ -28,6 +28,7 @@ from oracles import (
     _matrix_power,
     _matrix_product,
     check_K_intertwining,
+    casimir_by_gamma_trace,
     check_gamma_intertwines,
     coproduct_matrix,
     gamma_by_products,
@@ -302,11 +303,12 @@ def test_casimir_pipeline_is_packed_in_q_squared(monkeypatch):
     for m in range(5):
         V = SimpleModule(m)
         C = casimir(V, 3)
-        kappa, rho = uq_rank1._gamma_factors(V)
-        M = uq_rank1._table(V.dim, uq_rank1._middle_entries(V, kappa, rho))
+        kappa, rho = uq_rank1._gamma_factors(m)
+        # the regrouped trace of the oracle: M and M M
+        M = oracles._table(V.dim, oracles._middle_entries(V, kappa, rho))
         coeffs = [c for table in (kappa, rho) for row in table for c in row]
         coeffs += [c for row in M for e in row for c in e.values()]
-        coeffs += [c for _, _, e in uq_rank1._products(M, M) for c in e.values()]
+        coeffs += [c for _, _, e in oracles._products(M, M) for c in e.values()]
         coeffs += list(C._terms.values()) + list(C.terms.values())
         assert coeffs and all(c._s == 2 for c in coeffs), m
     assert not general
@@ -387,17 +389,19 @@ def test_closed_form_gamma_matches_oracle_products(m):
 
 
 def test_casimir_k1_forms_no_element_product(monkeypatch):
-    # C^(1) and C^(2) are read off closed forms; C^(3) needs the product M M
-    expected = {k: [casimir(SimpleModule(m), k) for m in range(6)] for k in (1, 2)}
+    # every C^(k) is a signed sum of closed forms C^(1)_L(nu): no product of
+    # elements and no straightening, for any k
+    expected = {(m, k): casimir(SimpleModule(m), k) for m in range(7) for k in range(1, 6)}
 
     def refuse(*args):
         raise AssertionError("C^(k) formed a product of elements")
 
-    monkeypatch.setattr(uq_rank1, "_mul_into", refuse)
-    for k in (1, 2):
-        assert [casimir(SimpleModule(m), k) for m in range(6)] == expected[k], k
+    for name in ("_mul_into", "_grow", "_left_e"):
+        monkeypatch.setattr(uq_rank1, name, refuse)
+    for (m, k), C in expected.items():
+        assert casimir(SimpleModule(m), k) == C, (m, k)
     with pytest.raises(AssertionError, match="product of elements"):
-        casimir(SimpleModule(1), 3)
+        C * C
 
 
 @pytest.mark.parametrize("m", range(7))
@@ -405,8 +409,8 @@ def test_closed_form_middle_factor_matches_oracle_products(m):
     # M = R_V K_V Rt_V of Gamma_V^k = K_V Rt_V M^(k-1) R_V, in closed form,
     # against the triple product
     V = SimpleModule(m)
-    entries = uq_rank1._middle_entries(V, *uq_rank1._gamma_factors(V))
-    assert uq_rank1._table(V.dim, entries) == middle_by_products(V).table()
+    entries = oracles._middle_entries(V, *uq_rank1._gamma_factors(m))
+    assert oracles._table(V.dim, entries) == middle_by_products(V).table()
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -446,8 +450,8 @@ def test_theta_takes_R_to_Rt_up_to_the_scalars_D(m):
 @pytest.mark.parametrize("m", range(5))
 def test_the_trace_terms_of_t_t_prime_and_t_prime_t_agree(m):
     # T_(j,t,t') = (K_V Rt_V)_(j t) (M^(k-1))_(t t') (R_V)_(t' j) equals
-    # T_(j,t',t), so casimir forms only t <= t'; the weighted sum of all of
-    # them is C^(k)
+    # T_(j,t',t), so casimir_by_gamma_trace forms only t <= t'; the weighted
+    # sum of all of them is C^(k)
     V = SimpleModule(m)
     d = V.dim
     KRt = uq_matrix_product_by_triples(K_operator(V), quasi_R_tilde_T(V))
@@ -469,12 +473,13 @@ def test_the_trace_terms_of_t_t_prime_and_t_prime_t_agree(m):
 
 @pytest.mark.parametrize("m", range(6))
 def test_casimir_finishes_only_the_upper_half_of_its_last_product(monkeypatch, m):
-    # k = 3: the last product M M is formed entry by entry for t <= t' only,
-    # d(d+1)/2 entries; k = 2: likewise the entries of M itself
+    # the oracle's regrouped trace, k = 3: the last product M M is formed
+    # entry by entry for t <= t' only, d(d+1)/2 entries; k = 2: likewise the
+    # entries of M itself
     formed = {}
 
     def counting(name):
-        entries = getattr(uq_rank1, name)
+        entries = getattr(oracles, name)
 
         def counted(*args, **kwargs):
             for entry in entries(*args, **kwargs):
@@ -485,15 +490,55 @@ def test_casimir_finishes_only_the_upper_half_of_its_last_product(monkeypatch, m
     V = SimpleModule(m)
     d = V.dim
     upper = sorted((t, t2) for t in range(d) for t2 in range(t, d))
-    expected = {k: casimir(V, k) for k in (2, 3)}
-    monkeypatch.setattr(uq_rank1, "_products", counting("_products"))
-    monkeypatch.setattr(uq_rank1, "_middle_entries", counting("_middle_entries"))
-    assert casimir(V, 2) == expected[2]
+    monkeypatch.setattr(oracles, "_products", counting("_products"))
+    monkeypatch.setattr(oracles, "_middle_entries", counting("_middle_entries"))
+    assert casimir_by_gamma_trace(V, 2) == casimir(V, 2)
     assert list(formed) == ["_middle_entries"] and sorted(formed["_middle_entries"]) == upper
     formed.clear()
-    assert casimir(V, 3) == expected[3]
+    assert casimir_by_gamma_trace(V, 3) == casimir(V, 3)
     assert sorted(formed["_products"]) == upper
     assert len(formed["_middle_entries"]) == d * d  # M whole, as the right factor
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_casimir_equals_the_regrouped_trace_of_gamma_powers(m):
+    # the Adams sum of closed forms against the oracle's trace of Gamma_V^k
+    V = SimpleModule(m)
+    for k in range(1, 5):
+        assert casimir(V, k) == casimir_by_gamma_trace(V, k), k
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_rank1_adams_terms(k):
+    # psi^k[L(m)] = sum a_nu [L(nu)]: k = 1 is L(m) itself, dimensions add
+    # up to m + 1, and for k >= 2 the signed weights give distinct nu
+    for m in range(13):
+        terms = uq_rank1._adams_terms(m, k)
+        nus = [nu for nu, _, _ in terms]
+        assert sum(a * (nu + 1) for nu, a, _ in terms) == m + 1, (m, k)
+        assert all(a in (1, -1) and nu >= 0 for nu, a, _ in terms), (m, k)
+        if k == 1:
+            assert terms == [(m, 1, 0)]
+        else:
+            assert len(set(nus)) == len(nus) == m + 1, (m, k)
+        for nu, _, e in terms:  # e = c(nu)/k - k c(m), c(n) = n(n+2)/2
+            assert 2 * k * e == nu * (nu + 2) - k * k * m * (m + 2), (m, k, nu)
+
+
+def test_adams_sum_acts_by_the_clebsch_gordan_eigenvalues():
+    # on the highest weight vector of L(n), C^(k)_L(m) acts by
+    # sum_nu q^(k(c(nu) - c(n) - c(m))) [nu+1]/[n+1] over the Clebsch-Gordan
+    # components nu of L(m) (x) L(n); FE kills that vector, so only the
+    # F^0 K^b E^0 terms act, K by q^n
+    for m in range(5):
+        for k in range(1, 5):
+            C = casimir(SimpleModule(m), k)
+            for n in range(5):
+                acts = sum((coeff.shift(b * n) for (a, b, c), coeff in C._terms.items()
+                            if a == c == 0), Q_ZERO)
+                traced = sum((q_power(k * (nu * (nu + 2) - n * (n + 2) - m * (m + 2)) // 2)
+                              * q_int(nu + 1) for nu in range(abs(m - n), m + n + 1, 2)), Q_ZERO)
+                assert acts * q_int(n + 1) == traced, (m, k, n)
 
 
 def test_internal_basis_round_trip():
