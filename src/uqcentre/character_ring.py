@@ -290,8 +290,9 @@ def independence_check(rsys: RootSystem, degree_bound: int) -> Report:
     distinct e, so in a nontrivial combination of distinct monomials the
     largest leading term cannot cancel: independence in every degree.  The
     report counts the C(n + degree_bound, n) monomials of degree <=
-    degree_bound; it fails, naming w_i and the leading term found, when a
-    fundamental character does not lead with 1*K_2w_i.
+    degree_bound, an int >= 0 (DomainError otherwise); it fails, naming w_i
+    and the leading term found, when a fundamental character does not lead
+    with 1*K_2w_i.
 
     Corollary (unitriangularity): let T(lam) be the tensor product of lam_i
     copies of each L(w_i).  Then [T(lam)] = [L(lam)] + sum_(mu < lam) c_mu
@@ -305,8 +306,8 @@ def independence_check(rsys: RootSystem, degree_bound: int) -> Report:
       below lam; hence every other [L(mu)] has mu < lam;
     * complete reducibility makes every coefficient a nonnegative integer.
     """
-    if degree_bound < 0:
-        raise DomainError("degree bound must be >= 0")
+    if type(degree_bound) is not int or degree_bound < 0:
+        raise DomainError(f"degree bound must be >= 0 and an int, not {degree_bound!r}")
     order_key = _order_key(rsys)
     faults = []
     for i in range(rsys.rank):

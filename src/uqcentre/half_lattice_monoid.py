@@ -313,15 +313,28 @@ def hilbert_basis(rsys: RootSystem) -> HilbertBasis:
     )
 
 
-def rel1(rsys: RootSystem, lam: Weight) -> dict[int, int]:
-    """Exponents e_i with ``lam + conj(lam) = sum e_i mu_i`` (keys are mu indices).
+def _basis_element(rsys: RootSystem, lam) -> tuple[HilbertBasis, Weight]:
+    """The Hilbert basis of ``rsys``, and ``lam`` as a tuple once it is one of its elements.
 
-    Only defined for non-self-conjugate Hilbert basis elements.  That the
-    exponents give the identity is checked by ``verify_relations`` and the tests.
+    Equal weights compare equal whatever their sequence type, so a bool or a
+    float coordinate can pass here: each caller checks ``lam`` once, in the
+    public function it passes it to.
     """
+    lam = tuple(lam)
     basis = hilbert_basis(rsys)
     if lam not in basis.element_set:
         raise DomainError(f"{lam} is not a Hilbert basis element of {rsys}")
+    return basis, lam
+
+
+def rel1(rsys: RootSystem, lam: Weight) -> dict[int, int]:
+    """Exponents e_i with ``lam + conj(lam) = sum e_i mu_i`` (keys are mu indices).
+
+    Only defined for non-self-conjugate Hilbert basis elements; ``lam`` is
+    checked by :func:`conjugate`.  That the exponents give the identity is
+    checked by ``verify_relations`` and the tests.
+    """
+    _, lam = _basis_element(rsys, lam)
     if conjugate(rsys, lam) == lam:
         raise DomainError(f"{lam} is self-conjugate")
     return {
@@ -344,10 +357,9 @@ def rel2(rsys: RootSystem, lam: Weight) -> dict[int, int]:
     """Exponents e_i with ``ell(lam) * lam = sum e_i nu_i`` (keys are node indices).
 
     s_i divides ell(lam) on the support and nu_i = s_i w_i, so e_i = ell(lam)
-    lam_i / s_i; ``verify_relations`` and the tests check the identity.
+    lam_i / s_i; ``lam`` is checked by :func:`ell`.  ``verify_relations`` and
+    the tests check the identity.
     """
-    basis = hilbert_basis(rsys)
-    if lam not in basis.element_set:
-        raise DomainError(f"{lam} is not a Hilbert basis element of {rsys}")
+    basis, lam = _basis_element(rsys, lam)
     l = ell(rsys, lam)
     return {i + 1: l * a // basis.s[i] for i, a in enumerate(lam) if a}

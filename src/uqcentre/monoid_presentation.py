@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, islice, product
+from math import lcm
 
 from .errors import DomainError
 from .half_lattice_monoid import (
     TYPE_I,
     _check_box,
     classify_type,
-    ell,
     hilbert_basis,
     in_monoid,
     rel1,
@@ -128,9 +128,15 @@ def _mono(pairs):
 
 
 def _rel2_binomial(rsys: RootSystem, basis, idx, lam: Weight) -> BinomialRelation:
-    """The rel2 binomial x_lam^ell = prod x_nu_i^e_i; ``idx`` maps weights to generator indices."""
-    rhs = _mono((idx[basis.scaled_fundamentals[i - 1]], e) for i, e in rel2(rsys, lam).items())
-    return BinomialRelation("rel2", lam, ((idx[lam], ell(rsys, lam)),), rhs)
+    """The rel2 binomial x_lam^ell = prod x_nu_i^e_i; ``idx`` maps weights to generator indices.
+
+    The support of ``lam`` is that of the exponents of :func:`rel2`, so
+    ell(lam) is the lcm of the s_i over their keys.
+    """
+    exps = rel2(rsys, lam)
+    l = lcm(*[basis.s[i - 1] for i in exps])
+    rhs = _mono((idx[basis.scaled_fundamentals[i - 1]], e) for i, e in exps.items())
+    return BinomialRelation("rel2", lam, ((idx[lam], l),), rhs)
 
 
 def presentation(rsys: RootSystem) -> Presentation:
@@ -225,8 +231,8 @@ def _box_radix(rsys: RootSystem, bound: int) -> int:
     Raises :class:`ResourceLimitError`, before anything is allocated, when
     the box has more than ``BOX_CAP`` points.
     """
-    if bound < 0:
-        raise DomainError("bound must be >= 0")
+    if type(bound) is not int or bound < 0:
+        raise DomainError(f"bound must be >= 0 and an int, not {bound!r}")
     _check_box([bound] * rsys.rank, bound * rsys.rank)
     return bound + 1
 
@@ -306,6 +312,7 @@ def generation_check(rsys: RootSystem, bound: int) -> Report:
     reachability on bitsets over the cells of the box: the members of
     :func:`_member_bits` less the sums of :func:`_reach_bits`.  Only when
     that leaves a cell are the first five decoded by :func:`_cell_weights`.
+    ``bound`` must be an int >= 0; DomainError otherwise.
     """
     radix = _box_radix(rsys, bound)
     r, c = residue_classes(rsys)

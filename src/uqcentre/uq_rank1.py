@@ -34,24 +34,21 @@ multiply-accumulate (:func:`qrational.mul_add`) into the running sum of
 its output monomial, and each product or Casimir is made canonical once,
 when it is finished (:func:`qrational.finished`).
 
-From the (m+1)-dimensional simple module V the three operators
-
-    R_V      = sum_n c_n  zeta(F^n) (x) E^n,
-    Rt_V     = sum_n c_n  zeta(E^n K^n) (x) K^-n F^n,
-    K_V      = sum_eta P_eta (x) K_2eta   (diagonal),
-
-with c_n = q^(n(n+1)/2) (1-q^-2)^n / [n]!, define
-Gamma_V = K_V Rt_V R_V, whose weighted partial traces
+The Casimirs are the weighted partial traces
 
     C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k)
 
-are central.  Gamma_V itself is never formed.  Each term
-K^(w_l) kappa F^n K^-n rho E'^n' of an entry of Gamma_V is already the
-normally ordered monomial q^(-2n w_l) kappa rho F^n K^(w_l - n) E'^n', and
-the terms of one entry fall on distinct monomials, so C^(1)_V is read off
-the diagonal in closed form, one coefficient product per term and no
-product of elements.  Every higher Casimir is a signed sum of these closed
-forms, by a q-twisted Adams operation:
+of Drinfeld's Gamma_V = K_V Rt_V R_V on a simple module V, with K_V the
+diagonal operator sum_eta P_eta (x) K_2eta and R_V, Rt_V the quasi
+R-matrix and its transposed twin taken on V; they are central.  Gamma_V
+is never formed: C^(1)_L(n) is one closed formula per monomial
+(:func:`casimir`),
+
+    C^(1)_L(n) = sum (q - q^-1)^i [j+i choose i] [n-j choose i]
+                     q^(-(i-1)(w-i)) F^i K^(w-i) E'^i,   w = n - 2j,
+
+over 0 <= j <= n and 0 <= i <= n - j.  Every higher Casimir is a signed
+sum of these closed forms, by a q-twisted Adams operation:
 
     C^(k)_L(m) = q^(-k c(m)) sum_nu a_nu q^(c(nu)/k) C^(1)_L(nu),
 
@@ -61,23 +58,16 @@ the a_nu is a sign rule on the weights of L(m) (:func:`_adams_terms`), and
 every exponent is an integer.  The identity follows from Drinfeld's
 eigenvalues of Gamma_V on V (x) L(n) and Weyl's formula, as
 :func:`casimir` proves; so C^(k) is formed with one
-:func:`qrational.mul_add` per term of the C^(1)_L(nu), and no product of
-elements, for every k.
+:func:`qrational.mul_add` per monomial of the C^(1)_L(nu), and no product
+of elements, for every k.
 
-The matrices R_V, Rt_V, K_V and Gamma_V, the products K_V Rt_V R_V and
-R_V K_V Rt_V, and the trace of Gamma_V^k as a product of matrices, are
-built only by the tests, as the oracles of these closed forms.  The
-library shows centrality by direct commutation (:func:`is_central`); the
-intertwining identities of Gamma_V and K_V, steps of the proof, are
-checked by ``tests/oracles.py``, which builds the module matrices of
-zeta(E), zeta(F) and zeta(K) itself.  The truncation of the quasi R-matrix
-at n = dim V is exact (zeta(F)^dim V = 0), not an approximation.  Since
-c_n E^n = q^(n(n-1)/2) E'^n / [n]!, the entries of R_V and Rt_V are
-built from the divided powers F^(n) e_j = [m-j choose n] e_(j+n) and
-E^(n) e_j = [j choose n] e_(j-n), one balanced q-binomial per nonzero
-entry, so every entry of R_V, Rt_V, K_V and Gamma_V has stored
-coefficients in Z[q, q^-1]: the whole Casimir pipeline runs on Laurent
-polynomials and never needs a polynomial gcd.
+The matrices R_V, Rt_V, K_V and Gamma_V, with their entries, and the
+trace of Gamma_V^k as a product of matrices, are built only by
+``tests/oracles.py``, as the oracles of these closed forms, which also
+check the intertwining identities of Gamma_V and K_V, steps of the proof
+that C^(k)_V is central.  The library shows centrality by direct
+commutation (:func:`is_central`).  Every coefficient is a Laurent
+polynomial, so the whole Casimir pipeline never needs a polynomial gcd.
 
 Every such coefficient is moreover q^e P(q^2), with exponents of one
 parity, which ``qrational`` packs in q^2 at half the length.  [a] lies in
@@ -87,14 +77,8 @@ coefficients of X times such factors.  So when the coefficients of R have
 exponents of one parity, those of every level E'^c R do too, and E'^c F^a
 lies in Z[q^(+-2)].  The q-Pascal rule
 [n k] = q^k [n-1 k] + q^(k-n) [n-1 k-1] adds two terms of valuation
--k(n-k), so by induction [n k] lies in q^(-k(n-k)) Z[q^2].  For the
-matrices: q -> -q together with K -> -K and F -> -F (E' fixed) preserves
-the relations, so it is a ring automorphism psi, and psi multiplies a
-coefficient c(q) of F^a K^b E'^c by (-1)^(a+b) as it takes it to c(-q).  It
-sends R_V and Rt_V to D R_V D^-1 and D Rt_V D^-1, for the sign matrix
-D = diag((-1)^(i(i-1)/2 + i(m+1))), and K_V to (-1)^m K_V.  So every
-entry of Gamma_V^k and C^(k) is fixed by psi up to one sign, and each of
-its coefficients has exponents of one parity.
+-k(n-k), so by induction [n k] lies in q^(-k(n-k)) Z[q^2]; the parity of
+the Casimirs' coefficients follows (:func:`casimir`).
 """
 
 from __future__ import annotations
@@ -385,9 +369,8 @@ class SimpleModule:
     """The (m+1)-dimensional simple module L(m varpi), known by its label m.
 
     Basis e_0..e_m with K e_j = q^(m-2j) e_j, E e_j = [j] e_(j-1) and
-    F e_j = [m-j] e_(j+1); the operators below are built from these
-    actions entry by entry, so no module matrix is stored.  Modules with
-    the same m compare equal.
+    F e_j = [m-j] e_(j+1); no module matrix is stored.  Modules with the
+    same m compare equal.
     """
 
     def __init__(self, m: int):
@@ -408,41 +391,6 @@ class SimpleModule:
 
     def __repr__(self):
         return f"SimpleModule(m={self.m})"
-
-
-def _r_entry(m: int, t: int, j: int) -> QRat:
-    """The coefficient of E'^n in entry (t, j) of R_V, n = t - j >= 0.
-
-    The n-th term c_n zeta(F^n) (x) E^n is zeta(F^(n)) (x) q^(n(n-1)/2) E'^n,
-    and the divided power F^(n) sends e_j to [m-j choose n] e_(j+n).
-    """
-    n = t - j
-    return _q_binomial(m - j, n).shift(n * (n - 1) // 2)
-
-
-def _rt_entry(m: int, l: int, t: int) -> QRat:
-    """The coefficient of F^n K^-n in entry (l, t) of Rt_V, n = t - l >= 0.
-
-    Here c_n = q^(n(n-1)/2) (q - q^-1)^n / [n]!.  zeta(E^n K^n) / [n]! sends
-    e_t to q^(n(m-2t)) [t choose n] e_(t-n), and K^-n F^n normal-ordered is
-    q^(2n^2) F^n K^-n.
-    """
-    n = t - l
-    return _qmq_power(n).mul_shift(
-        _q_binomial(t, n), n * (m - 2 * t) + n * (n - 1) // 2 + 2 * n * n
-    )
-
-
-def _gamma_factors(m: int) -> tuple[list, list]:
-    """The coefficient tables kappa of Rt_V and rho of R_V, V = L(m).
-
-    kappa[l][n] is the coefficient of Rt_V at (l, l+n), rho[j][n] that of
-    R_V at (j+n, j), for every nonzero entry; :func:`casimir` reads them.
-    """
-    d = m + 1
-    kappa = [[_rt_entry(m, l, t) for t in range(l, d)] for l in range(d)]
-    rho = [[_r_entry(m, t, j) for t in range(j, d)] for j in range(d)]
-    return kappa, rho
 
 
 def _adams_terms(m: int, k: int) -> list[tuple[int, int, int]]:
@@ -471,13 +419,30 @@ def _adams_terms(m: int, k: int) -> list[tuple[int, int, int]]:
 def casimir(V: SimpleModule, k: int) -> UqElement:
     """C^(k)_V = Tr_1((K_2rho (x) 1) Gamma_V^k); central for every k >= 1.
 
-    K_2rho acts as zeta(K) in rank 1, so C^(1)_V = sum_j q^(w_j) (Gamma_V)_jj,
-    read off the diagonal of Gamma_V = K_V Rt_V R_V in closed form: entry
-    (j, j) is the sum over n of
-    K^(w_j) kappa F^n K^-n rho E'^n = q^(-2n w_j) kappa rho F^n K^(w_j - n) E'^n,
-    with kappa, rho the coefficients of Rt_V at (j, j+n) and R_V at (j+n, j).
-    Distinct (j, n) give distinct monomials, so C^(1)_V is one packed
-    product of coefficients per term, with no product of elements.
+    K_2rho acts as zeta(K) in rank 1, so for V = L(n)
+    C^(1)_V = sum_j q^(w_j) (Gamma_V)_jj, w_j = n - 2j, and the entry (j, j)
+    of Gamma_V = K_V Rt_V R_V is the sum over i of
+    K^(w_j) (Rt_V)_(j, j+i) (R_V)_(j+i, j).  With
+    c_i E^i = q^(i(i-1)/2) E'^i / [i]! and the divided powers
+    F^(i) e_j = [n-j choose i] e_(j+i) and E^(i) e_t = [t choose i] e_(t-i):
+
+    * (R_V)_(j+i, j) = q^(i(i-1)/2) [n-j choose i] E'^i;
+    * (Rt_V)_(j, j+i) = (q - q^-1)^i q^(i(i-1)/2 + i(w_j - 2i)) [j+i choose i] K^-i F^i,
+      and K^-i F^i = q^(2i^2) F^i K^-i;
+    * K^(w_j) F^i K^-i E'^i = q^(-2i w_j) F^i K^(w_j - i) E'^i.
+
+    Summing the exponents with the trace weight's w_j gives
+    (i-1)(i - w_j), so the term (j, i) is
+
+        (q - q^-1)^i [j+i choose i] [n-j choose i] q^(-(i-1)(w_j-i)) F^i K^(w_j-i) E'^i,
+
+    and distinct (j, i) give distinct monomials: one
+    :func:`qrational.mul_add` per monomial, with no table and no product of
+    elements.  Every factor lies in q^s Z[q^(+-2)] ((q - q^-1)^i for s = i,
+    [N choose i] for s = -i(N-i)), so the term's exponents have the parity
+    of i + ij + i(n-j-i) + (i-1)(w_j-i) = n = b + i mod 2 at F^i K^b E'^i; and
+    as every shift e below is (1-k)m mod 2, each coefficient of C^(k) has
+    exponents of one parity, which ``qrational`` packs in q^2.
 
     Every higher Casimir is a signed sum of these closed forms, a q-twisted
     Adams operation (:func:`_adams_terms`):
@@ -518,11 +483,12 @@ def casimir(V: SimpleModule, k: int) -> UqElement:
         raise DomainError(f"k must be >= 1 and an int, not {k!r}")
     acc: dict = {}
     for n, a, e in _adams_terms(V.m, k):
-        kappa, rho = _gamma_factors(n)
-        for j in range(n + 1):
-            w = n - 2 * j
-            for i, (x, y) in enumerate(zip(kappa[j], rho[j])):
-                mul_add(acc, (i, w - i, i), x if a > 0 else -x, y, e + w - 2 * i * w)
+        for i in range(n + 1):
+            u = _qmq_power(i) if a > 0 else -_qmq_power(i)
+            for j in range(n - i + 1):
+                w = n - 2 * j
+                mul_add(acc, (i, w - i, i), u * _q_binomial(j + i, i), _q_binomial(n - j, i),
+                        e - (i - 1) * (w - i))
     return UqElement._stored(finished(acc))
 
 

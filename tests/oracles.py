@@ -30,16 +30,16 @@ the normal forms of E'^c F^a by a two-term induction on c
 element at a time; it reads only the stored terms.  With it
 Gamma_V is the matrix product K_V Rt_V R_V (:func:`gamma_by_products`), and
 the middle factor M of Gamma_V^k = K_V Rt_V M^(k-1) R_V the product
-R_V K_V Rt_V (:func:`middle_by_products`), where the library writes the
-diagonal of Gamma_V down in closed form.  The trace of Gamma_V^k itself is
-formed here by that regrouping (:func:`casimir_by_gamma_trace`): M in
-closed form, M^(k-1) by products of tables of stored terms
+R_V K_V Rt_V (:func:`middle_by_products`), where the library writes
+C^(1) down one monomial at a time in closed form.  The trace of Gamma_V^k
+itself is formed here by that regrouping (:func:`casimir_by_gamma_trace`):
+M in closed form, M^(k-1) by products of tables of stored terms
 (:func:`_products`), and half of the last factor by the theta-symmetry of
 the trace, where the library sums the closed forms of C^(1) by a q-twisted
 Adams operation.  The matrices R_V, Rt_V, K_V and Gamma_V are built only
 here (:func:`quasi_R`, :func:`quasi_R_tilde_T`, :func:`K_operator`), entry
-by entry from the library's coefficients, in a :class:`UqMatrix`
-container whose product is :func:`_products`.  The
+by entry from the divided powers (:func:`_r_entry`, :func:`_rt_entry`), in
+a :class:`UqMatrix` container whose product is :func:`_products`.  The
 matrices of zeta(E), zeta(F) and zeta(K) on the simple module are built here
 from its label m.  R_V and the transposed R~_V are sums of QRat matrix
 powers, each divided entrywise by [n]!, tensored with U_q(sl2) monomials.
@@ -70,9 +70,7 @@ from operator import add
 from uqcentre import DomainError, Report, UqElement, weight_multiplicities
 from uqcentre.character_ring import CharacterTable, _order_key, full_character
 from uqcentre.qrational import Q_ONE, Q_ZERO, finished, laurent_quotient, mul_add, q_int, q_power
-from uqcentre.uq_rank1 import (
-    UQ_ONE, UQ_ZERO, _gamma_factors, _grow, _mul_into, _r_entry, _rt_entry,
-)
+from uqcentre.uq_rank1 import UQ_ONE, UQ_ZERO, _grow, _mul_into, _q_binomial
 
 
 # -- membership in M+ ---------------------------------------------------------
@@ -938,10 +936,69 @@ def identity_matrix(d):
     return UqMatrix([[UQ_ONE if i == j else UQ_ZERO for j in range(d)] for i in range(d)])
 
 
+def _r_entry(m, t, j):
+    """The coefficient of E'^n in entry (t, j) of R_V, n = t - j >= 0.
+
+    The n-th term c_n zeta(F^n) (x) E^n is zeta(F^(n)) (x) q^(n(n-1)/2) E'^n,
+    and the divided power F^(n) sends e_j to [m-j choose n] e_(j+n).
+    """
+    n = t - j
+    return _q_binomial(m - j, n).shift(n * (n - 1) // 2)
+
+
+def _rt_entry(m, l, t):
+    """The coefficient of F^n K^-n in entry (l, t) of Rt_V, n = t - l >= 0.
+
+    Here c_n = q^(n(n-1)/2) (q - q^-1)^n / [n]!.  zeta(E^n K^n) / [n]! sends
+    e_t to q^(n(m-2t)) [t choose n] e_(t-n), and K^-n F^n normal-ordered is
+    q^(2n^2) F^n K^-n.
+    """
+    n = t - l
+    return (QMQ ** n).mul_shift(
+        _q_binomial(t, n), n * (m - 2 * t) + n * (n - 1) // 2 + 2 * n * n
+    )
+
+
+def _gamma_factors(m):
+    """The coefficient tables kappa of Rt_V and rho of R_V, V = L(m).
+
+    kappa[l][n] is the coefficient of Rt_V at (l, l+n), rho[j][n] that of
+    R_V at (j+n, j), for every nonzero entry; :func:`casimir_by_gamma_trace`
+    and :func:`_middle_entries` read them.
+
+    Every entry has coefficients with exponents of one parity.
+    q -> -q together with K -> -K and F -> -F (E' fixed) preserves the
+    relations of U_q(sl2), so it is a ring automorphism psi, and psi
+    multiplies a coefficient c(q) of F^a K^b E'^c by (-1)^(a+b) as it takes
+    it to c(-q).  It sends R_V and Rt_V to D R_V D^-1 and D Rt_V D^-1, for
+    the sign matrix D = diag((-1)^(i(i-1)/2 + i(m+1))), and K_V to
+    (-1)^m K_V.  So every entry of Gamma_V^k and C^(k) is fixed by psi up to
+    one sign, and each of its coefficients has exponents of one parity.
+    """
+    d = m + 1
+    kappa = [[_rt_entry(m, l, t) for t in range(l, d)] for l in range(d)]
+    rho = [[_r_entry(m, t, j) for t in range(j, d)] for j in range(d)]
+    return kappa, rho
+
+
 def quasi_R(V):
     """(zeta (x) id) of the quasi R-matrix, truncated exactly at n = dim V.
 
-    Entry (j+n, j) is the library's coefficient ``_r_entry`` times E'^n.
+    From the (m+1)-dimensional simple module V the three operators
+
+        R_V      = sum_n c_n  zeta(F^n) (x) E^n,
+        Rt_V     = sum_n c_n  zeta(E^n K^n) (x) K^-n F^n,
+        K_V      = sum_eta P_eta (x) K_2eta   (diagonal),
+
+    with c_n = q^(n(n+1)/2) (1-q^-2)^n / [n]!, define
+    Gamma_V = K_V Rt_V R_V.  The truncation at n = dim V is exact
+    (zeta(F)^dim V = 0), not an approximation.  Since
+    c_n E^n = q^(n(n-1)/2) E'^n / [n]!, the entries of R_V and Rt_V are
+    built from the divided powers F^(n) e_j = [m-j choose n] e_(j+n) and
+    E^(n) e_j = [j choose n] e_(j-n), one balanced q-binomial per nonzero
+    entry, so every entry has stored coefficients in Z[q, q^-1].  Entry
+    (j+n, j) is the divided-power coefficient :func:`_r_entry` times E'^n,
+    which :func:`quasi_R_by_matrix_powers` checks against matrix powers.
     """
     m, d = V.m, V.dim
     rows = [[UQ_ZERO] * d for _ in range(d)]
@@ -954,7 +1011,9 @@ def quasi_R(V):
 def quasi_R_tilde_T(V):
     """(zeta (x) id) phi(R^T): sum_n c_n zeta(E^n K^n) (x) K^-n F^n.
 
-    Entry (j-n, j) is the library's coefficient ``_rt_entry`` times F^n K^-n.
+    Entry (j-n, j) is the divided-power coefficient :func:`_rt_entry` times
+    F^n K^-n, which :func:`quasi_R_tilde_T_by_matrix_powers` checks against
+    matrix powers.
     """
     m, d = V.m, V.dim
     rows = [[UQ_ZERO] * d for _ in range(d)]

@@ -258,6 +258,13 @@ def test_unitriangularity_single_fundamental_factor():
     assert mults[(0, 1)] == {(0, 1): 1}
 
 
+@pytest.mark.parametrize("bound", [True, 2.0, 3.5])
+def test_independence_check_takes_only_an_int_bound(bound):
+    # True printed "3 monomials of degree <= True are independent"
+    with pytest.raises(DomainError, match="degree bound must be >= 0 and an int"):
+        independence_check(build_root_system("A", 2), bound)
+
+
 def test_unitriangularity_rejects_a_negative_bound():
     # an empty box would pass vacuously
     a2 = build_root_system("A", 2)

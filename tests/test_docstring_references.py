@@ -1,5 +1,8 @@
 """Every :func:, :class: and :meth: reference in a library or oracle docstring resolves.
 
+So does every private name in double backticks, such as ``_helper``, so that a
+helper that moves out of a module cannot stay named in that module's docstrings.
+
 A reference resolves when it names something in its module's globals, an
 attribute of a class defined in that module, or a name of the ``uqcentre``
 package; the module of ``tests/oracles.py`` is ``oracles``.  A dotted
@@ -25,6 +28,7 @@ PACKAGE = Path(uqcentre.__file__).resolve().parent
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 README = PACKAGE.parents[1] / "README.md"
 REFERENCE = re.compile(r":(?:func|class|meth):`~?([\w.]+)(?:\(\))?`")
+PRIVATE = re.compile(r"``(_[A-Za-z][\w.]*)``")
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__main__")
 
 
@@ -34,7 +38,8 @@ def references(path):
     names = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            names += REFERENCE.findall(ast.get_docstring(node, clean=False) or "")
+            doc = ast.get_docstring(node, clean=False) or ""
+            names += REFERENCE.findall(doc) + PRIVATE.findall(doc)
     return names
 
 
@@ -56,6 +61,9 @@ def resolves(module, name):
 
 def test_the_docstrings_hold_references():
     assert sum(len(references(PACKAGE / f"{stem}.py")) for stem in MODULES) >= 20
+    # private names in double backticks are references too
+    assert "_mul_add_slow" in references(PACKAGE / "qrational.py")
+    assert {"_grow", "_mul_into"} <= set(references(ORACLES))
 
 
 @pytest.mark.parametrize("stem", MODULES)

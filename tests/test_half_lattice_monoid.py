@@ -560,6 +560,24 @@ def test_rel2():
     assert rel2(a2, (3, 0)) == {1: 3}
 
 
+def test_rel1_rel2_and_ell_take_a_list_weight():
+    # rel1 and rel2 raised TypeError (unhashable list) where conjugate and
+    # in_monoid take a list
+    a2, e6 = build_root_system("A", 2), build_root_system("E", 6)
+    assert rel1(a2, [3, 0]) == rel1(a2, (3, 0)) == {1: 3}
+    assert rel2(a2, [3, 0]) == rel2(a2, (3, 0)) == {1: 3}
+    assert rel1(e6, [1, 0, 0, 0, 2, 0]) == {1: 1, 3: 2}
+    assert rel2(e6, [1, 0, 0, 0, 2, 0]) == {1: 1, 5: 2}
+    assert ell(e6, [1, 0, 1, 0, 0, 0]) == 3
+
+
+@pytest.mark.parametrize("func", [rel1, rel2, ell])
+@pytest.mark.parametrize("w", [(3.0, 0), [3.0, 0], (True, True), [1, True], (3, 0, 0), [3]])
+def test_rel1_rel2_and_ell_reject_a_bool_float_or_wrong_length_weight(func, w):
+    with pytest.raises(DomainError):
+        func(build_root_system("A", 2), w)
+
+
 def test_rel2_weight_identity_all_type_ii_rank_le_6():
     for fam, n in [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
                    ("D", 5), ("E", 6)]:

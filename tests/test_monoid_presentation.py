@@ -18,6 +18,7 @@ from uqcentre import (
     presentation,
     verify_relations,
 )
+from uqcentre.root_system import RootSystem
 from oracles import factorisation_counts_by_dict, in_half_lattice, torus_one, torus_product
 
 
@@ -300,6 +301,26 @@ def test_generation_report_matches_the_count_table(monkeypatch, fam, n, bound):
             if want["ok"]:
                 m.setattr(monoid_presentation, "_cell_weights", _no_decoding)
             assert generation_check(rsys, bound).to_json() == want
+
+
+@pytest.mark.parametrize("bound", [True, 2.0, 3.5])
+def test_generation_check_takes_only_an_int_bound(bound):
+    # True was read as 1 and titled "bound True"; a float raised TypeError from range
+    with pytest.raises(DomainError, match="bound must be >= 0 and an int"):
+        generation_check(build_root_system("A", 2), bound)
+
+
+def test_presentation_checks_each_relation_weight_once(monkeypatch):
+    # ell checked a rel2 weight twice, from rel2 and again from _rel2_binomial
+    e6 = build_root_system("E", 6)
+    pres = presentation(e6)
+    seen = []
+    check = RootSystem._check_weight
+    monkeypatch.setattr(
+        RootSystem, "_check_weight", lambda self, w: seen.append(w) or check(self, w)
+    )
+    assert presentation(e6) == pres
+    assert len(seen) == len(pres.relations) > 0
 
 
 def test_generation_check_fails_fast_at_the_box_cap(monkeypatch):

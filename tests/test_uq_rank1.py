@@ -303,7 +303,7 @@ def test_casimir_pipeline_is_packed_in_q_squared(monkeypatch):
     for m in range(5):
         V = SimpleModule(m)
         C = casimir(V, 3)
-        kappa, rho = uq_rank1._gamma_factors(m)
+        kappa, rho = oracles._gamma_factors(m)
         # the regrouped trace of the oracle: M and M M
         M = oracles._table(V.dim, oracles._middle_entries(V, kappa, rho))
         coeffs = [c for table in (kappa, rho) for row in table for c in row]
@@ -409,7 +409,7 @@ def test_closed_form_middle_factor_matches_oracle_products(m):
     # M = R_V K_V Rt_V of Gamma_V^k = K_V Rt_V M^(k-1) R_V, in closed form,
     # against the triple product
     V = SimpleModule(m)
-    entries = oracles._middle_entries(V, *uq_rank1._gamma_factors(m))
+    entries = oracles._middle_entries(V, *oracles._gamma_factors(m))
     assert oracles._table(V.dim, entries) == middle_by_products(V).table()
 
 
@@ -428,6 +428,20 @@ def test_casimir_matches_the_trace_of_oracle_products(m):
 
 def _q_binomial_by_factorials(m, t):
     return laurent_quotient(q_factorial(m), q_factorial(t) * q_factorial(m - t))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_casimir_k1_is_the_closed_formula_per_monomial(n):
+    # the stored coefficient of F^i K^(w-i) E'^i in C^(1)_L(n), w = n - 2j, is
+    # (q - q^-1)^i [j+i choose i] [n-j choose i] q^(-(i-1)(w-i)), with the
+    # q-binomials as quotients of q-factorials, not by the q-Pascal rule
+    expected = {}
+    for j in range(n + 1):
+        w = n - 2 * j
+        for i in range(n - j + 1):
+            binomials = _q_binomial_by_factorials(j + i, i) * _q_binomial_by_factorials(n - j, i)
+            expected[i, w - i, i] = QMQ ** i * binomials * q_power(-(i - 1) * (w - i))
+    assert casimir(SimpleModule(n), 1)._terms == expected
 
 
 @pytest.mark.parametrize("m", range(7))
